@@ -1,0 +1,40 @@
+"""gbflab: exact decision engine for generalized bent functions Z_2^n -> Z_m.
+
+Exact cyclotomic-integer arithmetic, Walsh spectra, explicit constructions,
+a battery of nonexistence criteria with machine-checkable reports, and an
+exhaustive enumeration oracle.
+"""
+
+from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, phi_degree,
+                         reduction_rows, zeta_pow)
+from .numtheory import (QuadSolution, class_number, euler_phi, factorize,
+                        jacobi, min_odd_r, mult_order_2, odd_part,
+                        semigroup_member, semiprimitive, solve_ax2_by2,
+                        solve_x2_Dy2, v2, wieferich_ok)
+from .gbf import (FunctionTable, GbfType, WalshSpectrum,
+                  construct_boolean_bent, construct_even_even,
+                  construct_mod4_from_bent, direct_sum, first_flat_violation,
+                  is_gbf, lift_modulus, table, walsh, walsh_matrix)
+from .criteria import (CriterionReport, Verdict, crit_lam_leung,
+                       crit_p3_x_p5, crit_p7, crit_p7_x_p35,
+                       crit_semiprimitive, decide, revalidate_report,
+                       rule_exists, summarize_report)
+from .oracle import OracleResult, enumerate_gbfs, spot_check
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "CycInt", "IntPoly", "cyclotomic_poly", "phi_degree", "reduction_rows",
+    "zeta_pow",
+    "QuadSolution", "class_number", "euler_phi", "factorize", "jacobi",
+    "min_odd_r", "mult_order_2", "odd_part", "semigroup_member",
+    "semiprimitive", "solve_ax2_by2", "solve_x2_Dy2", "v2", "wieferich_ok",
+    "FunctionTable", "GbfType", "WalshSpectrum", "construct_boolean_bent",
+    "construct_even_even", "construct_mod4_from_bent", "direct_sum",
+    "first_flat_violation", "is_gbf", "lift_modulus", "table", "walsh",
+    "walsh_matrix",
+    "CriterionReport", "Verdict", "crit_lam_leung", "crit_p3_x_p5",
+    "crit_p7", "crit_p7_x_p35", "crit_semiprimitive", "decide",
+    "revalidate_report", "rule_exists", "summarize_report",
+    "OracleResult", "enumerate_gbfs", "spot_check",
+]

@@ -1,0 +1,298 @@
+"""Function tables on Z_2^n with values in Z_m, exact Walsh spectra, the
+flat-spectrum (generalized bent) test, and the product and lift
+constructions.
+
+Index convention, fixed across the whole package and the witness file
+format: table index i encodes the point x = (x_1, ..., x_n) with x_j equal
+to bit j-1 of i, so x_1 is the least significant bit.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .cyclotomic import CycInt, reduction_rows
+
+_MAX_N = 26          # walsh matrices have 2^n rows; guard memory
+_CHUNK_ROWS = 4096   # spectrum rows checked per numpy batch
+_INT64_SAFE = 2**62
+
+
+@dataclass(frozen=True)
+class GbfType:
+    """The pair {m, n}: values in Z_m, arguments in Z_2^n."""
+
+    m: int
+    n: int
+
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("m must be >= 2")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+
+    def __str__(self):
+        return f"{{{self.m},{self.n}}}"
+
+
+@dataclass(frozen=True)
+class FunctionTable:
+    """A map Z_2^n -> Z_m stored as a tuple of 2^n residues."""
+
+    gbf_type: GbfType
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        m, n = self.gbf_type.m, self.gbf_type.n
+        if len(self.values) != 1 << n:
+            raise ValueError(f"need {1 << n} values, got {len(self.values)}")
+        if any(not 0 <= v < m for v in self.values):
+            raise ValueError(f"values must lie in 0..{m - 1}")
+
+    @property
+    def m(self) -> int:
+        return self.gbf_type.m
+
+    @property
+    def n(self) -> int:
+        return self.gbf_type.n
+
+
+def table(m: int, n: int, values) -> FunctionTable:
+    """Build a FunctionTable, reducing the given values mod m."""
+    return FunctionTable(GbfType(m, n), tuple(int(v) % m for v in values))
+
+
+@dataclass(frozen=True)
+class WalshSpectrum:
+    """The full family of Walsh values W(y), one ring element per y in
+    Z_2^n, under the shared bit convention."""
+
+    gbf_type: GbfType
+    values: tuple[CycInt, ...]
+
+
+def _fwht_inplace(mat: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a (2^k, ...)
+    array: out[y] = sum_x (-1)^(x.y) in[x]."""
+    rows = mat.shape[0]
+    h = 1
+    while h < rows:
+        view = mat.reshape(rows // (2 * h), 2, h, *mat.shape[1:])
+        top = view[:, 0].copy()
+        view[:, 0] = top + view[:, 1]
+        view[:, 1] = top - view[:, 1]
+        h *= 2
+
+
+def walsh_matrix(f: FunctionTable) -> np.ndarray:
+    """The spectrum as an exact int64 matrix: row y holds the coefficient
+    vector of W(y) = sum_x (-1)^(x.y) zeta^f(x) over powers of zeta_m.
+    Entries are bounded by 2^n, so int64 never wraps within the n guard."""
+    m, n = f.m, f.n
+    if n > _MAX_N:
+        raise ValueError(f"n = {n} beyond the supported resource guard")
+    rows = 1 << n
+    mat = np.zeros((rows, m), dtype=np.int64)
+    mat[np.arange(rows), np.fromiter(f.values, dtype=np.int64)] = 1
+    _fwht_inplace(mat)
+    return mat
+
+
+def walsh(f: FunctionTable) -> WalshSpectrum:
+    """Exact Walsh spectrum; W(0) is the plain character sum over the table."""
+    mat = walsh_matrix(f)
+    m = f.m
+    return WalshSpectrum(f.gbf_type,
+                         tuple(CycInt(m, row) for row in mat.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _folded_reduction(m: int):
+    """Precomputed data for testing |W|^2 == target on coefficient rows.
+
+    Returns (Rf, IDX, phi, rmax): Rf maps the folded autocorrelation lags
+    0..m//2 to canonical coordinates (lags k and m-k share a row since the
+    autocorrelation of a real-coefficient vector is symmetric), IDX[k, i] =
+    (i + k) % m gathers the shifted copies, and rmax bounds the reduction
+    coefficients for overflow accounting.
+    """
+    rows = reduction_rows(m)
+    phi = len(rows[0])
+    half = m // 2 + 1
+    folded = []
+    for k in range(half):
+        if k == 0 or 2 * k == m:
+            folded.append(list(rows[k]))
+        else:
+            folded.append([a + b for a, b in zip(rows[k], rows[m - k])])
+    rmax = max(max(abs(c) for c in row) for row in folded)
+    if rmax >= _INT64_SAFE:
+        raise OverflowError("reduction rows exceed the int64 envelope")
+    Rf = np.array(folded, dtype=np.int64)
+    IDX = (np.arange(half)[:, None] + np.arange(m)[None, :]) % m
+    return Rf, IDX, phi, rmax
+
+
+def _row_abs_square_canonical(w, m: int) -> list[int]:
+    """Canonical coefficients of |sum_i w_i zeta^i|^2, in exact Python
+    integers (reference path, no overflow concerns)."""
+    rows = reduction_rows(m)
+    phi = len(rows[0])
+    corr = [0] * m
+    for i, wi in enumerate(w):
+        if wi:
+            for k in range(m):
+                j = i + k
+                if j >= m:
+                    j -= m
+                corr[k] += wi * w[j]
+    acc = [0] * phi
+    for k, ck in enumerate(corr):
+        if ck:
+            row = rows[k]
+            for i in range(phi):
+                acc[i] += ck * row[i]
+    return acc
+
+
+def first_flat_violation(f: FunctionTable):
+    """None when every Walsh value satisfies |W(y)|^2 = 2^n exactly;
+    otherwise (y, canonical coefficients of |W(y)|^2) for the first failing
+    y in index order."""
+    m, n = f.m, f.n
+    target = 1 << n
+    mat = walsh_matrix(f)
+    try:
+        Rf, IDX, phi, rmax = _folded_reduction(m)
+        wmax = int(np.abs(mat).max(initial=0))
+        # |C_k| <= m*wmax^2, |Z| <= m*|C|*rmax; stay well inside int64
+        fast = m * m * wmax * wmax * rmax < _INT64_SAFE
+    except OverflowError:
+        fast = False
+    if fast:
+        want = np.zeros(phi, dtype=np.int64)
+        want[0] = target
+        for start in range(0, mat.shape[0], _CHUNK_ROWS):
+            chunk = mat[start:start + _CHUNK_ROWS]
+            gathered = chunk[:, IDX]                       # (rows, half, m)
+            corr = np.einsum('yki,yi->yk', gathered, chunk)
+            red = corr @ Rf                                # (rows, phi)
+            ok = np.all(red == want, axis=1)
+            if not ok.all():
+                y = start + int(np.argmin(ok))
+                return y, tuple(_row_abs_square_canonical(
+                    mat[y].tolist(), m))
+        return None
+    for y in range(mat.shape[0]):
+        acc = _row_abs_square_canonical(mat[y].tolist(), m)
+        if acc[0] != target or any(acc[1:]):
+            return y, tuple(acc)
+    return None
+
+
+def is_gbf(f: FunctionTable) -> bool:
+    """Exact flatness test: true when |W(y)|^2 equals 2^n for every y."""
+    return first_flat_violation(f) is None
+
+
+# -- constructions -----------------------------------------------------------
+
+
+def construct_boolean_bent(n: int) -> FunctionTable:
+    """The quadratic form x1*x2 + x3*x4 + ... on an even number of
+    variables, the classical flat-spectrum boolean function."""
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2")
+    vals = []
+    for i in range(1 << n):
+        acc = 0
+        for t in range(0, n, 2):
+            acc ^= (i >> t) & (i >> (t + 1)) & 1
+        vals.append(acc)
+    return FunctionTable(GbfType(2, n), tuple(vals))
+
+
+def construct_even_even(m: int, n: int, g=None, sigma=None,
+                        seed=None) -> FunctionTable:
+    """For even m = 2l and even n = 2t, the table f(x, y) = g(y) + l*(x.sigma(y))
+    over the split x = low t bits, y = high t bits.
+
+    g may be any map Z_2^t -> Z_m (default all zeros) and sigma any
+    permutation of Z_2^t (default identity), so the default witness is
+    deterministic; pass a seed to draw both at random for property tests.
+    """
+    if m < 2 or m % 2:
+        raise ValueError("m must be even and >= 2")
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2")
+    t = n // 2
+    half = m // 2
+    size = 1 << t
+    if seed is not None:
+        rng = random.Random(seed)
+        if g is None:
+            g = [rng.randrange(m) for _ in range(size)]
+        if sigma is None:
+            sigma = list(range(size))
+            rng.shuffle(sigma)
+    g = [0] * size if g is None else [int(v) % m for v in g]
+    sigma = list(range(size)) if sigma is None else [int(v) for v in sigma]
+    if len(g) != size:
+        raise ValueError(f"g must have {size} entries")
+    if sorted(sigma) != list(range(size)):
+        raise ValueError(f"sigma must be a permutation of 0..{size - 1}")
+    vals = []
+    for i in range(1 << n):
+        x = i & (size - 1)
+        y = i >> t
+        dot = (x & sigma[y]).bit_count() & 1
+        vals.append((g[y] + half * dot) % m)
+    return FunctionTable(GbfType(m, n), tuple(vals))
+
+
+_QUATERNARY_CASES = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+
+
+def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
+    """Fold a flat boolean table on n+1 variables into a quaternary table on
+    n variables by encoding the pair (b(x,0), b(x,1)) as a residue mod 4,
+    where the split variable is the top index bit.  The result is flat."""
+    if b.m != 2:
+        raise ValueError("input table must be boolean")
+    if b.n < 2:
+        raise ValueError("input table must have at least 2 variables")
+    if not is_gbf(b):
+        raise ValueError("input table must have a flat spectrum")
+    half = 1 << (b.n - 1)
+    vals = tuple(_QUATERNARY_CASES[(b.values[x], b.values[x + half])]
+                 for x in range(half))
+    return FunctionTable(GbfType(4, b.n - 1), vals)
+
+
+def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
+    """F(x, x') = f(x) + g(x') on n + n' variables (x in the low bits);
+    flat whenever both inputs are."""
+    if f.m != g.m:
+        raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
+    m = f.m
+    vals = []
+    for j in range(1 << g.n):
+        for i in range(1 << f.n):
+            vals.append((f.values[i] + g.values[j]) % m)
+    return FunctionTable(GbfType(m, f.n + g.n), tuple(vals))
+
+
+def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
+    """Rescale values by l into Z_(l*m); the spectrum is unchanged under
+    zeta_(l*m)^l = zeta_m, so flatness is preserved."""
+    if l < 1:
+        raise ValueError("l must be >= 1")
+    if l == 1:
+        return f
+    return FunctionTable(GbfType(l * f.m, f.n),
+                         tuple(l * v for v in f.values))

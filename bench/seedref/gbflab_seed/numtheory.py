@@ -1,0 +1,308 @@
+"""Elementary and quadratic number theory behind the nonexistence criteria.
+
+Factorization, multiplicative orders, 2-adic valuations, Jacobi symbols,
+numerical-semigroup membership, sparse diophantine solvers and imaginary
+quadratic class numbers.  Everything works over plain Python integers; the
+only numpy use is the boolean reachability table of the semigroup solver.
+All functions are pure and safe for concurrent use.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+TRIAL_DIVISION_BOUND = 10**6
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with a base set that is deterministic below 3.3e24."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization as ((p1, a1), ...) with ascending primes.
+
+    Trial division up to 10^6 with Miller-Rabin certification of any
+    remaining cofactor; inputs whose cofactor is composite are out of the
+    supported range and rejected.
+    """
+    if not 2 <= m <= 2**63 - 1:
+        raise ValueError("m must satisfy 2 <= m <= 2**63 - 1")
+    out = []
+    rem = m
+    p = 2
+    while p <= TRIAL_DIVISION_BOUND and p * p <= rem:
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if rem > 1:
+        if not is_probable_prime(rem):
+            raise ValueError(
+                f"cofactor {rem} is composite with factors beyond "
+                f"{TRIAL_DIVISION_BOUND}; out of supported range")
+        out.append((rem, 1))
+    return tuple(out)
+
+
+def euler_phi(m: int) -> int:
+    if m == 1:
+        return 1
+    phi = 1
+    for p, a in factorize(m):
+        phi *= (p - 1) * p ** (a - 1)
+    return phi
+
+
+def odd_part(m: int) -> int:
+    while m % 2 == 0:
+        m //= 2
+    return m
+
+
+@lru_cache(maxsize=None)
+def mult_order_2(mod: int) -> int:
+    """Least f >= 1 with 2^f = 1 (mod mod), for odd mod >= 3.
+
+    Starts from Euler's phi and strips prime factors while the power stays 1,
+    which yields the exact order (it divides phi and the construction cannot
+    stop early).
+    """
+    if mod < 3 or mod % 2 == 0:
+        raise ValueError("modulus must be odd and >= 3")
+    e = euler_phi(mod)
+    for q, _ in factorize(e):
+        while e % q == 0 and pow(2, e // q, mod) == 1:
+            e //= q
+    return e
+
+
+def v2(d: int) -> int:
+    """2-adic valuation: the largest r with 2^r dividing d (d >= 1)."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return (d & -d).bit_length() - 1
+
+
+def semiprimitive(m_odd: int):
+    """Least l >= 1 with 2^l = -1 (mod m_odd), or None.
+
+    Two answers are computed and cross-checked: directly from the order of 2
+    (an l exists exactly when the order 2l is even, and then l is half the
+    order), and through the per-prime criterion that the 2-adic valuations of
+    the orders of 2 modulo each prime divisor all equal the same r >= 1.
+    """
+    if m_odd < 1 or m_odd % 2 == 0:
+        raise ValueError("m_odd must be odd and >= 1")
+    if m_odd == 1:
+        return 1
+    f = mult_order_2(m_odd)
+    direct = None
+    if f % 2 == 0 and pow(2, f // 2, m_odd) == m_odd - 1:
+        direct = f // 2
+    vals = {v2(mult_order_2(p)) for p, _ in factorize(m_odd)}
+    by_valuations = len(vals) == 1 and min(vals) >= 1
+    if (direct is not None) != by_valuations:
+        raise AssertionError(
+            f"semiprimitive cross-check failed for {m_odd}: "
+            f"direct={direct} valuations={sorted(vals)}")
+    return direct
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol when n is an
+    odd prime.  Negative a is reduced mod n first."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError("n must be odd and >= 1")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def wieferich_ok(p: int) -> bool:
+    """True when 2^(p-1) is not 1 modulo p^2 (so orders of 2 modulo p^l grow
+    by a factor p per level).  The only known failures are 1093 and 3511."""
+    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+        raise ValueError("p must be an odd prime")
+    return pow(2, p - 1, p * p) != 1
+
+
+def semigroup_member(target: int, gens):
+    """Nonnegative coefficients (n1, ..., ns) with sum(ni * pi) == target over
+    the given odd generators, or None when target is not representable.
+
+    Decided by a reachability sweep over 0..target; the witness is rebuilt by
+    walking back greedily through the reachability table, so the returned
+    vector is deterministic.
+    """
+    gens = tuple(sorted(set(int(g) for g in gens)))
+    if not gens or any(g < 3 or g % 2 == 0 for g in gens):
+        raise ValueError("generators must be a nonempty set of odd integers >= 3")
+    if target < 1:
+        raise ValueError("target must be >= 1")
+    reach = np.zeros(target + 1, dtype=bool)
+    reach[0] = True
+    for g in gens:
+        for res in range(min(g, target + 1)):
+            np.logical_or.accumulate(reach[res::g], out=reach[res::g])
+    if not reach[target]:
+        return None
+    counts = [0] * len(gens)
+    i = target
+    while i:
+        for idx, g in enumerate(gens):
+            if i >= g and reach[i - g]:
+                counts[idx] += 1
+                i -= g
+                break
+        else:  # pragma: no cover - closure property of reach makes this dead
+            raise AssertionError("reachability table inconsistent")
+    return tuple(counts)
+
+
+def _is_square(n: int) -> bool:
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
+
+
+def solve_x2_Dy2(D: int, N: int):
+    """Some nonnegative (x, y) with x^2 + D*y^2 = N, scanning y upward and
+    testing N - D*y^2 for squareness with integer square roots; None when no
+    solution exists."""
+    if D < 1 or N < 1:
+        raise ValueError("D and N must be >= 1")
+    y = 0
+    while D * y * y <= N:
+        rem = N - D * y * y
+        x = math.isqrt(rem)
+        if x * x == rem:
+            return (x, y)
+        y += 1
+    return None
+
+
+def solve_ax2_by2(a: int, b: int, N: int):
+    """Some nonnegative (x, y) with a*x^2 + b*y^2 = N, or None."""
+    if a < 1 or b < 1 or N < 1:
+        raise ValueError("a, b and N must be >= 1")
+    y = 0
+    while b * y * y <= N:
+        rem = N - b * y * y
+        if rem % a == 0:
+            q = rem // a
+            x = math.isqrt(q)
+            if x * x == q:
+                return (x, y)
+        y += 1
+    return None
+
+
+@lru_cache(maxsize=None)
+def class_number(d: int) -> int:
+    """Class number of the imaginary quadratic field Q(sqrt(-d)) for
+    squarefree d >= 1.
+
+    Counts reduced primitive binary quadratic forms (a, b, c) of the field
+    discriminant (-d when d = 3 mod 4, else -4d): b^2 - 4ac = disc,
+    |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if d > 1 and any(e > 1 for _, e in factorize(d)):
+        raise ValueError(f"d = {d} is not squarefree")
+    disc = -d if d % 4 == 3 else -4 * d
+    h = 0
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a, a + 1):
+            if (b - disc) % 2:
+                continue
+            num = b * b - disc
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (-b == a or a == c):
+                continue
+            if math.gcd(math.gcd(a, abs(b)), c) != 1:
+                continue
+            h += 1
+        a += 1
+    return h
+
+
+@dataclass(frozen=True)
+class QuadSolution:
+    """A witness (x, y) for the designated quadratic equation at odd
+    exponent r, i.e. at right-hand side 2^(r+2) * multiplier."""
+
+    x: int
+    y: int
+    r: int
+
+
+def min_odd_r(coeffs, multiplier: int = 1, *, bound: int):
+    """Least odd r <= bound at which the designated equation is solvable with
+    right-hand side N = 2^(r+2) * multiplier, together with a witness; None
+    when no odd r within the bound works.
+
+    ``coeffs`` selects the form: an integer D means x^2 + D*y^2 = N, a pair
+    (a, b) means a*x^2 + b*y^2 = N.  The caller owes a finiteness argument
+    for its bound (in the intended uses, an order bound in an imaginary
+    quadratic class group).
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if multiplier < 1:
+        raise ValueError("multiplier must be >= 1")
+    for r in range(1, bound + 1, 2):
+        rhs = (1 << (r + 2)) * multiplier
+        if isinstance(coeffs, int):
+            sol = solve_x2_Dy2(coeffs, rhs)
+        else:
+            a, b = coeffs
+            sol = solve_ax2_by2(a, b, rhs)
+        if sol is not None:
+            return QuadSolution(sol[0], sol[1], r)
+    return None
