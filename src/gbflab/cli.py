@@ -4,10 +4,10 @@ Commands: ``decide M N [--json]``, ``construct M N [--out F]``,
 ``verify F``, ``oracle M N [--budget B]``,
 ``scan --m A..B --n C..D [--format csv|md]``, ``table rp|p7``.
 
-Exit codes for decide: 0 Exists, 1 NotExists, 2 Unknown; usage errors exit 3
-everywhere.  Witness files are JSON objects {"m": .., "n": .., "values":
-[..2^n residues..]} under the package-wide index convention (x_1 is the
-least significant index bit).
+Exit codes for decide: 0 Exists, 1 NotExists, 2 Unknown; usage errors and
+running out of memory exit 3 everywhere.  Witness files are JSON objects
+{"m": .., "n": .., "values": [..2^n residues..]} under the package-wide
+index convention (x_1 is the least significant index bit).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def cmd_decide(args) -> int:
     if v.kind == EXISTS:
         path = args.out or f"witness_{args.m}x{args.n}.json"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_witness_dict(v.witness), fh)
+            fh.write(json.dumps(_witness_dict(v.witness)))
             fh.write("\n")
     if args.json:
         print(json.dumps(verdict_to_dict(args.m, args.n, v, path)))
@@ -118,7 +118,7 @@ def cmd_construct(args) -> int:
         raise AssertionError("witness failed verification")
     path = args.out or f"witness_{args.m}x{args.n}.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_witness_dict(witness), fh)
+        fh.write(json.dumps(_witness_dict(witness)))
         fh.write("\n")
     print(f"rule {rule}: {describe_rule(rule, args.m, args.n)}")
     print(f"witness written: {path}")
@@ -287,6 +287,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # exit 1 would read as NotExists
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from .cyclotomic import CycInt, reduction_rows
+from .numtheory import factorize
 
-_MAX_N = 26          # walsh matrices have 2^n rows; guard memory
-_CHUNK_ROWS = 4096   # spectrum rows checked per numpy batch
+_MAX_N = 26              # walsh matrices have 2^n rows; guard memory
+_CHUNK_BYTES = 1 << 20   # int64 bytes gathered per numpy batch of spectrum rows
 _INT64_SAFE = 2**62
 
 
@@ -50,7 +52,7 @@ class FunctionTable:
         m, n = self.gbf_type.m, self.gbf_type.n
         if len(self.values) != 1 << n:
             raise ValueError(f"need {1 << n} values, got {len(self.values)}")
-        if any(not 0 <= v < m for v in self.values):
+        if min(self.values) < 0 or max(self.values) >= m:
             raise ValueError(f"values must lie in 0..{m - 1}")
 
     @property
@@ -160,13 +162,25 @@ def _row_abs_square_canonical(w, m: int) -> list[int]:
     return acc
 
 
-def first_flat_violation(f: FunctionTable):
-    """None when every Walsh value satisfies |W(y)|^2 = 2^n exactly;
-    otherwise (y, canonical coefficients of |W(y)|^2) for the first failing
-    y in index order."""
-    m, n = f.m, f.n
-    target = 1 << n
-    mat = walsh_matrix(f)
+def _divide_content(f: FunctionTable):
+    """(l, f/l): l = gcd(m, values), and f/l the table of the quotients v/l
+    over Z_(m/l).  Both have the same Walsh values as complex numbers, since
+    zeta_m^(l*v) = zeta_(m/l)^v.  An all-zero table is taken over Z_p for
+    the least prime p dividing m, never over Z_1."""
+    m = f.m
+    l = gcd(m, *f.values)
+    if l == m:
+        l = m // factorize(m)[0][0]
+    if l == 1:
+        return 1, f
+    return l, FunctionTable(GbfType(m // l, f.n),
+                            tuple(v // l for v in f.values))
+
+
+def _first_nonflat_row(mat: np.ndarray, m: int, target: int):
+    """The first y whose row of a walsh_matrix at modulus m does not have
+    |W(y)|^2 = target, or None.  int64 batches inside a proven envelope,
+    exact Python integers row by row outside it."""
     try:
         Rf, IDX, phi, rmax = _folded_reduction(m)
         wmax = int(np.abs(mat).max(initial=0))
@@ -177,22 +191,41 @@ def first_flat_violation(f: FunctionTable):
     if fast:
         want = np.zeros(phi, dtype=np.int64)
         want[0] = target
-        for start in range(0, mat.shape[0], _CHUNK_ROWS):
-            chunk = mat[start:start + _CHUNK_ROWS]
+        # the gather holds IDX.size int64 entries per row
+        step = max(1, _CHUNK_BYTES // (8 * IDX.size))
+        for start in range(0, mat.shape[0], step):
+            chunk = mat[start:start + step]
             gathered = chunk[:, IDX]                       # (rows, half, m)
             corr = np.einsum('yki,yi->yk', gathered, chunk)
             red = corr @ Rf                                # (rows, phi)
             ok = np.all(red == want, axis=1)
             if not ok.all():
-                y = start + int(np.argmin(ok))
-                return y, tuple(_row_abs_square_canonical(
-                    mat[y].tolist(), m))
+                return start + int(np.argmin(ok))
         return None
     for y in range(mat.shape[0]):
         acc = _row_abs_square_canonical(mat[y].tolist(), m)
         if acc[0] != target or any(acc[1:]):
-            return y, tuple(acc)
+            return y
     return None
+
+
+def first_flat_violation(f: FunctionTable):
+    """None when every Walsh value satisfies |W(y)|^2 = 2^n exactly;
+    otherwise (y, canonical coefficients of |W(y)|^2 in Z[zeta_m]) for the
+    first failing y in index order.
+
+    The spectrum is computed at the content modulus m/l, l = gcd(m, values),
+    where every W(y) is the same complex number, so the verdict and the
+    failing y do not depend on l; only a reported row is taken back to m.
+    """
+    l, g = _divide_content(f)
+    mat = walsh_matrix(g)
+    y = _first_nonflat_row(mat, g.m, 1 << f.n)
+    if y is None:
+        return None
+    row = [0] * f.m
+    row[::l] = mat[y].tolist()
+    return y, tuple(_row_abs_square_canonical(row, f.m))
 
 
 def is_gbf(f: FunctionTable) -> bool:
@@ -203,18 +236,22 @@ def is_gbf(f: FunctionTable) -> bool:
 # -- constructions -----------------------------------------------------------
 
 
+def _value_dtype(bound: int):
+    """int64 for table arithmetic whose values stay below bound, else
+    Python integers (object arrays) so that no value wraps."""
+    return np.int64 if bound <= _INT64_SAFE else object
+
+
 def construct_boolean_bent(n: int) -> FunctionTable:
     """The quadratic form x1*x2 + x3*x4 + ... on an even number of
     variables, the classical flat-spectrum boolean function."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    vals = []
-    for i in range(1 << n):
-        acc = 0
-        for t in range(0, n, 2):
-            acc ^= (i >> t) & (i >> (t + 1)) & 1
-        vals.append(acc)
-    return FunctionTable(GbfType(2, n), tuple(vals))
+    i = np.arange(1 << n)
+    # bit 2k of i & (i >> 1) is x_(2k+1)*x_(2k+2); the mask keeps even bits
+    pairs = i & (i >> 1) & (((1 << n) - 1) // 3)
+    vals = np.bitwise_count(pairs) & 1
+    return FunctionTable(GbfType(2, n), tuple(vals.tolist()))
 
 
 def construct_even_even(m: int, n: int, g=None, sigma=None,
@@ -246,22 +283,19 @@ def construct_even_even(m: int, n: int, g=None, sigma=None,
         raise ValueError(f"g must have {size} entries")
     if sorted(sigma) != list(range(size)):
         raise ValueError(f"sigma must be a permutation of 0..{size - 1}")
-    vals = []
-    for i in range(1 << n):
-        x = i & (size - 1)
-        y = i >> t
-        dot = (x & sigma[y]).bit_count() & 1
-        vals.append((g[y] + half * dot) % m)
-    return FunctionTable(GbfType(m, n), tuple(vals))
-
-
-_QUATERNARY_CASES = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+    i = np.arange(1 << n)
+    x, y = i & (size - 1), i >> t
+    dot = np.bitwise_count(x & np.array(sigma)[y]) & 1
+    dtype = _value_dtype(2 * m)
+    vals = (np.array(g, dtype=dtype)[y] + half * dot.astype(dtype)) % m
+    return FunctionTable(GbfType(m, n), tuple(vals.tolist()))
 
 
 def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
     """Fold a flat boolean table on n+1 variables into a quaternary table on
     n variables by encoding the pair (b(x,0), b(x,1)) as a residue mod 4,
-    where the split variable is the top index bit.  The result is flat."""
+    where the split variable is the top index bit: (0,0), (0,1), (1,1) and
+    (1,0) map to 0, 1, 2 and 3.  The result is flat."""
     if b.m != 2:
         raise ValueError("input table must be boolean")
     if b.n < 2:
@@ -269,9 +303,10 @@ def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
     if not is_gbf(b):
         raise ValueError("input table must have a flat spectrum")
     half = 1 << (b.n - 1)
-    vals = tuple(_QUATERNARY_CASES[(b.values[x], b.values[x + half])]
-                 for x in range(half))
-    return FunctionTable(GbfType(4, b.n - 1), vals)
+    bits = np.array(b.values)
+    low, high = bits[:half], bits[half:]
+    vals = 2 * low + (low ^ high)
+    return FunctionTable(GbfType(4, b.n - 1), tuple(vals.tolist()))
 
 
 def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
@@ -280,11 +315,11 @@ def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     if f.m != g.m:
         raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
     m = f.m
-    vals = []
-    for j in range(1 << g.n):
-        for i in range(1 << f.n):
-            vals.append((f.values[i] + g.values[j]) % m)
-    return FunctionTable(GbfType(m, f.n + g.n), tuple(vals))
+    dtype = _value_dtype(2 * m)
+    low = np.array(f.values, dtype=dtype)
+    high = np.array(g.values, dtype=dtype)
+    vals = (high[:, None] + low[None, :]) % m        # row x', column x
+    return FunctionTable(GbfType(m, f.n + g.n), tuple(vals.ravel().tolist()))
 
 
 def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
@@ -294,5 +329,5 @@ def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
         raise ValueError("l must be >= 1")
     if l == 1:
         return f
-    return FunctionTable(GbfType(l * f.m, f.n),
-                         tuple(l * v for v in f.values))
+    vals = np.array(f.values, dtype=_value_dtype(l * f.m)) * l
+    return FunctionTable(GbfType(l * f.m, f.n), tuple(vals.tolist()))

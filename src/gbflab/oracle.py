@@ -34,9 +34,7 @@ class OracleResult:
 def _sign_table(rows: int) -> np.ndarray:
     """sgn[x, y] = (-1)^(x.y) over index bits."""
     xs = np.arange(rows)
-    parity = (xs[:, None] & xs[None, :])
-    parity = np.bitwise_count(parity) if hasattr(np, "bitwise_count") else \
-        np.array([[bin(int(v)).count("1") for v in row] for row in parity])
+    parity = np.bitwise_count(xs[:, None] & xs[None, :])
     return np.where(parity & 1, -1, 1).astype(np.int64)
 
 

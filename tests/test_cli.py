@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from gbflab import cli, gbf
 from gbflab.cli import main
 from gbflab.criteria import revalidate_report, report_from_dict
+from gbflab.gbf import construct_even_even
 
 
 def run(capsys, *argv):
@@ -157,3 +159,31 @@ def test_table_outputs(capsys):
     rows = [line.split() for line in out.strip().splitlines()[1:]]
     assert len(rows) == 11
     assert rows[-1] == ["199", "1", "9", "9"]
+
+
+def test_decide_large_lifted_modulus(tmp_path, capsys):
+    # checked at modulus 2, the content modulus of the E1 witness
+    path = tmp_path / "w.json"
+    code, out, _ = run(capsys, "decide", "1000", "16", "--out", str(path))
+    assert code == 0 and "lifted by 250" in out
+    values = [250 * v for v in construct_even_even(4, 16).values]
+    assert path.read_text() == \
+        json.dumps({"m": 1000, "n": 16, "values": values}) + "\n"
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("OK")
+
+
+def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "w.json"
+    path.write_text('{"m": 4, "n": 1, "values": [0, 1]}')
+
+    def exhausted(f):
+        raise MemoryError("Unable to allocate 15.3 GiB")
+
+    monkeypatch.setattr(gbf, "first_flat_violation", exhausted)
+    monkeypatch.setattr(cli, "first_flat_violation", exhausted)
+    monkeypatch.chdir(tmp_path)
+    for argv in (("decide", "8", "2"), ("verify", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == "error: out of memory: Unable to allocate 15.3 GiB\n"

@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from gbflab.cyclotomic import CycInt, zeta_pow
+from gbflab import gbf
+from gbflab.cyclotomic import CycInt, phi_degree, zeta_pow
 from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
                         construct_even_even, construct_mod4_from_bent,
                         direct_sum, first_flat_violation, is_gbf,
@@ -203,3 +204,188 @@ def test_table_validation():
         GbfType(1, 1)
     with pytest.raises(ValueError):
         GbfType(4, 0)
+
+
+# -- flatness at the content modulus -------------------------------------------
+
+
+def _random_table(rng, m, n):
+    return table(m, n, [rng.randrange(m) for _ in range(1 << n)])
+
+
+def test_content_modulus_keeps_verdict_and_failing_row():
+    rng = random.Random(21)
+    flat_seen = 0
+    for _ in range(60):
+        base_m = rng.randrange(2, 9)
+        n = rng.randrange(1, 4)
+        l = rng.randrange(2, 6)
+        if base_m % 2 == 0 and n % 2 == 0 and rng.random() < 0.5:
+            g = construct_even_even(base_m, n, seed=rng.randrange(999))
+        else:
+            g = _random_table(rng, base_m, n)
+        f = lift_modulus(g, l)          # every value a multiple of l | m
+        flat = _is_flat_by_definition(f)
+        flat_seen += flat
+        assert is_gbf(f) == is_gbf(g) == flat == _is_flat_by_definition(g)
+        bad_f, bad_g = first_flat_violation(f), first_flat_violation(g)
+        assert (bad_f is None) == (bad_g is None)
+        if bad_f is not None:
+            assert bad_f[0] == bad_g[0]
+    assert flat_seen
+
+
+def test_content_modulus_report_is_taken_at_m():
+    rng = random.Random(22)
+    reported = 0
+    for m, n, l in ((12, 2, 3), (12, 3, 4), (30, 2, 5), (8, 3, 2), (18, 2, 6)):
+        for _ in range(4):
+            f = lift_modulus(_random_table(rng, m // l, n), l)
+            bad = first_flat_violation(f)
+            if bad is None:
+                assert _is_flat_by_definition(f)
+                continue
+            y, coeffs = bad
+            reported += 1
+            phi = phi_degree(m)
+            assert len(coeffs) == phi
+            want = walsh(f).values[y].abs_square().coeffs
+            assert coeffs == want[:phi] and not any(want[phi:])
+            # and y is the first failing row by the definition
+            target = 1 << n
+            spectrum = _walsh_by_definition(f)
+            assert all(w.abs_square() == target for w in spectrum[:y])
+            assert spectrum[y].abs_square() != target
+    assert reported >= 15
+
+
+def test_content_modulus_all_zero_table():
+    for m, p in ((4, 2), (9, 3), (15, 3), (7, 7), (35, 5), (1000, 2)):
+        for n in (1, 2, 3):
+            f = table(m, n, [0] * (1 << n))
+            l, reduced = gbf._divide_content(f)
+            assert reduced.m == p and l == m // p
+            assert first_flat_violation(f) == \
+                (0, (4 ** n,) + (0,) * (phi_degree(m) - 1))
+
+
+def test_content_modulus_cost_does_not_grow_with_m():
+    # flat witnesses at moduli far beyond any walsh_matrix at modulus m
+    huge = 2**64 + 2
+    witness = construct_even_even(huge, 4)
+    assert set(witness.values) == {0, huge // 2}
+    assert is_gbf(witness)
+    assert is_gbf(lift_modulus(construct_boolean_bent(6), 10**15))
+
+
+def test_per_row_fallback_agrees_with_fast_path(monkeypatch):
+    rng = random.Random(23)
+    cases = [construct_boolean_bent(4), construct_even_even(6, 2, seed=3),
+             construct_mod4_from_bent(construct_boolean_bent(4)),
+             lift_modulus(construct_even_even(4, 2), 5),
+             table(4, 2, [0, 0, 0, 0]), table(5, 2, [0, 1, 2, 3])]
+    cases += [_random_table(rng, rng.randrange(2, 10), rng.randrange(1, 4))
+              for _ in range(20)]
+    fast = [first_flat_violation(f) for f in cases]
+    assert sum(r is None for r in fast) >= 4
+    assert sum(r is not None for r in fast) >= 4
+
+    rows = []
+    reference = gbf._row_abs_square_canonical
+
+    def no_envelope(m):
+        raise OverflowError("forced")
+
+    def counted(w, m):
+        rows.append(m)
+        return reference(w, m)
+
+    monkeypatch.setattr(gbf, "_folded_reduction", no_envelope)
+    monkeypatch.setattr(gbf, "_row_abs_square_canonical", counted)
+    for f, want in zip(cases, fast):
+        rows.clear()
+        assert first_flat_violation(f) == want
+        # one exact reduction per row up to the first failing one, plus
+        # the reported row at modulus m
+        assert len(rows) == (1 << f.n if want is None else want[0] + 2)
+
+
+# -- numpy constructions against the loops they replaced ------------------------
+
+
+def _boolean_bent_loop(n):
+    vals = []
+    for i in range(1 << n):
+        acc = 0
+        for t in range(0, n, 2):
+            acc ^= (i >> t) & (i >> (t + 1)) & 1
+        vals.append(acc)
+    return tuple(vals)
+
+
+def _even_even_loop(m, n, g, sigma):
+    t = n // 2
+    size = 1 << t
+    vals = []
+    for i in range(1 << n):
+        x = i & (size - 1)
+        y = i >> t
+        dot = (x & sigma[y]).bit_count() & 1
+        vals.append((g[y] + m // 2 * dot) % m)
+    return tuple(vals)
+
+
+def _mod4_loop(b):
+    cases = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+    half = 1 << (b.n - 1)
+    return tuple(cases[(b.values[x], b.values[x + half])] for x in range(half))
+
+
+def _direct_sum_loop(f, g):
+    return tuple((f.values[i] + g.values[j]) % f.m
+                 for j in range(1 << g.n) for i in range(1 << f.n))
+
+
+def _lift_loop(f, l):
+    return tuple(l * v for v in f.values)
+
+
+def _all_python_ints(f):
+    return all(type(v) is int for v in f.values)
+
+
+def test_constructions_match_loops():
+    rng = random.Random(41)
+    for n in range(2, 11, 2):
+        bent = construct_boolean_bent(n)
+        assert bent.values == _boolean_bent_loop(n) and _all_python_ints(bent)
+        assert construct_mod4_from_bent(bent).values == _mod4_loop(bent)
+        size = 1 << (n // 2)
+        for m in (2, 4, 6, 10, 12, 2**64 + 2):
+            assert construct_even_even(m, n).values == \
+                _even_even_loop(m, n, [0] * size, list(range(size)))
+            g = [rng.randrange(m) for _ in range(size)]
+            sigma = list(range(size))
+            rng.shuffle(sigma)
+            got = construct_even_even(m, n, g=g, sigma=sigma)
+            assert got.values == _even_even_loop(m, n, g, sigma)
+            assert _all_python_ints(got)
+            folded = construct_even_even(2, n, seed=rng.randrange(999))
+            assert construct_mod4_from_bent(folded).values == _mod4_loop(folded)
+
+
+def test_direct_sum_and_lift_match_loops():
+    rng = random.Random(42)
+    for _ in range(30):
+        m = rng.choice((2, 3, 5, 12, 2**70 + 1))
+        n1, n2 = rng.randrange(1, 6), rng.randrange(1, 6)
+        f, g = _random_table(rng, m, n1), _random_table(rng, m, n2)
+        total = direct_sum(f, g)
+        assert total.gbf_type == GbfType(m, n1 + n2)
+        assert total.values == _direct_sum_loop(f, g)
+        assert _all_python_ints(total)
+        for l in (2, 7, 2**66):
+            lifted = lift_modulus(f, l)
+            assert lifted.gbf_type == GbfType(l * m, n1)
+            assert lifted.values == _lift_loop(f, l)
+            assert _all_python_ints(lifted)
