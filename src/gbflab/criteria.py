@@ -93,16 +93,13 @@ class Verdict:
     attempts: list = field(default_factory=list)
 
 
-def _base_quantities(m: int, m_odd: int):
-    factors = [[p, a] for p, a in nt.factorize(m_odd)] if m_odd > 1 else []
-    return {"m_odd": m_odd, "factors": factors}
+def _base_quantities(m_odd: int, factors):
+    return {"m_odd": m_odd, "factors": [[p, a] for p, a in factors]}
 
 
-def _covered_shape(m: int):
-    """(m_odd, ok): ok when m is the odd part or exactly twice it, the only
-    shapes the odd-part criteria conclude about."""
-    m_odd = nt.odd_part(m)
-    return m_odd, m in (m_odd, 2 * m_odd)
+def _check(cond: bool, message: str):
+    if not cond:
+        raise ValueError(f"report re-validation failed: {message}")
 
 
 # -- existence ---------------------------------------------------------------
@@ -149,116 +146,42 @@ def describe_rule(rule: str, m: int, n: int) -> str:
     return body + (f", lifted by {lift}" if lift > 1 else "")
 
 
-# -- nonexistence criteria ----------------------------------------------------
+# -- steps shared by the odd-part criteria C2-C5 -------------------------------
+#
+# Each step is written once for evaluation, which records its quantities in
+# the report, and once for re-validation, which recomputes them from m and n.
+# A check returns the step's value, or None when the report abstained there,
+# in which case it must not fire.
 
 
-def crit_lam_leung(t: GbfType):
-    """C1: for odd m, a flat table forces 2^n to be a nonnegative integer
-    combination of the prime divisors of m; fires when the semigroup
-    membership fails."""
-    m, n = t.m, t.n
-    if m % 2 == 0 or m < 3:
-        return None
-    gens = [p for p, _ in nt.factorize(m)]
-    target = 1 << n
-    solution = nt.semigroup_member(target, gens)
-    fired = solution is None
-    rep = CriterionReport(
-        criterion=C1, m=m, n=n, fired=fired,
-        covers=[[m, n]],
-        quantities={**_base_quantities(m, m),
-                    "semigroup": {"target": target,
-                                  "generators": gens,
-                                  "solution": list(solution) if solution else None}},
-        excluded={"n": n} if fired else None)
-    return rep
+def _passed(rep: CriterionReport, ok: bool) -> bool:
+    """Whether evaluation went past a step; if not, the report must not fire."""
+    if not ok:
+        _check(not rep.fired and rep.excluded is None,
+               "an abstaining report does not fire")
+    return ok
 
 
-def crit_semiprimitive(t: GbfType):
-    """C2: fires when some power of 2 is -1 modulo the odd part m0 >= 3,
-    excluding every odd n for both {m0, n} and {2*m0, n}.  The report carries
-    the per-prime order table behind the equivalent same-valuation test."""
-    m, n = t.m, t.n
-    if n % 2 == 0:
-        return None
-    m_odd, ok = _covered_shape(m)
-    if not ok or m_odd < 3:
-        return None
-    prime_table = [[p, nt.mult_order_2(p), nt.v2(nt.mult_order_2(p))]
-                   for p, _ in nt.factorize(m_odd)]
-    l = nt.semiprimitive(m_odd)
-    fired = l is not None
-    quantities = {**_base_quantities(m, m_odd),
-                  "prime_table": prime_table,
-                  "l": l}
-    if fired:
-        quantities["order_modulus"] = m_odd
-        quantities["order"] = 2 * l
-        shared = prime_table[0][2]
-        quantities["shared_valuation"] = shared
-        quantities["case"] = "I" if shared == 1 else "II" if shared == 2 else "III"
-    rep = CriterionReport(
-        criterion=C2, m=m, n=n, fired=fired,
-        covers=[[m_odd, n], [2 * m_odd, n]],
-        quantities=quantities,
-        excluded={"parity": "odd", "all": True} if fired else None)
-    return rep
-
-
-def crit_p7(t: GbfType):
-    """C3: odd part p^l with p = 7 (mod 8).  With f the order of 2 modulo
-    p^l, g = phi(p^l)/f, s = g/2 and r the least odd exponent with
-    x^2 + p*y^2 = 2^(r+2) solvable (bounded by the class number of
-    Q(sqrt(-p))), every odd n < r/s is excluded for {2*p^l, n}, hence for
-    the divisor {p^l, n}."""
-    m, n = t.m, t.n
-    if n % 2 == 0:
-        return None
-    m_odd, ok = _covered_shape(m)
-    if not ok or m_odd < 3:
+def _odd_part_gate(t: GbfType, classes=None):
+    """(m0, prime powers of m0) when n is odd and m is its odd part m0 >= 3
+    or 2*m0, and m0 has, if ``classes`` is given, one prime p with p mod 8 in
+    each classes[i] and no other (the powers then in that order); else None."""
+    m_odd = nt.odd_part(t.m)
+    if t.n % 2 == 0 or t.m not in (m_odd, 2 * m_odd) or m_odd < 3:
         return None
     factors = nt.factorize(m_odd)
-    if len(factors) != 1:
+    if classes is None:
+        return m_odd, factors
+    by_class = [[fa for fa in factors if fa[0] % 8 in c] for c in classes]
+    if len(factors) != len(classes) or any(len(fs) != 1 for fs in by_class):
         return None
-    p, l = factors[0]
-    if p % 8 != 7:
-        return None
-    rep = CriterionReport(criterion=C3, m=m, n=n, fired=False,
-                          covers=[[2 * m_odd, n]],
-                          propagated=(m == m_odd),
-                          quantities=_base_quantities(m, m_odd))
-    if m == m_odd:
-        rep.notes.append(
-            f"{DIV}: statement at {{{2 * m_odd},{n}}} transfers to the "
-            f"divisor type {{{m},{n}}}")
-    q = rep.quantities
-    q["p"] = p
-    q["exponent"] = l
-    f = nt.mult_order_2(m_odd)
-    q["f"] = f
-    q["order_modulus"] = m_odd
-    phi = nt.euler_phi(m_odd)
-    if f % 2 == 0 or phi % f:
-        rep.notes.append(f"abstain: order f={f} fails the parity/divisibility "
-                         f"sanity check")
-        return rep
-    g = phi // f
-    s = g // 2
-    q["g"], q["s"] = g, s
-    if g % 2 or s % 2 == 0:
-        rep.notes.append(f"abstain: g={g}, s={s} fail the parity sanity check")
-        return rep
-    h = nt.class_number(p)
-    q["class_number"] = {"d": p, "h": h}
-    sol = nt.min_odd_r(p, bound=h)
-    if sol is None:
-        rep.notes.append(f"abstain: no odd r <= {h} found")
-        return rep
-    q["r"] = sol.r
-    q["r_witness"] = [sol.x, sol.y]
-    rep.fired = n * s < sol.r
-    rep.excluded = {"parity": "odd", "num": sol.r, "den": s}
-    return rep
+    return m_odd, [fs[0] for fs in by_class]
+
+
+def _check_gate(rep: CriterionReport, classes=None):
+    gate = _odd_part_gate(GbfType(rep.m, rep.n), classes)
+    _check(gate is not None, "odd-part shape")
+    return gate
 
 
 def _two_prime_orders(factors):
@@ -277,6 +200,302 @@ def _two_prime_orders(factors):
             "f1": f1, "f2": f2, "g1": g1, "g2": g2, "g": g}
 
 
+def _two_prime_report(t: GbfType, criterion: str, classes):
+    """(report, s or None) for C4 or C5 with both prime powers, their orders
+    and the g/s step recorded; (None, None) when t is off shape."""
+    gate = _odd_part_gate(t, classes)
+    if gate is None:
+        return None, None
+    m_odd, shape = gate
+    rep = CriterionReport(criterion=criterion, m=t.m, n=t.n, fired=False,
+                          covers=[[m_odd, t.n], [2 * m_odd, t.n]],
+                          quantities=_base_quantities(m_odd, sorted(shape)))
+    rep.quantities.update(_two_prime_orders(shape))
+    return rep, _split_g(rep, rep.quantities["g"])
+
+
+def _check_two_prime(rep: CriterionReport, classes):
+    """(p1, p2, s or None) after re-checking the primes, orders and g/s."""
+    shape = _check_gate(rep, classes)[1]
+    q = rep.quantities
+    _check(all(q[k] == v for k, v in _two_prime_orders(shape).items()),
+           "prime powers and orders of 2")
+    return q["p1"], q["p2"], _check_split_g(rep, q["g"])
+
+
+def _split_g(rep: CriterionReport, g: int):
+    """Record g and s = g/2; s if it is odd, else None after a note."""
+    s = g // 2
+    rep.quantities["g"], rep.quantities["s"] = g, s
+    if g % 2 or s % 2 == 0:
+        rep.notes.append(f"abstain: g={g}, s={s} fail the parity sanity check")
+        return None
+    return s
+
+
+def _check_split_g(rep: CriterionReport, g: int):
+    q = rep.quantities
+    _check(q["g"] == g and q["s"] == g // 2, "g and s bookkeeping")
+    return q["s"] if _passed(rep, g % 2 == 0 and q["s"] % 2 == 1) else None
+
+
+def _residue_symbol(rep: CriterionReport, a: int, n: int):
+    """Record the Jacobi symbol (a/n); its value, or None if it vanishes."""
+    value = nt.jacobi(a, n)
+    rep.quantities["jacobi"] = {"a": a, "n": n, "value": value}
+    if value == 0:  # pragma: no cover - p1, p2 distinct primes
+        rep.notes.append("abstain: degenerate residue symbol")
+        return None
+    return value
+
+
+def _check_residue_symbol(rep: CriterionReport, a: int, n: int):
+    value = nt.jacobi(a, n)
+    _check(rep.quantities["jacobi"] == {"a": a, "n": n, "value": value},
+           "residue symbol")
+    return value if _passed(rep, value != 0) else None
+
+
+def _least_odd_r(rep: CriterionReport, d: int, coeffs, key: str = "r"):
+    """Record the class number h of Q(sqrt(-d)) and the least odd r <= h at
+    which the ``coeffs`` equation (see nt.min_odd_r) is solvable, with its
+    witness, under ``key``; r, or None after an abstain note."""
+    q = rep.quantities
+    h = nt.class_number(d)
+    q["class_number"] = {"d": d, "h": h}
+    sol = nt.min_odd_r(coeffs, bound=h)
+    if sol is None:
+        rep.notes.append(f"abstain: no odd {key} <= {h} found")
+        return None
+    q[key] = sol.r
+    q[f"{key}_witness"] = [sol.x, sol.y]
+    return sol.r
+
+
+def _check_least_odd_r(rep: CriterionReport, d: int, coeffs, key: str = "r"):
+    q = rep.quantities
+    h = nt.class_number(d)
+    _check(q["class_number"] == {"d": d, "h": h}, "class number")
+    if not _passed(rep, key in q):
+        return None
+    _check_least_solution(coeffs, q[key], q[f"{key}_witness"], key, h)
+    return q[key]
+
+
+def _check_least_solution(coeffs, r: int, witness, key: str, bound: int,
+                          multiplier: int = 1):
+    """r is odd and at most bound, witness solves the ``coeffs`` equation at
+    2^(r+2)*multiplier, and no odd exponent below r is solvable."""
+    _check(r % 2 == 1 and 1 <= r <= bound, f"{key} odd and bounded")
+    x, y = witness
+    a, b = (1, coeffs) if isinstance(coeffs, int) else coeffs
+    _check(a * x * x + b * y * y == (1 << (r + 2)) * multiplier,
+           f"{key} witness equation")
+    _check(r == 1 or nt.min_odd_r(coeffs, multiplier, bound=r - 2) is None,
+           f"{key} minimality")
+
+
+_ALL_ODD = {"parity": "odd", "all": True}
+
+
+def _odd_below(num: int, den: int) -> dict:
+    """The excluded range of odd n with n*den < num."""
+    return {"parity": "odd", "num": num, "den": den}
+
+
+def _fire_below(rep: CriterionReport, num: int, den: int):
+    rep.fired = rep.n * den < num
+    rep.excluded = _odd_below(num, den)
+    return rep
+
+
+def _check_below(rep: CriterionReport, num: int, den: int):
+    # a non-firing report may leave its range out
+    _check(rep.excluded in (None, _odd_below(num, den)), "excluded range")
+    _check(rep.fired == (rep.n * den < num), "firing inequality")
+
+
+def _range_text(excluded: dict) -> str:
+    if excluded.get("all"):
+        return "all odd n excluded"
+    return f"excludes odd n < {excluded['num']}/{excluded['den']}"
+
+
+# -- nonexistence criteria ----------------------------------------------------
+#
+# Each criterion is three functions side by side: crit_* evaluates it,
+# _check_* re-validates its report and _summary_* states it in one line.
+
+
+def crit_lam_leung(t: GbfType):
+    """C1: for odd m, a flat table forces 2^n to be a nonnegative integer
+    combination of the prime divisors of m; fires when the semigroup
+    membership fails."""
+    m, n = t.m, t.n
+    if m % 2 == 0 or m < 3:
+        return None
+    factors = nt.factorize(m)
+    gens = [p for p, _ in factors]
+    target = 1 << n
+    solution = nt.semigroup_member(target, gens)
+    fired = solution is None
+    return CriterionReport(
+        criterion=C1, m=m, n=n, fired=fired,
+        covers=[[m, n]],
+        quantities={**_base_quantities(m, factors),
+                    "semigroup": {"target": target,
+                                  "generators": gens,
+                                  "solution": list(solution) if solution else None}},
+        excluded={"n": n} if fired else None)
+
+
+def _check_lam_leung(rep: CriterionReport):
+    sg = rep.quantities["semigroup"]
+    _check(sg["target"] == 1 << rep.n, "semigroup target")
+    _check(sg["generators"] == [p for p, _ in nt.factorize(rep.m)],
+           "semigroup generators")
+    sol = nt.semigroup_member(sg["target"], sg["generators"])
+    if sg["solution"] is None:
+        _check(sol is None and rep.fired, "non-representability")
+    else:
+        _check(not rep.fired, "representable but fired")
+        _check(sum(c * p for c, p in zip(sg["solution"], sg["generators"]))
+               == sg["target"], "semigroup certificate")
+    _check(rep.excluded in (None, {"n": rep.n}), "excluded range")
+
+
+def _summary_lam_leung(rep: CriterionReport) -> str:
+    sg = rep.quantities["semigroup"]
+    gens = ",".join(str(g) for g in sg["generators"])
+    verb = "not representable" if rep.fired else "representable"
+    return f"2^{rep.n}={sg['target']} {verb} over {{{gens}}}"
+
+
+def _prime_table(factors) -> list:
+    return [[p, nt.mult_order_2(p), nt.v2(nt.mult_order_2(p))]
+            for p, _ in factors]
+
+
+def _semiprimitive_order(m_odd: int, l: int, prime_table) -> dict:
+    """What a firing C2 report adds: the order 2l of 2 and the case."""
+    shared = prime_table[0][2]
+    return {"order_modulus": m_odd, "order": 2 * l, "shared_valuation": shared,
+            "case": {1: "I", 2: "II"}.get(shared, "III")}
+
+
+def crit_semiprimitive(t: GbfType):
+    """C2: fires when some power of 2 is -1 modulo the odd part m0 >= 3,
+    excluding every odd n for both {m0, n} and {2*m0, n}.  The report carries
+    the per-prime order table behind the equivalent same-valuation test."""
+    gate = _odd_part_gate(t)
+    if gate is None:
+        return None
+    m_odd, factors = gate
+    prime_table = _prime_table(factors)
+    l = nt.semiprimitive(m_odd)
+    fired = l is not None
+    quantities = {**_base_quantities(m_odd, factors),
+                  "prime_table": prime_table,
+                  "l": l}
+    if fired:
+        quantities.update(_semiprimitive_order(m_odd, l, prime_table))
+    return CriterionReport(
+        criterion=C2, m=t.m, n=t.n, fired=fired,
+        covers=[[m_odd, t.n], [2 * m_odd, t.n]],
+        quantities=quantities,
+        excluded=dict(_ALL_ODD) if fired else None)
+
+
+def _check_semiprimitive(rep: CriterionReport):
+    m_odd, factors = _check_gate(rep)
+    q = rep.quantities
+    _check(q["prime_table"] == _prime_table(factors), "prime table")
+    l = q["l"]
+    _check(rep.fired == (l is not None), "fired exactly when l is recorded")
+    if l is None:
+        return
+    _check(pow(2, l, m_odd) == m_odd - 1, "2^l = -1")
+    _check(l == nt.mult_order_2(m_odd) // 2, "l minimality")
+    vals = {r for _, _, r in q["prime_table"]}
+    _check(len(vals) == 1 and min(vals) >= 1, "shared valuation")
+    _check(all(q[k] == v for k, v in
+               _semiprimitive_order(m_odd, l, q["prime_table"]).items()),
+           "order and case")
+    _check(rep.excluded == _ALL_ODD, "excluded range")
+
+
+def _summary_semiprimitive(rep: CriterionReport) -> str:
+    q = rep.quantities
+    if not rep.fired:
+        return f"no power of 2 is -1 mod {q['m_odd']}"
+    return (f"2^{q['l']} = -1 (mod {q['m_odd']}); case {q['case']}; "
+            + _range_text(_ALL_ODD))
+
+
+def crit_p7(t: GbfType):
+    """C3: odd part p^l with p = 7 (mod 8).  With f the order of 2 modulo
+    p^l, g = phi(p^l)/f, s = g/2 and r the least odd exponent with
+    x^2 + p*y^2 = 2^(r+2) solvable (bounded by the class number of
+    Q(sqrt(-p))), every odd n < r/s is excluded for {2*p^l, n}, hence for
+    the divisor {p^l, n}."""
+    m, n = t.m, t.n
+    gate = _odd_part_gate(t, ((7,),))
+    if gate is None:
+        return None
+    m_odd, factors = gate
+    p, l = factors[0]
+    rep = CriterionReport(criterion=C3, m=m, n=n, fired=False,
+                          covers=[[2 * m_odd, n]],
+                          propagated=(m == m_odd),
+                          quantities=_base_quantities(m_odd, factors))
+    if m == m_odd:
+        rep.notes.append(
+            f"{DIV}: statement at {{{2 * m_odd},{n}}} transfers to the "
+            f"divisor type {{{m},{n}}}")
+    q = rep.quantities
+    q["p"] = p
+    q["exponent"] = l
+    f = nt.mult_order_2(m_odd)
+    q["f"] = f
+    q["order_modulus"] = m_odd
+    phi = nt.euler_phi(m_odd)
+    if f % 2 == 0 or phi % f:
+        rep.notes.append(f"abstain: order f={f} fails the parity/divisibility "
+                         f"sanity check")
+        return rep
+    s = _split_g(rep, phi // f)
+    r = s and _least_odd_r(rep, p, p)
+    return _fire_below(rep, r, s) if r else rep
+
+
+def _check_p7(rep: CriterionReport):
+    m_odd, [(p, l)] = _check_gate(rep, ((7,),))
+    q = rep.quantities
+    _check(q["p"] == p and q["exponent"] == l, "prime power shape")
+    f = nt.mult_order_2(m_odd)
+    _check(q["order_modulus"] == m_odd and q["f"] == f, "order of 2")
+    phi = nt.euler_phi(m_odd)
+    if not _passed(rep, f % 2 == 1 and phi % f == 0):
+        return
+    s = _check_split_g(rep, phi // f)
+    r = s and _check_least_odd_r(rep, p, p)
+    if r:
+        _check_below(rep, r, s)
+
+
+def _summary_p7(rep: CriterionReport) -> str:
+    q = rep.quantities
+    if "r" not in q:
+        return "abstained"
+    return (f"p={q['p']}, s={q['s']}, r={q['r']}; "
+            + _range_text(_odd_below(q["r"], q["s"])))
+
+
+def _p7_x_p35_bound(q: dict) -> int:
+    """C4's r/s numerator: r1 in branch I, min(r1, r2) in branch II."""
+    return q["r1"] if q["branch"] == "I" else q["r"]
+
+
 def crit_p7_x_p35(t: GbfType):
     """C4: odd part p1^a1 * p2^a2 with p1 = 7 and p2 = 3 or 5 (mod 8).
 
@@ -287,44 +506,15 @@ def crit_p7_x_p35(t: GbfType):
     diagnostics.  Branch I ((-p1/p2) = -1) excludes odd n < r1/s; branch II
     ((-p1/p2) = +1) excludes odd n < min(r1, r2)/s.
     """
-    m, n = t.m, t.n
-    if n % 2 == 0:
+    rep, s = _two_prime_report(t, C4, ((7,), (3, 5)))
+    if rep is None:
         return None
-    m_odd, ok = _covered_shape(m)
-    if not ok or m_odd < 3:
-        return None
-    factors = nt.factorize(m_odd)
-    if len(factors) != 2:
-        return None
-    by_class7 = [fa for fa in factors if fa[0] % 8 == 7]
-    by_class35 = [fa for fa in factors if fa[0] % 8 in (3, 5)]
-    if len(by_class7) != 1 or len(by_class35) != 1:
-        return None
-    rep = CriterionReport(criterion=C4, m=m, n=n, fired=False,
-                          covers=[[m_odd, n], [2 * m_odd, n]],
-                          quantities=_base_quantities(m, m_odd))
     q = rep.quantities
-    q.update(_two_prime_orders((by_class7[0], by_class35[0])))
     p1, p2 = q["p1"], q["p2"]
-    g, s = q["g"], q["g"] // 2
-    q["s"] = s
-    if g % 2 or s % 2 == 0:
-        rep.notes.append(f"abstain: g={g}, s={s} fail the parity sanity check")
+    jac = s and _residue_symbol(rep, -p1, p2)
+    r1 = jac and _least_odd_r(rep, p1, p1, "r1")
+    if not r1:
         return rep
-    jac = nt.jacobi(-p1, p2)
-    q["jacobi"] = {"a": -p1, "n": p2, "value": jac}
-    if jac == 0:  # pragma: no cover - p1, p2 distinct primes
-        rep.notes.append("abstain: degenerate residue symbol")
-        return rep
-    h = nt.class_number(p1)
-    q["class_number"] = {"d": p1, "h": h}
-    sol1 = nt.min_odd_r(p1, bound=h)
-    if sol1 is None:
-        rep.notes.append(f"abstain: no odd r1 <= {h} found")
-        return rep
-    r1 = sol1.r
-    q["r1"] = r1
-    q["r1_witness"] = [sol1.x, sol1.y]
     r2 = None
     even_hits = []
     for exp in range(1, r1 + 1):
@@ -342,14 +532,40 @@ def crit_p7_x_p35(t: GbfType):
         rep.notes.append(
             f"even exponent {even_hits[0][0]} solvable; consistent with "
             f"r2 = r1 - {even_hits[0][0]} = {r1 - even_hits[0][0]}")
-    r = r1 if r2 is None else min(r1, r2)
-    q["r"] = r
-    branch = "I" if jac == -1 else "II"
-    q["branch"] = branch
-    eff = r1 if branch == "I" else r
-    rep.fired = n * s < eff
-    rep.excluded = {"parity": "odd", "num": eff, "den": s}
-    return rep
+    q["r"] = r1 if r2 is None else min(r1, r2)
+    q["branch"] = "I" if jac == -1 else "II"
+    return _fire_below(rep, _p7_x_p35_bound(q), s)
+
+
+def _check_p7_x_p35(rep: CriterionReport):
+    p1, p2, s = _check_two_prime(rep, ((7,), (3, 5)))
+    q = rep.quantities
+    jac = s and _check_residue_symbol(rep, -p1, p2)
+    r1 = jac and _check_least_odd_r(rep, p1, p1, "r1")
+    if not r1:
+        return
+    r2 = q["r2"]
+    if r2 is None:
+        _check(nt.min_odd_r(p1, p2, bound=r1) is None,
+               "r2 infinite within the r1 scan")
+    else:
+        _check_least_solution(p1, r2, q["r2_witness"], "r2", r1, p2)
+    for exp, x, y in q["r2_even_hits"]:
+        _check(exp % 2 == 0 and 0 < exp < (r1 if r2 is None else r2)
+               and x * x + p1 * y * y == (1 << (exp + 2)) * p2,
+               f"r2 even-exponent hit at {exp}")
+    _check(q["r"] == (r1 if r2 is None else min(r1, r2)), "r value")
+    _check(q["branch"] == ("I" if jac == -1 else "II"), "branch selection")
+    _check_below(rep, _p7_x_p35_bound(q), s)
+
+
+def _summary_p7_x_p35(rep: CriterionReport) -> str:
+    q = rep.quantities
+    if "branch" not in q or "r1" not in q:
+        return "abstained"
+    return (f"branch {q['branch']}, s={q['s']}, r1={q['r1']}, "
+            f"r2={'inf' if q['r2'] is None else q['r2']}; "
+            + _range_text(_odd_below(_p7_x_p35_bound(q), q["s"])))
 
 
 def crit_p3_x_p5(t: GbfType):
@@ -360,200 +576,86 @@ def crit_p3_x_p5(t: GbfType):
     number of Q(sqrt(-p1*p2)) (r is half the order of a prime over 2 in that
     class group), and excludes odd n < r/s.
     """
-    m, n = t.m, t.n
-    if n % 2 == 0:
+    rep, s = _two_prime_report(t, C5, ((3,), (5,)))
+    if rep is None:
         return None
-    m_odd, ok = _covered_shape(m)
-    if not ok or m_odd < 3:
-        return None
-    factors = nt.factorize(m_odd)
-    if len(factors) != 2:
-        return None
-    by_class3 = [fa for fa in factors if fa[0] % 8 == 3]
-    by_class5 = [fa for fa in factors if fa[0] % 8 == 5]
-    if len(by_class3) != 1 or len(by_class5) != 1:
-        return None
-    rep = CriterionReport(criterion=C5, m=m, n=n, fired=False,
-                          covers=[[m_odd, n], [2 * m_odd, n]],
-                          quantities=_base_quantities(m, m_odd))
     q = rep.quantities
-    q.update(_two_prime_orders((by_class3[0], by_class5[0])))
     p1, p2 = q["p1"], q["p2"]
-    g, s = q["g"], q["g"] // 2
-    q["s"] = s
-    if g % 2 or s % 2 == 0:
-        rep.notes.append(f"abstain: g={g}, s={s} fail the parity sanity check")
-        return rep
-    jac = nt.jacobi(p2, p1)
-    q["jacobi"] = {"a": p2, "n": p1, "value": jac}
-    if jac == 0:  # pragma: no cover - p1, p2 distinct primes
-        rep.notes.append("abstain: degenerate residue symbol")
+    jac = s and _residue_symbol(rep, p2, p1)
+    if not jac:
         return rep
     q["branch"] = "I" if jac == 1 else "II"
     if jac == 1:
         rep.fired = True
-        rep.excluded = {"parity": "odd", "all": True}
+        rep.excluded = dict(_ALL_ODD)
         return rep
-    h = nt.class_number(p1 * p2)
-    q["class_number"] = {"d": p1 * p2, "h": h}
-    sol = nt.min_odd_r((p1, p2), bound=h)
-    if sol is None:
-        rep.notes.append(f"abstain: no odd r <= {h} found")
-        return rep
-    q["r"] = sol.r
-    q["r_witness"] = [sol.x, sol.y]
-    rep.fired = n * s < sol.r
-    rep.excluded = {"parity": "odd", "num": sol.r, "den": s}
-    return rep
+    r = _least_odd_r(rep, p1 * p2, (p1, p2))
+    return _fire_below(rep, r, s) if r else rep
+
+
+def _check_p3_x_p5(rep: CriterionReport):
+    p1, p2, s = _check_two_prime(rep, ((3,), (5,)))
+    q = rep.quantities
+    jac = s and _check_residue_symbol(rep, p2, p1)
+    if not jac:
+        return
+    _check(q["branch"] == ("I" if jac == 1 else "II"), "branch selection")
+    if jac == 1:
+        _check(rep.excluded == _ALL_ODD, "branch I firing")
+        return
+    r = _check_least_odd_r(rep, p1 * p2, (p1, p2))
+    if r:
+        _check_below(rep, r, s)
+
+
+def _summary_p3_x_p5(rep: CriterionReport) -> str:
+    q = rep.quantities
+    if q.get("branch") == "I":
+        return (f"branch I: ({q['p2']}/{q['p1']}) = 1; "
+                + _range_text(_ALL_ODD))
+    if "r" not in q:
+        return "abstained"
+    return (f"branch II, s={q['s']}, r={q['r']}; "
+            + _range_text(_odd_below(q["r"], q["s"])))
 
 
 _CRITERIA_FUNCS = (crit_lam_leung, crit_semiprimitive, crit_p7,
                    crit_p7_x_p35, crit_p3_x_p5)
 
+# criterion id -> (re-validation, summary) of its reports
+_REPORT_PARTS = {
+    C1: (_check_lam_leung, _summary_lam_leung),
+    C2: (_check_semiprimitive, _summary_semiprimitive),
+    C3: (_check_p7, _summary_p7),
+    C4: (_check_p7_x_p35, _summary_p7_x_p35),
+    C5: (_check_p3_x_p5, _summary_p3_x_p5),
+}
+
 
 # -- report re-validation ------------------------------------------------------
 
 
-def _check(cond: bool, message: str):
-    if not cond:
-        raise ValueError(f"report re-validation failed: {message}")
-
-
 def _revalidate_excluded(rep: CriterionReport):
-    exc = rep.excluded
-    _check(rep.fired == (exc is not None), "excluded range presence")
-    if exc is None:
-        return
-    if "n" in exc:
-        _check(exc["n"] == rep.n, "single-exponent range")
-    elif exc.get("all"):
-        _check(rep.n % 2 == 1, "odd-parity range")
+    """A report fires exactly when n lies in its excluded range."""
+    exc = rep.excluded or {}
+    if "num" in exc:
+        inside = rep.n % 2 == 1 and rep.n * exc["den"] < exc["num"]
     else:
-        _check(rep.n % 2 == 1 and rep.n * exc["den"] < exc["num"],
-               "n below the stated r/s bound")
+        inside = exc == {"n": rep.n} or exc == _ALL_ODD and rep.n % 2 == 1
+    _check(rep.fired == inside, "excluded range")
 
 
 def revalidate_report(rep: CriterionReport) -> bool:
     """Recompute every recorded equation, symbol and inequality of a report;
     raises ValueError on the first mismatch, returns True otherwise."""
+    if rep.criterion not in _REPORT_PARTS:
+        raise ValueError(f"unknown criterion id {rep.criterion!r}")
     q = rep.quantities
     m_odd = q["m_odd"]
-    _check(nt.odd_part(rep.m) == m_odd, "odd part")
-    if q["factors"]:
-        _check([[p, a] for p, a in nt.factorize(m_odd)] == q["factors"],
-               "factorization")
-
-    if rep.criterion == C1:
-        sg = q["semigroup"]
-        _check(sg["target"] == 1 << rep.n, "semigroup target")
-        _check(sg["generators"] == [p for p, _ in nt.factorize(rep.m)],
-               "semigroup generators")
-        sol = nt.semigroup_member(sg["target"], sg["generators"])
-        if sg["solution"] is None:
-            _check(sol is None and rep.fired, "non-representability")
-        else:
-            _check(not rep.fired, "representable but fired")
-            _check(sum(c * p for c, p in zip(sg["solution"], sg["generators"]))
-                   == sg["target"], "semigroup certificate")
-    elif rep.criterion == C2:
-        for p, d, r in q["prime_table"]:
-            _check(nt.mult_order_2(p) == d and nt.v2(d) == r,
-                   f"prime table row for {p}")
-        if rep.fired:
-            l = q["l"]
-            _check(pow(2, l, m_odd) == m_odd - 1, "2^l = -1")
-            _check(l == nt.mult_order_2(m_odd) // 2, "l minimality")
-            vals = {r for _, _, r in q["prime_table"]}
-            _check(len(vals) == 1 and min(vals) >= 1, "shared valuation")
-        else:
-            _check(q["l"] is None, "no l recorded")
-    elif rep.criterion == C3:
-        p, l = q["p"], q["exponent"]
-        _check(p % 8 == 7 and p ** l == m_odd, "prime power shape")
-        if "r" in q:
-            f, g, s = q["f"], q["g"], q["s"]
-            _check(nt.mult_order_2(q["order_modulus"]) == f, "order of 2")
-            _check(f * g == nt.euler_phi(m_odd) and g == 2 * s and s % 2 == 1,
-                   "g and s bookkeeping")
-            h = q["class_number"]
-            _check(nt.class_number(h["d"]) == h["h"], "class number")
-            r = q["r"]
-            x, y = q["r_witness"]
-            _check(r % 2 == 1 and r <= h["h"], "r odd and bounded")
-            _check(x * x + p * y * y == 1 << (r + 2), "r witness equation")
-            for rr in range(1, r, 2):
-                _check(nt.solve_x2_Dy2(p, 1 << (rr + 2)) is None,
-                       "r minimality")
-            _check(rep.fired == (rep.n * s < r), "firing inequality")
-    elif rep.criterion == C4:
-        p1, p2 = q["p1"], q["p2"]
-        _check(p1 % 8 == 7 and p2 % 8 in (3, 5), "residue classes")
-        _check(p1 ** q["a1"] * p2 ** q["a2"] == m_odd, "factor shape")
-        mod1, mod2 = q["order_moduli"]
-        _check(nt.mult_order_2(mod1) == q["f1"]
-               and nt.mult_order_2(mod2) == q["f2"], "orders of 2")
-        _check(q["g"] == (nt.euler_phi(mod1) * nt.euler_phi(mod2))
-               // lcm(q["f1"], q["f2"]), "g bookkeeping")
-        if "branch" in q:
-            s = q["s"]
-            _check(q["g"] == 2 * s and s % 2 == 1, "s bookkeeping")
-            jac = q["jacobi"]
-            _check(nt.jacobi(jac["a"], jac["n"]) == jac["value"],
-                   "residue symbol")
-            _check(q["branch"] == ("I" if jac["value"] == -1 else "II"),
-                   "branch selection")
-            r1 = q["r1"]
-            x, y = q["r1_witness"]
-            _check(x * x + p1 * y * y == 1 << (r1 + 2), "r1 witness equation")
-            for rr in range(1, r1, 2):
-                _check(nt.solve_x2_Dy2(p1, 1 << (rr + 2)) is None,
-                       "r1 minimality")
-            _check(r1 <= q["class_number"]["h"]
-                   and nt.class_number(p1) == q["class_number"]["h"],
-                   "r1 bound")
-            r2 = q["r2"]
-            if r2 is not None:
-                x2, y2 = q["r2_witness"]
-                _check(r2 % 2 == 1 and r2 <= r1, "r2 odd and bounded by r1")
-                _check(x2 * x2 + p1 * y2 * y2 == (1 << (r2 + 2)) * p2,
-                       "r2 witness equation")
-                for rr in range(1, r2, 2):
-                    _check(nt.solve_x2_Dy2(p1, (1 << (rr + 2)) * p2) is None,
-                           "r2 minimality")
-            else:
-                for rr in range(1, r1 + 1, 2):
-                    _check(nt.solve_x2_Dy2(p1, (1 << (rr + 2)) * p2) is None,
-                           "r2 infinite within the r1 scan")
-            eff = r1 if q["branch"] == "I" else q["r"]
-            _check(q["r"] == (r1 if r2 is None else min(r1, r2)), "r value")
-            _check(rep.fired == (rep.n * s < eff), "firing inequality")
-    elif rep.criterion == C5:
-        p1, p2 = q["p1"], q["p2"]
-        _check(p1 % 8 == 3 and p2 % 8 == 5, "residue classes")
-        _check(p1 ** q["a1"] * p2 ** q["a2"] == m_odd, "factor shape")
-        if "branch" in q:
-            s = q["s"]
-            _check(q["g"] == 2 * s and s % 2 == 1, "s bookkeeping")
-            jac = q["jacobi"]
-            _check(nt.jacobi(jac["a"], jac["n"]) == jac["value"],
-                   "residue symbol")
-            if q["branch"] == "I":
-                _check(jac["value"] == 1 and rep.fired, "branch I firing")
-            else:
-                _check(jac["value"] == -1, "branch II symbol")
-                r = q["r"]
-                x, y = q["r_witness"]
-                _check(p1 * x * x + p2 * y * y == 1 << (r + 2),
-                       "r witness equation")
-                for rr in range(1, r, 2):
-                    _check(nt.solve_ax2_by2(p1, p2, 1 << (rr + 2)) is None,
-                           "r minimality")
-                _check(r <= q["class_number"]["h"]
-                       and nt.class_number(p1 * p2) == q["class_number"]["h"],
-                       "r bound")
-                _check(rep.fired == (rep.n * s < r), "firing inequality")
-    else:
-        raise ValueError(f"unknown criterion id {rep.criterion!r}")
+    _check(nt.odd_part(rep.m) == m_odd and m_odd >= 3, "odd part")
+    _check([[p, a] for p, a in nt.factorize(m_odd)] == q["factors"],
+           "factorization")
+    _REPORT_PARTS[rep.criterion][0](rep)
     _revalidate_excluded(rep)
     return True
 
@@ -590,38 +692,5 @@ def decide(t: GbfType) -> Verdict:
 
 def summarize_report(rep: CriterionReport) -> str:
     """One-line human summary of why a criterion fired (or did not)."""
-    q = rep.quantities
-    if rep.criterion == C1:
-        sg = q["semigroup"]
-        gens = ",".join(str(g) for g in sg["generators"])
-        if rep.fired:
-            return f"2^{rep.n}={sg['target']} not representable over {{{gens}}}"
-        return f"2^{rep.n}={sg['target']} representable over {{{gens}}}"
-    if rep.criterion == C2:
-        if rep.fired:
-            return (f"2^{q['l']} = -1 (mod {q['m_odd']}); "
-                    f"case {q['case']}; all odd n excluded")
-        return f"no power of 2 is -1 mod {q['m_odd']}"
-    if rep.criterion == C3:
-        if "r" not in q:
-            return "abstained"
-        return (f"p={q['p']}, s={q['s']}, r={q['r']}; "
-                f"excludes odd n < {q['r']}/{q['s']}")
-    if rep.criterion == C4:
-        if "branch" not in q or "r1" not in q:
-            return "abstained"
-        eff = q["r1"] if q["branch"] == "I" else q["r"]
-        return (f"branch {q['branch']}, s={q['s']}, r1={q['r1']}, "
-                f"r2={'inf' if q['r2'] is None else q['r2']}; "
-                f"excludes odd n < {eff}/{q['s']}")
-    if rep.criterion == C5:
-        if "branch" not in q:
-            return "abstained"
-        if q["branch"] == "I":
-            return (f"branch I: ({q['p2']}/{q['p1']}) = 1; "
-                    f"all odd n excluded")
-        if "r" not in q:
-            return "abstained"
-        return (f"branch II, s={q['s']}, r={q['r']}; "
-                f"excludes odd n < {q['r']}/{q['s']}")
-    return ""
+    parts = _REPORT_PARTS.get(rep.criterion)
+    return parts[1](rep) if parts else ""

@@ -140,28 +140,6 @@ def _folded_reduction(m: int):
     return Rf, IDX, phi, rmax
 
 
-def _row_abs_square_canonical(w, m: int) -> list[int]:
-    """Canonical coefficients of |sum_i w_i zeta^i|^2, in exact Python
-    integers (reference path, no overflow concerns)."""
-    rows = reduction_rows(m)
-    phi = len(rows[0])
-    corr = [0] * m
-    for i, wi in enumerate(w):
-        if wi:
-            for k in range(m):
-                j = i + k
-                if j >= m:
-                    j -= m
-                corr[k] += wi * w[j]
-    acc = [0] * phi
-    for k, ck in enumerate(corr):
-        if ck:
-            row = rows[k]
-            for i in range(phi):
-                acc[i] += ck * row[i]
-    return acc
-
-
 def _divide_content(f: FunctionTable):
     """(l, f/l): l = gcd(m, values), and f/l the table of the quotients v/l
     over Z_(m/l).  Both have the same Walsh values as complex numbers, since
@@ -203,7 +181,7 @@ def _first_nonflat_row(mat: np.ndarray, m: int, target: int):
                 return start + int(np.argmin(ok))
         return None
     for y in range(mat.shape[0]):
-        acc = _row_abs_square_canonical(mat[y].tolist(), m)
+        acc = CycInt(m, mat[y].tolist()).abs_square().coeffs
         if acc[0] != target or any(acc[1:]):
             return y
     return None
@@ -225,7 +203,8 @@ def first_flat_violation(f: FunctionTable):
         return None
     row = [0] * f.m
     row[::l] = mat[y].tolist()
-    return y, tuple(_row_abs_square_canonical(row, f.m))
+    phi = len(reduction_rows(f.m)[0])
+    return y, CycInt(f.m, row).abs_square().coeffs[:phi]
 
 
 def is_gbf(f: FunctionTable) -> bool:

@@ -1,14 +1,18 @@
 """Command line surface: exit codes, file round trips, stable output."""
 
 import csv
+import gzip
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from gbflab import cli, gbf
-from gbflab.cli import main
-from gbflab.criteria import revalidate_report, report_from_dict
+from gbflab.cli import main, verdict_to_dict
+from gbflab.criteria import decide, revalidate_report, report_from_dict
+from gbflab.gbf import GbfType
 from gbflab.gbf import construct_even_even
 
 
@@ -187,3 +191,21 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == "error: out of memory: Unable to allocate 15.3 GiB\n"
+
+
+CERTIFICATES_GOLDEN = (Path(__file__).resolve().parents[1]
+                       / "bench" / "goldens" / "certificates.json.gz")
+
+
+def test_decide_json_matches_certificates_golden():
+    # per m, the first 8 hex digits of the sha256 of decide --json for each
+    # odd n <= 11; every 23rd m keeps this near a second and a half
+    with gzip.open(CERTIFICATES_GOLDEN) as fh:
+        golden = json.load(fh)
+    for key in sorted(golden, key=int)[::23]:
+        m = int(key)
+        got = "".join(
+            hashlib.sha256(json.dumps(verdict_to_dict(
+                m, n, decide(GbfType(m, n)))).encode()).hexdigest()[:8]
+            for n in (1, 3, 5, 7, 9, 11))
+        assert got == golden[key], m

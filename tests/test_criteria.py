@@ -178,6 +178,84 @@ def test_revalidation_catches_tampering():
         revalidate_report(rep)
 
 
+def _forge_c5_branch_one(q, rep):
+    q["branch"] = "I"
+    q["jacobi"] = {"a": 1, "n": 3, "value": 1}
+    rep.fired, rep.excluded = True, {"parity": "odd", "all": True}
+
+
+def _forge_c5_small_s(q, rep):
+    q["g"], q["s"] = 2, 1
+    rep.fired = True
+    rep.excluded = {"parity": "odd", "num": q["r"], "den": 1}
+
+
+def _forge_c4_branch_one(q, rep):
+    q["jacobi"] = {"a": 2, "n": 3, "value": -1}
+    q["branch"] = "I"
+    rep.fired = True
+    rep.excluded = {"parity": "odd", "num": q["r1"], "den": q["s"]}
+
+
+def _forge_c3_class_number(q, rep):
+    q["class_number"] = {"d": 71, "h": 7}
+
+
+def _forge_c3_range(q, rep):
+    rep.fired = True
+    rep.excluded = {"parity": "odd", "num": 3, "den": 1}
+
+
+def _forge_c3_order_modulus(q, rep):
+    q["order_modulus"] = 178481         # 2^23 - 1 = 47 * 178481
+
+
+def _forge_c4_even_hit(q, rep):
+    q["r2_even_hits"][0][1] += 1
+
+
+def _forge_c4_class_number(q, rep):
+    q["class_number"] = {"d": 367, "h": 9}     # h(199) = 9 as well
+
+
+def _forge_c5_class_number(q, rep):
+    q["class_number"]["d"] = 1
+
+
+# each forgery keeps every recorded equation true; all but c3-range detach
+# some recorded input from m and n.  c5-symbol-inputs, c5-orders,
+# c4-symbol-inputs and c3-range claim NotExists where the verdict is Unknown.
+@pytest.mark.parametrize("m,n,criterion,forge", [
+    (1102, 13, C5, _forge_c5_branch_one),
+    (1342, 3, C5, _forge_c5_small_s),
+    (138, 1, C4, _forge_c4_branch_one),
+    (94, 3, C3, _forge_c3_class_number),
+    (94, 3, C3, _forge_c3_order_modulus),
+    (14, 1, C3, _forge_c3_range),
+    (2 * 199 * 5, 3, C4, _forge_c4_even_hit),
+    (2 * 199 * 59, 7, C4, _forge_c4_class_number),
+    (2 * 19 * 29, 11, C5, _forge_c5_class_number),
+], ids=["c5-symbol-inputs", "c5-orders", "c4-symbol-inputs",
+        "c3-class-number-field", "c3-order-modulus", "c3-range", "c4-even-hit",
+        "c4-class-number-field", "c5-class-number-field"])
+def test_revalidation_catches_forgery(m, n, criterion, forge):
+    v = decide(GbfType(m, n))
+    honest = next(rep for rep in v.attempts if rep.criterion == criterion)
+    rep = report_from_dict(honest.to_dict())
+    forge(rep.quantities, rep)
+    with pytest.raises(ValueError):
+        revalidate_report(rep)
+
+
+def test_every_attempt_revalidates():
+    # non-firing reports too, with the r/s range they record
+    for m0 in range(3, 400, 2):
+        for m in (m0, 2 * m0):
+            for n in range(1, 12, 2):
+                for rep in decide(GbfType(m, n)).attempts:
+                    assert revalidate_report(report_from_dict(rep.to_dict()))
+
+
 def test_criterion_abstains_on_internal_failure(monkeypatch):
     # a missing r within the bound must abstain, never conclude
     from gbflab import criteria as cr

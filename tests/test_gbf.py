@@ -291,17 +291,17 @@ def test_per_row_fallback_agrees_with_fast_path(monkeypatch):
     assert sum(r is not None for r in fast) >= 4
 
     rows = []
-    reference = gbf._row_abs_square_canonical
+    reference = CycInt.abs_square
 
     def no_envelope(m):
         raise OverflowError("forced")
 
-    def counted(w, m):
-        rows.append(m)
-        return reference(w, m)
+    def counted(self):
+        rows.append(self.modulus)
+        return reference(self)
 
     monkeypatch.setattr(gbf, "_folded_reduction", no_envelope)
-    monkeypatch.setattr(gbf, "_row_abs_square_canonical", counted)
+    monkeypatch.setattr(CycInt, "abs_square", counted)
     for f, want in zip(cases, fast):
         rows.clear()
         assert first_flat_violation(f) == want

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gbflab import oracle
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, table
 from gbflab.oracle import enumerate_gbfs, spot_check
@@ -63,6 +64,30 @@ def test_enumerate_witness_order_deterministic():
     assert a.gbf_count == b.gbf_count
     # odometer order: index 0 varies fastest
     assert a.witnesses[0].values == (1, 0, 0, 0)
+
+
+def test_plain_path_agrees_with_batched(monkeypatch):
+    types = [GbfType(m, n) for m, n in
+             ((2, 2), (3, 1), (4, 1), (6, 1), (2, 3), (3, 2), (4, 2))]
+    batched = [enumerate_gbfs(t) for t in types]
+    plain_calls = []
+    plain = oracle._enumerate_plain
+
+    def no_envelope(m):
+        raise OverflowError("forced")
+
+    def counted(*args):
+        plain_calls.append(args[0])
+        return plain(*args)
+
+    monkeypatch.setattr(oracle, "_folded_reduction", no_envelope)
+    monkeypatch.setattr(oracle, "_enumerate_plain", counted)
+    for t, want in zip(types, batched):
+        got = enumerate_gbfs(t)
+        assert plain_calls[-1] == t
+        assert (got.total_candidates, got.gbf_count) == (
+            want.total_candidates, want.gbf_count)
+        assert got.witnesses == want.witnesses
 
 
 def test_enumerate_budget_refusal():
