@@ -121,7 +121,8 @@ def _folded_reduction(m: int):
     0..m//2 to canonical coordinates (lags k and m-k share a row since the
     autocorrelation of a real-coefficient vector is symmetric), IDX[k, i] =
     (i + k) % m gathers the shifted copies, and rmax bounds the reduction
-    coefficients for overflow accounting.
+    coefficients for overflow accounting.  numpy raises OverflowError when
+    a coefficient does not fit int64.
     """
     rows = reduction_rows(m)
     phi = len(rows[0])
@@ -133,8 +134,6 @@ def _folded_reduction(m: int):
         else:
             folded.append([a + b for a, b in zip(rows[k], rows[m - k])])
     rmax = max(max(abs(c) for c in row) for row in folded)
-    if rmax >= _INT64_SAFE:
-        raise OverflowError("reduction rows exceed the int64 envelope")
     Rf = np.array(folded, dtype=np.int64)
     IDX = (np.arange(half)[:, None] + np.arange(m)[None, :]) % m
     return Rf, IDX, phi, rmax
@@ -155,28 +154,44 @@ def _divide_content(f: FunctionTable):
                             tuple(v // l for v in f.values))
 
 
+def _int64_reduction(m: int, wmax: int):
+    """(Rf, IDX, phi) of _folded_reduction(m) when |W|^2 of coefficient rows
+    at modulus m with entries bounded by wmax in absolute value is proven
+    exact in int64 arithmetic, else None."""
+    try:
+        Rf, IDX, phi, rmax = _folded_reduction(m)
+    except OverflowError:
+        return None
+    # |C_k| <= m*wmax^2, |Z| <= m*|C|*rmax; stay well inside int64
+    if m * m * wmax * wmax * rmax >= _INT64_SAFE:
+        return None
+    return Rf, IDX, phi
+
+
+def _flat_chunks(spec: np.ndarray, target: int, red):
+    """Exact test of |W|^2 = target on a (tables, rows, m) int64 array of
+    walsh_matrix rows, inside the envelope red of _int64_reduction.  Yields
+    (start, ok) per chunk of tables, ok[i] true when every row of table
+    start + i is flat; each chunk gathers about _CHUNK_BYTES."""
+    Rf, IDX, _ = red
+    tables, rows, m = spec.shape
+    # the gather holds rows * IDX.size int64 entries per table
+    step = max(1, _CHUNK_BYTES // (8 * rows * IDX.size))
+    for start in range(0, tables, step):
+        chunk = spec[start:start + step].reshape(-1, m)    # one row per line
+        gathered = chunk[:, IDX]                           # (lines, half, m)
+        sq = np.einsum('yki,yi->yk', gathered, chunk) @ Rf
+        sq[:, 0] -= target
+        yield start, ~sq.reshape(-1, rows * sq.shape[1]).any(axis=1)
+
+
 def _first_nonflat_row(mat: np.ndarray, m: int, target: int):
     """The first y whose row of a walsh_matrix at modulus m does not have
     |W(y)|^2 = target, or None.  int64 batches inside a proven envelope,
     exact Python integers row by row outside it."""
-    try:
-        Rf, IDX, phi, rmax = _folded_reduction(m)
-        wmax = int(np.abs(mat).max(initial=0))
-        # |C_k| <= m*wmax^2, |Z| <= m*|C|*rmax; stay well inside int64
-        fast = m * m * wmax * wmax * rmax < _INT64_SAFE
-    except OverflowError:
-        fast = False
-    if fast:
-        want = np.zeros(phi, dtype=np.int64)
-        want[0] = target
-        # the gather holds IDX.size int64 entries per row
-        step = max(1, _CHUNK_BYTES // (8 * IDX.size))
-        for start in range(0, mat.shape[0], step):
-            chunk = mat[start:start + step]
-            gathered = chunk[:, IDX]                       # (rows, half, m)
-            corr = np.einsum('yki,yi->yk', gathered, chunk)
-            red = corr @ Rf                                # (rows, phi)
-            ok = np.all(red == want, axis=1)
+    red = _int64_reduction(m, int(np.abs(mat).max(initial=0)))
+    if red is not None:
+        for start, ok in _flat_chunks(mat[:, None], target, red):
             if not ok.all():
                 return start + int(np.argmin(ok))
         return None

@@ -5,9 +5,10 @@ The enumeration walks value arrays in odometer order (index 0 varies
 fastest).  Each odometer step changes a single table entry, so the 2^n
 unreduced spectrum rows are updated incrementally (entry x flips W(y) by
 (-1)^(x.y) between the old and new coefficient); a block of the
-fastest-varying digits is additionally evaluated as one numpy batch.  All
-comparisons happen on exact integers inside a proven int64 envelope, with a
-plain per-table fallback outside it.
+fastest-varying digits is additionally evaluated as one numpy batch, tested
+through gbf's exact int64 flatness check in byte-sized chunks.  A type whose
+spectra fall outside that check's proven int64 envelope is refused with the
+reason stated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gbf import FunctionTable, GbfType, _folded_reduction, is_gbf
+from .gbf import (FunctionTable, GbfType, _flat_chunks, _int64_reduction,
+                  is_gbf)
 
 DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
@@ -50,7 +52,8 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                    max_witnesses: int = 4) -> OracleResult:
     """Exact census of flat-spectrum tables of type t.
 
-    Refuses when m^(2^n) exceeds the budget, stating the budget required.
+    Refuses when m^(2^n) exceeds the budget, stating the budget required,
+    and when exact int64 flatness checks are not proven for the type.
     Witnesses are the first ``max_witnesses`` hits in enumeration order and
     are re-verified through the independent per-table test before returning.
     """
@@ -62,14 +65,12 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
             f"enumeration of {t} has m^(2^n) = {total} candidates, above "
             f"the budget {budget}; pass budget >= {total}")
 
-    try:
-        Rf, IDX, phi, rmax = _folded_reduction(m)
-        # batched entries are bounded by rows+1 in absolute value
-        safe = m * m * (rows + 1) ** 2 * rmax < 2**62
-    except OverflowError:
-        safe = False
-    if not safe:
-        return _enumerate_plain(t, total, max_witnesses)
+    # every coefficient of a table's spectrum is bounded by rows
+    red = _int64_reduction(m, rows)
+    if red is None:
+        raise ValueError(
+            f"enumeration of {t} lies outside the proven int64 envelope of "
+            f"the exact flatness check")
 
     sgn = _sign_table(rows)
 
@@ -87,18 +88,12 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     spectrum = np.zeros((rows, m), dtype=np.int64)
     spectrum[:, 0] = sgn[b:].sum(axis=0)
 
-    want = np.zeros(phi, dtype=np.int64)
-    want[0] = rows
-
     count = 0
     witnesses: list[FunctionTable] = []
     digits = [0] * (rows - b)
     while True:
         cand = spectrum[None, :, :] + delta
-        gathered = cand[:, :, IDX]                       # (nb, rows, half, m)
-        corr = np.einsum('byki,byi->byk', gathered, cand)
-        red = corr @ Rf
-        ok = np.all(red == want, axis=(1, 2))
+        ok = np.concatenate([ok for _, ok in _flat_chunks(cand, rows, red)])
         hits = int(ok.sum())
         if hits:
             count += hits
@@ -127,21 +122,6 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     for w in witnesses:
         if not is_gbf(w):  # pragma: no cover - the two routes agree
             raise AssertionError(f"witness failed independent verification: {w}")
-    return OracleResult(t, total, count, witnesses)
-
-
-def _enumerate_plain(t: GbfType, total: int, max_witnesses: int) -> OracleResult:
-    """Reference enumeration, one exact per-table test per candidate."""
-    m, n = t.m, t.n
-    rows = 1 << n
-    count = 0
-    witnesses = []
-    for index in range(total):
-        ft = FunctionTable(t, tuple(_decode(index, m, rows)))
-        if is_gbf(ft):
-            count += 1
-            if len(witnesses) < max_witnesses:
-                witnesses.append(ft)
     return OracleResult(t, total, count, witnesses)
 
 

@@ -4,9 +4,11 @@ All tolerances are zero; every assertion is on exact integers.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 from gbflab import numtheory as nt
 from gbflab.cli import main, table_p7_rows, table_rp_rows
@@ -15,6 +17,10 @@ from gbflab.criteria import (C1, C3, C4, C5, EXISTS, NOT_EXISTS,
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, table, walsh
 from gbflab.oracle import enumerate_gbfs
+
+
+GOLDENS = (Path(__file__).resolve().parents[1]
+           / "bench" / "goldens" / "goldens.json")
 
 
 def _line(tag, ok, detail):
@@ -114,11 +120,20 @@ def test_a07_oracle_cross_validation_grid():
         + [(m, 3) for m in range(2, 8)] \
         + [(2, 4)]
     named = {(3, 1): 0, (2, 2): 8, (4, 1): 8, (6, 1): 0}
+    # census of every cell but {2,4}, recorded by the benchmark (read-only)
+    with open(GOLDENS, encoding="utf-8") as fh:
+        census = json.load(fh)["oracle-census"]
     ok = True
-    cells = 0
+    cells = compared = 0
     for m, n in grid:
         t = GbfType(m, n)
         res = enumerate_gbfs(t)
+        want = census.get(f"{m} {n}")
+        if want is not None:
+            ok &= (res.total_candidates, res.gbf_count,
+                   [list(w.values) for w in res.witnesses]) == (
+                       want["total"], want["count"], want["witnesses"])
+            compared += 1
         verdict = decide(t)
         if verdict.kind == EXISTS:
             ok &= res.gbf_count >= 1
@@ -128,8 +143,9 @@ def test_a07_oracle_cross_validation_grid():
             ok &= res.gbf_count == named[(m, n)]
         cells += 1
     elapsed = time.time() - start
-    ok &= elapsed < 600
-    _line("A07", ok, f"oracle vs engine on {cells} cells, {elapsed:.1f}s")
+    ok &= compared == len(census) and elapsed < 600
+    _line("A07", ok, f"oracle vs engine on {cells} cells, census equal to "
+          f"the golden on {compared}, {elapsed:.1f}s")
 
 
 def test_a08_construction_suite(tmp_path):

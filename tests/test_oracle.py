@@ -1,10 +1,11 @@
 """Exhaustive enumeration against an independent per-table route."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from gbflab import oracle
+from gbflab import cli, gbf
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, table
 from gbflab.oracle import enumerate_gbfs, spot_check
@@ -66,37 +67,35 @@ def test_enumerate_witness_order_deterministic():
     assert a.witnesses[0].values == (1, 0, 0, 0)
 
 
-def test_plain_path_agrees_with_batched(monkeypatch):
-    types = [GbfType(m, n) for m, n in
-             ((2, 2), (3, 1), (4, 1), (6, 1), (2, 3), (3, 2), (4, 2))]
-    batched = [enumerate_gbfs(t) for t in types]
-    plain_calls = []
-    plain = oracle._enumerate_plain
-
+def test_refusal_outside_int64_envelope(monkeypatch, capsys):
     def no_envelope(m):
         raise OverflowError("forced")
 
-    def counted(*args):
-        plain_calls.append(args[0])
-        return plain(*args)
+    monkeypatch.setattr(gbf, "_folded_reduction", no_envelope)
+    with pytest.raises(ValueError, match="int64 envelope"):
+        enumerate_gbfs(GbfType(2, 2))
+    assert cli.main(["oracle", "2", "2"]) == 3
+    assert "int64 envelope" in capsys.readouterr().err
 
-    monkeypatch.setattr(oracle, "_folded_reduction", no_envelope)
-    monkeypatch.setattr(oracle, "_enumerate_plain", counted)
-    for t, want in zip(types, batched):
-        got = enumerate_gbfs(t)
-        assert plain_calls[-1] == t
-        assert (got.total_candidates, got.gbf_count) == (
-            want.total_candidates, want.gbf_count)
-        assert got.witnesses == want.witnesses
+
+def test_enumerate_memory_is_bounded():
+    t = GbfType(60, 1)
+    enumerate_gbfs(t)               # builds the modulus-60 tables
+    tracemalloc.start()
+    try:
+        enumerate_gbfs(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked batch of 3600 candidates gathers 107 MiB
+    assert peak < 16 * 2**20
 
 
 def test_enumerate_budget_refusal():
     with pytest.raises(ValueError, match="budget"):
         enumerate_gbfs(GbfType(5, 3), budget=1000)
-    try:
+    with pytest.raises(ValueError, match=str(7 ** 16)):
         enumerate_gbfs(GbfType(7, 4), budget=10)
-    except ValueError as exc:
-        assert str(7 ** 16) in str(exc)
 
 
 def test_count_divisible_by_m_for_even_m():
