@@ -223,8 +223,10 @@ def first_flat_violation(f: FunctionTable):
 
 
 def is_gbf(f: FunctionTable) -> bool:
-    """Exact flatness test: true when |W(y)|^2 equals 2^n for every y."""
-    return first_flat_violation(f) is None
+    """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
+    Decided at the content modulus, with no report built at m."""
+    _, g = _divide_content(f)
+    return _first_nonflat_row(walsh_matrix(g), g.m, 1 << f.n) is None
 
 
 # -- constructions -----------------------------------------------------------

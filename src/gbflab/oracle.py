@@ -1,14 +1,24 @@
-"""Exhaustive ground truth: enumerate every table of a tiny type, test each
-one exactly, and report the count plus sample witnesses.
+"""Exhaustive ground truth: count every flat table of a tiny type exactly,
+and report the count plus sample witnesses.
 
-The enumeration walks value arrays in odometer order (index 0 varies
-fastest).  Each odometer step changes a single table entry, so the 2^n
+Tables are ordered as odometer readings (index 0 varies fastest, f(2^n - 1)
+is the most significant digit).  Adding a constant c to every value
+multiplies every W(y) by zeta^c, so f and f + c are flat together: each
+flat table is g + c for exactly one flat g with g(2^n - 1) = 0.  Only those
+tables are tested, and the count is m times theirs.  They are the first
+m^(2^n - 1) readings of the full odometer, so the enumeration walks them in
+the same order.  Each step changes a single table entry, so the 2^n
 unreduced spectrum rows are updated incrementally (entry x flips W(y) by
 (-1)^(x.y) between the old and new coefficient); a block of the
 fastest-varying digits is additionally evaluated as one numpy batch, tested
 through gbf's exact int64 flatness check in byte-sized chunks.  A type whose
 spectra fall outside that check's proven int64 envelope is refused with the
 reason stated.
+
+Witnesses are the first hits of the full odometer order.  When the tables
+with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
+hand, and the hits with top value c = 1, 2, ... are those plus c, block
+after block, each block sorted as odometer readings.
 """
 
 from __future__ import annotations
@@ -54,8 +64,9 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
 
     Refuses when m^(2^n) exceeds the budget, stating the budget required,
     and when exact int64 flatness checks are not proven for the type.
-    Witnesses are the first ``max_witnesses`` hits in enumeration order and
-    are re-verified through the independent per-table test before returning.
+    Witnesses are the first ``max_witnesses`` hits in odometer order over
+    all m^(2^n) tables and are re-verified through the independent
+    per-table test before returning.
     """
     m, n = t.m, t.n
     rows = 1 << n
@@ -74,9 +85,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
 
     sgn = _sign_table(rows)
 
-    # batch the b fastest digits; prefix digits advance by odometer
+    # f(rows-1) stays 0: batch the b fastest of the free digits, the rest
+    # of them advance by odometer
+    free = rows - 1
     b = 1
-    while b < rows and m ** (b + 1) <= _BATCH_TARGET:
+    while b < free and m ** (b + 1) <= _BATCH_TARGET:
         b += 1
     nb = m ** b
     delta = np.zeros((nb, rows, m), dtype=np.int64)
@@ -90,7 +103,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
 
     count = 0
     witnesses: list[FunctionTable] = []
-    digits = [0] * (rows - b)
+    digits = [0] * (rows - b)      # the last one, f(rows-1), never moves
     while True:
         cand = spectrum[None, :, :] + delta
         ok = np.concatenate([ok for _, ok in _flat_chunks(cand, rows, red)])
@@ -105,7 +118,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                         break
         # advance the prefix odometer, updating the affected spectrum column
         j = 0
-        while j < rows - b:
+        while j < free - b:
             pos = b + j
             old = digits[j]
             spectrum[:, old] -= sgn[pos]
@@ -119,10 +132,21 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         else:
             break
 
+    # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
+    # the hits with f(rows-1) = c are them plus c, next in odometer order
+    reduced = [w.values for w in witnesses]
+    for c in range(1, m):
+        if len(witnesses) >= max_witnesses:
+            break
+        block = sorted((tuple((v + c) % m for v in values)
+                        for values in reduced), key=lambda v: v[::-1])
+        witnesses += [FunctionTable(t, v)
+                      for v in block[:max_witnesses - len(witnesses)]]
+
     for w in witnesses:
         if not is_gbf(w):  # pragma: no cover - the two routes agree
             raise AssertionError(f"witness failed independent verification: {w}")
-    return OracleResult(t, total, count, witnesses)
+    return OracleResult(t, total, count * m, witnesses)
 
 
 def spot_check(t: GbfType, samples: int, seed=0):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gbflab import cli, gbf
+from gbflab import gbf
 from gbflab.cli import main, verdict_to_dict
 from gbflab.criteria import decide, revalidate_report, report_from_dict
 from gbflab.gbf import GbfType
@@ -181,11 +181,11 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     path = tmp_path / "w.json"
     path.write_text('{"m": 4, "n": 1, "values": [0, 1]}')
 
-    def exhausted(f):
+    def exhausted(*args):
         raise MemoryError("Unable to allocate 15.3 GiB")
 
-    monkeypatch.setattr(gbf, "first_flat_violation", exhausted)
-    monkeypatch.setattr(cli, "first_flat_violation", exhausted)
+    # the flatness kernel behind both is_gbf and first_flat_violation
+    monkeypatch.setattr(gbf, "_first_nonflat_row", exhausted)
     monkeypatch.chdir(tmp_path)
     for argv in (("decide", "8", "2"), ("verify", str(path))):
         code, out, err = run(capsys, *argv)

@@ -278,6 +278,13 @@ def test_content_modulus_cost_does_not_grow_with_m():
     assert is_gbf(lift_modulus(construct_boolean_bent(6), 10**15))
 
 
+def test_is_gbf_builds_no_report_at_m():
+    # a report at m = 2*10^15 would need a row of length m
+    assert not is_gbf(lift_modulus(table(2, 2, [0, 0, 0, 0]), 10**15))
+    assert not is_gbf(lift_modulus(table(3, 1, [0, 1]), 10**15))
+    assert is_gbf(lift_modulus(table(2, 2, [0, 0, 0, 1]), 10**15))
+
+
 def test_per_row_fallback_agrees_with_fast_path(monkeypatch):
     rng = random.Random(23)
     cases = [construct_boolean_bent(4), construct_even_even(6, 2, seed=3),

@@ -25,10 +25,12 @@ def _flat_by_ring_arithmetic(f):
     return True
 
 
-def _brute_census(m, n):
+def _brute_census(m, n, max_witnesses):
+    """(count, total, first max_witnesses hits) over every table in odometer
+    order (index 0 varies fastest)."""
     count = 0
+    witnesses = []
     size = 1 << n
-    values = [0] * size
     total = m ** size
     for index in range(total):
         i, digits = index, []
@@ -37,7 +39,9 @@ def _brute_census(m, n):
             i //= m
         if _flat_by_ring_arithmetic(table(m, n, digits)):
             count += 1
-    return count, total
+            if len(witnesses) < max_witnesses:
+                witnesses.append(tuple(digits))
+    return count, total, witnesses
 
 
 @pytest.mark.parametrize("m,n,expected", [(2, 2, 8), (3, 1, 0), (4, 1, 8),
@@ -50,12 +54,21 @@ def test_enumerate_known_counts(m, n, expected):
         assert _flat_by_ring_arithmetic(w)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 1), (4, 1), (6, 1), (5, 1),
-                                 (7, 1), (2, 3), (3, 2)])
-def test_enumerate_matches_independent_census(m, n):
-    res = enumerate_gbfs(GbfType(m, n))
-    count, total = _brute_census(m, n)
+# {4,1} has 2 hits with f(1) = 0, so 3 or more witnesses are rebuilt from
+# the shifted blocks f(1) = 1, 2, 3; {2,2} with 8 orders a block of n = 2
+CENSUS_CASES = [(2, 2, 4), (3, 1, 4), (4, 1, 4), (6, 1, 4), (5, 1, 4),
+                (7, 1, 4), (2, 3, 4), (3, 2, 4), (8, 1, 4), (4, 2, 4),
+                (4, 1, 1), (4, 1, 3), (4, 1, 5), (4, 1, 8), (2, 2, 8)]
+
+
+@pytest.mark.parametrize(
+    "m,n,max_witnesses", CENSUS_CASES,
+    ids=[f"{m}-{n}" + (f"-{w}" if w != 4 else "") for m, n, w in CENSUS_CASES])
+def test_enumerate_matches_independent_census(m, n, max_witnesses):
+    res = enumerate_gbfs(GbfType(m, n), max_witnesses=max_witnesses)
+    count, total, witnesses = _brute_census(m, n, max_witnesses)
     assert res.gbf_count == count and res.total_candidates == total
+    assert [w.values for w in res.witnesses] == witnesses
 
 
 def test_enumerate_witness_order_deterministic():
