@@ -12,15 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .cyclotomic import CycInt, reduction_rows
-from .numtheory import factorize
+from .cyclotomic import CycInt, phi_degree
+from .numtheory import factorize, is_probable_prime
 
 _MAX_N = 26              # walsh matrices have 2^n rows; guard memory
-_CHUNK_BYTES = 1 << 20   # int64 bytes gathered per numpy batch of spectrum rows
+_Q_LIMIT = 1 << 30       # split primes stay below it: FWHT sums fit int64
 _INT64_SAFE = 2**62
 
 
@@ -78,9 +78,9 @@ class WalshSpectrum:
     values: tuple[CycInt, ...]
 
 
-def _fwht_inplace(mat: np.ndarray) -> None:
+def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard butterfly along axis 0 of a (2^k, ...)
-    array: out[y] = sum_x (-1)^(x.y) in[x]."""
+    array: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat."""
     rows = mat.shape[0]
     h = 1
     while h < rows:
@@ -89,6 +89,7 @@ def _fwht_inplace(mat: np.ndarray) -> None:
         view[:, 0] = top + view[:, 1]
         view[:, 1] = top - view[:, 1]
         h *= 2
+    return mat
 
 
 def walsh_matrix(f: FunctionTable) -> np.ndarray:
@@ -101,8 +102,7 @@ def walsh_matrix(f: FunctionTable) -> np.ndarray:
     rows = 1 << n
     mat = np.zeros((rows, m), dtype=np.int64)
     mat[np.arange(rows), np.fromiter(f.values, dtype=np.int64)] = 1
-    _fwht_inplace(mat)
-    return mat
+    return _fwht_inplace(mat)
 
 
 def walsh(f: FunctionTable) -> WalshSpectrum:
@@ -111,32 +111,6 @@ def walsh(f: FunctionTable) -> WalshSpectrum:
     m = f.m
     return WalshSpectrum(f.gbf_type,
                          tuple(CycInt(m, row) for row in mat.tolist()))
-
-
-@lru_cache(maxsize=None)
-def _folded_reduction(m: int):
-    """Precomputed data for testing |W|^2 == target on coefficient rows.
-
-    Returns (Rf, IDX, phi, rmax): Rf maps the folded autocorrelation lags
-    0..m//2 to canonical coordinates (lags k and m-k share a row since the
-    autocorrelation of a real-coefficient vector is symmetric), IDX[k, i] =
-    (i + k) % m gathers the shifted copies, and rmax bounds the reduction
-    coefficients for overflow accounting.  numpy raises OverflowError when
-    a coefficient does not fit int64.
-    """
-    rows = reduction_rows(m)
-    phi = len(rows[0])
-    half = m // 2 + 1
-    folded = []
-    for k in range(half):
-        if k == 0 or 2 * k == m:
-            folded.append(list(rows[k]))
-        else:
-            folded.append([a + b for a, b in zip(rows[k], rows[m - k])])
-    rmax = max(max(abs(c) for c in row) for row in folded)
-    Rf = np.array(folded, dtype=np.int64)
-    IDX = (np.arange(half)[:, None] + np.arange(m)[None, :]) % m
-    return Rf, IDX, phi, rmax
 
 
 def _divide_content(f: FunctionTable):
@@ -154,52 +128,92 @@ def _divide_content(f: FunctionTable):
                             tuple(v // l for v in f.values))
 
 
-def _int64_reduction(m: int, wmax: int):
-    """(Rf, IDX, phi) of _folded_reduction(m) when |W|^2 of coefficient rows
-    at modulus m with entries bounded by wmax in absolute value is proven
-    exact in int64 arithmetic, else None."""
-    try:
-        Rf, IDX, phi, rmax = _folded_reduction(m)
-    except OverflowError:
-        return None
-    # |C_k| <= m*wmax^2, |Z| <= m*|C|*rmax; stay well inside int64
-    if m * m * wmax * wmax * rmax >= _INT64_SAFE:
-        return None
-    return Rf, IDX, phi
+def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """((q, omega), ...): primes q = 1 (mod m) below 2^30, largest first,
+    until their product Q exceeds 4^n, each with an omega of order m mod q
+    (one prime for n <= 14, two up to n = _MAX_N).  Refuses, before any
+    allocation of size m, m >= 2^30 and an m with too few such primes.
+
+    They decide |W(y)|^2 = 2^n exactly.  q splits completely in Z[zeta_m]:
+    zeta -> omega^k over the units k of Z_m maps Z[zeta_m]/(q) onto
+    F_q^phi(m), taking W(y) to W_k(y) = sum_x (-1)^(x.y) omega^(k f(x)) and
+    its conjugate to W_(m-k)(y).  So q divides alpha = |W(y)|^2 - 2^n when
+    W_k W_(m-k) = 2^n mod q at every unit k, and Q does when every q does.
+    Each conjugate of alpha is |W'|^2 - 2^n with W' the Walsh value of some
+    k f, so |W'| <= 2^n and the conjugate lies below 4^n in absolute value.
+    A nonzero alpha would have Q^phi(m) <= |N(alpha)| < 4^(n phi(m)),
+    against Q > 4^n: so alpha = 0.
+    """
+    if m >= _Q_LIMIT:
+        raise ValueError(f"modulus {m} is not below 2^30 = {_Q_LIMIT}, the "
+                         f"limit of the exact flatness check")
+    found = []
+    for q in range((_Q_LIMIT - 2) // m * m + 1, 1, -m):
+        if prod(found) > 4 ** n:
+            break
+        if is_probable_prime(q):
+            found.append(q)
+    if prod(found) <= 4 ** n:
+        raise ValueError(f"the primes q = 1 (mod {m}) below 2^30 have "
+                         f"product {prod(found)}, not above 4^{n}: too few "
+                         f"for the exact flatness check")
+    out = []
+    for q in found:
+        # g^((q-1)/m) has order m when no g^((q-1)/p), p | m, is 1
+        g = 2
+        while any(pow(g, (q - 1) // p, q) == 1 for p, _ in factorize(m)):
+            g += 1
+        out.append((q, pow(g, (q - 1) // m, q)))
+    return tuple(out)
 
 
-def _flat_chunks(spec: np.ndarray, target: int, red):
-    """Exact test of |W|^2 = target on a (tables, rows, m) int64 array of
-    walsh_matrix rows, inside the envelope red of _int64_reduction.  Yields
-    (start, ok) per chunk of tables, ok[i] true when every row of table
-    start + i is flat; each chunk gathers about _CHUNK_BYTES."""
-    Rf, IDX, _ = red
-    tables, rows, m = spec.shape
-    # the gather holds rows * IDX.size int64 entries per table
-    step = max(1, _CHUNK_BYTES // (8 * rows * IDX.size))
-    for start in range(0, tables, step):
-        chunk = spec[start:start + step].reshape(-1, m)    # one row per line
-        gathered = chunk[:, IDX]                           # (lines, half, m)
-        sq = np.einsum('yki,yi->yk', gathered, chunk) @ Rf
-        sq[:, 0] -= target
-        yield start, ~sq.reshape(-1, rows * sq.shape[1]).any(axis=1)
+@lru_cache(maxsize=None)
+def _root_powers(m: int, n: int):
+    """(cols, ((q, pw), ...)): cols holds the units k <= m/2 of Z_m, then
+    their mirrors m - k (none for m = 2); pw[j] = omega^j mod q for j < m,
+    for each (q, omega) of _split_primes(m, n).  The cached arrays are
+    read-only."""
+    roots = []
+    for q, omega in _split_primes(m, n):
+        pw = np.ones(1, dtype=np.int64)
+        while len(pw) < m:
+            pw = np.concatenate([pw, pw * pow(omega, len(pw), q) % q])
+        pw.setflags(write=False)
+        roots.append((q, pw[:m]))
+    units = np.flatnonzero(np.gcd(np.arange(m // 2 + 1), m) == 1)
+    cols = np.concatenate([units, (m - units)[2 * units < m]])
+    cols.setflags(write=False)
+    return cols, tuple(roots)
 
 
-def _first_nonflat_row(mat: np.ndarray, m: int, target: int):
-    """The first y whose row of a walsh_matrix at modulus m does not have
-    |W(y)|^2 = target, or None.  int64 batches inside a proven envelope,
-    exact Python integers row by row outside it."""
-    red = _int64_reduction(m, int(np.abs(mat).max(initial=0)))
-    if red is not None:
-        for start, ok in _flat_chunks(mat[:, None], target, red):
-            if not ok.all():
-                return start + int(np.argmin(ok))
-        return None
-    for y in range(mat.shape[0]):
-        acc = CycInt(m, mat[y].tolist()).abs_square().coeffs
-        if acc[0] != target or any(acc[1:]):
-            return y
-    return None
+def _flat_rows(spec: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Which rows of a residue spectrum (cols, ...), first axis laid out as
+    the cols of _root_powers, have W_k W_(m-k) = 2^n (mod q) at every unit
+    k <= m/2: a bool array over the trailing axes.  Overwrites spec, and
+    takes x mod q as x - x // q * q, several times faster in numpy; products
+    of residues stay below q^2 < 2^60."""
+    spec -= spec // q * q
+    low = spec[:(len(spec) + 1) // 2]
+    low *= spec[-len(low):]
+    low -= low // q * q
+    return (low == (1 << n) % q).all(axis=0)
+
+
+def _nonflat_rows(g: FunctionTable):
+    """For each prime of _split_primes(g.m, g.n) in turn, the first y whose
+    |W(y)|^2 differs from 2^n modulo that prime, or None.  Row y of the FWHT
+    of omega^(k f(x)) mod q holds W_k(y), for each k of cols; residues below
+    2^30 summed over at most 2^26 rows stay below 2^56."""
+    m, n = g.m, g.n
+    if n > _MAX_N:
+        raise ValueError(f"n = {n} beyond the supported resource guard")
+    cols, roots = _root_powers(m, n)
+    exps = np.multiply.outer(np.fromiter(g.values, np.int64), cols) % m
+    for q, pw in roots:
+        ok = _flat_rows(_fwht_inplace(pw[exps]).T, q, n)
+        yield None if ok.all() else int(np.argmin(ok))
+        if not ok[0]:
+            return              # no later prime can report an earlier row
 
 
 def first_flat_violation(f: FunctionTable):
@@ -207,26 +221,26 @@ def first_flat_violation(f: FunctionTable):
     otherwise (y, canonical coefficients of |W(y)|^2 in Z[zeta_m]) for the
     first failing y in index order.
 
-    The spectrum is computed at the content modulus m/l, l = gcd(m, values),
+    The spectrum is tested at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so the verdict and the
-    failing y do not depend on l; only a reported row is taken back to m.
-    """
-    l, g = _divide_content(f)
-    mat = walsh_matrix(g)
-    y = _first_nonflat_row(mat, g.m, 1 << f.n)
+    failing y, the least over the primes, do not depend on l.  Only the
+    reported row is built at m, as one signed bincount."""
+    _, g = _divide_content(f)
+    y = min((y for y in _nonflat_rows(g) if y is not None), default=None)
     if y is None:
         return None
-    row = [0] * f.m
-    row[::l] = mat[y].tolist()
-    phi = len(reduction_rows(f.m)[0])
-    return y, CycInt(f.m, row).abs_square().coeffs[:phi]
+    signs = np.where(np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
+    row = np.bincount(np.fromiter(f.values, np.int64), weights=signs,
+                      minlength=f.m).astype(np.int64)
+    return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:phi_degree(f.m)]
 
 
 def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
-    Decided at the content modulus, with no report built at m."""
+    Decided at the content modulus, with no report built at m; the first
+    prime that fails a row settles it."""
     _, g = _divide_content(f)
-    return _first_nonflat_row(walsh_matrix(g), g.m, 1 << f.n) is None
+    return all(y is None for y in _nonflat_rows(g))
 
 
 # -- constructions -----------------------------------------------------------

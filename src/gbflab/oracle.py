@@ -7,13 +7,11 @@ multiplies every W(y) by zeta^c, so f and f + c are flat together: each
 flat table is g + c for exactly one flat g with g(2^n - 1) = 0.  Only those
 tables are tested, and the count is m times theirs.  They are the first
 m^(2^n - 1) readings of the full odometer, so the enumeration walks them in
-the same order.  Each step changes a single table entry, so the 2^n
-unreduced spectrum rows are updated incrementally (entry x flips W(y) by
-(-1)^(x.y) between the old and new coefficient); a block of the
-fastest-varying digits is additionally evaluated as one numpy batch, tested
-through gbf's exact int64 flatness check in byte-sized chunks.  A type whose
-spectra fall outside that check's proven int64 envelope is refused with the
-reason stated.
+the same order.  The spectra are gbf's residue spectra, W(y) at the m-th
+roots of unity of F_q for its split primes q, tested by its exact flatness
+check.  Each step changes one table entry x, which adds (-1)^(x.y) times
+the change of its term to row y; a block of the fastest-varying digits is
+evaluated as one numpy batch.
 
 Witnesses are the first hits of the full odometer order.  When the tables
 with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
@@ -28,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gbf import (FunctionTable, GbfType, _flat_chunks, _int64_reduction,
-                  is_gbf)
+from .gbf import (FunctionTable, GbfType, _flat_rows, _fwht_inplace,
+                  _root_powers, is_gbf)
 
 DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
@@ -41,13 +39,6 @@ class OracleResult:
     total_candidates: int
     gbf_count: int
     witnesses: list = field(default_factory=list)
-
-
-def _sign_table(rows: int) -> np.ndarray:
-    """sgn[x, y] = (-1)^(x.y) over index bits."""
-    xs = np.arange(rows)
-    parity = np.bitwise_count(xs[:, None] & xs[None, :])
-    return np.where(parity & 1, -1, 1).astype(np.int64)
 
 
 def _decode(index: int, m: int, width: int) -> list[int]:
@@ -63,7 +54,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     """Exact census of flat-spectrum tables of type t.
 
     Refuses when m^(2^n) exceeds the budget, stating the budget required,
-    and when exact int64 flatness checks are not proven for the type.
+    and, with gbf's exact flatness check, a modulus at or above 2^30.
     Witnesses are the first ``max_witnesses`` hits in odometer order over
     all m^(2^n) tables and are re-verified through the independent
     per-table test before returning.
@@ -76,14 +67,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
             f"enumeration of {t} has m^(2^n) = {total} candidates, above "
             f"the budget {budget}; pass budget >= {total}")
 
-    # every coefficient of a table's spectrum is bounded by rows
-    red = _int64_reduction(m, rows)
-    if red is None:
-        raise ValueError(
-            f"enumeration of {t} lies outside the proven int64 envelope of "
-            f"the exact flatness check")
-
-    sgn = _sign_table(rows)
+    cols, roots = _root_powers(m, n)
+    # powers[p, j, v] = omega^(cols[j] * v) mod q for the p-th split prime
+    powers = np.stack([pw[np.multiply.outer(cols, np.arange(m)) % m]
+                       for _, pw in roots])
+    sgn = _fwht_inplace(np.eye(rows, dtype=np.int64))  # (-1)^(x.y) at x, y
 
     # f(rows-1) stays 0: batch the b fastest of the free digits, the rest
     # of them advance by odometer
@@ -92,21 +80,20 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     while b < free and m ** (b + 1) <= _BATCH_TARGET:
         b += 1
     nb = m ** b
-    delta = np.zeros((nb, rows, m), dtype=np.int64)
+    delta = np.zeros((len(roots), len(cols), nb, rows), dtype=np.int64)
     for pos in range(b):
         digit = (np.arange(nb) // m ** pos) % m
-        for v in range(m):
-            delta[digit == v, :, v] += sgn[pos][None, :]
+        delta += powers[:, :, digit, None] * sgn[pos]
 
-    spectrum = np.zeros((rows, m), dtype=np.int64)
-    spectrum[:, 0] = sgn[b:].sum(axis=0)
+    # every other digit is 0, and omega^0 = 1
+    spectrum = powers[:, :, :1] * sgn[b:].sum(axis=0)
 
     count = 0
     witnesses: list[FunctionTable] = []
     digits = [0] * (rows - b)      # the last one, f(rows-1), never moves
     while True:
-        cand = spectrum[None, :, :] + delta
-        ok = np.concatenate([ok for _, ok in _flat_chunks(cand, rows, red)])
+        ok = np.all([_flat_rows(s[:, None] + d, q, n) for (q, _), s, d
+                     in zip(roots, spectrum, delta)], axis=(0, 2))
         hits = int(ok.sum())
         if hits:
             count += hits
@@ -116,18 +103,14 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                     witnesses.append(FunctionTable(t, tuple(values)))
                     if len(witnesses) == max_witnesses:
                         break
-        # advance the prefix odometer, updating the affected spectrum column
+        # advance the prefix odometer, updating the spectra by the changed term
         j = 0
         while j < free - b:
-            pos = b + j
-            old = digits[j]
-            spectrum[:, old] -= sgn[pos]
-            if old + 1 < m:
-                digits[j] = old + 1
-                spectrum[:, old + 1] += sgn[pos]
+            pos, old = b + j, digits[j]
+            new = digits[j] = (old + 1) % m
+            spectrum += (powers[..., [new]] - powers[..., [old]]) * sgn[pos]
+            if new:
                 break
-            digits[j] = 0
-            spectrum[:, 0] += sgn[pos]
             j += 1
         else:
             break

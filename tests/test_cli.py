@@ -185,7 +185,7 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 15.3 GiB")
 
     # the flatness kernel behind both is_gbf and first_flat_violation
-    monkeypatch.setattr(gbf, "_first_nonflat_row", exhausted)
+    monkeypatch.setattr(gbf, "_nonflat_rows", exhausted)
     monkeypatch.chdir(tmp_path)
     for argv in (("decide", "8", "2"), ("verify", str(path))):
         code, out, err = run(capsys, *argv)

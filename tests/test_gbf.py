@@ -285,36 +285,43 @@ def test_is_gbf_builds_no_report_at_m():
     assert is_gbf(lift_modulus(table(2, 2, [0, 0, 0, 1]), 10**15))
 
 
-def test_per_row_fallback_agrees_with_fast_path(monkeypatch):
-    rng = random.Random(23)
-    cases = [construct_boolean_bent(4), construct_even_even(6, 2, seed=3),
-             construct_mod4_from_bent(construct_boolean_bent(4)),
-             lift_modulus(construct_even_even(4, 2), 5),
-             table(4, 2, [0, 0, 0, 0]), table(5, 2, [0, 1, 2, 3])]
-    cases += [_random_table(rng, rng.randrange(2, 10), rng.randrange(1, 4))
-              for _ in range(20)]
-    fast = [first_flat_violation(f) for f in cases]
-    assert sum(r is None for r in fast) >= 4
-    assert sum(r is not None for r in fast) >= 4
+# -- the split primes of the exact flatness check ------------------------------
 
-    rows = []
-    reference = CycInt.abs_square
+# p near 2^29 whose one prime q = 1 (mod p) below 2^30 is 2p + 1; no
+# q = 1 (mod 10^9) below 2^30 is prime
+NEAR_2_29 = 536870219
+SPLIT_MODULI = [2, 4, 7, 12, 60, 97, 210, 3162, NEAR_2_29, 10**9]
 
-    def no_envelope(m):
-        raise OverflowError("forced")
 
-    def counted(self):
-        rows.append(self.modulus)
-        return reference(self)
+@pytest.mark.parametrize("n", [1, 15, 16, 26])
+@pytest.mark.parametrize("m", SPLIT_MODULI)
+def test_split_primes(m, n):
+    sympy = pytest.importorskip("sympy")
+    try:
+        primes = gbf._split_primes(m, n)
+    except ValueError as exc:
+        assert m >= NEAR_2_29 and "too few" in str(exc)
+        # the refusal holds only where every such prime together falls short
+        product = 1
+        for q in range(m + 1, 2**30, m):
+            product *= q if sympy.isprime(q) else 1
+        assert product <= 4 ** n
+        return
+    product = 1
+    for q, omega in primes:
+        assert sympy.isprime(q) and q % m == 1 and q < 2**30
+        assert pow(omega, m, q) == 1
+        assert all(pow(omega, m // p, q) != 1 for p in sympy.primefactors(m))
+        product *= q
+    assert product > 4 ** n
+    assert len(primes) == (1 if n <= 14 else 2)
+    assert m < NEAR_2_29 or n == 1
 
-    monkeypatch.setattr(gbf, "_folded_reduction", no_envelope)
-    monkeypatch.setattr(CycInt, "abs_square", counted)
-    for f, want in zip(cases, fast):
-        rows.clear()
-        assert first_flat_violation(f) == want
-        # one exact reduction per row up to the first failing one, plus
-        # the reported row at modulus m
-        assert len(rows) == (1 << f.n if want is None else want[0] + 2)
+
+def test_split_primes_refuse_modulus_limit():
+    for m in (2**30, 2**30 + 3, 2**64):
+        with pytest.raises(ValueError, match="not below 2\\^30"):
+            gbf._split_primes(m, 1)
 
 
 # -- numpy constructions against the loops they replaced ------------------------

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gbflab import cli, gbf
+from gbflab import cli
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, table
 from gbflab.oracle import enumerate_gbfs, spot_check
@@ -80,15 +80,26 @@ def test_enumerate_witness_order_deterministic():
     assert a.witnesses[0].values == (1, 0, 0, 0)
 
 
-def test_refusal_outside_int64_envelope(monkeypatch, capsys):
-    def no_envelope(m):
-        raise OverflowError("forced")
+def test_refusal_at_modulus_limit(tmp_path, capsys):
+    # a table with content 1 is tested at m itself, past the split primes
+    path = tmp_path / "w.json"
+    path.write_text('{"m": 1073741827, "n": 2, "values": [0, 1, 2, 3]}')
+    assert cli.main(["verify", str(path)]) == 3
+    assert "not below 2^30" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="not below 2\\^30"):
+        enumerate_gbfs(GbfType(2**30, 1), budget=2**60)
 
-    monkeypatch.setattr(gbf, "_folded_reduction", no_envelope)
-    with pytest.raises(ValueError, match="int64 envelope"):
-        enumerate_gbfs(GbfType(2, 2))
-    assert cli.main(["oracle", "2", "2"]) == 3
-    assert "int64 envelope" in capsys.readouterr().err
+
+# W(0) = zeta^a + zeta^b and W(1) = zeta^a - zeta^b have |W|^2 = 2 exactly
+# when zeta^(a - b) = +-i: 2m flat tables when 4 | m, none otherwise
+N1_MODULI = [2, 3, 4, 5, 6, 8, 12, 30, 36, 60, 97, 100, 210, 256, 500, 999,
+             1000, 1331, 2000, 2310, 3000, 3160, 3162]
+
+
+@pytest.mark.parametrize("m", N1_MODULI)
+def test_enumerate_n1_closed_form(m):
+    res = enumerate_gbfs(GbfType(m, 1))
+    assert res.gbf_count == (2 * m if m % 4 == 0 else 0)
 
 
 def test_enumerate_memory_is_bounded():
