@@ -17,6 +17,8 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import criteria, numtheory as nt, oracle as oracle_mod
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, CriterionReport, Verdict,
                        decide, describe_rule, report_from_dict, rule_exists,
@@ -43,7 +45,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _witness_dict(w: FunctionTable) -> dict:
-    return {"m": w.m, "n": w.n, "values": list(w.values)}
+    return {"m": w.m, "n": w.n, "values": w.array.tolist()}
+
+
+_WRITE_CHUNK = 1 << 16
+
+
+def _write_witness(path: str, w: FunctionTable) -> None:
+    """The witness file, byte for byte json.dumps(_witness_dict(w)) and a
+    newline.  The values are spelled through a byte table of the tokens
+    "v, ", for each v < m (or each distinct value when m exceeds the table
+    length), padded with NUL bytes: rows gathered a chunk at a time, NULs
+    dropped, the last separator cut."""
+    a = w.array
+    distinct, index = ((np.arange(w.m), a) if w.m <= len(a)
+                       else np.unique(a, return_inverse=True))
+    tokens = np.array([f"{v}, ".encode() for v in distinct.tolist()])
+    rows_of = tokens.view(np.uint8).reshape(len(distinct), -1)
+    with open(path, "wb") as fh:
+        fh.write(f'{{"m": {w.m}, "n": {w.n}, "values": ['.encode())
+        for start in range(0, len(a), _WRITE_CHUNK):
+            rows = rows_of[index[start:start + _WRITE_CHUNK]]
+            body = rows[rows != 0].tobytes()
+            fh.write(body if start + _WRITE_CHUNK < len(a) else body[:-2])
+        fh.write(b"]}\n")
 
 
 def parse_witness(data: dict) -> FunctionTable:
@@ -55,11 +80,12 @@ def parse_witness(data: dict) -> FunctionTable:
         m, n, values = data["m"], data["n"], data["values"]
     except KeyError as exc:
         raise ValueError(f"witness missing field {exc}") from None
-    if not isinstance(m, int) or not isinstance(n, int):
+    # json gives true and false as bool, a subclass of int: test exact types
+    if type(m) is not int or type(n) is not int:
         raise ValueError("m and n must be integers")
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ValueError("values must be a list of integers")
-    return FunctionTable(GbfType(m, n), tuple(values))
+    return FunctionTable(GbfType(m, n), values)
 
 
 def verdict_to_dict(m: int, n: int, v: Verdict, witness_path=None) -> dict:
@@ -87,9 +113,7 @@ def cmd_decide(args) -> int:
     path = None
     if v.kind == EXISTS:
         path = args.out or f"witness_{args.m}x{args.n}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_witness_dict(v.witness)))
-            fh.write("\n")
+        _write_witness(path, v.witness)
     if args.json:
         print(json.dumps(verdict_to_dict(args.m, args.n, v, path)))
     elif v.kind == EXISTS:
@@ -117,9 +141,7 @@ def cmd_construct(args) -> int:
     if not is_gbf(witness):  # pragma: no cover - re-checked in rule_exists
         raise AssertionError("witness failed verification")
     path = args.out or f"witness_{args.m}x{args.n}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_witness_dict(witness)))
-        fh.write("\n")
+    _write_witness(path, witness)
     print(f"rule {rule}: {describe_rule(rule, args.m, args.n)}")
     print(f"witness written: {path}")
     return 0
@@ -128,8 +150,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        witness = parse_witness(data)
+            witness = parse_witness(json.load(fh))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"cannot parse witness file: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -27,9 +27,8 @@ from dataclasses import asdict, dataclass, field
 from math import gcd, lcm
 
 from . import numtheory as nt
-from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
-                  construct_even_even, construct_mod4_from_bent, is_gbf,
-                  lift_modulus)
+from .gbf import (FunctionTable, GbfType, _fold_mod4, construct_boolean_bent,
+                  construct_even_even, is_gbf, lift_modulus)
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -105,32 +104,38 @@ def _check(cond: bool, message: str):
 # -- existence ---------------------------------------------------------------
 
 
+# (rule, n) whose base table passed the exact flatness check in this
+# process.  A lift has the same content-modulus table as its base, so that
+# check is also the check of every witness the rule builds at n.
+_FLAT_BASES: set[tuple[str, int]] = set()
+
+
 def rule_exists(t: GbfType):
     """A verified flat witness for t when one of the rules applies, with the
     rule id; None otherwise.
 
     E2: m = 2, even n.  E1: 4 | m, any n, built at modulus 4 (product
     construction for even n, quaternary folding of a boolean witness for odd
-    n) and lifted by m/4.  E3: remaining even m with even n.
+    n) and lifted by m/4.  E3: remaining even m with even n, the product
+    construction at modulus 2 lifted by m/2.  Each base table depends on the
+    rule and n only, and is verified once per process.
     """
     m, n = t.m, t.n
-    if m == 2:
-        if n % 2:
-            return None
-        witness, rule = construct_boolean_bent(n), "E2"
+    if m == 2 and n % 2 == 0:
+        rule, base = "E2", construct_boolean_bent(n)
     elif m % 4 == 0:
-        if n % 2 == 0:
-            base = construct_even_even(4, n)
-        else:
-            base = construct_mod4_from_bent(construct_boolean_bent(n + 1))
-        witness, rule = lift_modulus(base, m // 4), "E1"
+        rule = "E1"
+        base = (construct_even_even(4, n) if n % 2 == 0
+                else _fold_mod4(construct_boolean_bent(n + 1)))
     elif m % 2 == 0 and n % 2 == 0:
-        witness, rule = construct_even_even(m, n), "E3"
+        rule, base = "E3", construct_even_even(2, n)
     else:
         return None
-    if not is_gbf(witness):  # pragma: no cover - constructions are proven flat
-        raise AssertionError(f"construction {rule} failed exact verification")
-    return witness, rule
+    if (rule, n) not in _FLAT_BASES:
+        if not is_gbf(base):  # pragma: no cover - constructions are proven flat
+            raise AssertionError(f"construction {rule} failed exact verification")
+        _FLAT_BASES.add((rule, n))
+    return lift_modulus(base, m // base.m), rule
 
 
 def describe_rule(rule: str, m: int, n: int) -> str:

@@ -5,12 +5,24 @@ constructions.
 Index convention, fixed across the whole package and the witness file
 format: table index i encodes the point x = (x_1, ..., x_n) with x_j equal
 to bit j-1 of i, so x_1 is the least significant bit.
+
+A table holds its 2^n residues as one read-only numpy array: int64, or
+Python integers (an object array) when m > 2^62.  Every layer works on that
+array; the tuple ``values`` is built only when asked for.
+
+Flatness is decided at the content modulus m/l, l = gcd(m, values), by one
+exact check.  At content modulus 2 or 4, Z[zeta] is Z or Z[i]: the signed
+unit coordinates of zeta^f(x) go into 1 or 2 int32 columns, one FWHT gives
+every W(y) exactly (its coordinates are at most 2^n), and re^2 + im^2 = 2^n
+is tested directly in int64, with no prime.  Every other modulus is tested
+at the m-th roots of unity of F_q for the split primes q of _split_primes.
+The witnesses of rules E1, E2 and E3 all reduce to content modulus 2 or 4.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from math import gcd, prod
 
@@ -41,19 +53,51 @@ class GbfType:
         return f"{{{self.m},{self.n}}}"
 
 
-@dataclass(frozen=True)
+def _value_dtype(bound: int):
+    """int64 for table arithmetic whose values stay below bound, else
+    Python integers (object arrays) so that no value wraps."""
+    return np.int64 if bound <= _INT64_SAFE else object
+
+
 class FunctionTable:
-    """A map Z_2^n -> Z_m stored as a tuple of 2^n residues."""
+    """A map Z_2^n -> Z_m stored as a read-only array of 2^n residues.
 
-    gbf_type: GbfType
-    values: tuple[int, ...]
+    ``array`` is int64, or an object array of Python integers when
+    m > 2^62.  A numpy array passed in is frozen and shared, not copied.
+    ``values`` is the same table as a tuple of Python integers, built on
+    first use; equality, hashing and repr are those of a frozen dataclass
+    with fields ``gbf_type`` and ``values``."""
 
-    def __post_init__(self):
-        m, n = self.gbf_type.m, self.gbf_type.n
-        if len(self.values) != 1 << n:
-            raise ValueError(f"need {1 << n} values, got {len(self.values)}")
-        if min(self.values) < 0 or max(self.values) >= m:
+    __slots__ = ("gbf_type", "array", "_values")
+
+    def __init__(self, gbf_type: GbfType, values):
+        m, n = gbf_type.m, gbf_type.n
+        try:
+            arr = np.asarray(values, dtype=_value_dtype(m))
+        except OverflowError:
+            raise ValueError(f"values must lie in 0..{m - 1}") from None
+        if arr.shape != (1 << n,):
+            raise ValueError(f"need {1 << n} values, got {len(arr)}")
+        # as uint64 a negative int64 exceeds 2^63 > m: one pass checks both
+        if (arr.view(np.uint64).max() >= m if arr.dtype == np.int64
+                else arr.min() < 0 or arr.max() >= m):
             raise ValueError(f"values must lie in 0..{m - 1}")
+        arr.setflags(write=False)
+        object.__setattr__(self, "gbf_type", gbf_type)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "_values", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self.array.tolist()))
+        return self._values
 
     @property
     def m(self) -> int:
@@ -63,10 +107,22 @@ class FunctionTable:
     def n(self) -> int:
         return self.gbf_type.n
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.gbf_type == other.gbf_type
+                and np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        return hash((self.gbf_type, self.values))
+
+    def __repr__(self):
+        return f"FunctionTable(gbf_type={self.gbf_type!r}, values={self.values!r})"
+
 
 def table(m: int, n: int, values) -> FunctionTable:
     """Build a FunctionTable, reducing the given values mod m."""
-    return FunctionTable(GbfType(m, n), tuple(int(v) % m for v in values))
+    return FunctionTable(GbfType(m, n), [int(v) % m for v in values])
 
 
 @dataclass(frozen=True)
@@ -79,16 +135,29 @@ class WalshSpectrum:
 
 
 def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a (2^k, ...)
-    array: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat."""
-    rows = mat.shape[0]
-    h = 1
-    while h < rows:
-        view = mat.reshape(rows // (2 * h), 2, h, *mat.shape[1:])
-        top = view[:, 0].copy()
-        view[:, 0] = top + view[:, 1]
-        view[:, 1] = top - view[:, 1]
-        h *= 2
+    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a C-contiguous
+    (2^k, ...) array, in place: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat.
+
+    Each stage pairs the halves a, b of blocks of rows and makes them
+    (a + b, a - b) through a += b; b *= -2; b += a.  On the flat array the
+    halves are runs of `inner` entries.  In an array of 2^11 entries or
+    more, while a run is shorter than 8, the stage goes as `inner` strided
+    1-D pairs, which numpy loops over faster than over many short runs;
+    in a smaller one the extra calls cost more than they save."""
+    flat = mat.reshape(-1, copy=False)
+    inner = flat.size // mat.shape[0]
+    while inner < flat.size:
+        if inner < 8 and flat.size >= 1 << 11:
+            halves = [(flat[j::2 * inner], flat[j + inner::2 * inner])
+                      for j in range(inner)]
+        else:
+            view = flat.reshape(-1, 2, inner)
+            halves = [(view[:, 0], view[:, 1])]
+        for a, b in halves:
+            a += b
+            b *= -2
+            b += a          # (a + b) - 2b = a - b
+        inner *= 2
     return mat
 
 
@@ -101,7 +170,7 @@ def walsh_matrix(f: FunctionTable) -> np.ndarray:
         raise ValueError(f"n = {n} beyond the supported resource guard")
     rows = 1 << n
     mat = np.zeros((rows, m), dtype=np.int64)
-    mat[np.arange(rows), np.fromiter(f.values, dtype=np.int64)] = 1
+    mat[np.arange(rows), f.array] = 1
     return _fwht_inplace(mat)
 
 
@@ -119,13 +188,12 @@ def _divide_content(f: FunctionTable):
     zeta_m^(l*v) = zeta_(m/l)^v.  An all-zero table is taken over Z_p for
     the least prime p dividing m, never over Z_1."""
     m = f.m
-    l = gcd(m, *f.values)
+    l = gcd(m, int(np.gcd.reduce(f.array)))
     if l == m:
         l = m // factorize(m)[0][0]
     if l == 1:
         return 1, f
-    return l, FunctionTable(GbfType(m // l, f.n),
-                            tuple(v // l for v in f.values))
+    return l, FunctionTable(GbfType(m // l, f.n), f.array // l)
 
 
 def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -175,11 +243,17 @@ def _root_powers(m: int, n: int):
     read-only."""
     roots = []
     for q, omega in _split_primes(m, n):
-        pw = np.ones(1, dtype=np.int64)
-        while len(pw) < m:
-            pw = np.concatenate([pw, pw * pow(omega, len(pw), q) % q])
+        pw = np.empty(m, dtype=np.int64)
+        pw[0] = 1
+        k = 1
+        while k < m:                # pw[k:2k] = omega^k pw[:k], in place
+            step = min(k, m - k)
+            out = pw[k:k + step]
+            np.multiply(pw[:step], pow(omega, k, q), out=out)
+            out %= q
+            k += step
         pw.setflags(write=False)
-        roots.append((q, pw[:m]))
+        roots.append((q, pw))
     units = np.flatnonzero(np.gcd(np.arange(m // 2 + 1), m) == 1)
     cols = np.concatenate([units, (m - units)[2 * units < m]])
     cols.setflags(write=False)
@@ -199,16 +273,40 @@ def _flat_rows(spec: np.ndarray, q: int, n: int) -> np.ndarray:
     return (low == (1 << n) % q).all(axis=0)
 
 
+# the signed coordinates of zeta^v, v in Z_m, in Z (m = 2) and Z[i] (m = 4)
+_UNIT_COORDS = {2: np.array([[1], [-1]], dtype=np.int32),
+                4: np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int32)}
+
+
 def _nonflat_rows(g: FunctionTable):
-    """For each prime of _split_primes(g.m, g.n) in turn, the first y whose
-    |W(y)|^2 differs from 2^n modulo that prime, or None.  Row y of the FWHT
-    of omega^(k f(x)) mod q holds W_k(y), for each k of cols; residues below
-    2^30 summed over at most 2^26 rows stay below 2^56."""
+    """The first y whose |W(y)|^2 differs from 2^n, or None, once per test.
+
+    At m = 2 or 4 there is one exact test: row y of the FWHT of the unit
+    coordinates of zeta^f(x) holds the coordinates of W(y).  Every partial
+    sum is at most 2^n <= 2^26 in absolute value, so the FWHT runs in int32,
+    and re^2 + im^2 <= 2 * 4^26 is summed in int64.  Otherwise there is one
+    test per prime of _split_primes(g.m, g.n): row y of the FWHT of
+    omega^(k f(x)) mod q holds W_k(y), for each k of cols; residues below
+    2^30 summed over at most 2^26 rows stay below 2^56.
+
+    Callers pass g alone, and it is dropped once gathered, so that a table
+    divided by its content is not held through the FWHT."""
     m, n = g.m, g.n
     if n > _MAX_N:
         raise ValueError(f"n = {n} beyond the supported resource guard")
+    if m in _UNIT_COORDS:
+        spec = _UNIT_COORDS[m][g.array]
+        del g
+        _fwht_inplace(spec)
+        norm = np.square(spec[:, 0], dtype=np.int64)
+        if m == 4:
+            norm += np.square(spec[:, 1], dtype=np.int64)
+        ok = norm == 1 << n
+        yield None if ok.all() else int(np.argmin(ok))
+        return
     cols, roots = _root_powers(m, n)
-    exps = np.multiply.outer(np.fromiter(g.values, np.int64), cols) % m
+    exps = np.multiply.outer(g.array, cols) % m
+    del g
     for q, pw in roots:
         ok = _flat_rows(_fwht_inplace(pw[exps]).T, q, n)
         yield None if ok.all() else int(np.argmin(ok))
@@ -223,14 +321,14 @@ def first_flat_violation(f: FunctionTable):
 
     The spectrum is tested at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so the verdict and the
-    failing y, the least over the primes, do not depend on l.  Only the
+    failing y, the least over the tests, do not depend on l.  Only the
     reported row is built at m, as one signed bincount."""
-    _, g = _divide_content(f)
-    y = min((y for y in _nonflat_rows(g) if y is not None), default=None)
+    tests = _nonflat_rows(_divide_content(f)[1])
+    y = min((y for y in tests if y is not None), default=None)
     if y is None:
         return None
     signs = np.where(np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
-    row = np.bincount(np.fromiter(f.values, np.int64), weights=signs,
+    row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
                       minlength=f.m).astype(np.int64)
     return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:phi_degree(f.m)]
 
@@ -238,18 +336,11 @@ def first_flat_violation(f: FunctionTable):
 def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided at the content modulus, with no report built at m; the first
-    prime that fails a row settles it."""
-    _, g = _divide_content(f)
-    return all(y is None for y in _nonflat_rows(g))
+    test that fails a row settles it."""
+    return all(y is None for y in _nonflat_rows(_divide_content(f)[1]))
 
 
 # -- constructions -----------------------------------------------------------
-
-
-def _value_dtype(bound: int):
-    """int64 for table arithmetic whose values stay below bound, else
-    Python integers (object arrays) so that no value wraps."""
-    return np.int64 if bound <= _INT64_SAFE else object
 
 
 def construct_boolean_bent(n: int) -> FunctionTable:
@@ -261,7 +352,7 @@ def construct_boolean_bent(n: int) -> FunctionTable:
     # bit 2k of i & (i >> 1) is x_(2k+1)*x_(2k+2); the mask keeps even bits
     pairs = i & (i >> 1) & (((1 << n) - 1) // 3)
     vals = np.bitwise_count(pairs) & 1
-    return FunctionTable(GbfType(2, n), tuple(vals.tolist()))
+    return FunctionTable(GbfType(2, n), vals.astype(np.int64))
 
 
 def construct_even_even(m: int, n: int, g=None, sigma=None,
@@ -293,12 +384,15 @@ def construct_even_even(m: int, n: int, g=None, sigma=None,
         raise ValueError(f"g must have {size} entries")
     if sorted(sigma) != list(range(size)):
         raise ValueError(f"sigma must be a permutation of 0..{size - 1}")
-    i = np.arange(1 << n)
-    x, y = i & (size - 1), i >> t
-    dot = np.bitwise_count(x & np.array(sigma)[y]) & 1
+    # row y, column x; index dtype as narrow as the coordinates allow
+    x = np.arange(size, dtype=np.min_scalar_type(size))
+    dot = np.bitwise_count(np.array(sigma, dtype=x.dtype)[:, None] & x) & 1
     dtype = _value_dtype(2 * m)
-    vals = (np.array(g, dtype=dtype)[y] + half * dot.astype(dtype)) % m
-    return FunctionTable(GbfType(m, n), tuple(vals.tolist()))
+    vals = dot.astype(dtype)
+    vals *= half
+    vals += np.array(g, dtype=dtype)[:, None]
+    vals %= m
+    return FunctionTable(GbfType(m, n), vals.reshape(-1))
 
 
 def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
@@ -312,11 +406,15 @@ def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
         raise ValueError("input table must have at least 2 variables")
     if not is_gbf(b):
         raise ValueError("input table must have a flat spectrum")
+    return _fold_mod4(b)
+
+
+def _fold_mod4(b: FunctionTable) -> FunctionTable:
+    """The folding of construct_mod4_from_bent without its checks, for a
+    caller that verifies the result itself."""
     half = 1 << (b.n - 1)
-    bits = np.array(b.values)
-    low, high = bits[:half], bits[half:]
-    vals = 2 * low + (low ^ high)
-    return FunctionTable(GbfType(4, b.n - 1), tuple(vals.tolist()))
+    low, high = b.array[:half], b.array[half:]
+    return FunctionTable(GbfType(4, b.n - 1), 2 * low + (low ^ high))
 
 
 def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
@@ -326,10 +424,10 @@ def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
         raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
     m = f.m
     dtype = _value_dtype(2 * m)
-    low = np.array(f.values, dtype=dtype)
-    high = np.array(g.values, dtype=dtype)
+    low = f.array.astype(dtype, copy=False)
+    high = g.array.astype(dtype, copy=False)
     vals = (high[:, None] + low[None, :]) % m        # row x', column x
-    return FunctionTable(GbfType(m, f.n + g.n), tuple(vals.ravel().tolist()))
+    return FunctionTable(GbfType(m, f.n + g.n), vals.reshape(-1))
 
 
 def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
@@ -339,5 +437,5 @@ def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
         raise ValueError("l must be >= 1")
     if l == 1:
         return f
-    vals = np.array(f.values, dtype=_value_dtype(l * f.m)) * l
-    return FunctionTable(GbfType(l * f.m, f.n), tuple(vals.tolist()))
+    vals = f.array.astype(_value_dtype(l * f.m), copy=False) * l
+    return FunctionTable(GbfType(l * f.m, f.n), vals)

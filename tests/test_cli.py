@@ -3,13 +3,14 @@
 import csv
 import gzip
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from gbflab import gbf
+from gbflab import criteria, gbf
 from gbflab.cli import main, verdict_to_dict
 from gbflab.criteria import decide, revalidate_report, report_from_dict
 from gbflab.gbf import GbfType
@@ -105,6 +106,20 @@ def test_verify_rejects_bad_files(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"m": true, "n": 1, "values": [0, 1]}', "m and n must be integers"),
+    ('{"m": 4, "n": true, "values": [0, 1]}', "m and n must be integers"),
+    ('{"m": 4, "n": 1, "values": [true, 0]}', "values must be a list of integers"),
+    ('{"m": 4, "n": 1, "values": [0, false]}', "values must be a list of integers"),
+])
+def test_verify_rejects_json_booleans(tmp_path, capsys, text, message):
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert err == f"cannot parse witness file: {message}\n"
+
+
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "2", "2")
     assert code == 0 and out.startswith("8 of 16")
@@ -184,8 +199,10 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 15.3 GiB")
 
-    # the flatness kernel behind both is_gbf and first_flat_violation
+    # the flatness kernel behind both is_gbf and first_flat_violation; decide
+    # reaches it only while its rule's base is not yet verified
     monkeypatch.setattr(gbf, "_nonflat_rows", exhausted)
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
     monkeypatch.chdir(tmp_path)
     for argv in (("decide", "8", "2"), ("verify", str(path))):
         code, out, err = run(capsys, *argv)
@@ -193,8 +210,8 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
         assert err == "error: out of memory: Unable to allocate 15.3 GiB\n"
 
 
-CERTIFICATES_GOLDEN = (Path(__file__).resolve().parents[1]
-                       / "bench" / "goldens" / "certificates.json.gz")
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+CERTIFICATES_GOLDEN = BENCH / "goldens" / "certificates.json.gz"
 
 
 def test_decide_json_matches_certificates_golden():
@@ -209,3 +226,39 @@ def test_decide_json_matches_certificates_golden():
                 m, n, decide(GbfType(m, n)))).encode()).hexdigest()[:8]
             for n in (1, 3, 5, 7, 9, 11))
         assert got == golden[key], m
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exists_witness_matches_bench_goldens(tmp_path, monkeypatch, capsys):
+    # decide --out (stdout, witness sha256) and verify of each exists-witness
+    # type, and verify of its seed-2 random table, as the goldens recorded
+    workloads = _bench_workloads()
+    golden = json.loads((BENCH / "goldens" / "goldens.json").read_text())
+    random_golden = golden["random"]["2"]
+    golden = golden["exists-witness"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".bench_work").mkdir()
+    for m, n in workloads.EXISTS_TYPES:
+        witness = f".bench_work/witness_{m}x{n}.json"
+        want = golden[f"decide {m} {n}"]
+        code, out, _ = run(capsys, "decide", str(m), str(n), "--out", witness)
+        assert (code, out) == (want["rc"], want["stdout"])
+        digest = hashlib.sha256((tmp_path / witness).read_bytes()).hexdigest()
+        assert digest == want["witness_sha256"], (m, n)
+
+        want = golden[f"verify {m} {n}"]
+        code, out, _ = run(capsys, "verify", witness)
+        assert (code, out) == (want["rc"], want["stdout"])
+
+        rnd = tmp_path / f"random_{m}x{n}.json"
+        rnd.write_text(json.dumps({"m": m, "n": n, "values":
+                                   workloads.random_table(2, m, n)}))
+        code, out, _ = run(capsys, "verify", str(rnd))
+        assert code == 1 and out == random_golden[f"verify-random {m} {n}"]

@@ -5,8 +5,11 @@ ring-element sums and test |W(y)|^2 through CycInt arithmetic only, then
 compare with the library verdict.
 """
 
+import dataclasses
 import random
+from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from gbflab import gbf
@@ -15,6 +18,10 @@ from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
                         construct_even_even, construct_mod4_from_bent,
                         direct_sum, first_flat_violation, is_gbf,
                         lift_modulus, table, walsh, walsh_matrix)
+
+# the old FunctionTable, a frozen dataclass over a tuple, for its semantics
+_TupleTable = dataclasses.make_dataclass(
+    "FunctionTable", [("gbf_type", GbfType), ("values", tuple)], frozen=True)
 
 
 def _walsh_by_definition(f):
@@ -206,6 +213,71 @@ def test_table_validation():
         GbfType(4, 0)
 
 
+# -- the FunctionTable contract -------------------------------------------------
+
+
+def test_function_table_equality_and_hash_as_tuple_table():
+    rng = random.Random(31)
+    tables = [_random_table(rng, m, n) for m, n in
+              ((2, 1), (3, 2), (4, 2), (4, 3), (12, 4), (2**62, 2))]
+    tables.append(lift_modulus(construct_boolean_bent(4), 2**62 + 1))
+    for f in tables:
+        old = _TupleTable(f.gbf_type, f.values)
+        assert type(f.values) is tuple
+        assert all(type(v) is int for v in f.values)
+        assert hash(f) == hash(old)
+        assert repr(f) == repr(old)
+        again = FunctionTable(f.gbf_type, np.array(list(f.values), dtype=object))
+        assert f == again and hash(f) == hash(again) and len({f, again}) == 1
+        assert f != FunctionTable(GbfType(f.m + 1, f.n), f.values)
+        bumped = list(f.values)
+        bumped[-1] = (bumped[-1] + 1) % f.m
+        assert f != FunctionTable(f.gbf_type, bumped)
+        assert f != f.values and f != old
+
+
+def test_function_table_array_is_read_only():
+    f = table(4, 2, [0, 1, 2, 3])
+    assert f.array.dtype == np.int64 and f.values == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        f.array[0] = 1
+    with pytest.raises(FrozenInstanceError):
+        f.values = (0, 0, 0, 0)
+    with pytest.raises(FrozenInstanceError):
+        f.array = np.zeros(4, dtype=np.int64)
+    # a numpy array passed in is frozen, not copied
+    mine = np.array([0, 1, 1, 0])
+    g = FunctionTable(GbfType(2, 2), mine)
+    with pytest.raises(ValueError, match="read-only"):
+        mine[0] = 1
+    assert g.values == (0, 1, 1, 0)
+
+
+def test_function_table_object_array_above_2_62():
+    base = construct_even_even(4, 4, seed=3)
+    for l in (2**60 + 1, 2**61, 2**70):
+        lifted = lift_modulus(base, l)
+        assert lifted.m == 4 * l
+        assert lifted.array.dtype == object
+        assert lifted.values == tuple(l * v for v in base.values)
+        assert all(type(v) is int for v in lifted.values)
+        assert is_gbf(lifted) and is_gbf(base)
+    # up to m = 2^62 the table is int64
+    assert lift_modulus(base, 2**60).array.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", [3, 2**62, 2**62 + 1, 2**70])
+def test_function_table_rejects_bad_length_and_range(m):
+    t = GbfType(m, 2)
+    with pytest.raises(ValueError, match="need 4 values, got 3"):
+        FunctionTable(t, (0, 1, 2))
+    with pytest.raises(ValueError, match="need 4 values, got 5"):
+        FunctionTable(t, [0] * 5)
+    for bad in (m, -1, m + 2**64, 2**200):
+        with pytest.raises(ValueError, match=f"values must lie in 0..{m - 1}"):
+            FunctionTable(t, (0, 1, 2, bad))
+
+
 # -- flatness at the content modulus -------------------------------------------
 
 
@@ -285,6 +357,104 @@ def test_is_gbf_builds_no_report_at_m():
     assert is_gbf(lift_modulus(table(2, 2, [0, 0, 0, 1]), 10**15))
 
 
+# -- the failing row against a brute-force referee ------------------------------
+
+
+def _referee_violation(f, spectrum):
+    """What first_flat_violation must return, from ring elements W(y) in
+    Z[zeta_m]: the first y with |W(y)|^2 != 2^n and its canonical
+    coefficients, or None."""
+    phi = phi_degree(f.m)
+    for y, w in enumerate(spectrum):
+        square = w.abs_square()
+        if square != 1 << f.n:
+            assert not any(square.coeffs[phi:])
+            return y, square.coeffs[:phi]
+    return None
+
+
+def _flat_at(c, n, rng):
+    """A flat table of type {c, n}, or None when no construction covers it."""
+    if c % 2 == 0 and n % 2 == 0:
+        return construct_even_even(c, n, seed=rng.randrange(999))
+    if c == 4:
+        return construct_mod4_from_bent(construct_boolean_bent(n + 1))
+    return None
+
+
+def _swapped(f, rng):
+    """f with two different entries exchanged: W(0) is unchanged, so a
+    failure, if any, is at a later row."""
+    values = list(f.values)
+    i = rng.randrange(len(values))
+    j = rng.choice([j for j, v in enumerate(values) if v != values[i]])
+    values[i], values[j] = values[j], values[i]
+    return FunctionTable(f.gbf_type, values)
+
+
+def _content_tables(rng, c, n):
+    """Seeded tables of content modulus c: random, flat and swapped flat,
+    lifted by l = 2, 3, 5, 1, 2 at n = 1..5, so that m = c * l."""
+    random_c = list(_random_table(rng, c, n).values)
+    random_c[1] = 1                         # content 1 at modulus c
+    out = [table(c, n, random_c)]
+    flat = _flat_at(c, n, rng)
+    if flat is not None:
+        out += [flat, _swapped(flat, rng)]
+    return [lift_modulus(f, (1, 2, 3, 5)[n % 4]) for f in out]
+
+
+@pytest.mark.parametrize("c", range(2, 13))
+def test_failing_row_matches_referee_at_each_content_modulus(c):
+    rng = random.Random(100 + c)
+    verdicts = set()
+    for n in range(1, 6):
+        for f in _content_tables(rng, c, n):
+            want = _referee_violation(f, _walsh_by_definition(f))
+            assert first_flat_violation(f) == want, (f.gbf_type, c)
+            assert is_gbf(f) == (want is None)
+            verdicts.add(want is None)
+    assert verdicts == ({False, True} if c % 2 == 0 else {False})
+
+
+def _first_violation_by_walsh_matrix(f, c):
+    """The same referee for a table whose values are multiples of l = m/c,
+    c = 2 or 4, with W(y) read off the exact walsh_matrix rows: since
+    zeta_m^(l u) = zeta_c^u, W(y) is row[0] - row[l] at c = 2, and has
+    coordinates row[0] - row[2l] and row[l] - row[3l] at c = 4."""
+    mat, l = walsh_matrix(f), f.m // c
+    if c == 2:
+        norm = (mat[:, 0] - mat[:, l]) ** 2
+    else:
+        norm = (mat[:, 0] - mat[:, 2 * l]) ** 2 + (mat[:, l] - mat[:, 3 * l]) ** 2
+    bad = np.flatnonzero(norm != 1 << f.n)
+    if not len(bad):
+        return None
+    y = int(bad[0])
+    return _referee_violation(f, [CycInt(f.m, row) for row in
+                                  mat[:y + 1].tolist()])
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_failing_row_matches_walsh_matrix_at_content_2_and_4(n):
+    rng = random.Random(n)
+    tables = [(_random_table(rng, 2, n), 2), (_random_table(rng, 4, n), 4)]
+    for c in (2, 4):
+        flat = _flat_at(c, n, rng)
+        if flat is not None:
+            tables += [(flat, c), (_swapped(flat, rng), c),
+                       (lift_modulus(_swapped(flat, rng), 3), c)]
+    if n % 2 == 0:
+        tables.append((construct_boolean_bent(n), 2))
+    later_rows = 0
+    for f, c in tables:
+        want = _first_violation_by_walsh_matrix(f, c)
+        assert first_flat_violation(f) == want, f.gbf_type
+        assert is_gbf(f) == (want is None)
+        later_rows += want is not None and want[0] > 0
+    assert later_rows
+
+
 # -- the split primes of the exact flatness check ------------------------------
 
 # p near 2^29 whose one prime q = 1 (mod p) below 2^30 is 2p + 1; no
@@ -316,6 +486,19 @@ def test_split_primes(m, n):
     assert product > 4 ** n
     assert len(primes) == (1 if n <= 14 else 2)
     assert m < NEAR_2_29 or n == 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 12, 97, 210, 3162])
+def test_root_powers_own_exactly_m_entries(m):
+    gbf._root_powers.cache_clear()
+    for n in (1, 16):
+        cols, roots = gbf._root_powers(m, n)
+        assert len(roots) == len(gbf._split_primes(m, n))
+        for (q, pw), (_, omega) in zip(roots, gbf._split_primes(m, n)):
+            assert pw.base is None and pw.shape == (m,) and pw.nbytes == 8 * m
+            assert not pw.flags.writeable
+            assert pw.tolist() == [pow(omega, j, q) for j in range(m)]
+        assert not cols.flags.writeable
 
 
 def test_split_primes_refuse_modulus_limit():
