@@ -2,10 +2,10 @@
 
 Every flat table among the m^(2^n) is counted exactly; counts are ground
 truth the engine's verdicts are checked against.  Since f and f + c are
-flat together, only the tables with f(2^n - 1) = 0 are tested, and the
-enumeration updates their spectrum incrementally along an odometer and
-batches the fastest digits, so the 5.7 million tables of {7,3} take about
-a second.
+flat together, only the tables with f(2^n - 1) = 0 are tested.  Each is
+a block of fast digits plus a block of slow ones, its spectrum the sum of
+theirs minus the zero table's, so the 5.7 million tables of {7,3} are
+tested as one numpy batch per slow block, in well under a second.
 """
 
 import time

@@ -72,12 +72,13 @@ def poly_divmod_exact(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     if len(rem) <= dd:
         return IntPoly(()), IntPoly.make(rem)
     quot = [0] * (len(rem) - dd)
+    terms = [(i, d) for i, d in enumerate(den.coeffs[:-1]) if d]
     for top in range(len(rem) - 1, dd - 1, -1):
         c = rem[top]
         if c:
             quot[top - dd] = c
-            for i in range(dd + 1):
-                rem[top - dd + i] -= c * den.coeffs[i]
+            for i, d in terms:
+                rem[top - dd + i] -= c * d
     return IntPoly.make(quot), IntPoly.make(rem[:dd])
 
 
@@ -234,15 +235,8 @@ class CycInt:
         obtained by exact remainder modulo the m-th cyclotomic polynomial.
         Idempotent; canonical forms agree exactly when the ring elements do."""
         m = self.modulus
-        rows = reduction_rows(m)
-        phi = len(rows[0])
-        acc = [0] * phi
-        for j, a in enumerate(self.coeffs):
-            if a:
-                row = rows[j]
-                for i in range(phi):
-                    acc[i] += a * row[i]
-        return CycInt(m, tuple(acc) + (0,) * (m - phi))
+        rem = poly_divmod_exact(IntPoly.make(self.coeffs), cyclotomic_poly(m))[1]
+        return CycInt(m, rem.coeffs + (0,) * (m - len(rem.coeffs)))
 
     def abs_square(self) -> "CycInt":
         """The squared complex absolute value alpha * conj(alpha), in

@@ -10,13 +10,14 @@ A table holds its 2^n residues as one read-only numpy array: int64, or
 Python integers (an object array) when m > 2^62.  Every layer works on that
 array; the tuple ``values`` is built only when asked for.
 
-Flatness is decided at the content modulus m/l, l = gcd(m, values), by one
-exact check.  At content modulus 2 or 4, Z[zeta] is Z or Z[i]: the signed
-unit coordinates of zeta^f(x) go into 1 or 2 int32 columns, one FWHT gives
-every W(y) exactly (its coordinates are at most 2^n), and re^2 + im^2 = 2^n
-is tested directly in int64, with no prime.  Every other modulus is tested
-at the m-th roots of unity of F_q for the split primes q of _split_primes.
-The witnesses of rules E1, E2 and E3 all reduce to content modulus 2 or 4.
+One batched kernel decides flatness: _spectra yields the spectra of a
+(2^n, batch) array of tables, one per exact test, and _flat where they are
+flat.  At modulus 2 or 4, Z[zeta] is Z or Z[i]: one int32 FWHT of the
+signed unit coordinates of zeta^f(x) gives every W(y) exactly, with no
+prime.  Every other modulus is tested at the m-th roots of unity of F_q for
+the split primes q of _split_primes.  is_gbf and first_flat_violation test
+one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
+for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 """
 
 from __future__ import annotations
@@ -260,55 +261,61 @@ def _root_powers(m: int, n: int):
     return cols, tuple(roots)
 
 
-def _flat_rows(spec: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Which rows of a residue spectrum (cols, ...), first axis laid out as
-    the cols of _root_powers, have W_k W_(m-k) = 2^n (mod q) at every unit
-    k <= m/2: a bool array over the trailing axes.  Overwrites spec, and
-    takes x mod q as x - x // q * q, several times faster in numpy; products
-    of residues stay below q^2 < 2^60."""
-    spec -= spec // q * q
-    low = spec[:(len(spec) + 1) // 2]
-    low *= spec[-len(low):]
-    low -= low // q * q
-    return (low == (1 << n) % q).all(axis=0)
-
-
 # the signed coordinates of zeta^v, v in Z_m, in Z (m = 2) and Z[i] (m = 4)
 _UNIT_COORDS = {2: np.array([[1], [-1]], dtype=np.int32),
                 4: np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int32)}
 
 
-def _nonflat_rows(g: FunctionTable):
-    """The first y whose |W(y)|^2 differs from 2^n, or None, once per test.
-
-    At m = 2 or 4 there is one exact test: row y of the FWHT of the unit
-    coordinates of zeta^f(x) holds the coordinates of W(y).  Every partial
-    sum is at most 2^n <= 2^26 in absolute value, so the FWHT runs in int32,
-    and re^2 + im^2 <= 2 * 4^26 is summed in int64.  Otherwise there is one
-    test per prime of _split_primes(g.m, g.n): row y of the FWHT of
-    omega^(k f(x)) mod q holds W_k(y), for each k of cols; residues below
-    2^30 summed over at most 2^26 rows stay below 2^56.
-
-    Callers pass g alone, and it is dropped once gathered, so that a table
-    divided by its content is not held through the FWHT."""
-    m, n = g.m, g.n
+def _spectra(tables: np.ndarray, m: int, n: int):
+    """(test, spec) for each exact test of a (2^n, batch) array of
+    modulus-m tables, one per column; spec is (unit column, y, table), and
+    linear in the terms zeta^f(x).  At m = 2 or 4 the one test is None, and
+    the unit columns are the coordinates of W(y) in Z or Z[i]: partial sums
+    are at most 2^n <= 2^26, so the FWHT runs in int32.  Otherwise test is
+    each prime q of _split_primes(m, n), and column k holds W_k(y) mod q
+    for each k of the cols of _root_powers: residues below 2^30 summed over
+    2^26 rows stay below 2^56.  tables is dropped once gathered."""
     if n > _MAX_N:
         raise ValueError(f"n = {n} beyond the supported resource guard")
     if m in _UNIT_COORDS:
-        spec = _UNIT_COORDS[m][g.array]
-        del g
-        _fwht_inplace(spec)
-        norm = np.square(spec[:, 0], dtype=np.int64)
-        if m == 4:
-            norm += np.square(spec[:, 1], dtype=np.int64)
-        ok = norm == 1 << n
-        yield None if ok.all() else int(np.argmin(ok))
+        spec = _UNIT_COORDS[m][tables]
+        del tables
+        yield None, _fwht_inplace(spec).transpose(2, 0, 1)
         return
     cols, roots = _root_powers(m, n)
-    exps = np.multiply.outer(g.array, cols) % m
-    del g
+    exps = np.multiply.outer(tables, cols) % m
+    del tables
     for q, pw in roots:
-        ok = _flat_rows(_fwht_inplace(pw[exps]).T, q, n)
+        yield q, _fwht_inplace(pw[exps]).transpose(2, 0, 1)
+
+
+def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
+    """The (2^n, batch) mask of |W(y)|^2 = 2^n for a (test, spec) of
+    _spectra: re^2 + im^2 in int64, or W_k W_(m-k) = 2^n (mod q) at each
+    unit k <= m/2, overwriting spec.  x mod q is x - x // q * q, several
+    times faster in numpy; products of residues stay below q^2 < 2^60."""
+    if test is None:
+        norm = np.square(spec[0], dtype=np.int64)
+        if len(spec) == 2:
+            norm += np.square(spec[1], dtype=np.int64)
+        return norm == 1 << n
+    spec -= spec // test * test
+    low = spec[:(len(spec) + 1) // 2]
+    low *= spec[-len(low):]
+    low -= low // test * test
+    return (low == (1 << n) % test).all(axis=0)
+
+
+def _nonflat_rows(g: FunctionTable):
+    """The first y whose |W(y)|^2 differs from 2^n, or None, once per test
+    of _spectra on g as a batch of one.  Callers pass g alone: it is dropped
+    here, so a table divided by its content is not held through the FWHT."""
+    n = g.n
+    spectra = _spectra(g.array[:, None], g.m, n)
+    del g
+    for test, spec in spectra:
+        ok = _flat(test, spec, n)[:, 0]
+        del spec
         yield None if ok.all() else int(np.argmin(ok))
         if not ok[0]:
             return              # no later prime can report an earlier row
@@ -322,11 +329,15 @@ def first_flat_violation(f: FunctionTable):
     The spectrum is tested at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so the verdict and the
     failing y, the least over the tests, do not depend on l.  Only the
-    reported row is built at m, as one signed bincount."""
+    reported row is built at m, as one signed bincount, and so is refused
+    for m at or above 2^30."""
     tests = _nonflat_rows(_divide_content(f)[1])
     y = min((y for y in tests if y is not None), default=None)
     if y is None:
         return None
+    if f.m >= _Q_LIMIT:
+        raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
+                         f"coefficients, not below 2^30 = {_Q_LIMIT}")
     signs = np.where(np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
     row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
                       minlength=f.m).astype(np.int64)

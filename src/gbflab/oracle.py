@@ -7,11 +7,12 @@ multiplies every W(y) by zeta^c, so f and f + c are flat together: each
 flat table is g + c for exactly one flat g with g(2^n - 1) = 0.  Only those
 tables are tested, and the count is m times theirs.  They are the first
 m^(2^n - 1) readings of the full odometer, so the enumeration walks them in
-the same order.  The spectra are gbf's residue spectra, W(y) at the m-th
-roots of unity of F_q for its split primes q, tested by its exact flatness
-check.  Each step changes one table entry x, which adds (-1)^(x.y) times
-the change of its term to row y; a block of the fastest-varying digits is
-evaluated as one numpy batch.
+the same order.  Each is the sum of a fast block, its b fastest digits,
+and a slow block, the other free digits.  W is linear in the terms
+zeta^f(x), so its spectrum is the sum of the two blocks' spectra minus the
+zero table's.  gbf's batched kernel gives every fast block's spectrum once,
+the slow blocks' a batch at a time, and its flatness check tests every fast
+block against one slow block as one numpy batch.
 
 Witnesses are the first hits of the full odometer order.  When the tables
 with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
@@ -26,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gbf import (FunctionTable, GbfType, _flat_rows, _fwht_inplace,
-                  _root_powers, is_gbf)
+from .gbf import FunctionTable, GbfType, _flat, _spectra, is_gbf
 
 DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
@@ -41,11 +41,12 @@ class OracleResult:
     witnesses: list = field(default_factory=list)
 
 
-def _decode(index: int, m: int, width: int) -> list[int]:
-    digits = []
-    for _ in range(width):
-        digits.append(index % m)
-        index //= m
+def _odometer(m: int, readings, width: int) -> np.ndarray:
+    """The digits of odometer readings over Z_m, digit 0 the fastest, as
+    a (width, len(readings)) int64 array: one table per column."""
+    digits = np.empty((width, len(readings)), dtype=np.int64)
+    for row in digits:
+        readings, row[:] = np.divmod(readings, m)
     return digits
 
 
@@ -67,53 +68,40 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
             f"enumeration of {t} has m^(2^n) = {total} candidates, above "
             f"the budget {budget}; pass budget >= {total}")
 
-    cols, roots = _root_powers(m, n)
-    # powers[p, j, v] = omega^(cols[j] * v) mod q for the p-th split prime
-    powers = np.stack([pw[np.multiply.outer(cols, np.arange(m)) % m]
-                       for _, pw in roots])
-    sgn = _fwht_inplace(np.eye(rows, dtype=np.int64))  # (-1)^(x.y) at x, y
-
-    # f(rows-1) stays 0: batch the b fastest of the free digits, the rest
-    # of them advance by odometer
+    # f(rows-1) stays 0: the fast block is the b fastest of the free
+    # digits, the slow block the others, read in batches
     free = rows - 1
     b = 1
     while b < free and m ** (b + 1) <= _BATCH_TARGET:
         b += 1
     nb = m ** b
-    delta = np.zeros((len(roots), len(cols), nb, rows), dtype=np.int64)
-    for pos in range(b):
-        digit = (np.arange(nb) // m ** pos) % m
-        delta += powers[:, :, digit, None] * sgn[pos]
-
-    # every other digit is 0, and omega^0 = 1
-    spectrum = powers[:, :, :1] * sgn[b:].sum(axis=0)
+    slow_total = m ** (free - b)
+    # the kernel refuses an unsupported m here, before any block is built
+    zero = [spec for _, spec in _spectra(np.zeros((rows, 1), np.int64), m, n)]
+    fast_tables = _odometer(m, range(nb), rows)
+    fast = [(test, np.ascontiguousarray(spec))
+            for test, spec in _spectra(fast_tables, m, n)]
+    # one reused sum per test: a fresh one each step refaults its pages
+    bufs = [np.empty_like(spec) for _, spec in fast]
 
     count = 0
     witnesses: list[FunctionTable] = []
-    digits = [0] * (rows - b)      # the last one, f(rows-1), never moves
-    while True:
-        ok = np.all([_flat_rows(s[:, None] + d, q, n) for (q, _), s, d
-                     in zip(roots, spectrum, delta)], axis=(0, 2))
-        hits = int(ok.sum())
-        if hits:
+    for start in range(0, slow_total, _BATCH_TARGET):
+        readings = np.arange(start, min(start + _BATCH_TARGET, slow_total))
+        slow_tables = _odometer(m, readings * nb, rows)
+        slow = [spec - z for (_, spec), z
+                in zip(_spectra(slow_tables, m, n), zero)]
+        for j in range(len(readings)):
+            ok = np.all([_flat(test, np.add(spec, s[..., j, None], out=buf), n)
+                         for (test, spec), s, buf in zip(fast, slow, bufs)],
+                        axis=(0, 1))
+            hits = int(ok.sum())
+            if not hits:
+                continue
             count += hits
-            if len(witnesses) < max_witnesses:
-                for vidx in np.flatnonzero(ok):
-                    values = _decode(int(vidx), m, b) + digits
-                    witnesses.append(FunctionTable(t, tuple(values)))
-                    if len(witnesses) == max_witnesses:
-                        break
-        # advance the prefix odometer, updating the spectra by the changed term
-        j = 0
-        while j < free - b:
-            pos, old = b + j, digits[j]
-            new = digits[j] = (old + 1) % m
-            spectrum += (powers[..., [new]] - powers[..., [old]]) * sgn[pos]
-            if new:
-                break
-            j += 1
-        else:
-            break
+            for v in np.flatnonzero(ok)[:max_witnesses - len(witnesses)]:
+                witnesses.append(FunctionTable(
+                    t, fast_tables[:, v] + slow_tables[:, j]))
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
     # the hits with f(rows-1) = c are them plus c, next in odometer order
@@ -144,8 +132,8 @@ def spot_check(t: GbfType, samples: int, seed=0):
     total = m ** rows
     out = []
     if total <= samples:
-        for index in range(total):
-            ft = FunctionTable(t, tuple(_decode(index, m, rows)))
+        for values in _odometer(m, range(total), rows).T:
+            ft = FunctionTable(t, values)
             out.append((ft, is_gbf(ft)))
         return out
     rng = random.Random(seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gbflab import criteria, gbf
+from gbflab import criteria, gbf, oracle
 from gbflab.cli import main, verdict_to_dict
 from gbflab.criteria import decide, revalidate_report, report_from_dict
 from gbflab.gbf import GbfType
@@ -192,6 +192,22 @@ def test_decide_large_lifted_modulus(tmp_path, capsys):
     assert code == 0 and out.startswith("OK")
 
 
+def test_verify_refuses_report_at_huge_modulus(tmp_path, capsys):
+    # content modulus 2: [0, 1] is not flat, and its report at m would need
+    # m coefficients; a flat table at the same m still verifies
+    path = tmp_path / "w.json"
+    for m, values in ((2**63, [0, 2**62]), (2**31, [0, 2**30])):
+        path.write_text(json.dumps({"m": m, "n": 1, "values": values}))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 3 and out == ""
+        assert err == (f"error: not flat at y=0; its report needs m = {m} "
+                       f"coefficients, not below 2^30 = {2**30}\n")
+    path.write_text(json.dumps({"m": 2**63, "n": 2,
+                                "values": [0, 0, 0, 2**62]}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.startswith("OK: flat spectrum")
+
+
 def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     path = tmp_path / "w.json"
     path.write_text('{"m": 4, "n": 1, "values": [0, 1]}')
@@ -199,12 +215,14 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 15.3 GiB")
 
-    # the flatness kernel behind both is_gbf and first_flat_violation; decide
-    # reaches it only while its rule's base is not yet verified
-    monkeypatch.setattr(gbf, "_nonflat_rows", exhausted)
+    # the one flatness kernel behind is_gbf, first_flat_violation and the
+    # oracle; decide reaches it only while its rule's base is not yet verified
+    monkeypatch.setattr(gbf, "_spectra", exhausted)
+    monkeypatch.setattr(oracle, "_spectra", exhausted)
     monkeypatch.setattr(criteria, "_FLAT_BASES", set())
     monkeypatch.chdir(tmp_path)
-    for argv in (("decide", "8", "2"), ("verify", str(path))):
+    for argv in (("decide", "8", "2"), ("verify", str(path)),
+                 ("oracle", "8", "1")):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == "error: out of memory: Unable to allocate 15.3 GiB\n"

@@ -204,6 +204,22 @@ def test_as_integer():
     assert zeta_pow(5, 1).as_integer() is None
 
 
+def test_canonical_matches_reduction_rows():
+    # row j of reduction_rows(m) is zeta^j in canonical form, so the
+    # canonical form is the sum of the rows weighted by the coefficients
+    rng = random.Random(29)
+    for m in range(1, 61):
+        rows = reduction_rows(m)
+        phi = phi_degree(m)
+        for _ in range(3):
+            coeffs = [rng.randrange(-50, 51) if rng.random() < 0.5 else 0
+                      for _ in range(m)]
+            want = [sum(a * row[i] for a, row in zip(coeffs, rows))
+                    for i in range(phi)]
+            assert CycInt(m, coeffs).canonical().coeffs == \
+                tuple(want) + (0,) * (m - phi), m
+
+
 def test_reduction_rows_shape():
     for m in (1, 2, 9, 12):
         rows = reduction_rows(m)

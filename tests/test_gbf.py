@@ -455,6 +455,58 @@ def test_failing_row_matches_walsh_matrix_at_content_2_and_4(n):
     assert later_rows
 
 
+# -- the batched kernel ---------------------------------------------------------
+
+
+def _kernel_batch(rng, m, n):
+    """Seeded tables of type {m, n}: three random ones, and a flat and a
+    swapped flat one when a construction at m, or at 4 or 2 lifted to m,
+    covers the type."""
+    tables = [_random_table(rng, m, n) for _ in range(3)]
+    for c in (m, 4, 2):
+        flat = _flat_at(c, n, rng) if m % c == 0 else None
+        if flat is not None:
+            flat = lift_modulus(flat, m // c)
+            return tables + [flat, _swapped(flat, rng)]
+    return tables
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
+def test_batched_kernel_matches_per_table_checks(m):
+    rng = random.Random(200 + m)
+    verdicts = set()
+    for n in range(1, 6):
+        batch = _kernel_batch(rng, m, n)
+        tables = np.stack([f.array for f in batch], axis=1)
+        ok = np.all([gbf._flat(test, spec, n)
+                     for test, spec in gbf._spectra(tables, m, n)], axis=0)
+        assert ok.shape == (1 << n, len(batch))
+        for f, rows in zip(batch, ok.T):
+            bad = first_flat_violation(f)
+            assert bool(rows.all()) == is_gbf(f) == (bad is None)
+            if bad is not None:
+                assert int(np.argmin(rows)) == bad[0]
+            verdicts.add(bad is None)
+    assert verdicts == ({False, True} if m % 2 == 0 else {False})
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
+def test_spectra_add_over_disjoint_supports(m):
+    # the identity the oracle rests on: a table made of two blocks of
+    # disjoint support has the sum of their spectra minus the zero table's
+    rng = random.Random(300 + m)
+    for n in range(1, 6):
+        rows = 1 << n
+        values = np.array([rng.randrange(m) for _ in range(rows)])
+        support = np.array([rng.random() < 0.5 for _ in range(rows)])
+        a, b = np.where(support, values, 0), np.where(support, 0, values)
+        zero = np.zeros(rows, dtype=np.int64)
+        for test, spec in gbf._spectra(np.stack([a, b, zero, values], 1),
+                                       m, n):
+            sa, sb, s0, whole = np.moveaxis(spec, -1, 0)
+            assert np.array_equal(sa + sb - s0, whole), (n, test)
+
+
 # -- the split primes of the exact flatness check ------------------------------
 
 # p near 2^29 whose one prime q = 1 (mod p) below 2^30 is 2p + 1; no

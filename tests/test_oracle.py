@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gbflab import cli
+from gbflab import cli, oracle
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, table
 from gbflab.oracle import enumerate_gbfs, spot_check
@@ -67,6 +67,18 @@ CENSUS_CASES = [(2, 2, 4), (3, 1, 4), (4, 1, 4), (6, 1, 4), (5, 1, 4),
 def test_enumerate_matches_independent_census(m, n, max_witnesses):
     res = enumerate_gbfs(GbfType(m, n), max_witnesses=max_witnesses)
     count, total, witnesses = _brute_census(m, n, max_witnesses)
+    assert res.gbf_count == count and res.total_candidates == total
+    assert [w.values for w in res.witnesses] == witnesses
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3)])
+def test_enumerate_matches_census_across_slow_batches(m, n, monkeypatch):
+    # a batch target of 4 leaves a slow block of several readings, read in
+    # more than one batch, where the default keeps every one of these types
+    # in a single fast block
+    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    res = enumerate_gbfs(GbfType(m, n), max_witnesses=5)
+    count, total, witnesses = _brute_census(m, n, 5)
     assert res.gbf_count == count and res.total_candidates == total
     assert [w.values for w in res.witnesses] == witnesses
 
