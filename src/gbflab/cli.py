@@ -20,9 +20,8 @@ import sys
 import numpy as np
 
 from . import criteria, numtheory as nt, oracle as oracle_mod
-from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, CriterionReport, Verdict,
-                       decide, describe_rule, report_from_dict, rule_exists,
-                       summarize_report)
+from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
+                       describe_rule, rule_exists, summarize_report)
 from .gbf import FunctionTable, GbfType, first_flat_violation, is_gbf
 
 EXIT_EXISTS = 0
@@ -230,16 +229,13 @@ def table_rp_rows():
 
 
 def table_p7_rows():
-    """(p, s, h, r) for the eleven reference primes p = 7 (mod 8): s from the
-    order of 2, the class number h of Q(sqrt(-p)), and the least odd r with
-    x^2 + p*y^2 = 2^(r+2) solvable."""
+    """(p, s, h, r) for the eleven reference primes p = 7 (mod 8), as C3
+    records them for {2p, 1}: s from the order of 2, the class number h of
+    Q(sqrt(-p)), and the least odd r with x^2 + p*y^2 = 2^(r+2) solvable."""
     out = []
     for p in P7_PRIMES:
-        f = nt.mult_order_2(p)
-        s = (p - 1) // f // 2
-        h = nt.class_number(p)
-        sol = nt.min_odd_r(p, bound=h)
-        out.append((p, s, h, sol.r))
+        q = criteria.crit_p7(GbfType(2 * p, 1)).quantities
+        out.append((p, q["s"], q["class_number"]["h"], q["r"]))
     return out
 
 

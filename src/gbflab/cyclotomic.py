@@ -2,14 +2,20 @@
 
 An element is held as a length-m integer coefficient vector on the powers
 1, zeta, ..., zeta^(m-1); products are cyclic convolutions modulo x^m - 1 and
-reduction modulo the m-th cyclotomic polynomial happens only at comparison
-points (``canonical``).  Coefficients are arbitrary-precision integers, so
-character sums of 2^n roots of unity and their products never overflow or
-round.
+reduction modulo the m-th cyclotomic polynomial Phi_m happens only at
+comparison points (``canonical``).  Coefficients are Python integers, so
+nothing overflows or rounds.
 
-Values are immutable after construction and every operation is a pure
-function, so instances may be shared freely across threads.  The memo tables
-for cyclotomic polynomials and reduction rows sit behind ``lru_cache``.
+All reduction multiplies or exactly divides by binomials x^d - 1: with
+Psi_m = (x^m - 1)/Phi_m, the product over e > 1 dividing rad(m) of
+(x^(m/e) - 1)^(-mu(e)), Phi_m is (x^m - 1)/Psi_m and the canonical form of
+a is ((a*Psi_m) mod (x^m - 1))/Psi_m.  That is at most 2^omega(m) - 1
+binomials (511 for m < 2^30), each one pass over a numpy object array, so a
+reduction costs O(2^omega(m) * m) integer operations.
+
+Values are immutable and every operation is pure, so instances may be shared
+across threads.  ``lru_cache`` holds, per m, the binomial exponents of
+Psi_m, Phi_m and the reduction rows.
 """
 
 from __future__ import annotations
@@ -18,6 +24,10 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
+
+from .numtheory import factorize
 
 
 @dataclass(frozen=True)
@@ -45,70 +55,57 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if not self.coeffs or not other.coeffs:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly.make(out)
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+@lru_cache(maxsize=None)
+def _psi_binomials(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, down): Psi_m is prod(x^d - 1 for d in up) / prod(... in down),
+    with d = m/e for squarefree e > 1 dividing m, in up when mu(e) = -1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    odd, even = [], [1]
+    for p, _ in factorize(m) if m > 1 else ():
+        odd, even = odd + [e * p for e in even], even + [e * p for e in odd]
+    return tuple(m // e for e in odd), tuple(m // e for e in even[1:])
 
 
-def poly_divmod_exact(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder over Z.  The divisor must be monic, which keeps
-    every intermediate coefficient an integer."""
-    if den.degree < 0 or den.coeffs[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num.coeffs)
-    dd = den.degree
-    if len(rem) <= dd:
-        return IntPoly(()), IntPoly.make(rem)
-    quot = [0] * (len(rem) - dd)
-    terms = [(i, d) for i, d in enumerate(den.coeffs[:-1]) if d]
-    for top in range(len(rem) - 1, dd - 1, -1):
-        c = rem[top]
-        if c:
-            quot[top - dd] = c
-            for i, d in terms:
-                rem[top - dd + i] -= c * d
-    return IntPoly.make(quot), IntPoly.make(rem[:dd])
+def _binomials(a: np.ndarray, mul, div) -> np.ndarray:
+    """a times x^d - 1 for each d in mul, then divided exactly by x^d - 1 for
+    each d in div: coefficient i of a/(x^d - 1) is minus the sum of a_j over
+    j <= i, j = i (mod d), and those sums past its degree are the remainder."""
+    for d in mul:
+        grown = np.zeros(len(a) + d, dtype=object)
+        grown[d:] = a
+        grown[:len(a)] -= a
+        a = grown
+    for d in div:
+        rows = -(-len(a) // d)
+        sums = np.zeros(rows * d, dtype=object)
+        sums[:len(a)] = a
+        sums = np.cumsum(sums.reshape(rows, d), axis=0).reshape(-1)
+        cut = max(len(a) - d, 0)
+        if sums[cut:len(a)].any():
+            raise AssertionError(f"division by x^{d} - 1 must be exact")
+        a = -sums[:cut]
+    return a
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial.
-
-    Computed by exact division of x^m - 1 by the product of the cyclotomic
-    polynomials of the proper divisors of m, entirely over Z.  The degree is
-    Euler's phi(m).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return IntPoly((-1, 1))
-    num = IntPoly.make([-1] + [0] * (m - 1) + [1])
-    den = IntPoly((1,))
-    for d in range(1, m):
-        if m % d == 0:
-            den = den * cyclotomic_poly(d)
-    quot, rem = poly_divmod_exact(num, den)
-    if rem.coeffs:
-        raise AssertionError("division by divisor cyclotomics must be exact")
-    return quot
+    """The m-th cyclotomic polynomial, (x^m - 1)/Psi_m, entirely over Z: the
+    denominator binomials of Psi_m multiply x^m - 1 before the numerator
+    ones divide it, so every division is exact.  The degree is Euler's
+    phi(m)."""
+    up, down = _psi_binomials(m)
+    a = np.zeros(m + 1, dtype=object)
+    a[0], a[m] = -1, 1
+    return IntPoly.make(_binomials(a, down, up).tolist())
 
 
 def phi_degree(m: int) -> int:
     """Euler's totient of m, read off as the degree of the m-th cyclotomic
-    polynomial."""
-    return cyclotomic_poly(m).degree
+    polynomial, m - deg Psi_m."""
+    up, down = _psi_binomials(m)
+    return m - sum(up) + sum(down)
 
 
 @lru_cache(maxsize=None)
@@ -226,17 +223,19 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation, zeta -> zeta^(-1).  Identity for m <= 2."""
-        if self.modulus <= 2:
-            return self
         return self.galois(self.modulus - 1)
 
     def canonical(self) -> "CycInt":
-        """The unique representative supported on indices 0..phi(m)-1,
-        obtained by exact remainder modulo the m-th cyclotomic polynomial.
-        Idempotent; canonical forms agree exactly when the ring elements do."""
+        """The unique representative supported on indices 0..phi(m)-1, the
+        remainder r of a modulo Phi_m: a = q*Phi_m + r gives a*Psi_m =
+        q*(x^m - 1) + r*Psi_m with deg(r*Psi_m) < m.  Idempotent; canonical
+        forms agree exactly when the ring elements do."""
         m = self.modulus
-        rem = poly_divmod_exact(IntPoly.make(self.coeffs), cyclotomic_poly(m))[1]
-        return CycInt(m, rem.coeffs + (0,) * (m - len(rem.coeffs)))
+        up, down = _psi_binomials(m)
+        a = _binomials(np.array(self.coeffs, dtype=object), up, down)
+        a[:len(a) - m] += a[m:]          # deg(a*Psi_m) < 2m - 1
+        r = _binomials(a[:m], down, up).tolist()
+        return CycInt(m, r + [0] * (m - len(r)))
 
     def abs_square(self) -> "CycInt":
         """The squared complex absolute value alpha * conj(alpha), in

@@ -183,18 +183,15 @@ def walsh(f: FunctionTable) -> WalshSpectrum:
                          tuple(CycInt(m, row) for row in mat.tolist()))
 
 
-def _divide_content(f: FunctionTable):
-    """(l, f/l): l = gcd(m, values), and f/l the table of the quotients v/l
-    over Z_(m/l).  Both have the same Walsh values as complex numbers, since
-    zeta_m^(l*v) = zeta_(m/l)^v.  An all-zero table is taken over Z_p for
-    the least prime p dividing m, never over Z_1."""
-    m = f.m
-    l = gcd(m, int(np.gcd.reduce(f.array)))
-    if l == m:
-        l = m // factorize(m)[0][0]
+def _divide_content(f: FunctionTable) -> FunctionTable:
+    """f/l, the table of the quotients v/l over Z_(m/l) for l = gcd(m,
+    values).  Both have the same Walsh values as complex numbers, since
+    zeta_m^(l*v) = zeta_(m/l)^v.  An all-zero table, whose W(y) are the same
+    integers at every modulus, is taken over Z_2, never over Z_1."""
+    l = gcd(f.m, int(np.gcd.reduce(f.array)))
     if l == 1:
-        return 1, f
-    return l, FunctionTable(GbfType(m // l, f.n), f.array // l)
+        return f
+    return FunctionTable(GbfType(max(f.m // l, 2), f.n), f.array // l)
 
 
 def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -331,7 +328,7 @@ def first_flat_violation(f: FunctionTable):
     failing y, the least over the tests, do not depend on l.  Only the
     reported row is built at m, as one signed bincount, and so is refused
     for m at or above 2^30."""
-    tests = _nonflat_rows(_divide_content(f)[1])
+    tests = _nonflat_rows(_divide_content(f))
     y = min((y for y in tests if y is not None), default=None)
     if y is None:
         return None
@@ -348,7 +345,7 @@ def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided at the content modulus, with no report built at m; the first
     test that fails a row settles it."""
-    return all(y is None for y in _nonflat_rows(_divide_content(f)[1]))
+    return all(y is None for y in _nonflat_rows(_divide_content(f)))
 
 
 # -- constructions -----------------------------------------------------------

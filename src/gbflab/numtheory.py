@@ -198,13 +198,6 @@ def semigroup_member(target: int, gens):
     return tuple(counts)
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def solve_x2_Dy2(D: int, N: int):
     """Some nonnegative (x, y) with x^2 + D*y^2 = N, scanning y upward and
     testing N - D*y^2 for squareness with integer square roots; None when no

@@ -193,10 +193,11 @@ def test_decide_large_lifted_modulus(tmp_path, capsys):
 
 
 def test_verify_refuses_report_at_huge_modulus(tmp_path, capsys):
-    # content modulus 2: [0, 1] is not flat, and its report at m would need
-    # m coefficients; a flat table at the same m still verifies
+    # content modulus 2: [0, 1] and [0, 0] are not flat, and a report at m
+    # would need m coefficients; a flat table at the same m still verifies
     path = tmp_path / "w.json"
-    for m, values in ((2**63, [0, 2**62]), (2**31, [0, 2**30])):
+    for m, values in ((2**63, [0, 2**62]), (2**31, [0, 2**30]),
+                      (2**63 + 1, [0, 0]), (2**64, [0, 0])):
         path.write_text(json.dumps({"m": m, "n": 1, "values": values}))
         code, out, err = run(capsys, "verify", str(path))
         assert code == 3 and out == ""
@@ -206,6 +207,19 @@ def test_verify_refuses_report_at_huge_modulus(tmp_path, capsys):
                                 "values": [0, 0, 0, 2**62]}))
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 0 and out.startswith("OK: flat spectrum")
+
+
+def test_verify_report_at_many_prime_modulus(tmp_path, capsys):
+    # Psi_30030 has 63 binomials; the digest was recorded from an
+    # independent reduction, long division by the dense Phi_30030
+    m = 30030
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"m": m, "n": 2,
+                                "values": [(7 * i + 1) % m for i in range(4)]}))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1 and out.startswith("not flat at y=0: ")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "0cf06e62e811d51a1d283a13c5e3e04ac2e427843dd757c14f55d0da35498097"
 
 
 def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):

@@ -3,10 +3,11 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
-from gbflab.cyclotomic import (CycInt, IntPoly, cyclotomic_poly, phi_degree,
-                               poly_divmod_exact, reduction_rows, zeta_pow)
+from gbflab.cyclotomic import (CycInt, _binomials, cyclotomic_poly, phi_degree,
+                               reduction_rows, zeta_pow)
 
 
 # -- plain-list polynomial helpers, independent of the library ---------------
@@ -77,9 +78,19 @@ def test_product_of_all_divisor_cyclotomics():
         assert prod == [-1] + [0] * (m - 1) + [1]
 
 
-def test_poly_divmod_requires_monic():
-    with pytest.raises(ValueError):
-        poly_divmod_exact(IntPoly((1, 1)), IntPoly((1, 2)))
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in list(range(1, 301)) + [2310]:
+        want = sympy.cyclotomic_poly(m, polys=True).all_coeffs()[::-1]
+        assert list(cyclotomic_poly(m).coeffs) == want, m
+
+
+def test_binomial_division_must_be_exact():
+    # (x^3 - 1)(x^2 - 1)/(x^2 - 1)/(x^3 - 1) is 1; x^2 - 1 does not divide x^2
+    one = np.array([1], dtype=object)
+    assert _binomials(one, (3, 2), (2, 3)).tolist() == [1]
+    with pytest.raises(AssertionError):
+        _binomials(np.array([0, 0, 1], dtype=object), (), (2,))
 
 
 def test_cyclotomic_poly_rejects_zero():
@@ -207,17 +218,17 @@ def test_as_integer():
 def test_canonical_matches_reduction_rows():
     # row j of reduction_rows(m) is zeta^j in canonical form, so the
     # canonical form is the sum of the rows weighted by the coefficients
+    # at m = 210 and 2310, Psi_m has 15 and 31 binomials
     rng = random.Random(29)
-    for m in range(1, 61):
-        rows = reduction_rows(m)
+    for m in list(range(1, 61)) + [210, 2310]:
+        rows = np.array(reduction_rows(m), dtype=object)
         phi = phi_degree(m)
         for _ in range(3):
             coeffs = [rng.randrange(-50, 51) if rng.random() < 0.5 else 0
                       for _ in range(m)]
-            want = [sum(a * row[i] for a, row in zip(coeffs, rows))
-                    for i in range(phi)]
+            want = np.array(coeffs, dtype=object) @ rows
             assert CycInt(m, coeffs).canonical().coeffs == \
-                tuple(want) + (0,) * (m - phi), m
+                tuple(want.tolist()) + (0,) * (m - phi), m
 
 
 def test_reduction_rows_shape():

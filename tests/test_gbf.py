@@ -332,13 +332,19 @@ def test_content_modulus_report_is_taken_at_m():
 
 
 def test_content_modulus_all_zero_table():
-    for m, p in ((4, 2), (9, 3), (15, 3), (7, 7), (35, 5), (1000, 2)):
+    # its W(y) are the same integers at every modulus: tested over Z_2,
+    # with no factorization of m, and reported at m below 2^30
+    for m in (4, 6, 9, 15, 7, 35, 1000):
         for n in (1, 2, 3):
             f = table(m, n, [0] * (1 << n))
-            l, reduced = gbf._divide_content(f)
-            assert reduced.m == p and l == m // p
+            assert gbf._divide_content(f).m == 2 and not is_gbf(f)
             assert first_flat_violation(f) == \
                 (0, (4 ** n,) + (0,) * (phi_degree(m) - 1))
+    for m in (2**63 + 1, 2**64):
+        f = table(m, 1, [0, 0])
+        assert gbf._divide_content(f).m == 2 and not is_gbf(f)
+        with pytest.raises(ValueError, match=r"not flat at y=0; .* 2\^30"):
+            first_flat_violation(f)
 
 
 def test_content_modulus_cost_does_not_grow_with_m():
