@@ -9,8 +9,7 @@ from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, phi_degree,
                          reduction_rows, zeta_pow)
 from .numtheory import (QuadSolution, class_number, euler_phi, factorize,
                         jacobi, min_odd_r, mult_order_2, odd_part,
-                        semigroup_member, semiprimitive, solve_ax2_by2,
-                        solve_x2_Dy2, v2, wieferich_ok)
+                        semigroup_member, semiprimitive, solve_ax2_by2, v2)
 from .gbf import (FunctionTable, GbfType, WalshSpectrum,
                   construct_boolean_bent, construct_even_even,
                   construct_mod4_from_bent, direct_sum, first_flat_violation,
@@ -28,7 +27,7 @@ __all__ = [
     "zeta_pow",
     "QuadSolution", "class_number", "euler_phi", "factorize", "jacobi",
     "min_odd_r", "mult_order_2", "odd_part", "semigroup_member",
-    "semiprimitive", "solve_ax2_by2", "solve_x2_Dy2", "v2", "wieferich_ok",
+    "semiprimitive", "solve_ax2_by2", "v2",
     "FunctionTable", "GbfType", "WalshSpectrum", "construct_boolean_bent",
     "construct_even_even", "construct_mod4_from_bent", "direct_sum",
     "first_flat_violation", "is_gbf", "lift_modulus", "table", "walsh",

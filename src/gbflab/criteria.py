@@ -261,14 +261,14 @@ def _check_residue_symbol(rep: CriterionReport, a: int, n: int):
     return value if _passed(rep, value != 0) else None
 
 
-def _least_odd_r(rep: CriterionReport, d: int, coeffs, key: str = "r"):
-    """Record the class number h of Q(sqrt(-d)) and the least odd r <= h at
-    which the ``coeffs`` equation (see nt.min_odd_r) is solvable, with its
-    witness, under ``key``; r, or None after an abstain note."""
+def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
+    """Record the class number h of Q(sqrt(-a*b)) and the least odd r <= h
+    at which a*x^2 + b*y^2 = 2^(r+2) is solvable, with its witness, under
+    ``key``; r, or None after an abstain note."""
     q = rep.quantities
-    h = nt.class_number(d)
-    q["class_number"] = {"d": d, "h": h}
-    sol = nt.min_odd_r(coeffs, bound=h)
+    h = nt.class_number(a * b)
+    q["class_number"] = {"d": a * b, "h": h}
+    sol = nt.min_odd_r(a, b, bound=h)
     if sol is None:
         rep.notes.append(f"abstain: no odd {key} <= {h} found")
         return None
@@ -277,26 +277,27 @@ def _least_odd_r(rep: CriterionReport, d: int, coeffs, key: str = "r"):
     return sol.r
 
 
-def _check_least_odd_r(rep: CriterionReport, d: int, coeffs, key: str = "r"):
+def _check_least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
     q = rep.quantities
-    h = nt.class_number(d)
-    _check(q["class_number"] == {"d": d, "h": h}, "class number")
+    h = nt.class_number(a * b)
+    _check(q["class_number"] == {"d": a * b, "h": h}, "class number")
     if not _passed(rep, key in q):
         return None
-    _check_least_solution(coeffs, q[key], q[f"{key}_witness"], key, h)
+    _check_least_solution(a, b, q[key], q[f"{key}_witness"], key, h)
     return q[key]
 
 
-def _check_least_solution(coeffs, r: int, witness, key: str, bound: int,
-                          multiplier: int = 1):
-    """r is odd and at most bound, witness solves the ``coeffs`` equation at
+def _check_least_solution(a: int, b: int, r: int, witness, key: str,
+                          bound: int, multiplier: int = 1):
+    """r is odd and at most bound, witness solves a*x^2 + b*y^2 =
     2^(r+2)*multiplier, and no odd exponent below r is solvable."""
-    _check(r % 2 == 1 and 1 <= r <= bound, f"{key} odd and bounded")
     x, y = witness
-    a, b = (1, coeffs) if isinstance(coeffs, int) else coeffs
+    _check(all(type(v) is int for v in (r, x, y)),
+           f"{key} and its witness are integers")
+    _check(r % 2 == 1 and 1 <= r <= bound, f"{key} odd and bounded")
     _check(a * x * x + b * y * y == (1 << (r + 2)) * multiplier,
            f"{key} witness equation")
-    _check(r == 1 or nt.min_odd_r(coeffs, multiplier, bound=r - 2) is None,
+    _check(r == 1 or nt.min_odd_r(a, b, multiplier, bound=r - 2) is None,
            f"{key} minimality")
 
 
@@ -469,7 +470,7 @@ def crit_p7(t: GbfType):
                          f"sanity check")
         return rep
     s = _split_g(rep, phi // f)
-    r = s and _least_odd_r(rep, p, p)
+    r = s and _least_odd_r(rep, 1, p)
     return _fire_below(rep, r, s) if r else rep
 
 
@@ -483,7 +484,7 @@ def _check_p7(rep: CriterionReport):
     if not _passed(rep, f % 2 == 1 and phi % f == 0):
         return
     s = _check_split_g(rep, phi // f)
-    r = s and _check_least_odd_r(rep, p, p)
+    r = s and _check_least_odd_r(rep, 1, p)
     if r:
         _check_below(rep, r, s)
 
@@ -517,13 +518,13 @@ def crit_p7_x_p35(t: GbfType):
     q = rep.quantities
     p1, p2 = q["p1"], q["p2"]
     jac = s and _residue_symbol(rep, -p1, p2)
-    r1 = jac and _least_odd_r(rep, p1, p1, "r1")
+    r1 = jac and _least_odd_r(rep, 1, p1, "r1")
     if not r1:
         return rep
     r2 = None
     even_hits = []
     for exp in range(1, r1 + 1):
-        hit = nt.solve_x2_Dy2(p1, (1 << (exp + 2)) * p2)
+        hit = nt.solve_ax2_by2(1, p1, (1 << (exp + 2)) * p2)
         if hit is None:
             continue
         if exp % 2:
@@ -546,17 +547,18 @@ def _check_p7_x_p35(rep: CriterionReport):
     p1, p2, s = _check_two_prime(rep, ((7,), (3, 5)))
     q = rep.quantities
     jac = s and _check_residue_symbol(rep, -p1, p2)
-    r1 = jac and _check_least_odd_r(rep, p1, p1, "r1")
+    r1 = jac and _check_least_odd_r(rep, 1, p1, "r1")
     if not r1:
         return
     r2 = q["r2"]
     if r2 is None:
-        _check(nt.min_odd_r(p1, p2, bound=r1) is None,
+        _check(nt.min_odd_r(1, p1, p2, bound=r1) is None,
                "r2 infinite within the r1 scan")
     else:
-        _check_least_solution(p1, r2, q["r2_witness"], "r2", r1, p2)
+        _check_least_solution(1, p1, r2, q["r2_witness"], "r2", r1, p2)
     for exp, x, y in q["r2_even_hits"]:
-        _check(exp % 2 == 0 and 0 < exp < (r1 if r2 is None else r2)
+        _check(all(type(v) is int for v in (exp, x, y))
+               and exp % 2 == 0 and 0 < exp < (r1 if r2 is None else r2)
                and x * x + p1 * y * y == (1 << (exp + 2)) * p2,
                f"r2 even-exponent hit at {exp}")
     _check(q["r"] == (r1 if r2 is None else min(r1, r2)), "r value")
@@ -594,7 +596,7 @@ def crit_p3_x_p5(t: GbfType):
         rep.fired = True
         rep.excluded = dict(_ALL_ODD)
         return rep
-    r = _least_odd_r(rep, p1 * p2, (p1, p2))
+    r = _least_odd_r(rep, p1, p2)
     return _fire_below(rep, r, s) if r else rep
 
 
@@ -608,7 +610,7 @@ def _check_p3_x_p5(rep: CriterionReport):
     if jac == 1:
         _check(rep.excluded == _ALL_ODD, "branch I firing")
         return
-    r = _check_least_odd_r(rep, p1 * p2, (p1, p2))
+    r = _check_least_odd_r(rep, p1, p2)
     if r:
         _check_below(rep, r, s)
 

@@ -196,15 +196,12 @@ class CycInt:
         if rhs is None:
             return NotImplemented
         m = self.modulus
+        terms = [(j, b) for j, b in enumerate(rhs.coeffs) if b]
         out = [0] * m
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(rhs.coeffs):
-                    if b:
-                        k = i + j
-                        if k >= m:
-                            k -= m
-                        out[k] += a * b
+                for j, b in terms:
+                    out[(i + j) % m] += a * b
         return CycInt(m, out)
 
     __rmul__ = __mul__

@@ -1,9 +1,10 @@
 """Elementary and quadratic number theory behind the nonexistence criteria.
 
 Factorization, multiplicative orders, 2-adic valuations, Jacobi symbols,
-numerical-semigroup membership, sparse diophantine solvers and imaginary
-quadratic class numbers.  Everything works over plain Python integers; the
-only numpy use is the boolean reachability table of the semigroup solver.
+numerical-semigroup membership, one scanner for a*x^2 + b*y^2 = N and
+imaginary quadratic class numbers.  Everything works over plain Python
+integers; the only numpy use is the boolean reachability table of the
+semigroup solver.
 All functions are pure and safe for concurrent use.
 """
 
@@ -157,14 +158,6 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def wieferich_ok(p: int) -> bool:
-    """True when 2^(p-1) is not 1 modulo p^2 (so orders of 2 modulo p^l grow
-    by a factor p per level).  The only known failures are 1093 and 3511."""
-    if p < 3 or p % 2 == 0 or not is_probable_prime(p):
-        raise ValueError("p must be an odd prime")
-    return pow(2, p - 1, p * p) != 1
-
-
 def semigroup_member(target: int, gens):
     """Nonnegative coefficients (n1, ..., ns) with sum(ni * pi) == target over
     the given odd generators, or None when target is not representable.
@@ -198,34 +191,22 @@ def semigroup_member(target: int, gens):
     return tuple(counts)
 
 
-def solve_x2_Dy2(D: int, N: int):
-    """Some nonnegative (x, y) with x^2 + D*y^2 = N, scanning y upward and
-    testing N - D*y^2 for squareness with integer square roots; None when no
-    solution exists."""
-    if D < 1 or N < 1:
-        raise ValueError("D and N must be >= 1")
-    y = 0
-    while D * y * y <= N:
-        rem = N - D * y * y
-        x = math.isqrt(rem)
-        if x * x == rem:
-            return (x, y)
-        y += 1
-    return None
-
-
 def solve_ax2_by2(a: int, b: int, N: int):
-    """Some nonnegative (x, y) with a*x^2 + b*y^2 = N, or None."""
+    """Some nonnegative (x, y) with a*x^2 + b*y^2 = N, or None.
+
+    Searched as X^2 + ab*y^2 = aN with a | X (then x = X/a): y runs upward,
+    each step takes one integer square root of a*(N - b*y^2), and only a
+    perfect square is tested for divisibility by a.
+    """
     if a < 1 or b < 1 or N < 1:
         raise ValueError("a, b and N must be >= 1")
+    D, M = a * b, a * N
     y = 0
-    while b * y * y <= N:
-        rem = N - b * y * y
-        if rem % a == 0:
-            q = rem // a
-            x = math.isqrt(q)
-            if x * x == q:
-                return (x, y)
+    while D * y * y <= M:
+        rem = M - D * y * y
+        X = math.isqrt(rem)
+        if X * X == rem and X % a == 0:
+            return (X // a, y)
         y += 1
     return None
 
@@ -275,27 +256,20 @@ class QuadSolution:
     r: int
 
 
-def min_odd_r(coeffs, multiplier: int = 1, *, bound: int):
-    """Least odd r <= bound at which the designated equation is solvable with
+def min_odd_r(a: int, b: int, multiplier: int = 1, *, bound: int):
+    """Least odd r <= bound at which a*x^2 + b*y^2 = N is solvable with
     right-hand side N = 2^(r+2) * multiplier, together with a witness; None
     when no odd r within the bound works.
 
-    ``coeffs`` selects the form: an integer D means x^2 + D*y^2 = N, a pair
-    (a, b) means a*x^2 + b*y^2 = N.  The caller owes a finiteness argument
-    for its bound (in the intended uses, an order bound in an imaginary
-    quadratic class group).
+    The caller owes a finiteness argument for its bound (in the intended
+    uses, an order bound in an imaginary quadratic class group).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if multiplier < 1:
         raise ValueError("multiplier must be >= 1")
     for r in range(1, bound + 1, 2):
-        rhs = (1 << (r + 2)) * multiplier
-        if isinstance(coeffs, int):
-            sol = solve_x2_Dy2(coeffs, rhs)
-        else:
-            a, b = coeffs
-            sol = solve_ax2_by2(a, b, rhs)
+        sol = solve_ax2_by2(a, b, (1 << (r + 2)) * multiplier)
         if sol is not None:
             return QuadSolution(sol[0], sol[1], r)
     return None

@@ -222,6 +222,40 @@ def _forge_c5_class_number(q, rep):
     q["class_number"]["d"] = 1
 
 
+# a JSON float or bool where an integer belongs: each satisfies every
+# recorded equation (81.0 + 47.0 == 128, True + 7 * True == 8)
+def _forge_float_r(q, rep):
+    q["r"] = float(q["r"])
+
+
+def _forge_bool_r(q, rep):
+    q["r"] = True
+
+
+def _forge_float_witness(q, rep):
+    q["r_witness"] = [float(v) for v in q["r_witness"]]
+
+
+def _forge_bool_witness(q, rep):
+    q["r_witness"] = [True, True]
+
+
+def _forge_float_r1(q, rep):
+    q["r1"] = float(q["r1"])
+
+
+def _forge_bool_r1(q, rep):
+    q["r1"] = True
+
+
+def _forge_float_even_hit(q, rep):
+    q["r2_even_hits"][0][0] = float(q["r2_even_hits"][0][0])
+
+
+def _forge_bool_even_hit(q, rep):
+    q["r2_even_hits"][0][1:] = [True, True]
+
+
 # each forgery keeps every recorded equation true; all but c3-range detach
 # some recorded input from m and n.  c5-symbol-inputs, c5-orders,
 # c4-symbol-inputs and c3-range claim NotExists where the verdict is Unknown.
@@ -235,9 +269,19 @@ def _forge_c5_class_number(q, rep):
     (2 * 199 * 5, 3, C4, _forge_c4_even_hit),
     (2 * 199 * 59, 7, C4, _forge_c4_class_number),
     (2 * 19 * 29, 11, C5, _forge_c5_class_number),
+    (94, 3, C3, _forge_float_r),
+    (14, 1, C3, _forge_bool_r),
+    (94, 3, C3, _forge_float_witness),
+    (14, 1, C3, _forge_bool_witness),
+    (1990, 3, C4, _forge_float_r1),
+    (42, 1, C4, _forge_bool_r1),
+    (1990, 3, C4, _forge_float_even_hit),
+    (282, 1, C4, _forge_bool_even_hit),
 ], ids=["c5-symbol-inputs", "c5-orders", "c4-symbol-inputs",
         "c3-class-number-field", "c3-order-modulus", "c3-range", "c4-even-hit",
-        "c4-class-number-field", "c5-class-number-field"])
+        "c4-class-number-field", "c5-class-number-field", "c3-float-r",
+        "c3-bool-r", "c3-float-witness", "c3-bool-witness", "c4-float-r1",
+        "c4-bool-r1", "c4-float-even-hit", "c4-bool-even-hit"])
 def test_revalidation_catches_forgery(m, n, criterion, forge):
     v = decide(GbfType(m, n))
     honest = next(rep for rep in v.attempts if rep.criterion == criterion)

@@ -125,17 +125,11 @@ def test_jacobi_rejects_even_modulus():
         nt.jacobi(3, 8)
 
 
-def test_wieferich():
-    assert nt.wieferich_ok(7)            # 2^6 = 64 = 15 mod 49
-    assert not nt.wieferich_ok(1093)
-    assert not nt.wieferich_ok(3511)
-
-
 def test_order_lifting_for_non_wieferich_primes():
     # order mod p^l grows by a factor p per level, so phi(p^l)/f_l is constant
     primes = [p for p in range(3, 1000, 2) if nt.is_probable_prime(p)]
     for p in primes:
-        assert nt.wieferich_ok(p)
+        assert pow(2, p - 1, p * p) != 1     # no Wieferich prime below 1000
         f1 = nt.mult_order_2(p)
         g1 = (p - 1) // f1
         for l in (2, 3):
@@ -181,29 +175,39 @@ def test_semigroup_member_against_brute_force():
 
 
 def test_solvers_examples():
-    assert nt.solve_x2_Dy2(7, 8) == (1, 1)
-    assert nt.solve_x2_Dy2(23, 32) == (3, 1)
-    assert nt.solve_x2_Dy2(199, 2**7 * 5) == (21, 1)
-    assert nt.solve_x2_Dy2(3, 5) is None
+    assert nt.solve_ax2_by2(1, 7, 8) == (1, 1)
+    assert nt.solve_ax2_by2(1, 23, 32) == (3, 1)
+    assert nt.solve_ax2_by2(1, 199, 2**7 * 5) == (21, 1)
+    assert nt.solve_ax2_by2(1, 3, 5) is None
     assert nt.solve_ax2_by2(19, 29, 2**15) == (21, 29)
     assert nt.solve_ax2_by2(19, 29, 8) is None
     assert nt.solve_ax2_by2(3, 5, 8) == (1, 1)
 
 
+def _brute_ax2_by2(a, b, N):
+    # every y <= sqrt(N/b) and every x <= sqrt(N/a)
+    return any(a * x * x + b * y * y == N
+               for y in range(math.isqrt(N // b) + 1)
+               for x in range(math.isqrt(N // a) + 1))
+
+
 def test_solver_solutions_satisfy_equation():
+    # every other a is not squarefree: there a square a*(N - b*y^2) = X^2
+    # with a not dividing X must not count as a hit
     rng = random.Random(9)
-    for _ in range(300):
-        D = rng.randrange(1, 60)
+    squareful = (4, 8, 9, 12, 16, 18, 25, 27)
+    for i in range(300):
+        a = squareful[i % 8] if i % 2 else rng.randrange(1, 30)
+        b = rng.randrange(1, 30)
         N = rng.randrange(1, 4000)
-        sol = nt.solve_x2_Dy2(D, N)
-        if sol is not None:
-            x, y = sol
-            assert x * x + D * y * y == N
-        a, b = rng.randrange(1, 30), rng.randrange(1, 30)
         sol = nt.solve_ax2_by2(a, b, N)
         if sol is not None:
             x, y = sol
             assert a * x * x + b * y * y == N
+        else:
+            assert not _brute_ax2_by2(a, b, N), (a, b, N)
+    assert nt.solve_ax2_by2(4, 3, 4) == (1, 0)
+    assert nt.solve_ax2_by2(4, 3, 1) is None     # 4*1 = 2^2, 4 does not divide 2
 
 
 def test_class_number_published_values():
@@ -229,21 +233,42 @@ def test_class_number_odd_for_p7_primes():
 
 
 def test_min_odd_r_anchors():
-    sol = nt.min_odd_r(47, bound=nt.class_number(47))
+    sol = nt.min_odd_r(1, 47, bound=nt.class_number(47))
     assert sol.r == 5 and sol.x ** 2 + 47 * sol.y ** 2 == 2 ** 7
-    sol = nt.min_odd_r(199, 5, bound=9)
+    sol = nt.min_odd_r(1, 199, 5, bound=9)
     assert sol.r == 5 and sol.x ** 2 + 199 * sol.y ** 2 == 2 ** 7 * 5
-    sol = nt.min_odd_r((19, 29), bound=nt.class_number(19 * 29))
+    sol = nt.min_odd_r(19, 29, bound=nt.class_number(19 * 29))
     assert sol.r == 13 and 19 * sol.x ** 2 + 29 * sol.y ** 2 == 2 ** 15
-    assert nt.min_odd_r(199, 5, bound=3) is None
+    assert nt.min_odd_r(1, 199, 5, bound=3) is None
 
 
 def test_min_odd_r_divides_class_number_for_reference_primes():
     for p in (7, 23, 31, 47, 71, 79, 103, 127, 151, 191, 199):
         h = nt.class_number(p)
-        sol = nt.min_odd_r(p, bound=h)
+        sol = nt.min_odd_r(1, p, bound=h)
         assert sol is not None and h % sol.r == 0
         assert sol.r > math.log2(p) - 2
+
+
+def test_min_odd_r_matches_sympy_cornacchia():
+    # with a and b odd, a solution at the least odd r is primitive (an even
+    # pair would come from r - 2), so Cornacchia, which finds primitive
+    # solutions only, is a complete referee there
+    corn = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    c3 = [(1, p, 1) for p in range(7, 200, 8) if nt.is_probable_prime(p)]
+    c4 = [(1, p1, p2) for p1 in (7, 23, 47, 199) for p2 in (3, 5, 11, 13)]
+    c5 = [(p1, p2, 1) for p1 in (3, 11, 19, 43) for p2 in (5, 13, 29, 37)]
+    assert len(c3 + c4 + c5) == 44
+    for a, b, k in c3 + c4 + c5:
+        h = nt.class_number(a * b)
+        sol = nt.min_odd_r(a, b, k, bound=h)
+        want = next(((r, found) for r in range(1, h + 1, 2)
+                     if (found := corn.cornacchia(a, b, (1 << (r + 2)) * k))),
+                    None)
+        if want is None:
+            assert sol is None, (a, b, k)
+        else:
+            assert sol.r == want[0] and (sol.x, sol.y) in want[1], (a, b, k)
 
 
 def test_odd_part():
