@@ -16,15 +16,17 @@ scripts stay stable:
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
-{2*m0, n} cover odd inputs m0.  decide() re-validates every report before
-returning NotExists, so a criterion abstains rather than conclude whenever
-any internal sanity check fails.
+{2*m0, n} cover odd inputs m0.  A criterion abstains rather than conclude
+whenever any internal sanity check fails, a witness equation included.
+decide() re-validates every report before returning NotExists: the report is
+derived again from its m and n and must match the one returned exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from math import gcd, lcm
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from math import lcm
 
 from . import numtheory as nt
 from .gbf import (FunctionTable, GbfType, _fold_mod4, construct_boolean_bent,
@@ -72,10 +74,28 @@ class CriterionReport:
     also_applicable: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """A JSON-native copy (tuples become lists) that shares no mutable
+        object with the report."""
+        return {key: _json_copy(getattr(self, key)) for key in _REPORT_FIELDS}
 
 
-def report_from_dict(data: dict) -> CriterionReport:
+_REPORT_FIELDS = tuple(f.name for f in fields(CriterionReport))
+
+
+def _json_copy(value):
+    if isinstance(value, dict):
+        return {k: _json_copy(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_copy(v) for v in value]
+    return value
+
+
+def report_from_dict(data) -> CriterionReport:
+    """The report a ``to_dict()`` mapping describes; ValueError unless data
+    is a mapping with exactly the report's keys."""
+    if not isinstance(data, Mapping) or set(data) != set(_REPORT_FIELDS):
+        raise ValueError("a report is a mapping with exactly the keys "
+                         + ", ".join(_REPORT_FIELDS))
     return CriterionReport(**data)
 
 
@@ -94,11 +114,6 @@ class Verdict:
 
 def _base_quantities(m_odd: int, factors):
     return {"m_odd": m_odd, "factors": [[p, a] for p, a in factors]}
-
-
-def _check(cond: bool, message: str):
-    if not cond:
-        raise ValueError(f"report re-validation failed: {message}")
 
 
 # -- existence ---------------------------------------------------------------
@@ -153,18 +168,9 @@ def describe_rule(rule: str, m: int, n: int) -> str:
 
 # -- steps shared by the odd-part criteria C2-C5 -------------------------------
 #
-# Each step is written once for evaluation, which records its quantities in
-# the report, and once for re-validation, which recomputes them from m and n.
-# A check returns the step's value, or None when the report abstained there,
-# in which case it must not fire.
-
-
-def _passed(rep: CriterionReport, ok: bool) -> bool:
-    """Whether evaluation went past a step; if not, the report must not fire."""
-    if not ok:
-        _check(not rep.fired and rep.excluded is None,
-               "an abstaining report does not fire")
-    return ok
+# Each step records its quantities in the report and returns the step's
+# value, or None after an abstain note, in which case the criterion must not
+# fire.
 
 
 def _odd_part_gate(t: GbfType, classes=None):
@@ -183,23 +189,15 @@ def _odd_part_gate(t: GbfType, classes=None):
     return m_odd, [fs[0] for fs in by_class]
 
 
-def _check_gate(rep: CriterionReport, classes=None):
-    gate = _odd_part_gate(GbfType(rep.m, rep.n), classes)
-    _check(gate is not None, "odd-part shape")
-    return gate
-
-
 def _two_prime_orders(factors):
     """Shared order bookkeeping for the two-prime criteria: orders are taken
-    modulo the full prime powers, and g = phi(m0)/lcm(f1, f2) is cross-checked
-    against the product form g1*g2*gcd(f1, f2)."""
+    modulo the full prime powers, and g = phi(m0)/lcm(f1, f2), which is
+    g1*g2*gcd(f1, f2)."""
     (p1, a1), (p2, a2) = factors
     mod1, mod2 = p1 ** a1, p2 ** a2
     f1, f2 = nt.mult_order_2(mod1), nt.mult_order_2(mod2)
     g1, g2 = nt.euler_phi(mod1) // f1, nt.euler_phi(mod2) // f2
     g = (nt.euler_phi(mod1) * nt.euler_phi(mod2)) // lcm(f1, f2)
-    if g != g1 * g2 * gcd(f1, f2):  # pragma: no cover - identity of integers
-        raise AssertionError("order bookkeeping mismatch")
     return {"p1": p1, "a1": a1, "p2": p2, "a2": a2,
             "order_moduli": [mod1, mod2],
             "f1": f1, "f2": f2, "g1": g1, "g2": g2, "g": g}
@@ -219,15 +217,6 @@ def _two_prime_report(t: GbfType, criterion: str, classes):
     return rep, _split_g(rep, rep.quantities["g"])
 
 
-def _check_two_prime(rep: CriterionReport, classes):
-    """(p1, p2, s or None) after re-checking the primes, orders and g/s."""
-    shape = _check_gate(rep, classes)[1]
-    q = rep.quantities
-    _check(all(q[k] == v for k, v in _two_prime_orders(shape).items()),
-           "prime powers and orders of 2")
-    return q["p1"], q["p2"], _check_split_g(rep, q["g"])
-
-
 def _split_g(rep: CriterionReport, g: int):
     """Record g and s = g/2; s if it is odd, else None after a note."""
     s = g // 2
@@ -236,12 +225,6 @@ def _split_g(rep: CriterionReport, g: int):
         rep.notes.append(f"abstain: g={g}, s={s} fail the parity sanity check")
         return None
     return s
-
-
-def _check_split_g(rep: CriterionReport, g: int):
-    q = rep.quantities
-    _check(q["g"] == g and q["s"] == g // 2, "g and s bookkeeping")
-    return q["s"] if _passed(rep, g % 2 == 0 and q["s"] % 2 == 1) else None
 
 
 def _residue_symbol(rep: CriterionReport, a: int, n: int):
@@ -254,11 +237,14 @@ def _residue_symbol(rep: CriterionReport, a: int, n: int):
     return value
 
 
-def _check_residue_symbol(rep: CriterionReport, a: int, n: int):
-    value = nt.jacobi(a, n)
-    _check(rep.quantities["jacobi"] == {"a": a, "n": n, "value": value},
-           "residue symbol")
-    return value if _passed(rep, value != 0) else None
+def _solves(rep: CriterionReport, a: int, b: int, exp: int, x: int, y: int,
+            multiplier: int = 1) -> bool:
+    """Whether a*x^2 + b*y^2 = 2^(exp+2)*multiplier; if not, an abstain note."""
+    if a * x * x + b * y * y == (1 << (exp + 2)) * multiplier:
+        return True
+    rep.notes.append(f"abstain: ({x}, {y}) fails {a}*x^2 + {b}*y^2 = "
+                     f"2^{exp + 2}*{multiplier}")
+    return False
 
 
 def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
@@ -272,33 +258,11 @@ def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
     if sol is None:
         rep.notes.append(f"abstain: no odd {key} <= {h} found")
         return None
+    if not _solves(rep, a, b, sol.r, sol.x, sol.y):
+        return None
     q[key] = sol.r
     q[f"{key}_witness"] = [sol.x, sol.y]
     return sol.r
-
-
-def _check_least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
-    q = rep.quantities
-    h = nt.class_number(a * b)
-    _check(q["class_number"] == {"d": a * b, "h": h}, "class number")
-    if not _passed(rep, key in q):
-        return None
-    _check_least_solution(a, b, q[key], q[f"{key}_witness"], key, h)
-    return q[key]
-
-
-def _check_least_solution(a: int, b: int, r: int, witness, key: str,
-                          bound: int, multiplier: int = 1):
-    """r is odd and at most bound, witness solves a*x^2 + b*y^2 =
-    2^(r+2)*multiplier, and no odd exponent below r is solvable."""
-    x, y = witness
-    _check(all(type(v) is int for v in (r, x, y)),
-           f"{key} and its witness are integers")
-    _check(r % 2 == 1 and 1 <= r <= bound, f"{key} odd and bounded")
-    _check(a * x * x + b * y * y == (1 << (r + 2)) * multiplier,
-           f"{key} witness equation")
-    _check(r == 1 or nt.min_odd_r(a, b, multiplier, bound=r - 2) is None,
-           f"{key} minimality")
 
 
 _ALL_ODD = {"parity": "odd", "all": True}
@@ -315,12 +279,6 @@ def _fire_below(rep: CriterionReport, num: int, den: int):
     return rep
 
 
-def _check_below(rep: CriterionReport, num: int, den: int):
-    # a non-firing report may leave its range out
-    _check(rep.excluded in (None, _odd_below(num, den)), "excluded range")
-    _check(rep.fired == (rep.n * den < num), "firing inequality")
-
-
 def _range_text(excluded: dict) -> str:
     if excluded.get("all"):
         return "all odd n excluded"
@@ -329,8 +287,8 @@ def _range_text(excluded: dict) -> str:
 
 # -- nonexistence criteria ----------------------------------------------------
 #
-# Each criterion is three functions side by side: crit_* evaluates it,
-# _check_* re-validates its report and _summary_* states it in one line.
+# Each criterion is two functions side by side: crit_* evaluates it and
+# _summary_* states its report in one line.
 
 
 def crit_lam_leung(t: GbfType):
@@ -345,7 +303,7 @@ def crit_lam_leung(t: GbfType):
     target = 1 << n
     solution = nt.semigroup_member(target, gens)
     fired = solution is None
-    return CriterionReport(
+    rep = CriterionReport(
         criterion=C1, m=m, n=n, fired=fired,
         covers=[[m, n]],
         quantities={**_base_quantities(m, factors),
@@ -353,21 +311,9 @@ def crit_lam_leung(t: GbfType):
                                   "generators": gens,
                                   "solution": list(solution) if solution else None}},
         excluded={"n": n} if fired else None)
-
-
-def _check_lam_leung(rep: CriterionReport):
-    sg = rep.quantities["semigroup"]
-    _check(sg["target"] == 1 << rep.n, "semigroup target")
-    _check(sg["generators"] == [p for p, _ in nt.factorize(rep.m)],
-           "semigroup generators")
-    sol = nt.semigroup_member(sg["target"], sg["generators"])
-    if sg["solution"] is None:
-        _check(sol is None and rep.fired, "non-representability")
-    else:
-        _check(not rep.fired, "representable but fired")
-        _check(sum(c * p for c, p in zip(sg["solution"], sg["generators"]))
-               == sg["target"], "semigroup certificate")
-    _check(rep.excluded in (None, {"n": rep.n}), "excluded range")
+    if solution and sum(c * p for c, p in zip(solution, gens)) != target:
+        rep.notes.append(f"abstain: the solution does not sum to 2^{n}")
+    return rep
 
 
 def _summary_lam_leung(rep: CriterionReport) -> str:
@@ -410,24 +356,6 @@ def crit_semiprimitive(t: GbfType):
         covers=[[m_odd, t.n], [2 * m_odd, t.n]],
         quantities=quantities,
         excluded=dict(_ALL_ODD) if fired else None)
-
-
-def _check_semiprimitive(rep: CriterionReport):
-    m_odd, factors = _check_gate(rep)
-    q = rep.quantities
-    _check(q["prime_table"] == _prime_table(factors), "prime table")
-    l = q["l"]
-    _check(rep.fired == (l is not None), "fired exactly when l is recorded")
-    if l is None:
-        return
-    _check(pow(2, l, m_odd) == m_odd - 1, "2^l = -1")
-    _check(l == nt.mult_order_2(m_odd) // 2, "l minimality")
-    vals = {r for _, _, r in q["prime_table"]}
-    _check(len(vals) == 1 and min(vals) >= 1, "shared valuation")
-    _check(all(q[k] == v for k, v in
-               _semiprimitive_order(m_odd, l, q["prime_table"]).items()),
-           "order and case")
-    _check(rep.excluded == _ALL_ODD, "excluded range")
 
 
 def _summary_semiprimitive(rep: CriterionReport) -> str:
@@ -474,21 +402,6 @@ def crit_p7(t: GbfType):
     return _fire_below(rep, r, s) if r else rep
 
 
-def _check_p7(rep: CriterionReport):
-    m_odd, [(p, l)] = _check_gate(rep, ((7,),))
-    q = rep.quantities
-    _check(q["p"] == p and q["exponent"] == l, "prime power shape")
-    f = nt.mult_order_2(m_odd)
-    _check(q["order_modulus"] == m_odd and q["f"] == f, "order of 2")
-    phi = nt.euler_phi(m_odd)
-    if not _passed(rep, f % 2 == 1 and phi % f == 0):
-        return
-    s = _check_split_g(rep, phi // f)
-    r = s and _check_least_odd_r(rep, 1, p)
-    if r:
-        _check_below(rep, r, s)
-
-
 def _summary_p7(rep: CriterionReport) -> str:
     q = rep.quantities
     if "r" not in q:
@@ -527,6 +440,8 @@ def crit_p7_x_p35(t: GbfType):
         hit = nt.solve_ax2_by2(1, p1, (1 << (exp + 2)) * p2)
         if hit is None:
             continue
+        if not _solves(rep, 1, p1, exp, *hit, p2):
+            return rep
         if exp % 2:
             r2 = exp
             q["r2_witness"] = [hit[0], hit[1]]
@@ -541,29 +456,6 @@ def crit_p7_x_p35(t: GbfType):
     q["r"] = r1 if r2 is None else min(r1, r2)
     q["branch"] = "I" if jac == -1 else "II"
     return _fire_below(rep, _p7_x_p35_bound(q), s)
-
-
-def _check_p7_x_p35(rep: CriterionReport):
-    p1, p2, s = _check_two_prime(rep, ((7,), (3, 5)))
-    q = rep.quantities
-    jac = s and _check_residue_symbol(rep, -p1, p2)
-    r1 = jac and _check_least_odd_r(rep, 1, p1, "r1")
-    if not r1:
-        return
-    r2 = q["r2"]
-    if r2 is None:
-        _check(nt.min_odd_r(1, p1, p2, bound=r1) is None,
-               "r2 infinite within the r1 scan")
-    else:
-        _check_least_solution(1, p1, r2, q["r2_witness"], "r2", r1, p2)
-    for exp, x, y in q["r2_even_hits"]:
-        _check(all(type(v) is int for v in (exp, x, y))
-               and exp % 2 == 0 and 0 < exp < (r1 if r2 is None else r2)
-               and x * x + p1 * y * y == (1 << (exp + 2)) * p2,
-               f"r2 even-exponent hit at {exp}")
-    _check(q["r"] == (r1 if r2 is None else min(r1, r2)), "r value")
-    _check(q["branch"] == ("I" if jac == -1 else "II"), "branch selection")
-    _check_below(rep, _p7_x_p35_bound(q), s)
 
 
 def _summary_p7_x_p35(rep: CriterionReport) -> str:
@@ -600,21 +492,6 @@ def crit_p3_x_p5(t: GbfType):
     return _fire_below(rep, r, s) if r else rep
 
 
-def _check_p3_x_p5(rep: CriterionReport):
-    p1, p2, s = _check_two_prime(rep, ((3,), (5,)))
-    q = rep.quantities
-    jac = s and _check_residue_symbol(rep, p2, p1)
-    if not jac:
-        return
-    _check(q["branch"] == ("I" if jac == 1 else "II"), "branch selection")
-    if jac == 1:
-        _check(rep.excluded == _ALL_ODD, "branch I firing")
-        return
-    r = _check_least_odd_r(rep, p1, p2)
-    if r:
-        _check_below(rep, r, s)
-
-
 def _summary_p3_x_p5(rep: CriterionReport) -> str:
     q = rep.quantities
     if q.get("branch") == "I":
@@ -626,44 +503,75 @@ def _summary_p3_x_p5(rep: CriterionReport) -> str:
             + _range_text(_odd_below(q["r"], q["s"])))
 
 
-_CRITERIA_FUNCS = (crit_lam_leung, crit_semiprimitive, crit_p7,
-                   crit_p7_x_p35, crit_p3_x_p5)
-
-# criterion id -> (re-validation, summary) of its reports
+# criterion id -> (evaluation, summary of its reports), in evaluation order.
+# Re-validation calls the evaluation from here, not through _CRITERIA_FUNCS,
+# so wrapping that tuple sees only the calls decide() makes.
 _REPORT_PARTS = {
-    C1: (_check_lam_leung, _summary_lam_leung),
-    C2: (_check_semiprimitive, _summary_semiprimitive),
-    C3: (_check_p7, _summary_p7),
-    C4: (_check_p7_x_p35, _summary_p7_x_p35),
-    C5: (_check_p3_x_p5, _summary_p3_x_p5),
+    C1: (crit_lam_leung, _summary_lam_leung),
+    C2: (crit_semiprimitive, _summary_semiprimitive),
+    C3: (crit_p7, _summary_p7),
+    C4: (crit_p7_x_p35, _summary_p7_x_p35),
+    C5: (crit_p3_x_p5, _summary_p3_x_p5),
 }
+
+_CRITERIA_FUNCS = tuple(crit for crit, _ in _REPORT_PARTS.values())
 
 
 # -- report re-validation ------------------------------------------------------
 
 
-def _revalidate_excluded(rep: CriterionReport):
-    """A report fires exactly when n lies in its excluded range."""
-    exc = rep.excluded or {}
-    if "num" in exc:
-        inside = rep.n % 2 == 1 and rep.n * exc["den"] < exc["num"]
-    else:
-        inside = exc == {"n": rep.n} or exc == _ALL_ODD and rep.n % 2 == 1
-    _check(rep.fired == inside, "excluded range")
+_COMPARED_FIELDS = tuple(f for f in _REPORT_FIELDS if f != "also_applicable")
+
+
+def _refused(reason: str) -> ValueError:
+    return ValueError(f"report re-validation failed: {reason}")
+
+
+def _same_json(a, b) -> bool:
+    """Equal as JSON values of the same types: a float or bool never equals
+    an int, and the order of dict keys does not matter."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is dict:
+        if a.keys() != b.keys():
+            return False
+        for key, value in a.items():
+            if not _same_json(value, b[key]):
+                return False
+        return True
+    if kind is list:
+        if len(a) != len(b):
+            return False
+        for x, y in zip(a, b):
+            if not _same_json(x, y):
+                return False
+        return True
+    return a == b
 
 
 def revalidate_report(rep: CriterionReport) -> bool:
-    """Recompute every recorded equation, symbol and inequality of a report;
-    raises ValueError on the first mismatch, returns True otherwise."""
-    if rep.criterion not in _REPORT_PARTS:
-        raise ValueError(f"unknown criterion id {rep.criterion!r}")
-    q = rep.quantities
-    m_odd = q["m_odd"]
-    _check(nt.odd_part(rep.m) == m_odd and m_odd >= 3, "odd part")
-    _check([[p, a] for p, a in nt.factorize(m_odd)] == q["factors"],
-           "factorization")
-    _REPORT_PARTS[rep.criterion][0](rep)
-    _revalidate_excluded(rep)
+    """Derive the report again from its m and n with its own criterion and
+    require every field but ``also_applicable`` to equal the derived one,
+    with the same JSON types.  A report that does not fire may leave its
+    excluded range out.  Raises ValueError on the first mismatch, returns
+    True otherwise."""
+    parts = (_REPORT_PARTS.get(rep.criterion)
+             if isinstance(rep.criterion, str) else None)
+    if parts is None:
+        raise _refused(f"unknown criterion id {rep.criterion!r}")
+    m, n = rep.m, rep.n
+    if not (type(m) is int and type(n) is int and m >= 2 and 1 <= n <= MAX_N):
+        raise _refused(f"m and n must be integers with m >= 2 and "
+                       f"1 <= n <= {MAX_N}")
+    derived = parts[0](GbfType(m, n))
+    if derived is None:
+        raise _refused(f"{{{m},{n}}} is outside {rep.criterion}")
+    if not derived.fired and rep.excluded is None:
+        derived.excluded = None
+    for key in _COMPARED_FIELDS:
+        if not _same_json(getattr(rep, key), getattr(derived, key)):
+            raise _refused(f"{key} differs from the derived report")
     return True
 
 

@@ -46,6 +46,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization as ((p1, a1), ...) with ascending primes.
 
@@ -117,26 +118,19 @@ def v2(d: int) -> int:
 def semiprimitive(m_odd: int):
     """Least l >= 1 with 2^l = -1 (mod m_odd), or None.
 
-    Two answers are computed and cross-checked: directly from the order of 2
-    (an l exists exactly when the order 2l is even, and then l is half the
-    order), and through the per-prime criterion that the 2-adic valuations of
-    the orders of 2 modulo each prime divisor all equal the same r >= 1.
+    Read off the order of 2: an l exists exactly when the order 2l is even
+    and 2^l = -1, and then l is half the order.  (Equivalently, the 2-adic
+    valuations of the orders of 2 modulo the prime divisors all equal the
+    same r >= 1; the tests sweep that equivalence.)
     """
     if m_odd < 1 or m_odd % 2 == 0:
         raise ValueError("m_odd must be odd and >= 1")
     if m_odd == 1:
         return 1
     f = mult_order_2(m_odd)
-    direct = None
     if f % 2 == 0 and pow(2, f // 2, m_odd) == m_odd - 1:
-        direct = f // 2
-    vals = {v2(mult_order_2(p)) for p, _ in factorize(m_odd)}
-    by_valuations = len(vals) == 1 and min(vals) >= 1
-    if (direct is not None) != by_valuations:
-        raise AssertionError(
-            f"semiprimitive cross-check failed for {m_odd}: "
-            f"direct={direct} valuations={sorted(vals)}")
-    return direct
+        return f // 2
+    return None
 
 
 def jacobi(a: int, n: int) -> int:

@@ -1,10 +1,13 @@
 """The decision engine: rule dispatch, criterion firing, report integrity."""
 
+import dataclasses
+import json
+
 import pytest
 
 from gbflab import numtheory as nt
-from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, NOT_EXISTS, UNKNOWN,
-                             crit_lam_leung, crit_p3_x_p5, crit_p7,
+from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
+                             UNKNOWN, crit_lam_leung, crit_p3_x_p5, crit_p7,
                              crit_p7_x_p35, crit_semiprimitive, decide,
                              report_from_dict, revalidate_report, rule_exists)
 from gbflab.gbf import GbfType, is_gbf
@@ -256,6 +259,35 @@ def _forge_bool_even_hit(q, rep):
     q["r2_even_hits"][0][1:] = [True, True]
 
 
+def _forge_float_c4_r(q, rep):
+    q["r"] = float(q["r"])
+
+
+def _forge_float_c4_s(q, rep):
+    q["s"] = float(q["s"])
+    rep.excluded["den"] = float(rep.excluded["den"])
+
+
+def _forge_float_c4_g(q, rep):
+    q["g"] = float(q["g"])
+
+
+def _forge_float_class_number(q, rep):
+    q["class_number"] = {k: float(v) for k, v in q["class_number"].items()}
+
+
+def _forge_no_witness(q, rep):
+    q["r_witness"] = None
+
+
+def _forge_float_m(q, rep):
+    rep.m = float(rep.m)
+
+
+def _forge_note(q, rep):
+    rep.notes.append("checked by hand")
+
+
 # each forgery keeps every recorded equation true; all but c3-range detach
 # some recorded input from m and n.  c5-symbol-inputs, c5-orders,
 # c4-symbol-inputs and c3-range claim NotExists where the verdict is Unknown.
@@ -277,11 +309,20 @@ def _forge_bool_even_hit(q, rep):
     (42, 1, C4, _forge_bool_r1),
     (1990, 3, C4, _forge_float_even_hit),
     (282, 1, C4, _forge_bool_even_hit),
+    (282, 1, C4, _forge_float_c4_r),
+    (282, 1, C4, _forge_float_c4_s),
+    (282, 1, C4, _forge_float_c4_g),
+    (94, 3, C3, _forge_float_class_number),
+    (94, 3, C3, _forge_no_witness),
+    (94, 3, C3, _forge_float_m),
+    (94, 3, C3, _forge_note),
 ], ids=["c5-symbol-inputs", "c5-orders", "c4-symbol-inputs",
         "c3-class-number-field", "c3-order-modulus", "c3-range", "c4-even-hit",
         "c4-class-number-field", "c5-class-number-field", "c3-float-r",
         "c3-bool-r", "c3-float-witness", "c3-bool-witness", "c4-float-r1",
-        "c4-bool-r1", "c4-float-even-hit", "c4-bool-even-hit"])
+        "c4-bool-r1", "c4-float-even-hit", "c4-bool-even-hit", "c4-float-r",
+        "c4-float-s", "c4-float-g", "c3-float-class-number", "c3-no-witness",
+        "c3-float-m", "c3-appended-note"])
 def test_revalidation_catches_forgery(m, n, criterion, forge):
     v = decide(GbfType(m, n))
     honest = next(rep for rep in v.attempts if rep.criterion == criterion)
@@ -291,20 +332,105 @@ def test_revalidation_catches_forgery(m, n, criterion, forge):
         revalidate_report(rep)
 
 
+@pytest.mark.parametrize("data", [
+    None, [], "report", {},
+    {"criterion": C1, "m": 9, "n": 3, "fired": True},
+    {**crit_lam_leung(GbfType(9, 3)).to_dict(), "extra": 1},
+], ids=["none", "list", "str", "empty", "missing-keys", "extra-key"])
+def test_report_from_dict_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_N + 1])
+def test_revalidation_refuses_n_out_of_range_first(n, monkeypatch):
+    # refused before the semigroup sweep over 0..2^n would start
+    rep = crit_lam_leung(GbfType(9, 3))
+    rep.n = n
+    rep.quantities["semigroup"]["target"] = 1 << max(n, 0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("re-validation started work")
+    monkeypatch.setattr(nt, "factorize", no_work)
+    monkeypatch.setattr(nt, "semigroup_member", no_work)
+    with pytest.raises(ValueError):
+        revalidate_report(rep)
+
+
+def test_to_dict_shares_no_mutable_object():
+    def containers(value):
+        if isinstance(value, (dict, list)):
+            yield id(value)
+            for v in (value.values() if isinstance(value, dict) else value):
+                yield from containers(v)
+
+    rep = decide(GbfType(2 * 199 * 5, 3)).report
+    fields = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+    ours = {i for v in fields for i in containers(v)}
+    assert ours.isdisjoint(containers(rep.to_dict()))
+    assert rep.to_dict() == dataclasses.asdict(rep)
+
+
 def test_every_attempt_revalidates():
-    # non-firing reports too, with the r/s range they record
+    # non-firing reports too: with the r/s range they record, without it,
+    # and after a JSON round trip
     for m0 in range(3, 400, 2):
         for m in (m0, 2 * m0):
             for n in range(1, 12, 2):
                 for rep in decide(GbfType(m, n)).attempts:
-                    assert revalidate_report(report_from_dict(rep.to_dict()))
+                    data = rep.to_dict()
+                    assert revalidate_report(report_from_dict(data))
+                    if rep.fired:
+                        continue
+                    data = json.loads(json.dumps(data))
+                    assert revalidate_report(report_from_dict(data))
+                    assert revalidate_report(report_from_dict(
+                        {**data, "excluded": None}))
+
+
+@pytest.mark.parametrize("crit,m,n", [
+    (crit_lam_leung, 9, 3), (crit_semiprimitive, 6, 1), (crit_p7, 94, 3),
+    (crit_p7_x_p35, 1990, 3), (crit_p3_x_p5, 1102, 11),
+    (crit_p3_x_p5, 110, 7)])
+def test_firing_report_needs_its_range(crit, m, n):
+    rep = crit(GbfType(m, n))
+    assert rep.fired and revalidate_report(rep)
+    with pytest.raises(ValueError):
+        revalidate_report(dataclasses.replace(rep, excluded=None))
 
 
 def test_criterion_abstains_on_internal_failure(monkeypatch):
     # a missing r within the bound must abstain, never conclude
-    from gbflab import criteria as cr
-    monkeypatch.setattr(cr.nt, "min_odd_r", lambda *a, **k: None)
-    rep = cr.crit_p7(GbfType(2 * 47, 3))
+    monkeypatch.setattr(nt, "min_odd_r", lambda *a, **k: None)
+    rep = crit_p7(GbfType(2 * 47, 3))
+    assert rep is not None and not rep.fired
+    assert any("abstain" in note for note in rep.notes)
+
+
+def _wrong_r(*args, **kwargs):
+    return nt.QuadSolution(1, 1, 1)
+
+
+def _wrong_r2_hit(a, b, N, solve=nt.solve_ax2_by2):
+    # x^2 + 199*y^2 = 2^(e+2)*5 in C4 at {1990, 3}; r1 is solved honestly
+    return (1, 1) if N % 5 == 0 else solve(a, b, N)
+
+
+def _wrong_semigroup_sum(target, gens, member=nt.semigroup_member):
+    return (0,) * len(gens) if member(target, gens) else None
+
+
+@pytest.mark.parametrize("name,fake,crit,m,n", [
+    ("min_odd_r", _wrong_r, crit_p7, 2 * 47, 3),
+    ("min_odd_r", _wrong_r, crit_p3_x_p5, 2 * 19 * 29, 11),
+    ("solve_ax2_by2", _wrong_r2_hit, crit_p7_x_p35, 2 * 199 * 5, 3),
+    ("semigroup_member", _wrong_semigroup_sum, crit_lam_leung, 3 * 5, 3),
+], ids=["c3-r-witness", "c5-r-witness", "c4-r2-hit", "c1-semigroup-sum"])
+def test_criterion_abstains_on_failed_witness(monkeypatch, name, fake, crit,
+                                              m, n):
+    # a witness that fails its equation must abstain, never conclude
+    monkeypatch.setattr(nt, name, fake)
+    rep = crit(GbfType(m, n))
     assert rep is not None and not rep.fired
     assert any("abstain" in note for note in rep.notes)
 
