@@ -7,8 +7,8 @@ exhaustive enumeration oracle.
 
 from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, phi_degree,
                          reduction_rows, zeta_pow)
-from .numtheory import (QuadSolution, class_number, euler_phi, factorize,
-                        jacobi, min_odd_r, mult_order_2, odd_part,
+from .numtheory import (class_number, euler_phi, exponent_solutions,
+                        factorize, jacobi, mult_order_2, odd_part,
                         semigroup_member, semiprimitive, solve_ax2_by2, v2)
 from .gbf import (FunctionTable, GbfType, WalshSpectrum,
                   construct_boolean_bent, construct_even_even,
@@ -18,16 +18,16 @@ from .criteria import (CriterionReport, Verdict, crit_lam_leung,
                        crit_p3_x_p5, crit_p7, crit_p7_x_p35,
                        crit_semiprimitive, decide, revalidate_report,
                        rule_exists, summarize_report)
-from .oracle import OracleResult, enumerate_gbfs, spot_check
+from .oracle import OracleResult, enumerate_gbfs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CycInt", "IntPoly", "cyclotomic_poly", "phi_degree", "reduction_rows",
     "zeta_pow",
-    "QuadSolution", "class_number", "euler_phi", "factorize", "jacobi",
-    "min_odd_r", "mult_order_2", "odd_part", "semigroup_member",
-    "semiprimitive", "solve_ax2_by2", "v2",
+    "class_number", "euler_phi", "exponent_solutions", "factorize", "jacobi",
+    "mult_order_2", "odd_part", "semigroup_member", "semiprimitive",
+    "solve_ax2_by2", "v2",
     "FunctionTable", "GbfType", "WalshSpectrum", "construct_boolean_bent",
     "construct_even_even", "construct_mod4_from_bent", "direct_sum",
     "first_flat_violation", "is_gbf", "lift_modulus", "table", "walsh",
@@ -35,5 +35,5 @@ __all__ = [
     "CriterionReport", "Verdict", "crit_lam_leung", "crit_p3_x_p5",
     "crit_p7", "crit_p7_x_p35", "crit_semiprimitive", "decide",
     "revalidate_report", "rule_exists", "summarize_report",
-    "OracleResult", "enumerate_gbfs", "spot_check",
+    "OracleResult", "enumerate_gbfs",
 ]

@@ -18,6 +18,9 @@ Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
 {2*m0, n} cover odd inputs m0.  A criterion abstains rather than conclude
 whenever any internal sanity check fails, a witness equation included.
+C3-C5 find every exponent r through one search, numtheory's
+exponent_solutions: the least odd r below a class number, and C4's scan
+for r2 with its even-exponent hits.
 decide() re-validates every report before returning NotExists: the report is
 derived again from its m and n and must match the one returned exactly.
 """
@@ -254,15 +257,16 @@ def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
     q = rep.quantities
     h = nt.class_number(a * b)
     q["class_number"] = {"d": a * b, "h": h}
-    sol = nt.min_odd_r(a, b, bound=h)
-    if sol is None:
+    hit = next(nt.exponent_solutions(a, b, range(1, h + 1, 2)), None)
+    if hit is None:
         rep.notes.append(f"abstain: no odd {key} <= {h} found")
         return None
-    if not _solves(rep, a, b, sol.r, sol.x, sol.y):
+    r, x, y = hit
+    if not _solves(rep, a, b, r, x, y):
         return None
-    q[key] = sol.r
-    q[f"{key}_witness"] = [sol.x, sol.y]
-    return sol.r
+    q[key] = r
+    q[f"{key}_witness"] = [x, y]
+    return r
 
 
 _ALL_ODD = {"parity": "odd", "all": True}
@@ -436,17 +440,14 @@ def crit_p7_x_p35(t: GbfType):
         return rep
     r2 = None
     even_hits = []
-    for exp in range(1, r1 + 1):
-        hit = nt.solve_ax2_by2(1, p1, (1 << (exp + 2)) * p2)
-        if hit is None:
-            continue
-        if not _solves(rep, 1, p1, exp, *hit, p2):
+    for exp, x, y in nt.exponent_solutions(1, p1, range(1, r1 + 1), p2):
+        if not _solves(rep, 1, p1, exp, x, y, p2):
             return rep
         if exp % 2:
             r2 = exp
-            q["r2_witness"] = [hit[0], hit[1]]
+            q["r2_witness"] = [x, y]
             break
-        even_hits.append([exp, hit[0], hit[1]])
+        even_hits.append([exp, x, y])
     q["r2"] = r2                       # None encodes "no finite r2"
     q["r2_even_hits"] = even_hits
     if even_hits and r2 is not None:

@@ -1,20 +1,17 @@
 """Elementary and quadratic number theory behind the nonexistence criteria.
 
 Factorization, multiplicative orders, 2-adic valuations, Jacobi symbols,
-numerical-semigroup membership, one scanner for a*x^2 + b*y^2 = N and
-imaginary quadratic class numbers.  Everything works over plain Python
-integers; the only numpy use is the boolean reachability table of the
-semigroup solver.
+numerical-semigroup membership, one scanner for a*x^2 + b*y^2 = N with one
+search over exponents on top of it, and imaginary quadratic class numbers.
+Everything works over plain Python integers, without numpy: the semigroup's
+reachable sums are the bits of one int.
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 TRIAL_DIVISION_BOUND = 10**6
 
@@ -156,32 +153,46 @@ def semigroup_member(target: int, gens):
     """Nonnegative coefficients (n1, ..., ns) with sum(ni * pi) == target over
     the given odd generators, or None when target is not representable.
 
-    Decided by a reachability sweep over 0..target; the witness is rebuilt by
-    walking back greedily through the reachability table, so the returned
-    vector is deterministic.
+    The sums reachable in 0..target are the bits of one int.  Each generator
+    g closes them under +g by doubling shifts: after the shifts by g, 2g,
+    ..., g*2^J <= target, the set is closed under +k*g for every
+    k < 2^(J+1), which covers every k <= target/g.
+
+    The witness is the greedy walk back from target through the reachable
+    set, trying the smallest generator first.  Closure under each +g makes
+    that walk take each generator in turn, in ascending order, as often as
+    it can: i - k*g stays reachable up to some k and never after it.  So
+    each run is found by bisection, and the vector is the lexicographically
+    largest representation.
     """
     gens = tuple(sorted(set(int(g) for g in gens)))
     if not gens or any(g < 3 or g % 2 == 0 for g in gens):
         raise ValueError("generators must be a nonempty set of odd integers >= 3")
     if target < 1:
         raise ValueError("target must be >= 1")
-    reach = np.zeros(target + 1, dtype=bool)
-    reach[0] = True
+    mask = (1 << (target + 1)) - 1
+    reach = 1
     for g in gens:
-        for res in range(min(g, target + 1)):
-            np.logical_or.accumulate(reach[res::g], out=reach[res::g])
-    if not reach[target]:
+        step = g
+        while step <= target:
+            reach |= (reach << step) & mask
+            step <<= 1
+    if not reach >> target & 1:
         return None
-    counts = [0] * len(gens)
+    reach = reach.to_bytes(target // 8 + 1, "little")
+    counts = []
     i = target
-    while i:
-        for idx, g in enumerate(gens):
-            if i >= g and reach[i - g]:
-                counts[idx] += 1
-                i -= g
-                break
-        else:  # pragma: no cover - closure property of reach makes this dead
-            raise AssertionError("reachability table inconsistent")
+    for g in gens:
+        lo, hi = 0, i // g           # i - lo*g is reachable
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            j = i - mid * g
+            if reach[j >> 3] >> (j & 7) & 1:
+                lo = mid
+            else:
+                hi = mid - 1
+        counts.append(lo)
+        i -= lo * g
     return tuple(counts)
 
 
@@ -240,30 +251,16 @@ def class_number(d: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class QuadSolution:
-    """A witness (x, y) for the designated quadratic equation at odd
-    exponent r, i.e. at right-hand side 2^(r+2) * multiplier."""
+def exponent_solutions(a: int, b: int, exps, multiplier: int = 1):
+    """Yield (e, x, y) for each exponent e of ``exps``, in order, at which
+    a*x^2 + b*y^2 = 2^(e+2) * multiplier is solvable, with the scanner's
+    solution (x, y).
 
-    x: int
-    y: int
-    r: int
-
-
-def min_odd_r(a: int, b: int, multiplier: int = 1, *, bound: int):
-    """Least odd r <= bound at which a*x^2 + b*y^2 = N is solvable with
-    right-hand side N = 2^(r+2) * multiplier, together with a witness; None
-    when no odd r within the bound works.
-
-    The caller owes a finiteness argument for its bound (in the intended
-    uses, an order bound in an imaginary quadratic class group).
+    The caller stops the search: at the first hit for a least exponent, or
+    after a range it owes a finiteness argument for (in the intended uses,
+    an order bound in an imaginary quadratic class group).
     """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if multiplier < 1:
-        raise ValueError("multiplier must be >= 1")
-    for r in range(1, bound + 1, 2):
-        sol = solve_ax2_by2(a, b, (1 << (r + 2)) * multiplier)
+    for e in exps:
+        sol = solve_ax2_by2(a, b, (1 << (e + 2)) * multiplier)
         if sol is not None:
-            return QuadSolution(sol[0], sol[1], r)
-    return None
+            yield (e, *sol)

@@ -22,7 +22,6 @@ after block, each block sorted as odometer readings.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,26 +117,3 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         if not is_gbf(w):  # pragma: no cover - the two routes agree
             raise AssertionError(f"witness failed independent verification: {w}")
     return OracleResult(t, total, count * m, witnesses)
-
-
-def spot_check(t: GbfType, samples: int, seed=0):
-    """Seeded random tables with exact verdicts, as (table, flat) pairs.
-
-    When the whole space has at most ``samples`` tables the check degenerates
-    to full enumeration in odometer order, so reruns are reproducible either
-    way.
-    """
-    m, n = t.m, t.n
-    rows = 1 << n
-    total = m ** rows
-    out = []
-    if total <= samples:
-        for values in _odometer(m, range(total), rows).T:
-            ft = FunctionTable(t, values)
-            out.append((ft, is_gbf(ft)))
-        return out
-    rng = random.Random(seed)
-    for _ in range(samples):
-        ft = FunctionTable(t, tuple(rng.randrange(m) for _ in range(rows)))
-        out.append((ft, is_gbf(ft)))
-    return out

@@ -235,7 +235,7 @@ def test_a09_property_suites():
                        (103, 1, 5, 5), (127, 9, 5, 5), (151, 5, 7, 7),
                        (191, 1, 13, 13), (199, 1, 9, 9)]:
         ok &= nt.class_number(p) == h and h % r == 0
-        ok &= nt.min_odd_r(1, p, bound=h).r == r
+        ok &= next(nt.exponent_solutions(1, p, range(1, h + 1, 2)))[0] == r
 
     _line("A09", ok, "Parseval/inversion, Galois law, semigroup, "
                      "semiprimitive sweep to 10^4, class numbers")

@@ -60,6 +60,9 @@ def test_c1_examples():
         for n in range(1, 7):
             assert crit_lam_leung(GbfType(p ** a, n)).fired
     assert crit_lam_leung(GbfType(6, 1)) is None
+    # 2^24 is not a multiple of the prime 1000003
+    rep = crit_lam_leung(GbfType(1000003, 24))
+    assert rep.fired and rep.quantities["semigroup"]["solution"] is None
 
 
 def test_c1_boundary_at_n7():
@@ -401,14 +404,14 @@ def test_firing_report_needs_its_range(crit, m, n):
 
 def test_criterion_abstains_on_internal_failure(monkeypatch):
     # a missing r within the bound must abstain, never conclude
-    monkeypatch.setattr(nt, "min_odd_r", lambda *a, **k: None)
+    monkeypatch.setattr(nt, "exponent_solutions", lambda *a, **k: iter(()))
     rep = crit_p7(GbfType(2 * 47, 3))
     assert rep is not None and not rep.fired
     assert any("abstain" in note for note in rep.notes)
 
 
 def _wrong_r(*args, **kwargs):
-    return nt.QuadSolution(1, 1, 1)
+    yield (1, 1, 1)
 
 
 def _wrong_r2_hit(a, b, N, solve=nt.solve_ax2_by2):
@@ -421,8 +424,8 @@ def _wrong_semigroup_sum(target, gens, member=nt.semigroup_member):
 
 
 @pytest.mark.parametrize("name,fake,crit,m,n", [
-    ("min_odd_r", _wrong_r, crit_p7, 2 * 47, 3),
-    ("min_odd_r", _wrong_r, crit_p3_x_p5, 2 * 19 * 29, 11),
+    ("exponent_solutions", _wrong_r, crit_p7, 2 * 47, 3),
+    ("exponent_solutions", _wrong_r, crit_p3_x_p5, 2 * 19 * 29, 11),
     ("solve_ax2_by2", _wrong_r2_hit, crit_p7_x_p35, 2 * 199 * 5, 3),
     ("semigroup_member", _wrong_semigroup_sum, crit_lam_leung, 3 * 5, 3),
 ], ids=["c3-r-witness", "c5-r-witness", "c4-r2-hit", "c1-semigroup-sum"])

@@ -153,6 +153,51 @@ def _brute_semigroup(target, gens):
     return rec(0, target)
 
 
+def _reach_table(limit, gens):
+    # reach[i]: i is a nonnegative combination of gens
+    reach = [True] + [False] * limit
+    for g in gens:
+        for i in range(g, limit + 1):
+            if reach[i - g]:
+                reach[i] = True
+    return reach
+
+
+def _greedy_walk(reach, target, gens):
+    # back from target, each step by the smallest generator that stays
+    # reachable
+    if not reach[target]:
+        return None
+    gens = sorted(gens)
+    counts = [0] * len(gens)
+    i = target
+    while i:
+        idx = next(k for k, g in enumerate(gens) if i >= g and reach[i - g])
+        counts[idx] += 1
+        i -= gens[idx]
+    return tuple(counts)
+
+
+def test_semigroup_member_is_the_greedy_walk():
+    # every C1 input with odd m < 1000 and odd n <= 11
+    for m in range(3, 1000, 2):
+        gens = [p for p, _ in nt.factorize(m)]
+        reach = _reach_table(1 << 11, gens)
+        for n in range(1, 12, 2):
+            assert nt.semigroup_member(1 << n, gens) == \
+                _greedy_walk(reach, 1 << n, gens), (m, n)
+    rng = random.Random(12)
+    for _ in range(200):
+        gens = sorted({rng.randrange(3, 120, 2)
+                       for _ in range(rng.randrange(1, 5))})
+        target = rng.randrange(1, 3000)
+        assert nt.semigroup_member(target, gens) == \
+            _greedy_walk(_reach_table(target, gens), target, gens), gens
+    target = 1 << 20
+    assert nt.semigroup_member(target, [3, 5]) == \
+        _greedy_walk(_reach_table(target, [3, 5]), target, [3, 5])
+
+
 def test_semigroup_member_examples():
     assert nt.semigroup_member(64, [7, 13]) is None
     assert nt.semigroup_member(8, [3, 5]) == (1, 1)
@@ -232,22 +277,37 @@ def test_class_number_odd_for_p7_primes():
             assert nt.class_number(p) % 2 == 1
 
 
+def _least_odd_r(a, b, k=1, *, bound):
+    return next(nt.exponent_solutions(a, b, range(1, bound + 1, 2), k), None)
+
+
 def test_min_odd_r_anchors():
-    sol = nt.min_odd_r(1, 47, bound=nt.class_number(47))
-    assert sol.r == 5 and sol.x ** 2 + 47 * sol.y ** 2 == 2 ** 7
-    sol = nt.min_odd_r(1, 199, 5, bound=9)
-    assert sol.r == 5 and sol.x ** 2 + 199 * sol.y ** 2 == 2 ** 7 * 5
-    sol = nt.min_odd_r(19, 29, bound=nt.class_number(19 * 29))
-    assert sol.r == 13 and 19 * sol.x ** 2 + 29 * sol.y ** 2 == 2 ** 15
-    assert nt.min_odd_r(1, 199, 5, bound=3) is None
+    r, x, y = _least_odd_r(1, 47, bound=nt.class_number(47))
+    assert r == 5 and x ** 2 + 47 * y ** 2 == 2 ** 7
+    r, x, y = _least_odd_r(1, 199, 5, bound=9)
+    assert r == 5 and x ** 2 + 199 * y ** 2 == 2 ** 7 * 5
+    r, x, y = _least_odd_r(19, 29, bound=nt.class_number(19 * 29))
+    assert r == 13 and 19 * x ** 2 + 29 * y ** 2 == 2 ** 15
+    assert _least_odd_r(1, 199, 5, bound=3) is None
+
+
+def test_exponent_solutions_yields_every_hit_in_order():
+    # C4 at {710, 1}: the r2 scan up to r1 = 7 meets the even exponents 2
+    # and 4 before r2 = 5
+    hits = list(nt.exponent_solutions(1, 71, range(1, 8), 5))
+    assert hits[:3] == [(2, 3, 1), (4, 6, 2), (5, 1, 3)]
+    assert all(x * x + 71 * y * y == (1 << (e + 2)) * 5 for e, x, y in hits)
+    assert [e for e, _, _ in hits] == [
+        e for e in range(1, 8) if _brute_ax2_by2(1, 71, (1 << (e + 2)) * 5)]
+    assert _least_odd_r(1, 71, bound=nt.class_number(71))[0] == 7
 
 
 def test_min_odd_r_divides_class_number_for_reference_primes():
     for p in (7, 23, 31, 47, 71, 79, 103, 127, 151, 191, 199):
         h = nt.class_number(p)
-        sol = nt.min_odd_r(1, p, bound=h)
-        assert sol is not None and h % sol.r == 0
-        assert sol.r > math.log2(p) - 2
+        hit = _least_odd_r(1, p, bound=h)
+        assert hit is not None and h % hit[0] == 0
+        assert hit[0] > math.log2(p) - 2
 
 
 def test_min_odd_r_matches_sympy_cornacchia():
@@ -261,14 +321,14 @@ def test_min_odd_r_matches_sympy_cornacchia():
     assert len(c3 + c4 + c5) == 44
     for a, b, k in c3 + c4 + c5:
         h = nt.class_number(a * b)
-        sol = nt.min_odd_r(a, b, k, bound=h)
+        hit = _least_odd_r(a, b, k, bound=h)
         want = next(((r, found) for r in range(1, h + 1, 2)
                      if (found := corn.cornacchia(a, b, (1 << (r + 2)) * k))),
                     None)
         if want is None:
-            assert sol is None, (a, b, k)
+            assert hit is None, (a, b, k)
         else:
-            assert sol.r == want[0] and (sol.x, sol.y) in want[1], (a, b, k)
+            assert hit[0] == want[0] and hit[1:] in want[1], (a, b, k)
 
 
 def test_odd_part():
