@@ -4,8 +4,9 @@ Commands: ``decide M N [--json]``, ``construct M N [--out F]``,
 ``verify F``, ``oracle M N [--budget B]``,
 ``scan --m A..B --n C..D [--format csv|md]``, ``table rp|p7``.
 
-Exit codes for decide: 0 Exists, 1 NotExists, 2 Unknown; usage errors and
-running out of memory exit 3 everywhere.  Witness files are JSON objects
+Exit codes for decide: 0 Exists, 1 NotExists, 2 Unknown; usage errors,
+running out of memory and any other failure exit 3 everywhere, so a crash
+never reads as a verdict.  Witness files are JSON objects
 {"m": .., "n": .., "values": [..2^n residues..]} under the package-wide
 index convention (x_1 is the least significant index bit).
 """
@@ -16,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -307,6 +309,10 @@ def main(argv=None) -> int:
         # exit 1 would read as NotExists
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
+        return EXIT_USAGE
+    except Exception:
+        # an uncaught exception would exit 1, the code of NotExists
+        traceback.print_exc()
         return EXIT_USAGE
 
 

@@ -102,7 +102,7 @@ def report_from_dict(data) -> CriterionReport:
     return CriterionReport(**data)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     """Engine output: Exists with a verified witness and the rule that built
     it, NotExists with a re-validated report, or Unknown with every
@@ -150,7 +150,7 @@ def rule_exists(t: GbfType):
     else:
         return None
     if (rule, n) not in _FLAT_BASES:
-        if not is_gbf(base):  # pragma: no cover - constructions are proven flat
+        if not is_gbf(base):  # unreachable: the constructions are flat
             raise AssertionError(f"construction {rule} failed exact verification")
         _FLAT_BASES.add((rule, n))
     return lift_modulus(base, m // base.m), rule
@@ -234,7 +234,7 @@ def _residue_symbol(rep: CriterionReport, a: int, n: int):
     """Record the Jacobi symbol (a/n); its value, or None if it vanishes."""
     value = nt.jacobi(a, n)
     rep.quantities["jacobi"] = {"a": a, "n": n, "value": value}
-    if value == 0:  # pragma: no cover - p1, p2 distinct primes
+    if value == 0:  # unreachable: p1, p2 are distinct primes
         rep.notes.append("abstain: degenerate residue symbol")
         return None
     return value

@@ -13,9 +13,9 @@ a is ((a*Psi_m) mod (x^m - 1))/Psi_m.  That is at most 2^omega(m) - 1
 binomials (511 for m < 2^30), each one pass over a numpy object array, so a
 reduction costs O(2^omega(m) * m) integer operations.
 
-Values are immutable and every operation is pure, so instances may be shared
-across threads.  ``lru_cache`` holds, per m, the binomial exponents of
-Psi_m, Phi_m and the reduction rows.
+CycInt and IntPoly are frozen dataclasses and every operation is pure, so
+values may be shared across threads, copied and pickled.  ``lru_cache``
+holds, per m, the binomial exponents of Psi_m, Phi_m and the reduction rows.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ def reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class CycInt:
     """An element of Z[zeta_m] as a length-m integer vector over powers of
     zeta_m.
@@ -139,16 +140,17 @@ class CycInt:
     hashing compare canonical forms.
     """
 
-    __slots__ = ("modulus", "coeffs")
+    modulus: int
+    coeffs: tuple[int, ...]
 
-    def __init__(self, modulus: int, coeffs):
-        if modulus < 1:
+    def __post_init__(self):
+        m = self.modulus
+        if m < 1:
             raise ValueError("modulus must be >= 1")
-        cs = tuple(int(c) for c in coeffs)
-        if len(cs) != modulus:
-            raise ValueError(f"need exactly {modulus} coefficients, got {len(cs)}")
-        self.modulus = modulus
-        self.coeffs = cs
+        cs = tuple(int(c) for c in self.coeffs)
+        if len(cs) != m:
+            raise ValueError(f"need exactly {m} coefficients, got {len(cs)}")
+        object.__setattr__(self, "coeffs", cs)
 
     # -- construction helpers ------------------------------------------------
 
@@ -243,21 +245,17 @@ class CycInt:
     def as_integer(self):
         """The value as a rational integer, or None when the canonical form
         has any nonzero coefficient beyond index 0."""
-        red = self.canonical()
-        if any(red.coeffs[1:]):
-            return None
-        return red.coeffs[0]
+        red = self.canonical().coeffs
+        return None if any(red[1:]) else red[0]
 
     # -- comparisons and misc -------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, CycInt):
-            if other.modulus != self.modulus:
-                return False
-            return self.canonical().coeffs == other.canonical().coeffs
+            return (other.modulus == self.modulus and
+                    self.canonical().coeffs == other.canonical().coeffs)
         if isinstance(other, int):
-            red = self.canonical()
-            return red.coeffs[0] == other and not any(red.coeffs[1:])
+            return self.as_integer() == other
         return NotImplemented
 
     def __hash__(self):

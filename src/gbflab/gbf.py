@@ -6,9 +6,10 @@ Index convention, fixed across the whole package and the witness file
 format: table index i encodes the point x = (x_1, ..., x_n) with x_j equal
 to bit j-1 of i, so x_1 is the least significant bit.
 
-A table holds its 2^n residues as one read-only numpy array: int64, or
-Python integers (an object array) when m > 2^62.  Every layer works on that
-array; the tuple ``values`` is built only when asked for.
+The value types are frozen dataclasses.  A table holds its 2^n residues as
+one read-only numpy array: int64, or Python integers (an object array) when
+m > 2^62; a copied or unpickled table is checked and frozen again.  Every
+layer works on that array; the tuple ``values`` is built only when asked for.
 
 One batched kernel decides flatness: _spectra yields the spectra of a
 (2^n, batch) array of tables, one per exact test, and _flat where they are
@@ -22,9 +23,10 @@ for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 import numpy as np
@@ -39,12 +41,14 @@ _INT64_SAFE = 2**62
 
 @dataclass(frozen=True)
 class GbfType:
-    """The pair {m, n}: values in Z_m, arguments in Z_2^n."""
+    """The pair {m, n} of integers: values in Z_m, arguments in Z_2^n."""
 
     m: int
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if self.n < 1:
@@ -60,6 +64,7 @@ def _value_dtype(bound: int):
     return np.int64 if bound <= _INT64_SAFE else object
 
 
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FunctionTable:
     """A map Z_2^n -> Z_m stored as a read-only array of 2^n residues.
 
@@ -67,9 +72,11 @@ class FunctionTable:
     m > 2^62.  A numpy array passed in is frozen and shared, not copied.
     ``values`` is the same table as a tuple of Python integers, built on
     first use; equality, hashing and repr are those of a frozen dataclass
-    with fields ``gbf_type`` and ``values``."""
+    with fields ``gbf_type`` and ``values``.  A copy or an unpickled table
+    is built again through the constructor, so it is checked and read-only."""
 
-    __slots__ = ("gbf_type", "array", "_values")
+    gbf_type: GbfType
+    array: np.ndarray
 
     def __init__(self, gbf_type: GbfType, values):
         m, n = gbf_type.m, gbf_type.n
@@ -86,19 +93,13 @@ class FunctionTable:
         arr.setflags(write=False)
         object.__setattr__(self, "gbf_type", gbf_type)
         object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "_values", None)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def __reduce__(self):
+        return self.__class__, (self.gbf_type, self.array)
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @property
+    @cached_property
     def values(self) -> tuple[int, ...]:
-        if self._values is None:
-            object.__setattr__(self, "_values", tuple(self.array.tolist()))
-        return self._values
+        return tuple(self.array.tolist())
 
     @property
     def m(self) -> int:
@@ -177,10 +178,8 @@ def walsh_matrix(f: FunctionTable) -> np.ndarray:
 
 def walsh(f: FunctionTable) -> WalshSpectrum:
     """Exact Walsh spectrum; W(0) is the plain character sum over the table."""
-    mat = walsh_matrix(f)
-    m = f.m
-    return WalshSpectrum(f.gbf_type,
-                         tuple(CycInt(m, row) for row in mat.tolist()))
+    rows = walsh_matrix(f).tolist()
+    return WalshSpectrum(f.gbf_type, tuple(CycInt(f.m, row) for row in rows))
 
 
 def _divide_content(f: FunctionTable) -> FunctionTable:

@@ -32,7 +32,7 @@ DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
     gbf_type: GbfType
     total_candidates: int
@@ -114,6 +114,6 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                       for v in block[:max_witnesses - len(witnesses)]]
 
     for w in witnesses:
-        if not is_gbf(w):  # pragma: no cover - the two routes agree
+        if not is_gbf(w):  # unreachable while the two routes agree
             raise AssertionError(f"witness failed independent verification: {w}")
     return OracleResult(t, total, count * m, witnesses)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gbflab import criteria, gbf, oracle
+from gbflab import cli, criteria, gbf, oracle
 from gbflab.cli import main, verdict_to_dict
 from gbflab.criteria import decide, revalidate_report, report_from_dict
 from gbflab.gbf import GbfType
@@ -240,6 +240,31 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == "error: out of memory: Unable to allocate 15.3 GiB\n"
+
+
+def _crash(f):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("module,name,broken,argv,message", [
+    (criteria, "is_gbf", lambda f: False, ("decide", "8", "3"),
+     "AssertionError: construction E1 failed exact verification"),
+    (oracle, "is_gbf", lambda f: False, ("oracle", "4", "1"),
+     "AssertionError: witness failed independent verification"),
+    (cli, "first_flat_violation", _crash, ("verify", "w.json"),
+     "RuntimeError: boom"),
+], ids=["decide", "oracle", "verify"])
+def test_internal_failure_never_exits_with_a_verdict(
+        tmp_path, monkeypatch, capsys, module, name, broken, argv, message):
+    # exit 1 would read as NotExists for decide and "not flat" for verify
+    (tmp_path / "w.json").write_text('{"m": 4, "n": 1, "values": [0, 1]}')
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, name, broken)
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1].startswith(message)
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gbflab import numtheory as nt
+from gbflab import criteria, numtheory as nt
 from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              UNKNOWN, crit_lam_leung, crit_p3_x_p5, crit_p7,
                              crit_p7_x_p35, crit_semiprimitive, decide,
@@ -467,3 +467,23 @@ def test_unknown_is_first_class():
     v = decide(GbfType(14, 1))
     assert v.kind == UNKNOWN and v.witness is None and v.report is None
     assert all(not rep.fired for rep in v.attempts)
+
+
+def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):
+    monkeypatch.setattr(criteria, "is_gbf", lambda f: False)
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    with pytest.raises(AssertionError,
+                       match="construction E1 failed exact verification"):
+        rule_exists(GbfType(8, 3))
+
+
+@pytest.mark.parametrize("crit,m,n", [(crit_p7_x_p35, 2 * 199 * 5, 3),
+                                      (crit_p3_x_p5, 2 * 19 * 29, 11)])
+def test_two_prime_criteria_abstain_on_degenerate_residue_symbol(
+        monkeypatch, crit, m, n):
+    assert crit(GbfType(m, n)).fired
+    monkeypatch.setattr(nt, "jacobi", lambda a, b: 0)
+    rep = crit(GbfType(m, n))
+    assert not rep.fired and rep.excluded is None
+    assert "abstain: degenerate residue symbol" in rep.notes
+    assert rep.quantities["jacobi"]["value"] == 0

@@ -213,6 +213,18 @@ def test_table_validation():
         GbfType(4, 0)
 
 
+@pytest.mark.parametrize("m,n", [(8.0, 3), (9.0, 3), (6, 2.0)])
+def test_gbf_type_takes_integers_only(m, n):
+    with pytest.raises(TypeError):
+        GbfType(m, n)
+
+
+def test_gbf_type_unwraps_numpy_integers():
+    t = GbfType(np.int64(8), np.int32(3))
+    assert type(t.m) is int and type(t.n) is int and t == GbfType(8, 3)
+    assert hash(t) == hash(GbfType(8, 3)) and str(t) == "{8,3}"
+
+
 # -- the FunctionTable contract -------------------------------------------------
 
 

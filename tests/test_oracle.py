@@ -158,3 +158,10 @@ def test_shifted_and_translated_witness_stays_flat():
         a = rng.randrange(8)
         moved = table(4, 3, [witness.values[x ^ a] for x in range(8)])
         assert _flat_by_ring_arithmetic(moved)
+
+
+def test_enumerate_refuses_a_witness_that_fails_reverification(monkeypatch):
+    monkeypatch.setattr(oracle, "is_gbf", lambda f: False)
+    with pytest.raises(AssertionError,
+                       match="witness failed independent verification"):
+        enumerate_gbfs(GbfType(4, 1))
