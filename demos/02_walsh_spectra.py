@@ -10,18 +10,18 @@ from gbflab import CycInt, is_gbf, table, walsh
 
 classic = table(2, 2, [0, 0, 0, 1])          # x1*x2
 print("classic bent table x1*x2:", classic.values)
-for y, w in enumerate(walsh(classic).values):
+for y, w in enumerate(walsh(classic)):
     print(f"  W({y}) = {w.canonical().coeffs}  |W|^2 = {w.abs_square().as_integer()}")
 print("is_gbf:", is_gbf(classic))
 
 quaternary = table(4, 1, [0, 1])
 print("\nquaternary pair [0, 1]: spectrum in Z[i]")
-for y, w in enumerate(walsh(quaternary).values):
+for y, w in enumerate(walsh(quaternary)):
     print(f"  W({y}) = {w.canonical().coeffs}  |W|^2 = {w.abs_square().as_integer()}")
 
 print("\nParseval on a random-looking table mod 5")
 f = table(5, 2, [0, 3, 1, 2])
-sp = walsh(f).values
+sp = walsh(f)
 total = CycInt.zero(5)
 for w in sp:
     total = total + w.abs_square()

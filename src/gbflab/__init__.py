@@ -5,15 +5,15 @@ a battery of nonexistence criteria with machine-checkable reports, and an
 exhaustive enumeration oracle.
 """
 
-from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, phi_degree,
-                         reduction_rows, zeta_pow)
+from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, reduction_rows,
+                         zeta_pow)
 from .numtheory import (class_number, euler_phi, exponent_solutions,
                         factorize, jacobi, mult_order_2, odd_part,
                         semigroup_member, semiprimitive, solve_ax2_by2, v2)
-from .gbf import (FunctionTable, GbfType, WalshSpectrum,
-                  construct_boolean_bent, construct_even_even,
-                  construct_mod4_from_bent, direct_sum, first_flat_violation,
-                  is_gbf, lift_modulus, table, walsh, walsh_matrix)
+from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
+                  construct_even_even, construct_mod4_from_bent, direct_sum,
+                  first_flat_violation, is_gbf, lift_modulus, table, walsh,
+                  walsh_matrix)
 from .criteria import (CriterionReport, Verdict, crit_lam_leung,
                        crit_p3_x_p5, crit_p7, crit_p7_x_p35,
                        crit_semiprimitive, decide, revalidate_report,
@@ -23,12 +23,11 @@ from .oracle import OracleResult, enumerate_gbfs
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycInt", "IntPoly", "cyclotomic_poly", "phi_degree", "reduction_rows",
-    "zeta_pow",
+    "CycInt", "IntPoly", "cyclotomic_poly", "reduction_rows", "zeta_pow",
     "class_number", "euler_phi", "exponent_solutions", "factorize", "jacobi",
     "mult_order_2", "odd_part", "semigroup_member", "semiprimitive",
     "solve_ax2_by2", "v2",
-    "FunctionTable", "GbfType", "WalshSpectrum", "construct_boolean_bent",
+    "FunctionTable", "GbfType", "construct_boolean_bent",
     "construct_even_even", "construct_mod4_from_bent", "direct_sum",
     "first_flat_violation", "is_gbf", "lift_modulus", "table", "walsh",
     "walsh_matrix",

@@ -42,9 +42,6 @@ C4 = "C4-P7xP35"
 C5 = "C5-P3xP5"
 DIV = "DIV-Propagation"
 
-CRITERIA = (C1, C2, C3, C4, C5)
-RULES = ("E1", "E2", "E3")
-
 EXISTS = "exists"
 NOT_EXISTS = "not_exists"
 UNKNOWN = "unknown"
@@ -272,14 +269,10 @@ def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
 _ALL_ODD = {"parity": "odd", "all": True}
 
 
-def _odd_below(num: int, den: int) -> dict:
-    """The excluded range of odd n with n*den < num."""
-    return {"parity": "odd", "num": num, "den": den}
-
-
 def _fire_below(rep: CriterionReport, num: int, den: int):
+    """Record the range of odd n with n*den < num, fired or not."""
     rep.fired = rep.n * den < num
-    rep.excluded = _odd_below(num, den)
+    rep.excluded = {"parity": "odd", "num": num, "den": den}
     return rep
 
 
@@ -367,7 +360,7 @@ def _summary_semiprimitive(rep: CriterionReport) -> str:
     if not rep.fired:
         return f"no power of 2 is -1 mod {q['m_odd']}"
     return (f"2^{q['l']} = -1 (mod {q['m_odd']}); case {q['case']}; "
-            + _range_text(_ALL_ODD))
+            + _range_text(rep.excluded))
 
 
 def crit_p7(t: GbfType):
@@ -408,15 +401,9 @@ def crit_p7(t: GbfType):
 
 def _summary_p7(rep: CriterionReport) -> str:
     q = rep.quantities
-    if "r" not in q:
+    if rep.excluded is None:
         return "abstained"
-    return (f"p={q['p']}, s={q['s']}, r={q['r']}; "
-            + _range_text(_odd_below(q["r"], q["s"])))
-
-
-def _p7_x_p35_bound(q: dict) -> int:
-    """C4's r/s numerator: r1 in branch I, min(r1, r2) in branch II."""
-    return q["r1"] if q["branch"] == "I" else q["r"]
+    return f"p={q['p']}, s={q['s']}, r={q['r']}; " + _range_text(rep.excluded)
 
 
 def crit_p7_x_p35(t: GbfType):
@@ -456,16 +443,16 @@ def crit_p7_x_p35(t: GbfType):
             f"r2 = r1 - {even_hits[0][0]} = {r1 - even_hits[0][0]}")
     q["r"] = r1 if r2 is None else min(r1, r2)
     q["branch"] = "I" if jac == -1 else "II"
-    return _fire_below(rep, _p7_x_p35_bound(q), s)
+    return _fire_below(rep, r1 if jac == -1 else q["r"], s)
 
 
 def _summary_p7_x_p35(rep: CriterionReport) -> str:
     q = rep.quantities
-    if "branch" not in q or "r1" not in q:
+    if rep.excluded is None:
         return "abstained"
     return (f"branch {q['branch']}, s={q['s']}, r1={q['r1']}, "
             f"r2={'inf' if q['r2'] is None else q['r2']}; "
-            + _range_text(_odd_below(_p7_x_p35_bound(q), q["s"])))
+            + _range_text(rep.excluded))
 
 
 def crit_p3_x_p5(t: GbfType):
@@ -495,13 +482,11 @@ def crit_p3_x_p5(t: GbfType):
 
 def _summary_p3_x_p5(rep: CriterionReport) -> str:
     q = rep.quantities
-    if q.get("branch") == "I":
-        return (f"branch I: ({q['p2']}/{q['p1']}) = 1; "
-                + _range_text(_ALL_ODD))
-    if "r" not in q:
+    if rep.excluded is None:
         return "abstained"
-    return (f"branch II, s={q['s']}, r={q['r']}; "
-            + _range_text(_odd_below(q["r"], q["s"])))
+    head = (f"branch I: ({q['p2']}/{q['p1']}) = 1" if q["branch"] == "I"
+            else f"branch II, s={q['s']}, r={q['r']}")
+    return f"{head}; " + _range_text(rep.excluded)
 
 
 # criterion id -> (evaluation, summary of its reports), in evaluation order.
@@ -607,6 +592,7 @@ def decide(t: GbfType) -> Verdict:
 
 
 def summarize_report(rep: CriterionReport) -> str:
-    """One-line human summary of why a criterion fired (or did not)."""
+    """One-line human summary of why a criterion fired (or did not); like an
+    abstain, a C3-C5 report with ``excluded`` stripped reads "abstained"."""
     parts = _REPORT_PARTS.get(rep.criterion)
     return parts[1](rep) if parts else ""

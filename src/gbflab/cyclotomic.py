@@ -21,6 +21,7 @@ holds, per m, the binomial exponents of Psi_m, Phi_m and the reduction rows.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -43,13 +44,6 @@ class IntPoly:
     def __post_init__(self):
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-
-    @staticmethod
-    def make(coeffs) -> "IntPoly":
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return IntPoly(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -98,14 +92,7 @@ def cyclotomic_poly(m: int) -> IntPoly:
     up, down = _psi_binomials(m)
     a = np.zeros(m + 1, dtype=object)
     a[0], a[m] = -1, 1
-    return IntPoly.make(_binomials(a, down, up).tolist())
-
-
-def phi_degree(m: int) -> int:
-    """Euler's totient of m, read off as the degree of the m-th cyclotomic
-    polynomial, m - deg Psi_m."""
-    up, down = _psi_binomials(m)
-    return m - sum(up) + sum(down)
+    return IntPoly(tuple(_binomials(a, down, up).tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +134,7 @@ class CycInt:
         m = self.modulus
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(operator.index, self.coeffs))
         if len(cs) != m:
             raise ValueError(f"need exactly {m} coefficients, got {len(cs)}")
         object.__setattr__(self, "coeffs", cs)
@@ -160,7 +147,7 @@ class CycInt:
 
     @staticmethod
     def from_int(m: int, value: int) -> "CycInt":
-        return CycInt(m, (int(value),) + (0,) * (m - 1))
+        return CycInt(m, (value,) + (0,) * (m - 1))
 
     # -- ring operations -----------------------------------------------------
 

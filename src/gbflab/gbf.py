@@ -31,8 +31,8 @@ from math import gcd, prod
 
 import numpy as np
 
-from .cyclotomic import CycInt, phi_degree
-from .numtheory import factorize, is_probable_prime
+from .cyclotomic import CycInt
+from .numtheory import euler_phi, factorize, is_probable_prime
 
 _MAX_N = 26              # walsh matrices have 2^n rows; guard memory
 _Q_LIMIT = 1 << 30       # split primes stay below it: FWHT sums fit int64
@@ -124,16 +124,7 @@ class FunctionTable:
 
 def table(m: int, n: int, values) -> FunctionTable:
     """Build a FunctionTable, reducing the given values mod m."""
-    return FunctionTable(GbfType(m, n), [int(v) % m for v in values])
-
-
-@dataclass(frozen=True)
-class WalshSpectrum:
-    """The full family of Walsh values W(y), one ring element per y in
-    Z_2^n, under the shared bit convention."""
-
-    gbf_type: GbfType
-    values: tuple[CycInt, ...]
+    return FunctionTable(GbfType(m, n), [operator.index(v) % m for v in values])
 
 
 def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
@@ -176,10 +167,10 @@ def walsh_matrix(f: FunctionTable) -> np.ndarray:
     return _fwht_inplace(mat)
 
 
-def walsh(f: FunctionTable) -> WalshSpectrum:
-    """Exact Walsh spectrum; W(0) is the plain character sum over the table."""
-    rows = walsh_matrix(f).tolist()
-    return WalshSpectrum(f.gbf_type, tuple(CycInt(f.m, row) for row in rows))
+def walsh(f: FunctionTable) -> tuple[CycInt, ...]:
+    """Exact Walsh spectrum, W(y) at index y under the shared bit convention;
+    W(0) is the plain character sum over the table."""
+    return tuple(CycInt(f.m, row) for row in walsh_matrix(f).tolist())
 
 
 def _divide_content(f: FunctionTable) -> FunctionTable:
@@ -337,7 +328,7 @@ def first_flat_violation(f: FunctionTable):
     signs = np.where(np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
     row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
                       minlength=f.m).astype(np.int64)
-    return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:phi_degree(f.m)]
+    return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:euler_phi(f.m)]
 
 
 def is_gbf(f: FunctionTable) -> bool:
@@ -385,8 +376,8 @@ def construct_even_even(m: int, n: int, g=None, sigma=None,
         if sigma is None:
             sigma = list(range(size))
             rng.shuffle(sigma)
-    g = [0] * size if g is None else [int(v) % m for v in g]
-    sigma = list(range(size)) if sigma is None else [int(v) for v in sigma]
+    g = [0] * size if g is None else [operator.index(v) % m for v in g]
+    sigma = list(map(operator.index, range(size) if sigma is None else sigma))
     if len(g) != size:
         raise ValueError(f"g must have {size} entries")
     if sorted(sigma) != list(range(size)):

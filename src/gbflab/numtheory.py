@@ -244,8 +244,7 @@ def class_number(d: int) -> int:
                 continue
             if b < 0 and (-b == a or a == c):
                 continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
+            # squarefree d: disc is fundamental, so every form is primitive
             h += 1
         a += 1
     return h

@@ -105,6 +105,11 @@ def test_verify_rejects_bad_files(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", str(garbled))
     assert code == 3
 
+    garbled.write_text("[0, 1]")
+    code, out, err = run(capsys, "verify", str(garbled))
+    assert code == 3 and out == ""
+    assert err == "cannot parse witness file: witness must be a JSON object\n"
+
 
 @pytest.mark.parametrize("text, message", [
     ('{"m": true, "n": 1, "values": [0, 1]}', "m and n must be integers"),
@@ -319,3 +324,16 @@ def test_exists_witness_matches_bench_goldens(tmp_path, monkeypatch, capsys):
                                    workloads.random_table(2, m, n)}))
         code, out, _ = run(capsys, "verify", str(rnd))
         assert code == 1 and out == random_golden[f"verify-random {m} {n}"]
+
+
+def test_scan_matches_bench_golden(capsys):
+    # every C3-C5 summary the scan-grid workload prints: 23 C3, 8 C4 and
+    # 23 C5 rows among its 2396 cells
+    golden = json.loads((BENCH / "goldens" / "goldens.json").read_text())
+    want = golden["scan-grid"]["scan --m 2..600 --n 1..4"]
+    code, out, _ = run(capsys, "scan", "--m", "2..600", "--n", "1..4")
+    rows = out.splitlines()[1:]
+    assert code == want["rc"] == 0 and len(rows) == len(want["rows"]) == 2396
+    assert [hashlib.sha256(r.encode()).hexdigest()[:8] for r in rows] == \
+        want["rows"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want["sha"]

@@ -9,7 +9,8 @@ from gbflab import criteria, numtheory as nt
 from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              UNKNOWN, crit_lam_leung, crit_p3_x_p5, crit_p7,
                              crit_p7_x_p35, crit_semiprimitive, decide,
-                             report_from_dict, revalidate_report, rule_exists)
+                             report_from_dict, revalidate_report, rule_exists,
+                             summarize_report)
 from gbflab.gbf import GbfType, is_gbf
 
 
@@ -487,3 +488,51 @@ def test_two_prime_criteria_abstain_on_degenerate_residue_symbol(
     assert not rep.fired and rep.excluded is None
     assert "abstain: degenerate residue symbol" in rep.notes
     assert rep.quantities["jacobi"]["value"] == 0
+
+
+@pytest.mark.parametrize("crit,m,n,order,note", [
+    (crit_p7, 94, 3, 2,
+     "abstain: order f=2 fails the parity/divisibility sanity check"),
+    (crit_p7_x_p35, 1990, 3, 1,
+     "abstain: g=792, s=396 fail the parity sanity check"),
+    (crit_p3_x_p5, 1102, 11, 1,
+     "abstain: g=504, s=252 fail the parity sanity check")])
+def test_criteria_abstain_on_a_failed_order_check(
+        monkeypatch, crit, m, n, order, note):
+    # p = 7 (mod 8) makes the order of 2 odd and g = 2 (mod 4), so these
+    # checks fail only under a wrong order
+    assert crit(GbfType(m, n)).fired
+    monkeypatch.setattr(nt, "mult_order_2", lambda mod: order)
+    rep = crit(GbfType(m, n))
+    assert rep.fired is False and rep.excluded is None
+    assert note in rep.notes
+    assert summarize_report(rep) == "abstained"
+
+
+@pytest.mark.parametrize("m,n,criterion,summary", [
+    (46, 5, C3, "p=23, s=1, r=3; excludes odd n < 3/1"),
+    (1990, 5, C4, "branch II, s=1, r1=9, r2=5; excludes odd n < 5/1"),
+    (1102, 13, C5, "branch II, s=1, r=13; excludes odd n < 13/1")])
+def test_summary_states_the_recorded_range(m, n, criterion, summary):
+    # a report that reaches r records its range whether it fires or not
+    rep = next(rep for rep in decide(GbfType(m, n)).attempts
+               if rep.criterion == criterion)
+    assert not rep.fired and summarize_report(rep) == summary
+    assert summarize_report(dataclasses.replace(rep, excluded=None)) == \
+        "abstained"
+
+
+def test_revalidation_refuses_a_foreign_criterion_or_type():
+    rep = crit_p7(GbfType(94, 3))
+    for criterion in ("C9-Unknown", 3, None):
+        with pytest.raises(ValueError, match="unknown criterion id"):
+            revalidate_report(dataclasses.replace(rep, criterion=criterion))
+    with pytest.raises(ValueError, match=r"\{15,3\} is outside C3-P7"):
+        revalidate_report(dataclasses.replace(rep, m=15, n=3))
+
+
+def test_revalidation_refuses_a_list_of_another_length():
+    rep = report_from_dict(crit_p7(GbfType(94, 3)).to_dict())
+    rep.quantities["r_witness"].append(0)
+    with pytest.raises(ValueError, match="quantities differs"):
+        revalidate_report(rep)

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from gbflab.cyclotomic import (CycInt, _binomials, cyclotomic_poly, phi_degree,
+from gbflab.cyclotomic import (CycInt, _binomials, cyclotomic_poly,
                                reduction_rows, zeta_pow)
+from gbflab.numtheory import euler_phi
 
 
 # -- plain-list polynomial helpers, independent of the library ---------------
@@ -64,9 +65,8 @@ def test_cyclotomic_poly_12_by_exact_division():
 
 def test_cyclotomic_degrees_match_totient():
     # degree of the m-th cyclotomic polynomial is Euler's phi
-    from gbflab.numtheory import euler_phi
     for m in range(1, 60):
-        assert phi_degree(m) == euler_phi(m)
+        assert cyclotomic_poly(m).degree == euler_phi(m)
 
 
 def test_product_of_all_divisor_cyclotomics():
@@ -184,7 +184,7 @@ def test_canonical_vanishing_sums():
 def test_canonical_idempotent_and_degree_bound():
     rng = random.Random(13)
     for m in (2, 3, 6, 10, 12):
-        phi = phi_degree(m)
+        phi = euler_phi(m)
         for _ in range(20):
             alpha = CycInt(m, [rng.randrange(-20, 21) for _ in range(m)])
             red = alpha.canonical()
@@ -222,7 +222,7 @@ def test_canonical_matches_reduction_rows():
     rng = random.Random(29)
     for m in list(range(1, 61)) + [210, 2310]:
         rows = np.array(reduction_rows(m), dtype=object)
-        phi = phi_degree(m)
+        phi = euler_phi(m)
         for _ in range(3):
             coeffs = [rng.randrange(-50, 51) if rng.random() < 0.5 else 0
                       for _ in range(m)]
@@ -235,7 +235,7 @@ def test_reduction_rows_shape():
     for m in (1, 2, 9, 12):
         rows = reduction_rows(m)
         assert len(rows) == m
-        assert all(len(r) == phi_degree(m) for r in rows)
+        assert all(len(r) == euler_phi(m) for r in rows)
 
 
 def test_float_shadow():

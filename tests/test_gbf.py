@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from gbflab import gbf
-from gbflab.cyclotomic import CycInt, phi_degree, zeta_pow
+from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
                         construct_even_even, construct_mod4_from_bent,
                         direct_sum, first_flat_violation, is_gbf,
                         lift_modulus, table, walsh, walsh_matrix)
+from gbflab.numtheory import euler_phi
 
 # the old FunctionTable, a frozen dataclass over a tuple, for its semantics
 _TupleTable = dataclasses.make_dataclass(
@@ -45,8 +46,8 @@ def _is_flat_by_definition(f):
 def test_walsh_constant_table():
     for m, n in ((3, 2), (5, 1), (4, 3)):
         sp = walsh(table(m, n, [0] * (1 << n)))
-        assert sp.values[0] == 1 << n
-        assert all(w == 0 for w in sp.values[1:])
+        assert sp[0] == 1 << n
+        assert all(w == 0 for w in sp[1:])
 
 
 def test_walsh_matches_definition_random():
@@ -56,12 +57,12 @@ def test_walsh_matches_definition_random():
         n = rng.randrange(1, 4)
         f = table(m, n, [rng.randrange(m) for _ in range(1 << n)])
         direct = _walsh_by_definition(f)
-        assert list(walsh(f).values) == direct
+        assert list(walsh(f)) == direct
 
 
 def test_walsh_classic_bent():
     f = table(2, 2, [0, 0, 0, 1])
-    for w in walsh(f).values:
+    for w in walsh(f):
         assert w.abs_square() == 4
     assert is_gbf(f)
 
@@ -69,8 +70,8 @@ def test_walsh_classic_bent():
 def test_walsh_quaternary_pair():
     f = table(4, 1, [0, 1])
     sp = walsh(f)
-    assert sp.values[0] == zeta_pow(4, 0) + zeta_pow(4, 1)
-    assert sp.values[0].abs_square() == 2
+    assert sp[0] == zeta_pow(4, 0) + zeta_pow(4, 1)
+    assert sp[0].abs_square() == 2
     assert is_gbf(f)
 
 
@@ -225,6 +226,26 @@ def test_gbf_type_unwraps_numpy_integers():
     assert hash(t) == hash(GbfType(8, 3)) and str(t) == "{8,3}"
 
 
+@pytest.mark.parametrize("build", [
+    lambda: table(4, 1, [0.9, 1.7]),
+    lambda: CycInt(3, (0.5, 1.9, 0)),
+    lambda: construct_even_even(4, 2, g=[0.5, 1.5]),
+    lambda: construct_even_even(4, 2, sigma=[0.0, 1.0]),
+    lambda: construct_even_even(4, 2, g=[0.5, 1.5], sigma=[0.2, 1.9])],
+    ids=["table", "cycint", "g", "sigma", "g-and-sigma"])
+def test_values_are_refused_not_truncated(build):
+    # int() would read [0.9, 1.7] as the flat table (0, 1)
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_values_take_numpy_integers():
+    assert table(4, 1, np.array([0, 7])).values == (0, 3)
+    assert CycInt(3, np.array([1, 2, 3])).coeffs == (1, 2, 3)
+    f = construct_even_even(4, 2, g=np.array([1, 2]), sigma=np.array([1, 0]))
+    assert f.values == (1, 3, 2, 2) and is_gbf(f)
+
+
 # -- the FunctionTable contract -------------------------------------------------
 
 
@@ -331,9 +352,9 @@ def test_content_modulus_report_is_taken_at_m():
                 continue
             y, coeffs = bad
             reported += 1
-            phi = phi_degree(m)
+            phi = euler_phi(m)
             assert len(coeffs) == phi
-            want = walsh(f).values[y].abs_square().coeffs
+            want = walsh(f)[y].abs_square().coeffs
             assert coeffs == want[:phi] and not any(want[phi:])
             # and y is the first failing row by the definition
             target = 1 << n
@@ -351,7 +372,7 @@ def test_content_modulus_all_zero_table():
             f = table(m, n, [0] * (1 << n))
             assert gbf._divide_content(f).m == 2 and not is_gbf(f)
             assert first_flat_violation(f) == \
-                (0, (4 ** n,) + (0,) * (phi_degree(m) - 1))
+                (0, (4 ** n,) + (0,) * (euler_phi(m) - 1))
     for m in (2**63 + 1, 2**64):
         f = table(m, 1, [0, 0])
         assert gbf._divide_content(f).m == 2 and not is_gbf(f)
@@ -382,7 +403,7 @@ def _referee_violation(f, spectrum):
     """What first_flat_violation must return, from ring elements W(y) in
     Z[zeta_m]: the first y with |W(y)|^2 != 2^n and its canonical
     coefficients, or None."""
-    phi = phi_degree(f.m)
+    phi = euler_phi(f.m)
     for y, w in enumerate(spectrum):
         square = w.abs_square()
         if square != 1 << f.n:

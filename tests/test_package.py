@@ -63,5 +63,7 @@ def test_value_fields_refuse_assignment():
         alpha.coeffs = (0,) * 12
     assert alpha in {alpha}
     for value in _values():
+        if isinstance(value, tuple):    # walsh(base): a tuple has no fields
+            continue
         with pytest.raises(FrozenInstanceError):
             setattr(value, fields(value)[0].name, None)
