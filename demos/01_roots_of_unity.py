@@ -10,7 +10,7 @@ from gbflab import CycInt, cyclotomic_poly, zeta_pow
 
 print("cyclotomic polynomials")
 for m in (1, 2, 3, 4, 6, 12):
-    print(f"  m={m:>2}: coefficients {cyclotomic_poly(m).coeffs}")
+    print(f"  m={m:>2}: coefficients {cyclotomic_poly(m)}")
 
 print("\nvanishing sums of roots of unity")
 print("  1 + z3 + z3^2          =", CycInt(3, (1, 1, 1)).canonical())

@@ -5,8 +5,7 @@ a battery of nonexistence criteria with machine-checkable reports, and an
 exhaustive enumeration oracle.
 """
 
-from .cyclotomic import (CycInt, IntPoly, cyclotomic_poly, reduction_rows,
-                         zeta_pow)
+from .cyclotomic import CycInt, cyclotomic_poly, reduction_rows, zeta_pow
 from .numtheory import (class_number, euler_phi, exponent_solutions,
                         factorize, jacobi, mult_order_2, odd_part,
                         semigroup_member, semiprimitive, solve_ax2_by2, v2)
@@ -23,7 +22,7 @@ from .oracle import OracleResult, enumerate_gbfs
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycInt", "IntPoly", "cyclotomic_poly", "reduction_rows", "zeta_pow",
+    "CycInt", "cyclotomic_poly", "reduction_rows", "zeta_pow",
     "class_number", "euler_phi", "exponent_solutions", "factorize", "jacobi",
     "mult_order_2", "odd_part", "semigroup_member", "semiprimitive",
     "solve_ax2_by2", "v2",

@@ -21,7 +21,7 @@ import traceback
 
 import numpy as np
 
-from . import criteria, numtheory as nt, oracle as oracle_mod
+from . import criteria, oracle as oracle_mod
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
                        describe_rule, rule_exists, summarize_report)
 from .gbf import FunctionTable, GbfType, first_flat_violation
@@ -103,11 +103,6 @@ def verdict_to_dict(m: int, n: int, v: Verdict, witness_path=None) -> dict:
     }
 
 
-def _verdict_exit(v: Verdict) -> int:
-    return {EXISTS: EXIT_EXISTS, NOT_EXISTS: EXIT_NOT_EXISTS,
-            UNKNOWN: EXIT_UNKNOWN}[v.kind]
-
-
 def cmd_decide(args) -> int:
     t = GbfType(args.m, args.n)
     v = decide(t)
@@ -128,7 +123,8 @@ def cmd_decide(args) -> int:
     else:
         print(f"Unknown -- {len(v.attempts)} applicable criteria, "
               f"none conclusive")
-    return _verdict_exit(v)
+    return {EXISTS: EXIT_EXISTS, NOT_EXISTS: EXIT_NOT_EXISTS,
+            UNKNOWN: EXIT_UNKNOWN}[v.kind]
 
 
 def cmd_construct(args) -> int:
@@ -201,10 +197,8 @@ def _scan_cells(m_span, n_span):
 
 
 def cmd_scan(args) -> int:
-    m_span = _parse_span(args.m)
-    n_span = _parse_span(args.n)
     header = ("m", "n", "verdict", "criterion", "detail")
-    rows = _scan_cells(m_span, n_span)
+    rows = _scan_cells(args.m, args.n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
@@ -219,13 +213,10 @@ def cmd_scan(args) -> int:
 
 
 def table_rp_rows():
-    """(p, d_p, r_p) for the twelve sample primes p = 1 (mod 8): the order of
-    2 mod p and its 2-adic valuation."""
-    out = []
-    for p in RP_PRIMES:
-        d = nt.mult_order_2(p)
-        out.append((p, d, nt.v2(d)))
-    return out
+    """(p, d_p, r_p) for the twelve sample primes p = 1 (mod 8), as C2
+    records them for {p, 1}: the order of 2 mod p and its 2-adic valuation."""
+    return [tuple(criteria.crit_semiprimitive(GbfType(p, 1))
+                  .quantities["prime_table"][0]) for p in RP_PRIMES]
 
 
 def table_p7_rows():
@@ -295,10 +286,18 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "m") and isinstance(args.m, int):
-        if args.m < 2:
+    if args.command == "scan":
+        try:
+            args.m, args.n = _parse_span(args.m), _parse_span(args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if hasattr(args, "m"):
+        # an int, or scan's nonempty ascending range: checked at its ends
+        m_span, n_span = (range(v, v + 1) if isinstance(v, int) else v
+                          for v in (args.m, args.n))
+        if m_span[0] < 2:
             parser.error("m must be >= 2")
-        if not 1 <= args.n <= criteria.MAX_N:
+        if not (1 <= n_span[0] and n_span[-1] <= criteria.MAX_N):
             parser.error(f"n must lie in 1..{criteria.MAX_N}")
     try:
         return args.func(args)

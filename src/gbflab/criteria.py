@@ -46,7 +46,7 @@ EXISTS = "exists"
 NOT_EXISTS = "not_exists"
 UNKNOWN = "unknown"
 
-MAX_N = 24  # resource guard for decide()
+MAX_N = 24  # resource guard: rule_exists, hence decide, refuses larger n
 
 
 @dataclass
@@ -133,9 +133,11 @@ def rule_exists(t: GbfType):
     construction for even n, quaternary folding of a boolean witness for odd
     n) and lifted by m/4.  E3: remaining even m with even n, the product
     construction at modulus 2 lifted by m/2.  Each base table depends on the
-    rule and n only, and is verified once per process.
+    rule and n only, and is verified once per process.  Refuses n > MAX_N.
     """
     m, n = t.m, t.n
+    if n > MAX_N:
+        raise ValueError(f"n = {n} beyond the resource guard ({MAX_N})")
     if m == 2 and n % 2 == 0:
         rule, base = "E2", construct_boolean_bent(n)
     elif m % 4 == 0:
@@ -189,32 +191,25 @@ def _odd_part_gate(t: GbfType, classes=None):
     return m_odd, [fs[0] for fs in by_class]
 
 
-def _two_prime_orders(factors):
-    """Shared order bookkeeping for the two-prime criteria: orders are taken
-    modulo the full prime powers, and g = phi(m0)/lcm(f1, f2), which is
-    g1*g2*gcd(f1, f2)."""
-    (p1, a1), (p2, a2) = factors
-    mod1, mod2 = p1 ** a1, p2 ** a2
-    f1, f2 = nt.mult_order_2(mod1), nt.mult_order_2(mod2)
-    g1, g2 = nt.euler_phi(mod1) // f1, nt.euler_phi(mod2) // f2
-    g = (nt.euler_phi(mod1) * nt.euler_phi(mod2)) // lcm(f1, f2)
-    return {"p1": p1, "a1": a1, "p2": p2, "a2": a2,
-            "order_moduli": [mod1, mod2],
-            "f1": f1, "f2": f2, "g1": g1, "g2": g2, "g": g}
-
-
 def _two_prime_report(t: GbfType, criterion: str, classes):
     """(report, s or None) for C4 or C5 with both prime powers, their orders
-    and the g/s step recorded; (None, None) when t is off shape."""
+    and the g/s step recorded; (None, None) when t is off shape.  Orders are
+    taken modulo the full prime powers, and g = phi(m0)/lcm(f1, f2), which
+    is g1*g2*gcd(f1, f2)."""
     gate = _odd_part_gate(t, classes)
     if gate is None:
         return None, None
     m_odd, shape = gate
+    (p1, a1), (p2, a2) = shape
+    mod1, mod2 = p1 ** a1, p2 ** a2
+    f1, f2 = nt.mult_order_2(mod1), nt.mult_order_2(mod2)
     rep = CriterionReport(criterion=criterion, m=t.m, n=t.n, fired=False,
                           covers=[[m_odd, t.n], [2 * m_odd, t.n]],
                           quantities=_base_quantities(m_odd, sorted(shape)))
-    rep.quantities.update(_two_prime_orders(shape))
-    return rep, _split_g(rep, rep.quantities["g"])
+    rep.quantities.update(
+        p1=p1, a1=a1, p2=p2, a2=a2, order_moduli=[mod1, mod2], f1=f1, f2=f2,
+        g1=nt.euler_phi(mod1) // f1, g2=nt.euler_phi(mod2) // f2)
+    return rep, _split_g(rep, nt.euler_phi(m_odd) // lcm(f1, f2))
 
 
 def _split_g(rep: CriterionReport, g: int):
@@ -320,18 +315,6 @@ def _summary_lam_leung(rep: CriterionReport) -> str:
     return f"2^{rep.n}={sg['target']} {verb} over {{{gens}}}"
 
 
-def _prime_table(factors) -> list:
-    return [[p, nt.mult_order_2(p), nt.v2(nt.mult_order_2(p))]
-            for p, _ in factors]
-
-
-def _semiprimitive_order(m_odd: int, l: int, prime_table) -> dict:
-    """What a firing C2 report adds: the order 2l of 2 and the case."""
-    shared = prime_table[0][2]
-    return {"order_modulus": m_odd, "order": 2 * l, "shared_valuation": shared,
-            "case": {1: "I", 2: "II"}.get(shared, "III")}
-
-
 def crit_semiprimitive(t: GbfType):
     """C2: fires when some power of 2 is -1 modulo the odd part m0 >= 3,
     excluding every odd n for both {m0, n} and {2*m0, n}.  The report carries
@@ -340,14 +323,18 @@ def crit_semiprimitive(t: GbfType):
     if gate is None:
         return None
     m_odd, factors = gate
-    prime_table = _prime_table(factors)
+    prime_table = [[p, d, nt.v2(d)]
+                   for p, _ in factors for d in [nt.mult_order_2(p)]]
     l = nt.semiprimitive(m_odd)
     fired = l is not None
     quantities = {**_base_quantities(m_odd, factors),
                   "prime_table": prime_table,
                   "l": l}
     if fired:
-        quantities.update(_semiprimitive_order(m_odd, l, prime_table))
+        shared = prime_table[0][2]
+        quantities.update(order_modulus=m_odd, order=2 * l,
+                          shared_valuation=shared,
+                          case={1: "I", 2: "II"}.get(shared, "III"))
     return CriterionReport(
         criterion=C2, m=t.m, n=t.n, fired=fired,
         covers=[[m_odd, t.n], [2 * m_odd, t.n]],
@@ -574,8 +561,6 @@ def decide(t: GbfType) -> Verdict:
     every applicable report.  Deterministic: identical inputs give identical
     verdicts and reports.
     """
-    if t.n > MAX_N:
-        raise ValueError(f"n = {t.n} beyond the resource guard ({MAX_N})")
     found = rule_exists(t)
     if found is not None:
         witness, rule = found

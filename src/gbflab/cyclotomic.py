@@ -13,9 +13,9 @@ a is ((a*Psi_m) mod (x^m - 1))/Psi_m.  That is at most 2^omega(m) - 1
 binomials (511 for m < 2^30), each one pass over a numpy object array, so a
 reduction costs O(2^omega(m) * m) integer operations.
 
-CycInt and IntPoly are frozen dataclasses and every operation is pure, so
-values may be shared across threads, copied and pickled.  ``lru_cache``
-holds, per m, the binomial exponents of Psi_m, Phi_m and the reduction rows.
+CycInt is a frozen dataclass and every operation is pure, so values may be
+shared across threads, copied and pickled.  ``lru_cache`` holds, per m, the
+binomial exponents of Psi_m, Phi_m and the reduction rows.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ from math import gcd
 import numpy as np
 
 from .numtheory import factorize
-
-
-@dataclass(frozen=True)
-class IntPoly:
-    """Dense integer polynomial, coefficients in ascending degree.
-
-    The zero polynomial is the empty tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @lru_cache(maxsize=None)
@@ -84,15 +65,15 @@ def _binomials(a: np.ndarray, mul, div) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(m: int) -> IntPoly:
-    """The m-th cyclotomic polynomial, (x^m - 1)/Psi_m, entirely over Z: the
-    denominator binomials of Psi_m multiply x^m - 1 before the numerator
-    ones divide it, so every division is exact.  The degree is Euler's
-    phi(m)."""
+def cyclotomic_poly(m: int) -> tuple[int, ...]:
+    """Coefficients, in ascending degree, of the m-th cyclotomic polynomial
+    (x^m - 1)/Psi_m, entirely over Z: the denominator binomials of Psi_m
+    multiply x^m - 1 before the numerator ones divide it, so every division
+    is exact.  Its degree is Euler's phi(m)."""
     up, down = _psi_binomials(m)
     a = np.zeros(m + 1, dtype=object)
     a[0], a[m] = -1, 1
-    return IntPoly(tuple(_binomials(a, down, up).tolist()))
+    return tuple(_binomials(a, down, up).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +81,8 @@ def reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Row j is the canonical coefficient vector of zeta_m^j, i.e. x^j reduced
     modulo the m-th cyclotomic polynomial, for j = 0..m-1.  Each row has
     length phi(m)."""
-    phi = cyclotomic_poly(m)
-    deg = phi.degree
-    low = phi.coeffs[:-1]
+    low = cyclotomic_poly(m)[:-1]
+    deg = len(low)
     rows = []
     cur = [0] * deg
     cur[0] = 1

@@ -83,9 +83,7 @@ def euler_phi(m: int) -> int:
 
 
 def odd_part(m: int) -> int:
-    while m % 2 == 0:
-        m //= 2
-    return m
+    return m >> v2(m)
 
 
 @lru_cache(maxsize=None)

@@ -16,8 +16,8 @@ block against one slow block as one numpy batch.
 
 Witnesses are the first hits of the full odometer order.  When the tables
 with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
-hand, and the hits with top value c = 1, 2, ... are those plus c, block
-after block, each block sorted as odometer readings.
+hand, and the hits with top value c = 1, 2, ... are those plus c: one sort
+of all those shifts as odometer readings gives the rest in order.
 """
 
 from __future__ import annotations
@@ -103,15 +103,13 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                     t, fast_tables[:, v] + slow_tables[:, j]))
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
-    # the hits with f(rows-1) = c are them plus c, next in odometer order
-    reduced = [w.values for w in witnesses]
-    for c in range(1, m):
-        if len(witnesses) >= max_witnesses:
-            break
-        block = sorted((tuple((v + c) % m for v in values)
-                        for values in reduced), key=lambda v: v[::-1])
+    # the hits with f(rows-1) = c > 0 are them plus c, next in odometer order
+    if len(witnesses) < max_witnesses:
+        shifted = sorted((tuple((v + c) % m for v in w.values)
+                          for c in range(1, m) for w in witnesses),
+                         key=lambda v: v[::-1])
         witnesses += [FunctionTable(t, v)
-                      for v in block[:max_witnesses - len(witnesses)]]
+                      for v in shifted[:max_witnesses - len(witnesses)]]
 
     for w in witnesses:
         if not is_gbf(w):  # unreachable while the two routes agree

@@ -166,10 +166,14 @@ def test_scan_markdown(capsys):
 
 
 def test_scan_bad_range(capsys):
-    code, _, err = run(capsys, "scan", "--m", "5", "--n", "1..2")
-    assert code == 3
-    code, _, err = run(capsys, "scan", "--m", "9..2", "--n", "1..2")
-    assert code == 3
+    # refused before the header: a malformed or empty range, m < 2, n past
+    # the resource guard or below 1
+    for m, n in (("5", "1..2"), ("9..2", "1..2"), ("1..3", "1..2"),
+                 ("2..3", "24..25"), ("2..3", "0..1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--m", m, "--n", n])
+        assert exc.value.code == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_table_outputs(capsys):

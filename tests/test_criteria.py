@@ -31,6 +31,9 @@ def test_rule_exists_examples():
 def test_decide_guards():
     with pytest.raises(ValueError):
         decide(GbfType(4, 25))
+    # refused before any table is built (2^25 values at n = 25)
+    with pytest.raises(ValueError, match="resource guard"):
+        rule_exists(GbfType(4, 25))
     with pytest.raises(ValueError):
         GbfType(1, 3)
 
@@ -83,6 +86,9 @@ def test_c2_examples():
 
     rep = crit_semiprimitive(GbfType(2 * 7, 3))
     assert rep is not None and not rep.fired
+    rep = next(rep for rep in decide(GbfType(14, 1)).attempts
+               if rep.criterion == C2)
+    assert summarize_report(rep) == "no power of 2 is -1 mod 7"
 
     assert crit_semiprimitive(GbfType(6, 2)) is None        # even n
     assert crit_semiprimitive(GbfType(12, 3)) is None       # 4 | m
@@ -292,6 +298,10 @@ def _forge_note(q, rep):
     rep.notes.append("checked by hand")
 
 
+def _forge_extra_key(q, rep):
+    q["h_bound"] = q["class_number"]["h"]
+
+
 # each forgery keeps every recorded equation true; all but c3-range detach
 # some recorded input from m and n.  c5-symbol-inputs, c5-orders,
 # c4-symbol-inputs and c3-range claim NotExists where the verdict is Unknown.
@@ -320,13 +330,14 @@ def _forge_note(q, rep):
     (94, 3, C3, _forge_no_witness),
     (94, 3, C3, _forge_float_m),
     (94, 3, C3, _forge_note),
+    (94, 3, C3, _forge_extra_key),
 ], ids=["c5-symbol-inputs", "c5-orders", "c4-symbol-inputs",
         "c3-class-number-field", "c3-order-modulus", "c3-range", "c4-even-hit",
         "c4-class-number-field", "c5-class-number-field", "c3-float-r",
         "c3-bool-r", "c3-float-witness", "c3-bool-witness", "c4-float-r1",
         "c4-bool-r1", "c4-float-even-hit", "c4-bool-even-hit", "c4-float-r",
         "c4-float-s", "c4-float-g", "c3-float-class-number", "c3-no-witness",
-        "c3-float-m", "c3-appended-note"])
+        "c3-float-m", "c3-appended-note", "c3-extra-key"])
 def test_revalidation_catches_forgery(m, n, criterion, forge):
     v = decide(GbfType(m, n))
     honest = next(rep for rep in v.attempts if rep.criterion == criterion)

@@ -8,6 +8,7 @@ compare with the library verdict.
 import dataclasses
 import random
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -124,6 +125,8 @@ def test_even_even_construction():
         construct_even_even(6, 3)
     with pytest.raises(ValueError):
         construct_even_even(6, 2, sigma=[0, 0])
+    with pytest.raises(ValueError, match="g must have 2 entries"):
+        construct_even_even(6, 2, g=[0])
 
 
 def test_even_even_arbitrary_g_sigma():
@@ -145,6 +148,8 @@ def test_mod4_construction():
         construct_mod4_from_bent(table(2, 2, [0, 0, 0, 0]))
     with pytest.raises(ValueError):
         construct_mod4_from_bent(table(4, 2, [0, 0, 0, 1]))
+    with pytest.raises(ValueError, match="at least 2 variables"):
+        construct_mod4_from_bent(table(2, 1, [0, 1]))
 
 
 def test_direct_sum():
@@ -161,6 +166,8 @@ def test_direct_sum():
 def test_lift_modulus():
     f = table(2, 2, [0, 0, 0, 1])
     assert lift_modulus(f, 1) is f
+    with pytest.raises(ValueError):
+        lift_modulus(f, 0)
     lifted = lift_modulus(f, 3)
     assert lifted.gbf_type == GbfType(6, 2)
     assert set(lifted.values) == {0, 3}
@@ -590,6 +597,15 @@ def test_root_powers_own_exactly_m_entries(m):
             assert not pw.flags.writeable
             assert pw.tolist() == [pow(omega, j, q) for j in range(m)]
         assert not cols.flags.writeable
+
+
+def test_spectra_refuse_n_beyond_guard():
+    # a stand-in with the type's m and n only: nothing of size 2^27 is built
+    big = SimpleNamespace(m=2, n=27)
+    with pytest.raises(ValueError, match="resource guard"):
+        walsh_matrix(big)
+    with pytest.raises(ValueError, match="resource guard"):
+        next(gbf._spectra(None, big.m, big.n))
 
 
 def test_split_primes_refuse_modulus_limit():

@@ -36,10 +36,13 @@ def test_factorize_reconstructs():
 
 
 def test_factorize_bounds():
+    assert not nt.is_probable_prime(1) and not nt.is_probable_prime(0)
     with pytest.raises(ValueError):
         nt.factorize(1)
     with pytest.raises(ValueError):
         nt.factorize(2**63)
+    with pytest.raises(ValueError, match="composite"):   # both primes > 10^6
+        nt.factorize((10**6 + 3) * (10**6 + 33))
 
 
 def test_mult_order_2_examples():
@@ -88,6 +91,8 @@ def test_semiprimitive_examples():
     assert nt.semiprimitive(9) == 3          # 2^3 = 8 = -1 mod 9
     assert nt.semiprimitive(15) is None      # valuations 1 vs 2 disagree
     assert nt.semiprimitive(1) == 1
+    with pytest.raises(ValueError):
+        nt.semiprimitive(4)
 
 
 def test_semiprimitive_matches_direct_scan():
@@ -206,6 +211,8 @@ def test_semigroup_member_examples():
         nt.semigroup_member(8, [])
     with pytest.raises(ValueError):
         nt.semigroup_member(8, [4])
+    with pytest.raises(ValueError):
+        nt.semigroup_member(0, [3])
 
 
 def test_semigroup_member_against_brute_force():
@@ -227,6 +234,8 @@ def test_solvers_examples():
     assert nt.solve_ax2_by2(19, 29, 2**15) == (21, 29)
     assert nt.solve_ax2_by2(19, 29, 8) is None
     assert nt.solve_ax2_by2(3, 5, 8) == (1, 1)
+    with pytest.raises(ValueError):
+        nt.solve_ax2_by2(0, 1, 1)
 
 
 def _brute_ax2_by2(a, b, N):
@@ -269,6 +278,8 @@ def test_class_number_published_values():
 def test_class_number_rejects_non_squarefree():
     with pytest.raises(ValueError):
         nt.class_number(12)
+    with pytest.raises(ValueError):
+        nt.class_number(0)
 
 
 def test_class_number_odd_for_p7_primes():
@@ -334,3 +345,5 @@ def test_min_odd_r_matches_sympy_cornacchia():
 def test_odd_part():
     assert nt.odd_part(40) == 5
     assert nt.odd_part(7) == 7
+    with pytest.raises(ValueError):
+        nt.odd_part(0)

@@ -63,7 +63,8 @@ def test_value_fields_refuse_assignment():
         alpha.coeffs = (0,) * 12
     assert alpha in {alpha}
     for value in _values():
-        if isinstance(value, tuple):    # walsh(base): a tuple has no fields
+        # walsh(base) and cyclotomic_poly(12) are tuples: no fields to assign
+        if isinstance(value, tuple):
             continue
         with pytest.raises(FrozenInstanceError):
             setattr(value, fields(value)[0].name, None)
