@@ -280,18 +280,36 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 CERTIFICATES_GOLDEN = BENCH / "goldens" / "certificates.json.gz"
 
 
+HELD_OUT_GOLDEN = Path(__file__).resolve().parent / "data" / "certificates_held_out.json.gz"
+
+
+def _json_digests(m):
+    # the first 8 hex digits of the sha256 of decide --json for each odd
+    # n <= 11, joined
+    return "".join(
+        hashlib.sha256(json.dumps(verdict_to_dict(
+            m, n, decide(GbfType(m, n)))).encode()).hexdigest()[:8]
+        for n in (1, 3, 5, 7, 9, 11))
+
+
 def test_decide_json_matches_certificates_golden():
-    # per m, the first 8 hex digits of the sha256 of decide --json for each
-    # odd n <= 11; every 23rd m keeps this near a second and a half
+    # every 23rd m keeps this near a second and a half
     with gzip.open(CERTIFICATES_GOLDEN) as fh:
         golden = json.load(fh)
     for key in sorted(golden, key=int)[::23]:
-        m = int(key)
-        got = "".join(
-            hashlib.sha256(json.dumps(verdict_to_dict(
-                m, n, decide(GbfType(m, n)))).encode()).hexdigest()[:8]
-            for n in (1, 3, 5, 7, 9, 11))
-        assert got == golden[key], m
+        assert _json_digests(int(key)) == golden[key], key
+
+
+def test_decide_json_matches_held_out_golden():
+    # the certificates types held out of the benchmark (class number
+    # h > 40), recorded with the scanner of C3-C5's exponents: every odd
+    # part m0 < 10^4 whose {2*m0, 1} it answered within 2 s (281 of 404),
+    # at m0 and 2*m0; every 9th m
+    with gzip.open(HELD_OUT_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 562
+    for key in sorted(golden, key=int)[::9]:
+        assert _json_digests(int(key)) == golden[key], key
 
 
 def _bench_workloads():
