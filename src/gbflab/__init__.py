@@ -6,9 +6,10 @@ exhaustive enumeration oracle.
 """
 
 from .cyclotomic import CycInt, cyclotomic_poly, reduction_rows, zeta_pow
-from .numtheory import (class_number, euler_phi, exponent_solutions,
-                        factorize, jacobi, mult_order_2, odd_part,
-                        semigroup_member, semiprimitive, solve_ax2_by2, v2)
+from .numtheory import (class_number, compose_forms, cornacchia, euler_phi,
+                        factorize, form_log, form_order, form_pow, jacobi,
+                        mult_order_2, odd_part, reduce_form, semigroup_member,
+                        semiprimitive, sqrt_mod, v2)
 from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
                   construct_even_even, construct_mod4_from_bent, direct_sum,
                   first_flat_violation, is_gbf, lift_modulus, table, walsh,
@@ -23,9 +24,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycInt", "cyclotomic_poly", "reduction_rows", "zeta_pow",
-    "class_number", "euler_phi", "exponent_solutions", "factorize", "jacobi",
-    "mult_order_2", "odd_part", "semigroup_member", "semiprimitive",
-    "solve_ax2_by2", "v2",
+    "class_number", "compose_forms", "cornacchia", "euler_phi", "factorize",
+    "form_log", "form_order", "form_pow", "jacobi", "mult_order_2",
+    "odd_part", "reduce_form", "semigroup_member", "semiprimitive",
+    "sqrt_mod", "v2",
     "FunctionTable", "GbfType", "construct_boolean_bent",
     "construct_even_even", "construct_mod4_from_bent", "direct_sum",
     "first_flat_violation", "is_gbf", "lift_modulus", "table", "walsh",

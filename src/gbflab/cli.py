@@ -86,6 +86,10 @@ def parse_witness(data: dict) -> FunctionTable:
         raise ValueError("m and n must be integers")
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ValueError("values must be a list of integers")
+    try:    # the scan above leaves no float: skip the dtype inference
+        values = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        pass                # beyond int64: FunctionTable decides
     return FunctionTable(GbfType(m, n), values)
 
 

@@ -18,9 +18,10 @@ Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
 {2*m0, n} cover odd inputs m0.  A criterion abstains rather than conclude
 whenever any internal sanity check fails, a witness equation included.
-C3-C5 find every exponent r through one search, numtheory's
-exponent_solutions: the least odd r below a class number, and C4's scan
-for r2 with its even-exponent hits.
+C3-C5 read every exponent r off the form class group of Q(sqrt(-d)),
+d = 7 (mod 8), where 2 splits into the prime forms P and its inverse: the
+least odd r is the order of [P] or half of it, C4's r2 is a discrete
+logarithm to the base [P], and each witness comes from one Cornacchia call.
 decide() re-validates every report before returning NotExists: the report is
 derived again from its m and n and must match the one returned exactly.
 """
@@ -242,23 +243,83 @@ def _solves(rep: CriterionReport, a: int, b: int, exp: int, x: int, y: int,
     return False
 
 
+def _two_adic_solutions(a: int, b: int, exp: int, multiplier: int = 1):
+    """The primitive (x, y) with a*x^2 + b*y^2 = 2^(exp+2)*multiplier,
+    exp >= -2, for a = 1 or an odd prime a and an odd prime or 1 as
+    multiplier, least y first: Cornacchia for X^2 + a*b*y^2 = a*N, keeping
+    X = a*x."""
+    factors = tuple((p, k) for p, k in ((2, exp + 2), (a, 1), (multiplier, 1))
+                    if p > 1 and k > 0)
+    return [(x // a, y) for x, y in nt.cornacchia(a * b, factors)
+            if x % a == 0]
+
+
 def _least_odd_r(rep: CriterionReport, a: int, b: int, key: str = "r"):
     """Record the class number h of Q(sqrt(-a*b)) and the least odd r <= h
-    at which a*x^2 + b*y^2 = 2^(r+2) is solvable, with its witness, under
-    ``key``; r, or None after an abstain note."""
+    at which a*x^2 + b*y^2 = 2^(r+2) is solvable, with its witness of least
+    y, under ``key``; r, or None after an abstain note.
+
+    Here d = a*b = 7 (mod 8) (a = 1 for C3 and C4, a = p1 for C5), so 2
+    splits: P = (2, 1, (1+d)/8) and its inverse are the prime forms over 2.
+    With x = 2u + v and y = v, a solution with x and y odd (every solution
+    at the least odd r: an even pair comes from r - 2) is a primitive
+    representation of 2^r by T = (a, a, (a+b)/4), so [T] = [P]^(+-r); [T]
+    has order at most 2 (T is the principal form when a = 1).  With o the
+    order of [P], the least odd r is o when o is odd, or o/2 when that is
+    odd, provided [P]^r = [T]; no other odd r works.
+    """
     q = rep.quantities
-    h = nt.class_number(a * b)
-    q["class_number"] = {"d": a * b, "h": h}
-    hit = next(nt.exponent_solutions(a, b, range(1, h + 1, 2)), None)
-    if hit is None:
+    d = a * b
+    h = nt.class_number(d)
+    q["class_number"] = {"d": d, "h": h}
+    prime_over_2 = nt.reduce_form(2, 1, (1 + d) // 8)
+    o = nt.form_order(prime_over_2, h)
+    r = o if o % 2 else o // 2
+    if r % 2 == 0 or (nt.form_pow(prime_over_2, r)
+                      != nt.reduce_form(a, a, (a + b) // 4)):
         rep.notes.append(f"abstain: no odd {key} <= {h} found")
         return None
-    r, x, y = hit
+    solutions = _two_adic_solutions(a, b, r)
+    if not solutions:
+        rep.notes.append(f"abstain: no solution at {key} = {r}")
+        return None
+    x, y = solutions[0]
     if not _solves(rep, a, b, r, x, y):
         return None
     q[key] = r
     q[f"{key}_witness"] = [x, y]
     return r
+
+
+def _r2_hits(p1: int, p2: int, r1: int):
+    """(r2, its witness, even hits [[e, x, y], ...]) for x^2 + p1*y^2 =
+    2^(e+2)*p2, 1 <= e <= r1, in branch II ((-p1/p2) = 1); (None, None, [])
+    when no e is solvable, and None when a Cornacchia call finds nothing.
+
+    For e >= 1 a solution with x and y odd is an element of norm 2^e * p2
+    in Q(sqrt(-p1)) prime to 2, so e = +-k (mod r1), where k is the discrete
+    logarithm of the prime form Q over p2 to the base [P] of order r1; an
+    even pair comes from e - 2, down to x^2 + p1*y^2 = p2 (e = -2), which
+    is solvable exactly when Q is principal (k = 0).  So r2 is the odd one
+    of k and r1 - k (r1 when k = 0), and the solvable even e below r2 are
+    e0, e0 + 2, ..., with e0 the even one (-2 when k = 0); there the
+    solutions are 2^((e - e0)/2) times the primitive ones at e0.
+    """
+    b = nt.sqrt_mod(-p1, p2)[0]
+    b = b if b % 2 else p2 - b
+    k = nt.form_log(nt.reduce_form(p2, b, (b * b + p1) // (4 * p2)),
+                    nt.reduce_form(2, 1, (1 + p1) // 8), r1)
+    if k is None:
+        return None, None, []
+    r2, e0 = (k, r1 - k) if k % 2 else (r1 - k, k or -2)
+    hits = range(max(e0, 2), r2, 2)
+    top = _two_adic_solutions(1, p1, r2, p2)
+    base = _two_adic_solutions(1, p1, e0, p2) if hits else [(0, 0)]
+    if not top or not base:
+        return None
+    x0, y0 = base[0]
+    return r2, list(top[0]), [[e, x0 << (e - e0) // 2, y0 << (e - e0) // 2]
+                              for e in hits]
 
 
 _ALL_ODD = {"parity": "odd", "all": True}
@@ -398,10 +459,11 @@ def crit_p7_x_p35(t: GbfType):
 
     r1 is the least odd exponent with x^2 + p1*y^2 = 2^(r+2) solvable
     (bounded by the class number of Q(sqrt(-p1))); r2 the least odd exponent
-    with x^2 + p1*y^2 = 2^(r+2)*p2 solvable, scanned only up to r1 since a
-    finite r2 never exceeds r1, with even-exponent hits recorded for
-    diagnostics.  Branch I ((-p1/p2) = -1) excludes odd n < r1/s; branch II
-    ((-p1/p2) = +1) excludes odd n < min(r1, r2)/s.
+    with x^2 + p1*y^2 = 2^(r+2)*p2 solvable, a discrete logarithm in the
+    class group that never exceeds r1, with the even-exponent hits below it
+    recorded for diagnostics.  Branch I ((-p1/p2) = -1, p2 inert: nothing
+    is solvable) excludes odd n < r1/s; branch II ((-p1/p2) = +1) excludes
+    odd n < min(r1, r2)/s.
     """
     rep, s = _two_prime_report(t, C4, ((7,), (3, 5)))
     if rep is None:
@@ -412,16 +474,16 @@ def crit_p7_x_p35(t: GbfType):
     r1 = jac and _least_odd_r(rep, 1, p1, "r1")
     if not r1:
         return rep
-    r2 = None
-    even_hits = []
-    for exp, x, y in nt.exponent_solutions(1, p1, range(1, r1 + 1), p2):
+    found = _r2_hits(p1, p2, r1) if jac == 1 else (None, None, [])
+    if found is None:
+        rep.notes.append("abstain: no solution at r2")
+        return rep
+    r2, witness, even_hits = found
+    for exp, x, y in even_hits + ([[r2, *witness]] if witness else []):
         if not _solves(rep, 1, p1, exp, x, y, p2):
             return rep
-        if exp % 2:
-            r2 = exp
-            q["r2_witness"] = [x, y]
-            break
-        even_hits.append([exp, x, y])
+    if witness:
+        q["r2_witness"] = witness
     q["r2"] = r2                       # None encodes "no finite r2"
     q["r2_even_hits"] = even_hits
     if even_hits and r2 is not None:

@@ -70,6 +70,8 @@ class FunctionTable:
 
     ``array`` is int64, or an object array of Python integers when
     m > 2^62.  A numpy array passed in is frozen and shared, not copied.
+    Values that are not integers (a float or complex dtype, or a float in
+    an object array) raise TypeError instead of being truncated.
     ``values`` is the same table as a tuple of Python integers, built on
     first use; equality, hashing and repr are those of a frozen dataclass
     with fields ``gbf_type`` and ``values``.  A copy or an unpickled table
@@ -80,8 +82,16 @@ class FunctionTable:
 
     def __init__(self, gbf_type: GbfType, values):
         m, n = gbf_type.m, gbf_type.n
+        if not isinstance(values, np.ndarray):
+            values = np.asarray(values)
+        # a cast would truncate floats: refuse by dtype, scanning values only
+        # in an object array (Python integers beyond int64)
+        kind = values.dtype.kind
+        if kind not in "biuO" or kind == "O" and not all(
+                isinstance(v, (int, np.integer)) for v in values.flat):
+            raise TypeError(f"table values must be integers, not {values.dtype}")
         try:
-            arr = np.asarray(values, dtype=_value_dtype(m))
+            arr = values.astype(_value_dtype(m), copy=False)
         except OverflowError:
             raise ValueError(f"values must lie in 0..{m - 1}") from None
         if arr.shape != (1 << n,):

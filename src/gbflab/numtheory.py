@@ -1,10 +1,12 @@
 """Elementary and quadratic number theory behind the nonexistence criteria.
 
 Factorization, multiplicative orders, 2-adic valuations, Jacobi symbols,
-numerical-semigroup membership, one scanner for a*x^2 + b*y^2 = N with one
-search over exponents on top of it, and imaginary quadratic class numbers.
-Everything works over plain Python integers, without numpy: the semigroup's
-reachable sums are the bits of one int.
+numerical-semigroup membership, square roots modulo prime powers,
+Cornacchia's algorithm for x^2 + d*y^2 = M, and the form class group of an
+imaginary quadratic field: reduced forms, composition, powers, orders,
+discrete logarithms and the exact class number.  Everything works over
+plain Python integers, without numpy: the semigroup's reachable sums are
+the bits of one int.
 All functions are pure and safe for concurrent use.
 """
 
@@ -194,24 +196,258 @@ def semigroup_member(target: int, gens):
     return tuple(counts)
 
 
-def solve_ax2_by2(a: int, b: int, N: int):
-    """Some nonnegative (x, y) with a*x^2 + b*y^2 = N, or None.
+def _xgcd(a: int, b: int):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
 
-    Searched as X^2 + ab*y^2 = aN with a | X (then x = X/a): y runs upward,
-    each step takes one integer square root of a*(N - b*y^2), and only a
-    perfect square is tested for divisibility by a.
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A root of x^2 = a (mod p) for an odd prime p and a quadratic residue
+    a, by Tonelli-Shanks."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:      # Euler's criterion
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
+
+
+def _unit_sqrt_mod(u: int, p: int, k: int) -> list[int]:
+    """Every root of x^2 = u (mod p^k) for u prime to p, ascending.  Newton
+    steps double the precision: from x^2 = u (mod p^j), x - (x^2 - u)/(2x)
+    is a root modulo p^(2j), or modulo 2^(2j-2) when p = 2."""
+    mod = p ** k
+    if p == 2:
+        if k <= 2:
+            return [x for x in range(1, mod, 2) if (x * x - u) % mod == 0]
+        if u % 8 != 1:
+            return []
+        x, j = 1, 3
+        while j < k:
+            j = min(2 * j - 2, k)
+            x = (x - (x * x - u) // 2 * pow(x, -1, 1 << j)) % (1 << j)
+        half = mod >> 1
+        return sorted({x, mod - x, (x + half) % mod, (half - x) % mod})
+    if pow(u, (p - 1) // 2, p) != 1:               # Euler's criterion
+        return []
+    x, j = _sqrt_mod_prime(u % p, p), 1
+    while j < k:
+        j = min(2 * j, k)
+        pj = p ** j
+        x = (x - (x * x - u) * pow(2 * x, -1, pj)) % pj
+    return sorted({x, mod - x})
+
+
+def sqrt_mod(a: int, p: int, k: int = 1) -> list[int]:
+    """Every root x in [0, p^k) of x^2 = a (mod p^k), ascending, for a prime
+    p and k >= 1.  Roots of a unit come from Tonelli-Shanks (or the residues
+    modulo 8 when p = 2) and Hensel lifting; when p^v, v < k, is the exact
+    power of p in a, v must be even and the roots are p^(v/2) times the
+    roots of a/p^v modulo p^(k-v), taken modulo p^(k-v/2)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    mod = p ** k
+    a %= mod
+    if a == 0:
+        return list(range(0, mod, p ** ((k + 1) // 2)))
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    if v % 2:
+        return []
+    units = _unit_sqrt_mod(a, p, k - v)
+    if not v:
+        return units
+    half, step = p ** (v // 2), p ** (k - v)
+    return sorted(half * (y + j * step) for y in units for j in range(half))
+
+
+def _crt_join(roots, mod: int, local, pk: int) -> list[int]:
+    """The residues modulo mod*pk, for coprime mod and pk, that are some r
+    of ``roots`` modulo mod and some s of ``local`` modulo pk."""
+    inv = pow(mod, -1, pk)
+    return [r + mod * ((s - r) * inv % pk) for r in roots for s in local]
+
+
+def _sqrt_mod_factored(a: int, factors):
+    """Every root of x^2 = a modulo M = prod(p^k) over ``factors``, joined
+    by the Chinese remainder theorem (unsorted)."""
+    roots, mod = [0], 1
+    for p, k in factors:
+        roots = _crt_join(roots, mod, sqrt_mod(a, p, k), p ** k)
+        mod *= p ** k
+    return roots
+
+
+def cornacchia(d: int, factors) -> list[tuple[int, int]]:
+    """Every primitive solution (x, y), x, y >= 0, of x^2 + d*y^2 = M for
+    d >= 1, where ``factors`` is the prime factorization ((p, k), ...) of
+    M >= 2; sorted by y.
+
+    Cornacchia's algorithm (Cohen, Alg. 1.5.2) over every root t of
+    t^2 = -d (mod M): a primitive solution has x = t*y (mod M) for one such
+    t, and x is then the first remainder below sqrt(M) in Euclid's algorithm
+    on (M, t).  The roots t and M - t lead to the same remainders, so only
+    t >= M/2 runs.  For d = 1 the unit i maps (x, y) to (y, x), which
+    shares its t, so both are returned.
     """
-    if a < 1 or b < 1 or N < 1:
-        raise ValueError("a, b and N must be >= 1")
-    D, M = a * b, a * N
-    y = 0
-    while D * y * y <= M:
-        rem = M - D * y * y
-        X = math.isqrt(rem)
-        if X * X == rem and X % a == 0:
-            return (X // a, y)
-        y += 1
+    return list(_cornacchia(d, tuple(factors)))
+
+
+@lru_cache(maxsize=None)
+def _cornacchia(d: int, factors) -> tuple[tuple[int, int], ...]:
+    M = 1
+    for p, k in factors:
+        M *= p ** k
+    if d < 1 or M < 2:
+        raise ValueError("need d >= 1 and M >= 2")
+    bound = math.isqrt(M)
+    out = set()
+    for t in _sqrt_mod_factored(-d, factors):
+        if 0 < t < M - t:
+            continue
+        a, b = M, t
+        while b > bound:
+            a, b = b, a % b
+        rest = M - b * b
+        if rest % d:
+            continue
+        y = math.isqrt(rest // d)
+        if d * y * y == rest and math.gcd(b, y) == 1:
+            out.add((b, y))
+            if d == 1:
+                out.add((y, b))
+    return tuple(sorted(out, key=lambda s: s[::-1]))
+
+
+# -- binary quadratic forms ------------------------------------------------------
+#
+# A positive definite form a*x^2 + b*xy + c*y^2 of discriminant
+# D = b^2 - 4ac < 0 is the tuple (a, b, c).  Each class of the form class
+# group has exactly one reduced form, so reduced tuples compare as classes.
+# Powers, orders and logarithms are cached like class numbers: a report's
+# re-validation derives them again.
+
+
+def reduce_form(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The reduced form equivalent to the positive definite form (a, b, c):
+    -a < b <= a <= c, with b >= 0 when a = c (Cohen, Alg. 5.4.2)."""
+    while True:
+        k = (a - b) // (2 * a)         # x -> x + k*y puts b in (-a, a]
+        b, c = b + 2 * a * k, c + k * (b + a * k)
+        if a > c:
+            a, b, c = c, -b, a
+            continue
+        if a == c and b < 0:
+            b = -b
+        return a, b, c
+
+
+def principal_form(disc: int) -> tuple[int, int, int]:
+    """The identity of the form class group of discriminant disc < 0."""
+    return (1, disc % 2, (disc % 2 - disc) // 4)
+
+
+def compose_forms(f, g) -> tuple[int, int, int]:
+    """The reduced composite of two forms of one discriminant (Dirichlet
+    composition, as in Cohen, Alg. 5.4.7): with
+    e = gcd(a1, a2, (b1+b2)/2) = u*a1 + v*a2 + w*(b1+b2)/2, the form
+    (a1*a2/e^2, B, .) where B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D)/2)/e."""
+    a1, b1, c1 = f
+    a2, b2, _ = g
+    disc = b1 * b1 - 4 * a1 * c1
+    e1, u1, v1 = (a1, 0, 1) if f == g else _xgcd(a1, a2)
+    e, x, w = _xgcd(e1, (b1 + b2) // 2)
+    a3 = a1 * a2 // (e * e)
+    b3 = ((x * u1 * a1 * b2 + x * v1 * a2 * b1 + w * (b1 * b2 + disc) // 2)
+          // e) % (2 * a3)
+    return reduce_form(a3, b3, (b3 * b3 - disc) // (4 * a3))
+
+
+@lru_cache(maxsize=None)
+def form_pow(f, e: int) -> tuple[int, int, int]:
+    """The reduced form of the class of f to the power e >= 0."""
+    a, b, c = f
+    out = principal_form(b * b - 4 * a * c)
+    while e:
+        if e & 1:
+            out = compose_forms(out, f)
+        e >>= 1
+        if e:
+            f = compose_forms(f, f)
+    return out
+
+
+@lru_cache(maxsize=None)
+def form_order(f, h: int) -> int:
+    """The order of the class of the reduced form f in a group whose order
+    h it divides: for each prime power q^k of h, the least q^j with
+    f^(h/q^k) of order q^j, multiplied.  ValueError when j would exceed k,
+    that is when f^h is not the identity."""
+    a, b, c = f
+    one = principal_form(b * b - 4 * a * c)
+    order = 1
+    for q, k in (factorize(h) if h > 1 else ()):
+        g, j = form_pow(f, h // q ** k), 0
+        while g != one:
+            if j == k:
+                raise ValueError(f"the class of {f} has no order dividing {h}")
+            g, j = form_pow(g, q), j + 1
+        order *= q ** j
+    if h == 1 and f != one:
+        raise ValueError(f"the class of {f} has no order dividing 1")
+    return order
+
+
+@lru_cache(maxsize=None)
+def form_log(g, f, order: int):
+    """The least k >= 0 with f^k = g, for a class f of the given order, or
+    None when g is not a power of f: baby-step giant-step, O(sqrt(order))
+    compositions."""
+    step = math.isqrt(order - 1) + 1           # step^2 >= order
+    a, b, c = f
+    x = principal_form(b * b - 4 * a * c)
+    baby = {}
+    for j in range(step):
+        baby.setdefault(x, j)
+        x = compose_forms(x, f)
+    giant = reduce_form(x[0], -x[1], x[2])     # the inverse of f^step
+    for i in range(step):
+        j = baby.get(g)
+        if j is not None:
+            return i * step + j
+        g = compose_forms(g, giant)
     return None
+
+
+def _smallest_prime_factors(n: int) -> list[int]:
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for j in range(p * p, n + 1, p):
+                if spf[j] == j:
+                    spf[j] = p
+    return spf
 
 
 @lru_cache(maxsize=None)
@@ -219,45 +455,47 @@ def class_number(d: int) -> int:
     """Class number of the imaginary quadratic field Q(sqrt(-d)) for
     squarefree d >= 1.
 
-    Counts reduced primitive binary quadratic forms (a, b, c) of the field
-    discriminant (-d when d = 3 mod 4, else -4d): b^2 - 4ac = disc,
-    |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
+    Counts reduced primitive forms (a, b, c) of the field discriminant
+    D (-d when d = 3 mod 4, else -4d): b^2 - 4ac = D, -a < b <= a <= c,
+    with b >= 0 when a = c.  For each a <= sqrt(|D|/3) only the b with
+    b^2 = D (mod 4a) are visited.  That condition depends on b mod 2a only,
+    so with a = 2^v * o, o odd, those b are the roots of D modulo o, joined
+    by the Chinese remainder theorem to the roots modulo 2^(v+2) read mod
+    2^(v+1).  The roots modulo o extend those modulo o / p^k, p the
+    smallest prime factor of o from a sieve.  The count is exact and
+    unconditional, in about sqrt(|D|) steps.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if d > 1 and any(e > 1 for _, e in factorize(d)):
         raise ValueError(f"d = {d} is not squarefree")
     disc = -d if d % 4 == 3 else -4 * d
+    top = math.isqrt(-disc // 3)
+    spf = _smallest_prime_factors(top)
+    odd_roots = [None, [0]] + [None] * (top - 1)   # by odd o: roots mod o
+    two_roots = []                                 # by v: roots mod 2^(v+1)
     h = 0
-    a = 1
-    while 3 * a * a <= -disc:
-        for b in range(-a, a + 1):
-            if (b - disc) % 2:
-                continue
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            # squarefree d: disc is fundamental, so every form is primitive
-            h += 1
-        a += 1
+    for a in range(1, top + 1):
+        v = (a & -a).bit_length() - 1
+        o = a >> v
+        if v == len(two_roots):
+            two_roots.append(sorted({t % (2 << v)
+                                     for t in sqrt_mod(disc, 2, v + 2)}))
+        if odd_roots[o] is None:               # first visit: a = o
+            p, k, rest = spf[o], 0, o
+            while rest % p == 0:
+                rest //= p
+                k += 1
+            base = odd_roots[rest]
+            odd_roots[o] = base and _crt_join(
+                base, rest, sqrt_mod(disc, p, k), o // rest)
+        if not odd_roots[o] or not two_roots[v]:
+            continue
+        for b in _crt_join(odd_roots[o], o, two_roots[v], 2 << v):
+            if b > a:                          # b mod 2a, into (-a, a]
+                b -= 2 * a
+            c = (b * b - disc) // (4 * a)
+            if c > a or (c == a and b >= 0):
+                # squarefree d: D is fundamental, every form primitive
+                h += 1
     return h
-
-
-def exponent_solutions(a: int, b: int, exps, multiplier: int = 1):
-    """Yield (e, x, y) for each exponent e of ``exps``, in order, at which
-    a*x^2 + b*y^2 = 2^(e+2) * multiplier is solvable, with the scanner's
-    solution (x, y).
-
-    The caller stops the search: at the first hit for a least exponent, or
-    after a range it owes a finiteness argument for (in the intended uses,
-    an order bound in an imaginary quadratic class group).
-    """
-    for e in exps:
-        sol = solve_ax2_by2(a, b, (1 << (e + 2)) * multiplier)
-        if sol is not None:
-            yield (e, *sol)

@@ -235,7 +235,8 @@ def test_a09_property_suites():
                        (103, 1, 5, 5), (127, 9, 5, 5), (151, 5, 7, 7),
                        (191, 1, 13, 13), (199, 1, 9, 9)]:
         ok &= nt.class_number(p) == h and h % r == 0
-        ok &= next(nt.exponent_solutions(1, p, range(1, h + 1, 2)))[0] == r
+        ok &= nt.form_order(nt.reduce_form(2, 1, (1 + p) // 8), h) == r
+        ok &= bool(nt.cornacchia(p, ((2, r + 2),)))
 
     _line("A09", ok, "Parseval/inversion, Galois law, semigroup, "
                      "semiprimitive sweep to 10^4, class numbers")

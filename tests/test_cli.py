@@ -302,14 +302,28 @@ def test_decide_json_matches_certificates_golden():
 
 def test_decide_json_matches_held_out_golden():
     # the certificates types held out of the benchmark (class number
-    # h > 40), recorded with the scanner of C3-C5's exponents: every odd
-    # part m0 < 10^4 whose {2*m0, 1} it answered within 2 s (281 of 404),
-    # at m0 and 2*m0; every 9th m
+    # h > 40), recorded with the exponent scanner that C3-C5 used before
+    # the class group route: every odd part m0 < 10^4 whose {2*m0, 1} it
+    # answered within 2 s (281 of 404), at m0 and 2*m0; all 3372 types take
+    # about a second
     with gzip.open(HELD_OUT_GOLDEN) as fh:
         golden = json.load(fh)
     assert len(golden) == 562
-    for key in sorted(golden, key=int)[::9]:
+    for key in sorted(golden, key=int):
         assert _json_digests(int(key)) == golden[key], key
+
+
+def test_decide_at_a_class_number_of_26629(capsys):
+    # C3 at p = 10^9 + 7: r = 26629 is the order of the prime form over 2,
+    # and its witness has coordinates of about 13 300 bits
+    code, out, _ = run(capsys, "decide", "2000000014", "1", "--json")
+    rep = json.loads(out)["report"]
+    q = rep["quantities"]
+    assert code == 1 and rep["criterion"] == "C3-P7" and q["r"] == 26629
+    assert q["class_number"] == {"d": 10**9 + 7, "h": 26629}
+    x, y = q["r_witness"]
+    assert x * x + (10**9 + 7) * y * y == 1 << 26631
+    assert revalidate_report(report_from_dict(rep))
 
 
 def _bench_workloads():

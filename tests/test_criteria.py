@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,8 @@ from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              report_from_dict, revalidate_report, rule_exists,
                              summarize_report)
 from gbflab.gbf import GbfType, is_gbf
+
+import referees as ref
 
 
 def test_rule_exists_examples():
@@ -164,6 +167,110 @@ def test_c5_examples():
     assert rep.fired and rep.quantities["branch"] == "I"
 
     assert crit_p3_x_p5(GbfType(2 * 3 * 7, 1)) is None
+
+
+# -- the class group route against the exponent scanner --------------------------
+
+
+def _scanned_or_searched(a, b, h):
+    """(r, x, y) at the least odd r <= h with a*x^2 + b*y^2 = 2^(r+2)
+    solvable, or None: the scanner while its 2^(r/2) steps stay small, else
+    Cornacchia at each odd r in turn (every solution at the least odd r is
+    primitive)."""
+    if h <= 45:
+        return ref.least_odd_r(a, b, h)
+    for r in range(1, h + 1, 2):
+        found = [(x // a, y) for x, y in
+                 nt.cornacchia(a * b, sorted([(2, r + 2)] + [(a, 1)] * (a > 1)))
+                 if x % a == 0]
+        if found:
+            return (r, *found[0])
+    return None
+
+
+def _recorded_r(q, key="r"):
+    return (q[key], *q[key + "_witness"]) if key in q else None
+
+
+def test_c3_r_matches_exponent_referee():
+    # every p = 7 (mod 8) below 3000 with h <= 60: the scanner up to h = 45
+    # (its cost doubles every two steps of r), odd exponents by Cornacchia
+    # above
+    count = 0
+    for p in range(7, 3000, 8):
+        if not nt.is_probable_prime(p) or nt.class_number(p) > 60:
+            continue
+        h = nt.class_number(p)
+        rep = crit_p7(GbfType(2 * p, 1))
+        want = _scanned_or_searched(1, p, h)
+        assert _recorded_r(rep.quantities) == want, p
+        if want is None:
+            assert f"abstain: no odd r <= {h} found" in rep.notes
+        count += 1
+    assert count == 107
+
+
+def test_c5_branch_ii_r_matches_scanner():
+    # the first 40 primes p1 = 3 and p2 = 5 (mod 8) with (p2/p1) = -1 and
+    # h(-p1*p2) <= 60: r = o/2 for the order o of the prime form over 2
+    p1s = [p for p in range(3, 2000, 8) if nt.is_probable_prime(p)][:40]
+    p2s = [p for p in range(5, 2000, 8) if nt.is_probable_prime(p)][:40]
+    count = 0
+    for p1 in p1s:
+        for p2 in p2s:
+            if nt.jacobi(p2, p1) != -1 or nt.class_number(p1 * p2) > 60:
+                continue
+            h = nt.class_number(p1 * p2)
+            q = crit_p3_x_p5(GbfType(2 * p1 * p2, 1)).quantities
+            assert q["branch"] == "II"
+            assert _recorded_r(q) == ref.least_odd_r(p1, p2, h), (p1, p2)
+            count += 1
+    assert count == 113
+
+
+def _admitted_c4_pairs():
+    # (p1, p2) of every C4 odd part m0 < 10^4 with h(-p1) <= 40, the pairs
+    # of the certificates workload
+    pairs = set()
+    for m0 in range(3, 10**4, 2):
+        fs = nt.factorize(m0)
+        if len(fs) == 2 and sorted(p % 8 for p, _ in fs) in ([3, 7], [5, 7]):
+            p1, p2 = sorted((p for p, _ in fs), key=lambda p: p % 8 != 7)
+            if nt.class_number(p1) <= 40:
+                pairs.add((p1, p2))
+    return sorted(pairs)
+
+
+def test_c4_r1_r2_and_even_hits_match_scanner():
+    # r2 as a discrete logarithm and the even hits as 2^((e - e0)/2) times
+    # one Cornacchia solution at e0, against the scan of every e <= r1
+    pairs = _admitted_c4_pairs()
+    assert len(pairs) == 522
+    hits = 0
+    for p1, p2 in pairs:
+        q = crit_p7_x_p35(GbfType(2 * p1 * p2, 1)).quantities
+        want = ref.least_odd_r(1, p1, nt.class_number(p1))
+        assert _recorded_r(q, "r1") == want, (p1, p2)
+        if want is None:
+            continue
+        r2, witness, even = ref.c4_r2_scan(p1, p2, want[0])
+        assert q["r2"] == r2 and q.get("r2_witness") == witness, (p1, p2)
+        assert q["r2_even_hits"] == even, (p1, p2)
+        hits += len(even)
+    assert hits == 262
+
+
+@pytest.mark.parametrize("m,n,criterion", [
+    (200206, 1, C3), (2080798, 1, C5), (18958, 11, C3), (17994, 1, C4),
+    (12526, 7, C3)])
+def test_former_hang_types_answer_within_a_second(m, n, criterion):
+    # the exponent scanner gave no answer within 20 s on each of these
+    start = time.perf_counter()
+    v = decide(GbfType(m, n))
+    elapsed = time.perf_counter() - start
+    assert v.kind == NOT_EXISTS and v.report.criterion == criterion
+    assert revalidate_report(report_from_dict(v.report.to_dict()))
+    assert elapsed < 1.0
 
 
 def test_first_fired_wins_and_others_recorded():
@@ -415,20 +522,28 @@ def test_firing_report_needs_its_range(crit, m, n):
 
 
 def test_criterion_abstains_on_internal_failure(monkeypatch):
-    # a missing r within the bound must abstain, never conclude
-    monkeypatch.setattr(nt, "exponent_solutions", lambda *a, **k: iter(()))
-    rep = crit_p7(GbfType(2 * 47, 3))
-    assert rep is not None and not rep.fired
-    assert any("abstain" in note for note in rep.notes)
+    # an order without an odd r, or no solution at the order, must abstain,
+    # never conclude
+    for name, fake, note in (
+            ("form_order", lambda f, h: 2, "abstain: no odd r <= 5 found"),
+            ("cornacchia", lambda d, factors: [],
+             "abstain: no solution at r = 5")):
+        with monkeypatch.context() as patch:
+            patch.setattr(nt, name, fake)
+            rep = crit_p7(GbfType(2 * 47, 3))
+        assert rep is not None and not rep.fired
+        assert note in rep.notes
 
 
-def _wrong_r(*args, **kwargs):
-    yield (1, 1, 1)
+def _wrong_witness(d, factors):
+    # x = d, y = 1 solves none of the equations; for C5 (d = p1*p2) the
+    # filter on X = p1*x keeps it
+    return [(d, 1)]
 
 
-def _wrong_r2_hit(a, b, N, solve=nt.solve_ax2_by2):
+def _wrong_r2_hit(d, factors, corn=nt.cornacchia):
     # x^2 + 199*y^2 = 2^(e+2)*5 in C4 at {1990, 3}; r1 is solved honestly
-    return (1, 1) if N % 5 == 0 else solve(a, b, N)
+    return [(d, 1)] if (5, 1) in factors else corn(d, factors)
 
 
 def _wrong_semigroup_sum(target, gens, member=nt.semigroup_member):
@@ -436,9 +551,9 @@ def _wrong_semigroup_sum(target, gens, member=nt.semigroup_member):
 
 
 @pytest.mark.parametrize("name,fake,crit,m,n", [
-    ("exponent_solutions", _wrong_r, crit_p7, 2 * 47, 3),
-    ("exponent_solutions", _wrong_r, crit_p3_x_p5, 2 * 19 * 29, 11),
-    ("solve_ax2_by2", _wrong_r2_hit, crit_p7_x_p35, 2 * 199 * 5, 3),
+    ("cornacchia", _wrong_witness, crit_p7, 2 * 47, 3),
+    ("cornacchia", _wrong_witness, crit_p3_x_p5, 2 * 19 * 29, 11),
+    ("cornacchia", _wrong_r2_hit, crit_p7_x_p35, 2 * 199 * 5, 3),
     ("semigroup_member", _wrong_semigroup_sum, crit_lam_leung, 3 * 5, 3),
 ], ids=["c3-r-witness", "c5-r-witness", "c4-r2-hit", "c1-semigroup-sum"])
 def test_criterion_abstains_on_failed_witness(monkeypatch, name, fake, crit,

@@ -246,6 +246,18 @@ def test_values_are_refused_not_truncated(build):
         build()
 
 
+@pytest.mark.parametrize("values", [
+    [0.9, 1.7], (0, 1.0), np.array([0.9, 1.7]), np.array([0, 1], dtype=np.float32),
+    np.array([0, 1j]), np.array([0.9, 1], dtype=object), [0.5, 2**69]],
+    ids=["list", "tuple", "float64", "float32", "complex", "object",
+         "beyond-int64"])
+@pytest.mark.parametrize("m", [4, 2**70])
+def test_function_table_refuses_non_integer_dtype(values, m):
+    # the cast to int64 read [0.9, 1.7] as the flat table (0, 1)
+    with pytest.raises(TypeError, match="must be integers"):
+        FunctionTable(GbfType(m, 1), values)
+
+
 def test_values_take_numpy_integers():
     assert table(4, 1, np.array([0, 7])).values == (0, 3)
     assert CycInt(3, np.array([1, 2, 3])).coeffs == (1, 2, 3)

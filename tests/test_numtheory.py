@@ -7,6 +7,8 @@ import pytest
 
 from gbflab import numtheory as nt
 
+import referees as ref
+
 
 def _brute_order_2(mod):
     t, k = 2 % mod, 1
@@ -227,15 +229,15 @@ def test_semigroup_member_against_brute_force():
 
 
 def test_solvers_examples():
-    assert nt.solve_ax2_by2(1, 7, 8) == (1, 1)
-    assert nt.solve_ax2_by2(1, 23, 32) == (3, 1)
-    assert nt.solve_ax2_by2(1, 199, 2**7 * 5) == (21, 1)
-    assert nt.solve_ax2_by2(1, 3, 5) is None
-    assert nt.solve_ax2_by2(19, 29, 2**15) == (21, 29)
-    assert nt.solve_ax2_by2(19, 29, 8) is None
-    assert nt.solve_ax2_by2(3, 5, 8) == (1, 1)
+    assert ref.solve_ax2_by2(1, 7, 8) == (1, 1)
+    assert ref.solve_ax2_by2(1, 23, 32) == (3, 1)
+    assert ref.solve_ax2_by2(1, 199, 2**7 * 5) == (21, 1)
+    assert ref.solve_ax2_by2(1, 3, 5) is None
+    assert ref.solve_ax2_by2(19, 29, 2**15) == (21, 29)
+    assert ref.solve_ax2_by2(19, 29, 8) is None
+    assert ref.solve_ax2_by2(3, 5, 8) == (1, 1)
     with pytest.raises(ValueError):
-        nt.solve_ax2_by2(0, 1, 1)
+        ref.solve_ax2_by2(0, 1, 1)
 
 
 def _brute_ax2_by2(a, b, N):
@@ -254,14 +256,14 @@ def test_solver_solutions_satisfy_equation():
         a = squareful[i % 8] if i % 2 else rng.randrange(1, 30)
         b = rng.randrange(1, 30)
         N = rng.randrange(1, 4000)
-        sol = nt.solve_ax2_by2(a, b, N)
+        sol = ref.solve_ax2_by2(a, b, N)
         if sol is not None:
             x, y = sol
             assert a * x * x + b * y * y == N
         else:
             assert not _brute_ax2_by2(a, b, N), (a, b, N)
-    assert nt.solve_ax2_by2(4, 3, 4) == (1, 0)
-    assert nt.solve_ax2_by2(4, 3, 1) is None     # 4*1 = 2^2, 4 does not divide 2
+    assert ref.solve_ax2_by2(4, 3, 4) == (1, 0)
+    assert ref.solve_ax2_by2(4, 3, 1) is None     # 4*1 = 2^2, 4 does not divide 2
 
 
 def test_class_number_published_values():
@@ -288,8 +290,159 @@ def test_class_number_odd_for_p7_primes():
             assert nt.class_number(p) % 2 == 1
 
 
+def _squarefree(limit):
+    return [d for d in range(1, limit)
+            if d == 1 or all(e == 1 for _, e in nt.factorize(d))]
+
+
+def test_class_number_matches_form_count_below_10_4():
+    # the count over b^2 = D (mod 4a) against the count over every
+    # |b| <= a <= sqrt(|D|/3)
+    for d in _squarefree(10**4):
+        assert nt.class_number(d) == ref.class_number_by_forms(d), d
+
+
+def test_class_number_large_discriminants():
+    # h(-p) for p = 2*10^8 + 3 and 10^9 + 7, where the form count over every
+    # (a, b) makes about 10^8 and 6*10^8 steps; both are odd, as for every
+    # prime p = 3 (mod 4), and divisible by the order of the prime form over
+    # 2 that they split
+    for d, h in ((200000003, 3840), (10**9 + 7, 26629)):
+        assert nt.class_number(d) == h
+        if d % 8 == 7:
+            assert h % nt.form_order(nt.reduce_form(2, 1, (1 + d) // 8), h) == 0
+
+
+# -- square roots, Cornacchia and forms ------------------------------------------
+
+
+def test_sqrt_mod_matches_brute_force():
+    for p, top in ((2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2), (97, 1)):
+        for k in range(1, top + 1):
+            mod = p ** k
+            roots = {}
+            for x in range(mod):
+                roots.setdefault(x * x % mod, []).append(x)
+            for a in range(-mod, 2 * mod, 1 if mod < 200 else 7):
+                assert nt.sqrt_mod(a, p, k) == roots.get(a % mod, []), (a, p, k)
+    with pytest.raises(ValueError):
+        nt.sqrt_mod(1, 3, 0)
+
+
+def test_sqrt_mod_large_prime_powers():
+    # Hensel lifting far beyond brute force: 4 roots modulo 2^k of a unit
+    # = 1 (mod 8), 2 modulo an odd prime power, p^(v/2) times as many when
+    # p^v divides a
+    for a, p, k, count in ((-(10**9 + 7), 2, 3000, 4), (10**6, 10**9 + 7, 3, 2),
+                           (2, 7, 40, 2), (9 * 7, 3, 12, 6), (-7 * 64, 2, 20, 32)):
+        mod = p ** k
+        roots = nt.sqrt_mod(a, p, k)
+        assert len(roots) == count and roots == sorted(set(roots))
+        assert all(0 <= x < mod and (x * x - a) % mod == 0 for x in roots)
+    assert nt.sqrt_mod(3, 2, 10) == [] and nt.sqrt_mod(2, 3, 5) == []
+    assert nt.sqrt_mod(3 * 25, 5, 4) == []        # odd power of p in a
+
+
+def test_sqrt_mod_matches_sympy():
+    ntheory = pytest.importorskip("sympy.ntheory")
+    rng = random.Random(3)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 31, 10007))
+        k = rng.randrange(1, 12 if p < 10 else 3)
+        a = rng.randrange(p ** k)
+        want = sorted(ntheory.sqrt_mod(a, p ** k, all_roots=True) or [])
+        assert nt.sqrt_mod(a, p, k) == want, (a, p, k)
+
+
+def _brute_primitive(d, M):
+    return [(x, y) for y in range(math.isqrt(M // d) + 1)
+            for x in [math.isqrt(M - d * y * y)]
+            if x * x + d * y * y == M and math.gcd(x, y) == 1]
+
+
+def test_cornacchia_finds_every_primitive_solution():
+    # every d < 40 and M < 800, with all the roots of -d modulo M joined by
+    # the Chinese remainder theorem; d = 1 has the extra unit i
+    for d in range(1, 40):
+        for M in range(2, 800):
+            assert nt.cornacchia(d, nt.factorize(M)) == _brute_primitive(d, M), (d, M)
+    assert nt.cornacchia(1, ((5, 2),)) == [(4, 3), (3, 4)]
+    with pytest.raises(ValueError):
+        nt.cornacchia(0, ((2, 3),))
+
+
+def test_cornacchia_at_large_powers_of_2():
+    # x^2 + p*y^2 = 2^(r+2) at the least odd r for p = 10^9 + 7; witness
+    # coordinates of about r/2 bits
+    p, r = 10**9 + 7, 26629
+    sols = nt.cornacchia(p, ((2, r + 2),))
+    assert sols and all(x * x + p * y * y == 1 << (r + 2) and x % 2 and y % 2
+                        for x, y in sols)
+    assert nt.cornacchia(p, ((2, r),)) == []
+
+
+def test_cornacchia_matches_sympy():
+    corn = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    rng = random.Random(5)
+    for _ in range(200):
+        d = rng.randrange(2, 2000)
+        factors = sorted({2: rng.randrange(3, 60),
+                          rng.choice((1, 3, 5, 7, 11, 13)): 1}.items())
+        factors = [(p, k) for p, k in factors if p > 1]
+        M = math.prod(p ** k for p, k in factors)
+        want = {s for s in corn.cornacchia(1, d, M) if math.gcd(*s) == 1}
+        assert set(nt.cornacchia(d, factors)) == want, (d, M)
+
+
+def _reduced_forms(d):
+    disc = -d if d % 4 == 3 else -4 * d
+    out = []
+    a = 1
+    while 3 * a * a <= -disc:
+        for b in range(-a + 1, a + 1):
+            if (b * b - disc) % (4 * a) == 0:
+                c = (b * b - disc) // (4 * a)
+                if c > a or (c == a and b >= 0):
+                    out.append((a, b, c))
+        a += 1
+    return disc, out
+
+
+def test_form_class_group_laws():
+    # for each squarefree d < 600: the reduced forms are fixed by reduction,
+    # composition is commutative and associative with the principal form as
+    # identity and (a, -b, c) as inverse, and form_order and form_log agree
+    # with repeated composition
+    rng = random.Random(11)
+    for d in _squarefree(600):
+        disc, forms = _reduced_forms(d)
+        one = nt.principal_form(disc)
+        h = len(forms)
+        assert one in forms and h == nt.class_number(d)
+        for f in forms:
+            assert nt.reduce_form(*f) == f
+            powers = [one]
+            while len(powers) == 1 or powers[-1] != one:
+                powers.append(nt.compose_forms(powers[-1], f))
+            order = len(powers) - 1
+            assert nt.form_order(f, h) == order
+            assert nt.form_pow(f, order + 2) == powers[2 % order]
+            assert nt.compose_forms(f, nt.reduce_form(f[0], -f[1], f[2])) == one
+            g = rng.choice(forms)
+            log = nt.form_log(g, f, order)
+            assert log == (powers.index(g) if g in powers[:order] else None)
+            e = rng.choice(forms)
+            assert nt.compose_forms(f, g) == nt.compose_forms(g, f)
+            assert (nt.compose_forms(nt.compose_forms(f, g), e)
+                    == nt.compose_forms(f, nt.compose_forms(g, e)))
+    # an unreduced form and a multiple of the order
+    assert nt.reduce_form(3, 7, 5) == nt.reduce_form(3, 1, 1) == (1, 1, 3)
+    with pytest.raises(ValueError):
+        nt.form_order((2, 1, 3), 2)                  # h(-23) = 3
+
+
 def _least_odd_r(a, b, k=1, *, bound):
-    return next(nt.exponent_solutions(a, b, range(1, bound + 1, 2), k), None)
+    return next(ref.exponent_solutions(a, b, range(1, bound + 1, 2), k), None)
 
 
 def test_min_odd_r_anchors():
@@ -305,7 +458,7 @@ def test_min_odd_r_anchors():
 def test_exponent_solutions_yields_every_hit_in_order():
     # C4 at {710, 1}: the r2 scan up to r1 = 7 meets the even exponents 2
     # and 4 before r2 = 5
-    hits = list(nt.exponent_solutions(1, 71, range(1, 8), 5))
+    hits = list(ref.exponent_solutions(1, 71, range(1, 8), 5))
     assert hits[:3] == [(2, 3, 1), (4, 6, 2), (5, 1, 3)]
     assert all(x * x + 71 * y * y == (1 << (e + 2)) * 5 for e, x, y in hits)
     assert [e for e, _, _ in hits] == [
