@@ -8,14 +8,18 @@ Exit codes for decide: 0 Exists, 1 NotExists, 2 Unknown; usage errors,
 running out of memory and any other failure exit 3 everywhere, so a crash
 never reads as a verdict.  Witness files are JSON objects
 {"m": .., "n": .., "values": [..2^n residues..]} under the package-wide
-index convention (x_1 is the least significant index bit).
+index convention (x_1 is the least significant index bit).  verify reads
+a file in the writer's own form in one C pass, and any other through json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
+import re
 import sys
 import traceback
 
@@ -52,24 +56,62 @@ def _witness_dict(w: FunctionTable) -> dict:
 _WRITE_CHUNK = 1 << 16
 
 
-def _write_witness(path: str, w: FunctionTable) -> None:
-    """The witness file, byte for byte json.dumps(_witness_dict(w)) and a
-    newline.  The values are spelled through a byte table of the tokens
-    "v, ", for each v < m (or each distinct value when m exceeds the table
-    length), padded with NUL bytes: rows gathered a chunk at a time, NULs
-    dropped, the last separator cut."""
+def _witness_chunks(w: FunctionTable):
+    """The witness file without its final newline, byte for byte
+    json.dumps(_witness_dict(w)), as a stream of byte strings.  The values
+    are spelled through a byte table of the tokens "v, ", for each v < m
+    (or each distinct value when m exceeds the table length), padded with
+    NUL bytes: tokens gathered a chunk at a time, NULs dropped, the last
+    separator cut."""
     a = w.array
     distinct, index = ((np.arange(w.m), a) if w.m <= len(a)
                        else np.unique(a, return_inverse=True))
     tokens = np.array([f"{v}, ".encode() for v in distinct.tolist()])
-    rows_of = tokens.view(np.uint8).reshape(len(distinct), -1)
+    yield f'{{"m": {w.m}, "n": {w.n}, "values": ['.encode()
+    for start in range(0, len(a), _WRITE_CHUNK):
+        spelled = tokens.take(index[start:start + _WRITE_CHUNK]).view(np.uint8)
+        body = spelled[spelled != 0].tobytes()
+        yield body if start + _WRITE_CHUNK < len(a) else body[:-2]
+    yield b"]}"
+
+
+def _write_witness(path: str, w: FunctionTable) -> None:
     with open(path, "wb") as fh:
-        fh.write(f'{{"m": {w.m}, "n": {w.n}, "values": ['.encode())
-        for start in range(0, len(a), _WRITE_CHUNK):
-            rows = rows_of[index[start:start + _WRITE_CHUNK]]
-            body = rows[rows != 0].tobytes()
-            fh.write(body if start + _WRITE_CHUNK < len(a) else body[:-2])
-        fh.write(b"]}\n")
+        fh.writelines(_witness_chunks(w))
+        fh.write(b"\n")
+
+
+# the head of _witness_chunks; no leading zeros, and few enough digits
+# that int() never meets CPython's int-to-str limit
+_CANONICAL_HEAD = re.compile(
+    rb'\{"m": ([1-9][0-9]{0,18}), "n": ([1-9][0-9]?), "values": \[')
+
+
+def _read_canonical(path: str) -> FunctionTable | None:
+    """The table of a witness file that is byte for byte its own
+    _witness_chunks, with or without the final newline; None for any other
+    file.  The values are parsed in one C pass, and the table is taken only
+    if encoding it again gives the file back, so it is the table that
+    json.load and parse_witness would read.  The file's bytes are dropped
+    on return."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head = _CANONICAL_HEAD.match(data)
+    end = len(data) - 1 if data.endswith(b"\n") else len(data)
+    if head is None or not data.startswith(b"]}", end - 2):
+        return None
+    try:    # stops with ValueError at a token that is no integer
+        values = np.fromstring(data[head.end():end - 2], dtype=np.int64,
+                               sep=",")
+        w = FunctionTable(GbfType(int(head[1]), int(head[2])), values)
+    except ValueError:
+        return None         # json.load and parse_witness give the error
+    pos = 0
+    for chunk in _witness_chunks(w):
+        if not data.startswith(chunk, pos):
+            return None
+        pos += len(chunk)
+    return w if pos == end else None
 
 
 def parse_witness(data: dict) -> FunctionTable:
@@ -107,6 +149,44 @@ def verdict_to_dict(m: int, n: int, v: Verdict, witness_path=None) -> dict:
     }
 
 
+# CPython converts at most 4300 decimal digits between int and str unless
+# told otherwise; a C3 witness past r of about 28,500 has more
+JSON_INT_DIGITS = 100_000
+
+
+@contextlib.contextmanager
+def json_int_digits():
+    """CPython's int-str conversion limit set to JSON_INT_DIGITS digits
+    for the block, and restored after it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(JSON_INT_DIGITS)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _int_bits(obj) -> int:
+    """The bit length of the largest integer in a JSON-ready object."""
+    if isinstance(obj, int):
+        return abs(obj).bit_length()
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    return max(map(_int_bits, obj), default=0) \
+        if isinstance(obj, (list, tuple)) else 0
+
+
+def _certificate_json(payload: dict) -> str:
+    with json_int_digits():
+        try:
+            return json.dumps(payload)
+        except ValueError:
+            raise ValueError(
+                f"the certificate holds an integer of {_int_bits(payload)} "
+                f"bits, beyond the {JSON_INT_DIGITS} decimal digits of "
+                f"decide --json") from None
+
+
 def cmd_decide(args) -> int:
     t = GbfType(args.m, args.n)
     v = decide(t)
@@ -115,7 +195,7 @@ def cmd_decide(args) -> int:
         path = args.out or f"witness_{args.m}x{args.n}.json"
         _write_witness(path, v.witness)
     if args.json:
-        print(json.dumps(verdict_to_dict(args.m, args.n, v, path)))
+        print(_certificate_json(verdict_to_dict(args.m, args.n, v, path)))
     elif v.kind == EXISTS:
         print(f"Exists -- rule {v.rule}: {describe_rule(v.rule, args.m, args.n)}")
         print(f"witness written: {path}")
@@ -148,8 +228,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            witness = parse_witness(json.load(fh))
+        witness = _read_canonical(args.file)
+        if witness is None:
+            with open(args.file, encoding="utf-8") as fh:
+                witness = parse_witness(json.load(fh))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"cannot parse witness file: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -246,6 +328,7 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="gbf",
                      description="decision engine for generalized bent "

@@ -71,7 +71,8 @@ class FunctionTable:
     ``array`` is int64, or an object array of Python integers when
     m > 2^62.  A numpy array passed in is frozen and shared, not copied.
     Values that are not integers (a float or complex dtype, or a float in
-    an object array) raise TypeError instead of being truncated.
+    an object array) raise TypeError instead of being truncated, and
+    n > _MAX_N raises ValueError before anything is allocated.
     ``values`` is the same table as a tuple of Python integers, built on
     first use; equality, hashing and repr are those of a frozen dataclass
     with fields ``gbf_type`` and ``values``.  A copy or an unpickled table
@@ -82,6 +83,8 @@ class FunctionTable:
 
     def __init__(self, gbf_type: GbfType, values):
         m, n = gbf_type.m, gbf_type.n
+        if n > _MAX_N:      # before 1 << n: at n = 10^9 that alone is 125 MB
+            raise ValueError(f"n = {n} beyond the supported resource guard")
         if not isinstance(values, np.ndarray):
             values = np.asarray(values)
         # a cast would truncate floats: refuse by dtype, scanning values only

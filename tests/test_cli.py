@@ -6,8 +6,11 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gbflab import cli, criteria, gbf, oracle
@@ -123,6 +126,119 @@ def test_verify_rejects_json_booleans(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 3 and out == ""
     assert err == f"cannot parse witness file: {message}\n"
+
+
+def _verify_both_routes(monkeypatch, capsys, path):
+    """verify of one file as it runs, and with the array route switched
+    off, so that every file goes through json.load and parse_witness."""
+    ran = run(capsys, "verify", str(path))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_canonical", lambda path: None)
+        return ran, run(capsys, "verify", str(path))
+
+
+def _json_table(path):
+    with open(path, encoding="utf-8") as fh:
+        return cli.parse_witness(json.load(fh))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 100, 2**31, 2**62, 2**62 + 1, 2**64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonical_witness_files_read_as_json_reads_them(
+        tmp_path, monkeypatch, capsys, m, n):
+    rng = random.Random(f"{m}:{n}")
+    values = [rng.randrange(m) for _ in range(1 << n)]
+    w = gbf.FunctionTable(GbfType(m, n), np.array(values, dtype=object))
+    text = json.dumps({"m": m, "n": n, "values": values})
+    path = tmp_path / "w.json"
+    cli._write_witness(str(path), w)
+    assert path.read_text() == text + "\n"
+    for tail in ("\n", ""):
+        path.write_text(text + tail)
+        got = cli._read_canonical(str(path))
+        # values past int64 saturate in the C parse, so the bytes differ
+        assert (got is None) == (max(values) >= 2**63)
+        assert got is None or got == _json_table(path) == w
+        ran, by_json = _verify_both_routes(monkeypatch, capsys, path)
+        assert ran == by_json
+
+
+_NOT_CANONICAL = [
+    b'{"m": 4,  "n": 1, "values": [0, 1]}',
+    b'{"m":4,"n":1,"values":[0,1]}',
+    b'{"m": 4, "n": 1, "values": [ 0, 1]}',
+    b'{"m": 4, "n": 1, "values": [0,1]}',
+    b'{"n": 1, "m": 4, "values": [0, 1]}',
+    b'\xef\xbb\xbf{"m": 4, "n": 1, "values": [0, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 1]}\r\n',
+    b'{"m": 4, "n": 1, "values": [0, 1]}\n\n',
+    b'{"m": 4, "n": 1, "values": [1.0, 1]}',
+    b'{"m": 4.0, "n": 1, "values": [0, 1]}',
+    b'{"m": 4, "n": 1, "values": [1e0, 1]}',
+    b'{"m": 4, "n": 1, "values": [true, 1]}',
+    b'{"m": 4, "n": 1, "values": [00, 1]}',
+    b'{"m": 04, "n": 1, "values": [0, 1]}',
+    b'{"m": 4, "n": 1, "values": [-0, 1]}',
+    b'{"m": 4, "n": 1, "values": [+1, 1]}',
+    b'{"m": 4, "n": 1, "values": [-1, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 1,]}',
+    b'{"m": 4, "n": 2, "values": [0, , 1, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 1], "m": 2}',
+    b'{"m": 4, "n": 1, "values": [0, 1], "values": [0, 0]}',
+    b'{"m": 4, "n": 2, "values": [0, 1, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 1, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 4]}',
+    b'{"m": 1, "n": 1, "values": [0, 0]}',
+    b'{"m": 4, "n": 1, "values": [0, 1]}\xff',
+    b'{"m": 4, "n": 1, "values": [0, \xff1]}',
+    b'{"m": 4, "n": 1, "values": [9223372036854775808, 1]}',
+    b'{"m": 4, "n": 1, "values": [99999999999999999999999, 1]}',
+    b'{"m": 18446744073709551616, "n": 1, "values": [18446744073709551615, 1]}',
+    b'{"m": 100000000000000000000, "n": 1, "values": [0, 1]}',
+    b'{"m": 4, "n": 27, "values": [0, 1]}',
+    b'{"m": 4, "n": 1000000000, "values": [0, 1]}',
+    b'{"m": 4, "n": 1, "values": [0, 1]',
+    b'{"m": 4, "n": 1, "values": []}',
+    b'{"m": 4, "n": 1, "values": [0, 1]}]}',
+    b'',
+]
+
+
+@pytest.mark.parametrize("data", _NOT_CANONICAL)
+def test_other_witness_files_read_by_json_alone(
+        tmp_path, monkeypatch, capsys, data):
+    path = tmp_path / "w.json"
+    path.write_bytes(data)
+    got = cli._read_canonical(str(path))
+    assert got is None or got == _json_table(path)
+    ran, by_json = _verify_both_routes(monkeypatch, capsys, path)
+    assert ran == by_json
+
+
+def test_verify_refuses_huge_n_by_name(tmp_path, capsys):
+    # refused before 1 << n, which at n = 10^9 is a 125 MB integer
+    path = tmp_path / "w.json"
+    path.write_text('{"m": 4, "n": 1000000000, "values": [0, 1]}')
+    assert run(capsys, "verify", str(path)) == (3, "", (
+        "cannot parse witness file: n = 1000000000 beyond the supported "
+        "resource guard\n"))
+
+
+@pytest.mark.parametrize("m, n", [(4, 5), (6, 2), (8, 3), (12, 4),
+                                  (2**62, 2), (100, 12)])
+def test_verify_of_written_witness_never_reaches_json(
+        tmp_path, monkeypatch, capsys, m, n):
+    # a silent fall back to json.load would leave every output as it was
+    path = tmp_path / "w.json"
+    assert run(capsys, "decide", str(m), str(n), "--out", str(path))[0] == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("json reached")
+
+    monkeypatch.setattr(json, "load", unreachable)
+    monkeypatch.setattr(json, "loads", unreachable)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "") and out.startswith("OK")
 
 
 def test_oracle_command(capsys):
@@ -324,6 +440,24 @@ def test_decide_at_a_class_number_of_26629(capsys):
     x, y = q["r_witness"]
     assert x * x + (10**9 + 7) * y * y == 1 << 26631
     assert revalidate_report(report_from_dict(rep))
+
+
+def test_decide_json_past_the_int_str_limit(monkeypatch, capsys):
+    # C3 at p = 3,000,000,391: r = h = 32889, a witness coordinate of 4951
+    # decimal digits, past CPython's default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "decide", "6000000782", "1", "--json")
+    assert code == 1 and sys.get_int_max_str_digits() == limit
+    with cli.json_int_digits():
+        rep = json.loads(out)["report"]
+    assert rep["quantities"]["r"] == 32889
+    assert revalidate_report(report_from_dict(rep))
+
+    monkeypatch.setattr(cli, "JSON_INT_DIGITS", 4400)
+    assert run(capsys, "decide", "6000000782", "1", "--json") == (3, "", (
+        "error: the certificate holds an integer of 16446 bits, beyond the "
+        "4400 decimal digits of decide --json\n"))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def _bench_workloads():
