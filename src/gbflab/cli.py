@@ -22,6 +22,7 @@ import json
 import re
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -100,11 +101,15 @@ def _read_canonical(path: str) -> FunctionTable | None:
     end = len(data) - 1 if data.endswith(b"\n") else len(data)
     if head is None or not data.startswith(b"]}", end - 2):
         return None
-    try:    # stops with ValueError at a token that is no integer
-        values = np.fromstring(data[head.end():end - 2], dtype=np.int64,
-                               sep=",")
+    try:
+        # a token that is no integer stops the parse with ValueError, or
+        # with a DeprecationWarning in numpy releases before that
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(data[head.end():end - 2], dtype=np.int64,
+                                   sep=",")
         w = FunctionTable(GbfType(int(head[1]), int(head[2])), values)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         return None         # json.load and parse_witness give the error
     pos = 0
     for chunk in _witness_chunks(w):

@@ -8,6 +8,7 @@ import io
 import json
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,23 @@ def test_other_witness_files_read_by_json_alone(
     assert got is None or got == _json_table(path)
     ran, by_json = _verify_both_routes(monkeypatch, capsys, path)
     assert ran == by_json
+
+
+def test_parse_warning_of_older_numpy_reads_by_json(
+        tmp_path, monkeypatch, capsys):
+    # numpy releases before the deprecation expired warn, and return what
+    # they parsed, where numpy now raises ValueError
+    def fromstring(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end due to "
+                      "unmatched data", DeprecationWarning)
+        return np.zeros(0, dtype=np.int64)
+
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    path = tmp_path / "w.json"
+    path.write_bytes(b'{"m": 4, "n": 1, "values": [1.0, 1]}')
+    assert cli._read_canonical(str(path)) is None
+    assert run(capsys, "verify", str(path)) == (
+        3, "", "cannot parse witness file: values must be a list of integers\n")
 
 
 def test_verify_refuses_huge_n_by_name(tmp_path, capsys):
