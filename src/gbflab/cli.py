@@ -135,8 +135,8 @@ def parse_witness(data: dict) -> FunctionTable:
         raise ValueError("values must be a list of integers")
     try:    # the scan above leaves no float: skip the dtype inference
         values = np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        pass                # beyond int64: FunctionTable decides
+    except OverflowError:   # inference would mix uint64 and int64 to float64
+        values = np.array(values, dtype=object)
     return FunctionTable(GbfType(m, n), values)
 
 

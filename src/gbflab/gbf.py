@@ -19,6 +19,14 @@ prime.  Every other modulus is tested at the m-th roots of unity of F_q for
 the split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
+
+A single table goes through _nonflat_rows, which decides row 0 first.  When
+m <= 2^n one bincount of the values gives both l and W(0) = sum_v count(v)
+zeta^v; otherwise W(0) is summed over the 2^n entries.  _row0_flat puts
+W(0) through the kernel's own tests, at O(min(m, 2^n) phi(m)) cost.  Each test is exact per
+row, so a row that fails one is not flat; since 0 is the least index, it
+is then the first failing y, with no FWHT run.  When row 0 passes every
+test, the kernel tests every row as before.
 """
 
 from __future__ import annotations
@@ -186,17 +194,6 @@ def walsh(f: FunctionTable) -> tuple[CycInt, ...]:
     return tuple(CycInt(f.m, row) for row in walsh_matrix(f).tolist())
 
 
-def _divide_content(f: FunctionTable) -> FunctionTable:
-    """f/l, the table of the quotients v/l over Z_(m/l) for l = gcd(m,
-    values).  Both have the same Walsh values as complex numbers, since
-    zeta_m^(l*v) = zeta_(m/l)^v.  An all-zero table, whose W(y) are the same
-    integers at every modulus, is taken over Z_2, never over Z_1."""
-    l = gcd(f.m, int(np.gcd.reduce(f.array)))
-    if l == 1:
-        return f
-    return FunctionTable(GbfType(max(f.m // l, 2), f.n), f.array // l)
-
-
 def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """((q, omega), ...): primes q = 1 (mod m) below 2^30, largest first,
     until their product Q exceeds 4^n, each with an omega of order m mod q
@@ -266,27 +263,39 @@ _UNIT_COORDS = {2: np.array([[1], [-1]], dtype=np.int32),
                 4: np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int32)}
 
 
-def _spectra(tables: np.ndarray, m: int, n: int):
-    """(test, spec) for each exact test of a (2^n, batch) array of
-    modulus-m tables, one per column; spec is (unit column, y, table), and
-    linear in the terms zeta^f(x).  At m = 2 or 4 the one test is None, and
-    the unit columns are the coordinates of W(y) in Z or Z[i]: partial sums
-    are at most 2^n <= 2^26, so the FWHT runs in int32.  Otherwise test is
-    each prime q of _split_primes(m, n), and column k holds W_k(y) mod q
-    for each k of the cols of _root_powers: residues below 2^30 summed over
-    2^26 rows stay below 2^56.  tables is dropped once gathered."""
+def _terms(tables: np.ndarray, m: int, n: int):
+    """(test, terms) for each exact test of a (rows, batch) array of
+    modulus-m tables, one per column; terms[x, table, k] is the image of
+    zeta^f(x) in unit column k.  At m = 2 or 4 the one test is None, and
+    the unit columns are the int32 coordinates of zeta^f(x) in Z or Z[i].
+    Otherwise test is each prime q of _split_primes(m, n), and column k
+    holds omega^(k f(x)) mod q for each k of the cols of _root_powers.
+    tables is dropped once gathered."""
     if n > _MAX_N:
         raise ValueError(f"n = {n} beyond the supported resource guard")
     if m in _UNIT_COORDS:
-        spec = _UNIT_COORDS[m][tables]
+        terms = _UNIT_COORDS[m][tables]
         del tables
-        yield None, _fwht_inplace(spec).transpose(2, 0, 1)
+        yield None, terms
         return
     cols, roots = _root_powers(m, n)
     exps = np.multiply.outer(tables, cols) % m
     del tables
     for q, pw in roots:
-        yield q, _fwht_inplace(pw[exps]).transpose(2, 0, 1)
+        yield q, pw[exps]
+
+
+def _spectra(tables: np.ndarray, m: int, n: int):
+    """(test, spec) for each test of _terms on a (2^n, batch) array of
+    modulus-m tables; spec is (unit column, y, table), the FWHT of the
+    terms, and so linear in them.  At m = 2 or 4 the unit columns are the
+    coordinates of W(y) in Z or Z[i]: partial sums are at most 2^n <= 2^26,
+    so the FWHT runs in int32.  Otherwise column k holds W_k(y) mod q:
+    residues below 2^30 summed over 2^26 rows stay below 2^56."""
+    tests = _terms(tables, m, n)
+    del tables
+    for test, terms in tests:
+        yield test, _fwht_inplace(terms).transpose(2, 0, 1)
 
 
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
@@ -306,19 +315,67 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     return (low == (1 << n) % test).all(axis=0)
 
 
-def _nonflat_rows(g: FunctionTable):
+def _content(f: FunctionTable):
+    """(c, table, values, counts): the content modulus c = m/l for l =
+    gcd(m, values), the int64 table of the quotients v/l over Z_c, and
+    values and counts with W(0) = sum_i counts[i] zeta_c^values[i].  Both
+    tables have the same Walsh values as complex numbers, since
+    zeta_m^(l*v) = zeta_c^v; an all-zero table, whose W(y) are the same
+    integers at every modulus, is taken at c = 2, never 1.
+
+    When m <= 2^n one bincount gives the distinct values, their counts and
+    l, with no gcd pass.  Otherwise l comes from a gcd pass, and the values
+    are the quotient table itself, each with count 1: at most 2^n < m
+    terms, where a sort to count them costs more than it saves on small
+    tables.  An unsupported c is refused before the quotients are built."""
+    m, arr = f.m, f.array
+    counted = m <= arr.size
+    if counted:
+        counts = np.bincount(arr)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    l = gcd(m, int(np.gcd.reduce(values if counted else arr)))
+    c = max(m // l, 2)
+    if c not in _UNIT_COORDS:
+        _root_powers(c, f.n)        # refuses an unsupported c here
+    if l > 1:
+        arr = (arr // l).astype(np.int64, copy=False)
+    if counted:
+        return c, arr, values // l, counts
+    return c, arr, arr, np.ones(arr.size, dtype=np.int64)
+
+
+def _row0_flat(values: np.ndarray, counts: np.ndarray, m: int, n: int) -> bool:
+    """Whether W(0) = sum_i counts[i] zeta^values[i], the character sum
+    of a modulus-m table (see _content), passes every test of _spectra.
+    Row 0 of each spectrum is the sum of the terms over x, so the values'
+    terms weighted by their counts give it exactly, in O(len(values) phi(m));
+    the counts sum to 2^n, so the bounds of _spectra hold."""
+    for test, terms in _terms(values[:, None], m, n):
+        row = counts @ terms[:, 0]
+        if not _flat(test, row[:, None, None], n)[0, 0]:
+            return False
+    return True
+
+
+def _nonflat_rows(f: FunctionTable):
     """The first y whose |W(y)|^2 differs from 2^n, or None, once per test
-    of _spectra on g as a batch of one.  Callers pass g alone: it is dropped
-    here, so a table divided by its content is not held through the FWHT."""
-    n = g.n
-    spectra = _spectra(g.array[:, None], g.m, n)
-    del g
+    of _spectra at the content modulus of f.  Row 0 is decided first, from
+    the histogram: each test is exact per row, so when one fails at row 0,
+    0 is the least failing y, and it is yielded alone, with no FWHT.
+    Otherwise every row is tested as a batch of one; the quotient table is
+    dropped here, so it is not held through the FWHT."""
+    n = f.n
+    c, arr, values, counts = _content(f)
+    if not _row0_flat(values, counts, c, n):
+        yield 0
+        return
+    spectra = _spectra(arr[:, None], c, n)
+    del arr
     for test, spec in spectra:
         ok = _flat(test, spec, n)[:, 0]
         del spec
         yield None if ok.all() else int(np.argmin(ok))
-        if not ok[0]:
-            return              # no later prime can report an earlier row
 
 
 def first_flat_violation(f: FunctionTable):
@@ -329,18 +386,18 @@ def first_flat_violation(f: FunctionTable):
     The spectrum is tested at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so the verdict and the
     failing y, the least over the tests, do not depend on l.  Only the
-    reported row is built at m, as one signed bincount, and so is refused
-    for m at or above 2^30."""
-    tests = _nonflat_rows(_divide_content(f))
-    y = min((y for y in tests if y is not None), default=None)
+    reported row is built at m, as one bincount (signed when y > 0), and so
+    is refused for m at or above 2^30."""
+    y = min((y for y in _nonflat_rows(f) if y is not None), default=None)
     if y is None:
         return None
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
-    signs = np.where(np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
+    signs = None if y == 0 else np.where(
+        np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
     row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
-                      minlength=f.m).astype(np.int64)
+                      minlength=f.m).astype(np.int64, copy=False)
     return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:euler_phi(f.m)]
 
 
@@ -348,7 +405,7 @@ def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided at the content modulus, with no report built at m; the first
     test that fails a row settles it."""
-    return all(y is None for y in _nonflat_rows(_divide_content(f)))
+    return all(y is None for y in _nonflat_rows(f))
 
 
 # -- constructions -----------------------------------------------------------

@@ -514,6 +514,43 @@ def test_exists_witness_matches_bench_goldens(tmp_path, monkeypatch, capsys):
         assert code == 1 and out == random_golden[f"verify-random {m} {n}"]
 
 
+@pytest.mark.parametrize("seed", [2, 7])
+def test_random_tables_are_refuted_at_row_0_without_a_transform(
+        tmp_path, monkeypatch, capsys, seed):
+    # each bench random table fails at y = 0: its value histogram settles
+    # that, and the report is the goldens' byte for byte with no FWHT run
+    workloads = _bench_workloads()
+    golden = json.loads((BENCH / "goldens" / "goldens.json").read_text())
+    golden = golden["random"][str(seed)]
+
+    def no_transform(mat):
+        raise AssertionError("FWHT on a table refuted at row 0")
+
+    monkeypatch.setattr(gbf, "_fwht_inplace", no_transform)
+    path = tmp_path / "r.json"
+    for m, n in workloads.EXISTS_TYPES:
+        path.write_text(json.dumps({"m": m, "n": n, "values":
+                                    workloads.random_table(seed, m, n)}))
+        assert run(capsys, "verify", str(path)) == \
+            (1, golden[f"verify-random {m} {n}"], "")
+
+
+def test_witness_values_straddling_int64_read_as_python_ints(
+        tmp_path, monkeypatch, capsys):
+    # past 2^63 numpy would infer float64 for the mix; the values are kept
+    # as Python integers and the file verifies, or is refused by reason
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "decide", str(2**64), "2", "--out", "w.json")[0] == 0
+    assert (tmp_path / "w.json").read_text() == \
+        '{"m": 18446744073709551616, "n": 2, "values": [0, 0, 0, 9223372036854775808]}\n'
+    assert run(capsys, "verify", "w.json") == \
+        (0, "OK: flat spectrum of type {18446744073709551616,2}\n", "")
+    table = cli.parse_witness({"m": 2**64, "n": 1, "values": [1, 2**63]})
+    assert table.values == (1, 2**63) and table.array.dtype == object
+    with pytest.raises(ValueError, match=r"values must lie in 0\.\.3"):
+        cli.parse_witness({"m": 4, "n": 1, "values": [2**63, 1]})
+
+
 def test_scan_matches_bench_golden(capsys):
     # every C3-C5 summary the scan-grid workload prints: 23 C3, 8 C4 and
     # 23 C5 rows among its 2396 cells

@@ -389,12 +389,12 @@ def test_content_modulus_all_zero_table():
     for m in (4, 6, 9, 15, 7, 35, 1000):
         for n in (1, 2, 3):
             f = table(m, n, [0] * (1 << n))
-            assert gbf._divide_content(f).m == 2 and not is_gbf(f)
+            assert gbf._content(f)[0] == 2 and not is_gbf(f)
             assert first_flat_violation(f) == \
                 (0, (4 ** n,) + (0,) * (euler_phi(m) - 1))
     for m in (2**63 + 1, 2**64):
         f = table(m, 1, [0, 0])
-        assert gbf._divide_content(f).m == 2 and not is_gbf(f)
+        assert gbf._content(f)[0] == 2 and not is_gbf(f)
         with pytest.raises(ValueError, match=r"not flat at y=0; .* 2\^30"):
             first_flat_violation(f)
 
@@ -511,6 +511,100 @@ def test_failing_row_matches_walsh_matrix_at_content_2_and_4(n):
         assert is_gbf(f) == (want is None)
         later_rows += want is not None and want[0] > 0
     assert later_rows
+
+
+# -- row 0 from the value histogram ----------------------------------------------
+
+
+def _kernel_calls(monkeypatch):
+    """A list that grows by one for each call of the batched kernel."""
+    calls, spectra = [], gbf._spectra
+
+    def counted(*args):
+        calls.append(args[1:])
+        return spectra(*args)
+
+    monkeypatch.setattr(gbf, "_spectra", counted)
+    return calls
+
+
+def _flat_of_content_1(c, n, rng):
+    """A flat table of type {c, n} whose values share no factor with c:
+    even n at even c, or odd n at c = 4."""
+    if n % 2:
+        return construct_mod4_from_bent(construct_boolean_bent(n + 1))
+    size = 1 << n // 2
+    g = [1] + [rng.randrange(c) for _ in range(size - 1)]
+    return construct_even_even(c, n, g=g, sigma=rng.sample(range(size), size))
+
+
+@pytest.mark.parametrize("m,n,l", [
+    (2, 4, 1), (4, 3, 1), (6, 4, 1), (12, 4, 1), (100, 8, 1),
+    (40, 4, 1), (100, 4, 1),            # m > 2^n: W(0) over every entry
+    (60, 4, 5), (100, 4, 25),           # content modulus below m
+])
+def test_row_0_flat_but_later_row_not_matches_referee(monkeypatch, m, n, l):
+    # a swap keeps the histogram, so W(0) stays flat and only the kernel
+    # finds the failing row; it and its coefficients are the referee's
+    rng = random.Random(f"{m}:{n}")
+    c = m // l
+    flat = _flat_of_content_1(c, n, rng)
+    calls = _kernel_calls(monkeypatch)
+    later = 0
+    for _ in range(4):
+        f = lift_modulus(_swapped(flat, rng), l)
+        assert f.gbf_type == GbfType(m, n)
+        content, _, values, counts = gbf._content(f)
+        assert content == c and gbf._row0_flat(values, counts, c, n)
+        spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
+        want = _referee_violation(f, spectrum)
+        del calls[:]
+        assert first_flat_violation(f) == want
+        assert is_gbf(f) == (want is None)
+        assert calls == [(c, n)] * 2
+        later += want is not None
+    assert later
+
+
+def test_row_0_flat_but_later_row_not_at_huge_modulus(monkeypatch):
+    # object arrays at m > 2^62 taken at content modulus 4 and 2: the
+    # failing row is the referee's at the content modulus, where W(y) is
+    # the same, and its report at m is refused by name
+    rng = random.Random(5)
+    calls = _kernel_calls(monkeypatch)
+    later = 0
+    for c, base in ((4, construct_mod4_from_bent(construct_boolean_bent(6))),
+                    (2, construct_boolean_bent(4))):
+        for _ in range(4):
+            g = _swapped(base, rng)
+            want = _referee_violation(g, _walsh_by_definition(g))
+            f = lift_modulus(g, 2**62 + 1)
+            assert f.array.dtype == object and gbf._content(f)[0] == c
+            del calls[:]
+            assert is_gbf(f) == (want is None) and calls == [(c, g.n)]
+            if want is not None:
+                later += 1
+                with pytest.raises(ValueError, match=rf"not flat at y={want[0]};"):
+                    first_flat_violation(f)
+    assert later
+
+
+def test_row_0_failure_runs_no_kernel(monkeypatch):
+    # a random table, and the all-zero table, still taken at modulus 2,
+    # against the referee at each histogram branch and at m > 2^62
+    rng = random.Random(6)
+    calls = _kernel_calls(monkeypatch)
+    for m, n in ((2, 3), (4, 3), (6, 3), (12, 4), (100, 7), (12, 2), (100, 3)):
+        zero = table(m, n, [0] * (1 << n))
+        assert gbf._content(zero)[0] == 2
+        for f in (zero, _random_table(rng, m, n)):
+            spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
+            want = _referee_violation(f, spectrum)
+            assert want[0] == 0 and first_flat_violation(f) == want
+            assert not is_gbf(f)
+    zero = table(2**64, 3, [0] * 8)
+    assert not is_gbf(zero) and gbf._content(zero)[0] == 2
+    assert calls == []
 
 
 # -- the batched kernel ---------------------------------------------------------
