@@ -20,13 +20,15 @@ the split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 
-A single table goes through _nonflat_rows, which decides row 0 first.  When
-m <= 2^n one bincount of the values gives both l and W(0) = sum_v count(v)
-zeta^v; otherwise W(0) is summed over the 2^n entries.  _row0_flat puts
-W(0) through the kernel's own tests, at O(min(m, 2^n) phi(m)) cost.  Each test is exact per
-row, so a row that fails one is not flat; since 0 is the least index, it
-is then the first failing y, with no FWHT run.  When row 0 passes every
-test, the kernel tests every row as before.
+A single table goes through _nonflat_rows.  When m <= 2^n, it decides
+row 0 first: one bincount of the values gives both l and W(0) =
+sum_v count(v) zeta^v, and _row0_flat puts W(0) through the kernel's own
+tests, at O(m phi(m)) cost, never more than the kernel's own exponent
+matrix.  Each test is exact per row, so a row that fails one is
+not flat; since 0 is the least index, it is then the first failing y, with
+no FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
+from a gcd pass and the table goes straight to the kernel, every row is
+tested as a batch of one.
 """
 
 from __future__ import annotations
@@ -316,33 +318,31 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
 
 
 def _content(f: FunctionTable):
-    """(c, table, values, counts): the content modulus c = m/l for l =
-    gcd(m, values), the int64 table of the quotients v/l over Z_c, and
-    values and counts with W(0) = sum_i counts[i] zeta_c^values[i].  Both
+    """(c, table, hist): the content modulus c = m/l for l = gcd(m,
+    values), the int64 table of the quotients v/l over Z_c, and hist.  Both
     tables have the same Walsh values as complex numbers, since
     zeta_m^(l*v) = zeta_c^v; an all-zero table, whose W(y) are the same
     integers at every modulus, is taken at c = 2, never 1.
 
-    When m <= 2^n one bincount gives the distinct values, their counts and
-    l, with no gcd pass.  Otherwise l comes from a gcd pass, and the values
-    are the quotient table itself, each with count 1: at most 2^n < m
-    terms, where a sort to count them costs more than it saves on small
-    tables.  An unsupported c is refused before the quotients are built."""
+    When m <= 2^n, one bincount gives l with no gcd pass, and hist is
+    (values, counts) over Z_c with W(0) = sum_i counts[i] zeta_c^values[i].
+    Otherwise l comes from a gcd pass over the table and hist is None.  An
+    unsupported c is refused before the quotients are built."""
     m, arr = f.m, f.array
-    counted = m <= arr.size
-    if counted:
+    hist = None
+    if m <= arr.size:
         counts = np.bincount(arr)
         values = np.flatnonzero(counts)
-        counts = counts[values]
-    l = gcd(m, int(np.gcd.reduce(values if counted else arr)))
+        hist = values, counts[values]
+    l = gcd(m, int(np.gcd.reduce(arr if hist is None else hist[0])))
     c = max(m // l, 2)
     if c not in _UNIT_COORDS:
         _root_powers(c, f.n)        # refuses an unsupported c here
     if l > 1:
         arr = (arr // l).astype(np.int64, copy=False)
-    if counted:
-        return c, arr, values // l, counts
-    return c, arr, arr, np.ones(arr.size, dtype=np.int64)
+        if hist is not None:
+            hist = hist[0] // l, hist[1]
+    return c, arr, hist
 
 
 def _row0_flat(values: np.ndarray, counts: np.ndarray, m: int, n: int) -> bool:
@@ -360,22 +360,26 @@ def _row0_flat(values: np.ndarray, counts: np.ndarray, m: int, n: int) -> bool:
 
 def _nonflat_rows(f: FunctionTable):
     """The first y whose |W(y)|^2 differs from 2^n, or None, once per test
-    of _spectra at the content modulus of f.  Row 0 is decided first, from
-    the histogram: each test is exact per row, so when one fails at row 0,
-    0 is the least failing y, and it is yielded alone, with no FWHT.
-    Otherwise every row is tested as a batch of one; the quotient table is
-    dropped here, so it is not held through the FWHT."""
+    of _spectra at the content modulus of f.  When m <= 2^n, row 0 is
+    decided first, from the histogram: each test is exact per row, so when
+    one fails at row 0, 0 is the least failing y, and it is yielded alone,
+    with no FWHT.  Otherwise every row is tested as a batch of one; the
+    quotient table and the histogram are dropped here, so neither is held
+    through the FWHT."""
     n = f.n
-    c, arr, values, counts = _content(f)
-    if not _row0_flat(values, counts, c, n):
+    c, arr, hist = _content(f)
+    if hist is not None and not _row0_flat(*hist, c, n):
         yield 0
         return
+    del hist
     spectra = _spectra(arr[:, None], c, n)
     del arr
     for test, spec in spectra:
         ok = _flat(test, spec, n)[:, 0]
         del spec
         yield None if ok.all() else int(np.argmin(ok))
+        if not ok[0]:
+            return              # no later prime can report an earlier row
 
 
 def first_flat_violation(f: FunctionTable):

@@ -540,12 +540,14 @@ def _flat_of_content_1(c, n, rng):
 
 @pytest.mark.parametrize("m,n,l", [
     (2, 4, 1), (4, 3, 1), (6, 4, 1), (12, 4, 1), (100, 8, 1),
-    (40, 4, 1), (100, 4, 1),            # m > 2^n: W(0) over every entry
-    (60, 4, 5), (100, 4, 25),           # content modulus below m
+    (60, 6, 5), (100, 8, 25),           # content modulus below m
+    (40, 4, 1), (100, 4, 1),            # m > 2^n: no histogram
+    (60, 4, 5), (100, 4, 25),
 ])
 def test_row_0_flat_but_later_row_not_matches_referee(monkeypatch, m, n, l):
     # a swap keeps the histogram, so W(0) stays flat and only the kernel
-    # finds the failing row; it and its coefficients are the referee's
+    # finds the failing row; it and its coefficients are the referee's.
+    # Past m = 2^n the table goes to the kernel with no row-0 step
     rng = random.Random(f"{m}:{n}")
     c = m // l
     flat = _flat_of_content_1(c, n, rng)
@@ -554,8 +556,9 @@ def test_row_0_flat_but_later_row_not_matches_referee(monkeypatch, m, n, l):
     for _ in range(4):
         f = lift_modulus(_swapped(flat, rng), l)
         assert f.gbf_type == GbfType(m, n)
-        content, _, values, counts = gbf._content(f)
-        assert content == c and gbf._row0_flat(values, counts, c, n)
+        content, _, hist = gbf._content(f)
+        assert content == c and (hist is None) == (m > 1 << n)
+        assert hist is None or gbf._row0_flat(*hist, c, n)
         spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
         want = _referee_violation(f, spectrum)
         del calls[:]
@@ -591,7 +594,8 @@ def test_row_0_flat_but_later_row_not_at_huge_modulus(monkeypatch):
 
 def test_row_0_failure_runs_no_kernel(monkeypatch):
     # a random table, and the all-zero table, still taken at modulus 2,
-    # against the referee at each histogram branch and at m > 2^62
+    # against the referee: at m <= 2^n the histogram refutes row 0 with no
+    # kernel call; at m > 2^n, m > 2^62 too, the kernel finds row 0
     rng = random.Random(6)
     calls = _kernel_calls(monkeypatch)
     for m, n in ((2, 3), (4, 3), (6, 3), (12, 4), (100, 7), (12, 2), (100, 3)):
@@ -600,11 +604,15 @@ def test_row_0_failure_runs_no_kernel(monkeypatch):
         for f in (zero, _random_table(rng, m, n)):
             spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
             want = _referee_violation(f, spectrum)
+            del calls[:]
             assert want[0] == 0 and first_flat_violation(f) == want
             assert not is_gbf(f)
+            c = gbf._content(f)[0]
+            assert calls == ([] if m <= 1 << n else [(c, n)] * 2)
     zero = table(2**64, 3, [0] * 8)
+    del calls[:]
     assert not is_gbf(zero) and gbf._content(zero)[0] == 2
-    assert calls == []
+    assert calls == [(2, 3)]
 
 
 # -- the batched kernel ---------------------------------------------------------
