@@ -5,7 +5,8 @@ truth the engine's verdicts are checked against.  Since f and f + c are
 flat together, only the tables with f(2^n - 1) = 0 are tested.  Each is
 a block of fast digits plus a block of slow ones, its spectrum the sum of
 theirs minus the zero table's, so the 5.7 million tables of {7,3} are
-tested as one numpy batch per slow block, in well under a second.
+tested in numpy batches, row 0 first and every row only for the blocks
+that pass it, in well under a second.
 """
 
 import sys

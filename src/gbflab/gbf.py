@@ -358,16 +358,14 @@ def _row0_flat(values: np.ndarray, counts: np.ndarray, m: int, n: int) -> bool:
     return True
 
 
-def _nonflat_rows(f: FunctionTable):
+def _nonflat_rows(c: int, arr: np.ndarray, hist, n: int):
     """The first y whose |W(y)|^2 differs from 2^n, or None, once per test
-    of _spectra at the content modulus of f.  When m <= 2^n, row 0 is
-    decided first, from the histogram: each test is exact per row, so when
-    one fails at row 0, 0 is the least failing y, and it is yielded alone,
-    with no FWHT.  Otherwise every row is tested as a batch of one; the
-    quotient table and the histogram are dropped here, so neither is held
-    through the FWHT."""
-    n = f.n
-    c, arr, hist = _content(f)
+    of _spectra, for the (c, table, hist) of _content.  When hist is given
+    (m <= 2^n), row 0 is decided first, from it: each test is exact per
+    row, so when one fails at row 0, 0 is the least failing y, and it is
+    yielded alone, with no FWHT.  Otherwise every row is tested as a batch
+    of one; the quotient table and the histogram are dropped here, so
+    neither is held through the FWHT unless the caller keeps it."""
     if hist is not None and not _row0_flat(*hist, c, n):
         yield 0
         return
@@ -390,18 +388,28 @@ def first_flat_violation(f: FunctionTable):
     The spectrum is tested at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so the verdict and the
     failing y, the least over the tests, do not depend on l.  Only the
-    reported row is built at m, as one bincount (signed when y > 0), and so
-    is refused for m at or above 2^30."""
-    y = min((y for y in _nonflat_rows(f) if y is not None), default=None)
+    reported row is built at m, and so is refused for m at or above 2^30:
+    at y = 0 with a histogram it is the counts placed at the values times
+    l, otherwise one bincount (signed when y > 0)."""
+    c, arr, hist = _content(f)
+    rows = _nonflat_rows(c, arr, hist, f.n)
+    del arr                     # rows drops the quotient table before its FWHT
+    y = min((y for y in rows if y is not None), default=None)
     if y is None:
         return None
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
-    signs = None if y == 0 else np.where(
-        np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
-    row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
-                      minlength=f.m).astype(np.int64, copy=False)
+    if y == 0 and hist is not None:
+        # m // c is l, but for the all-zero table, whose one value is 0
+        values, counts = hist
+        row = np.zeros(f.m, dtype=np.int64)
+        row[values * (f.m // c)] = counts
+    else:
+        signs = None if y == 0 else np.where(
+            np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
+        row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
+                          minlength=f.m).astype(np.int64, copy=False)
     return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:euler_phi(f.m)]
 
 
@@ -409,7 +417,7 @@ def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided at the content modulus, with no report built at m; the first
     test that fails a row settles it."""
-    return all(y is None for y in _nonflat_rows(f))
+    return all(y is None for y in _nonflat_rows(*_content(f), f.n))
 
 
 # -- constructions -----------------------------------------------------------

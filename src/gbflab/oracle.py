@@ -11,8 +11,16 @@ the same order.  Each is the sum of a fast block, its b fastest digits,
 and a slow block, the other free digits.  W is linear in the terms
 zeta^f(x), so its spectrum is the sum of the two blocks' spectra minus the
 zero table's.  gbf's batched kernel gives every fast block's spectrum once,
-the slow blocks' a batch at a time, and its flatness check tests every fast
-block against one slow block as one numpy batch.
+and the slow blocks' a batch at a time.
+
+Each fast block is then tested against one slow block in two stages.  The
+row-0 sieve adds only row 0 of the two spectra and puts it through every
+test of gbf's flatness check; the blocks that pass, the survivors, are
+tested at every row as one numpy batch.  Each test is exact per row, so a
+table that fails at row 0 is not flat, and the hits, their count and
+their order are those of testing every row of every table.  Few tables
+survive the sieve: of the 823,543 tested at {7,3}, 5,040 pass row 0 and
+none is flat.
 
 Witnesses are the first hits of the full odometer order.  When the tables
 with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
@@ -22,7 +30,7 @@ of all those shifts as odometer readings gives the rest in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +45,7 @@ class OracleResult:
     gbf_type: GbfType
     total_candidates: int
     gbf_count: int
-    witnesses: list = field(default_factory=list)
+    witnesses: tuple[FunctionTable, ...]
 
 
 def _odometer(m: int, readings, width: int) -> np.ndarray:
@@ -80,8 +88,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     fast_tables = _odometer(m, range(nb), rows)
     fast = [(test, np.ascontiguousarray(spec))
             for test, spec in _spectra(fast_tables, m, n)]
-    # one reused sum per test: a fresh one each step refaults its pages
-    bufs = [np.empty_like(spec) for _, spec in fast]
+    # the row-0 sieve reads a contiguous copy of row 0 of each fast
+    # spectrum, and sums into one reused buffer per test: a fresh sum each
+    # step refaults its pages
+    fast0 = [np.ascontiguousarray(spec[:, :1]) for _, spec in fast]
+    bufs = [np.empty_like(spec0) for spec0 in fast0]
 
     count = 0
     witnesses: list[FunctionTable] = []
@@ -91,14 +102,16 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         slow = [spec - z for (_, spec), z
                 in zip(_spectra(slow_tables, m, n), zero)]
         for j in range(len(readings)):
-            ok = np.all([_flat(test, np.add(spec, s[..., j, None], out=buf), n)
-                         for (test, spec), s, buf in zip(fast, slow, bufs)],
-                        axis=(0, 1))
-            hits = int(ok.sum())
-            if not hits:
+            live = np.flatnonzero(np.all(
+                [_flat(test, np.add(spec0, s[:, :1, j, None], out=buf), n)
+                 for (test, _), spec0, s, buf in zip(fast, fast0, slow, bufs)],
+                axis=(0, 1)))
+            if not live.size:
                 continue
-            count += hits
-            for v in np.flatnonzero(ok)[:max_witnesses - len(witnesses)]:
+            ok = np.all([_flat(test, spec[..., live] + s[..., j, None], n)
+                         for (test, spec), s in zip(fast, slow)], axis=(0, 1))
+            count += int(ok.sum())
+            for v in live[ok][:max_witnesses - len(witnesses)]:
                 witnesses.append(FunctionTable(
                     t, fast_tables[:, v] + slow_tables[:, j]))
 
@@ -114,4 +127,4 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     for w in witnesses:
         if not is_gbf(w):  # unreachable while the two routes agree
             raise AssertionError(f"witness failed independent verification: {w}")
-    return OracleResult(t, total, count * m, witnesses)
+    return OracleResult(t, total, count * m, tuple(witnesses))

@@ -595,17 +595,26 @@ def test_row_0_flat_but_later_row_not_at_huge_modulus(monkeypatch):
 def test_row_0_failure_runs_no_kernel(monkeypatch):
     # a random table, and the all-zero table, still taken at modulus 2,
     # against the referee: at m <= 2^n the histogram refutes row 0 with no
-    # kernel call; at m > 2^n, m > 2^62 too, the kernel finds row 0
+    # kernel call, and its counts are the report's row; at m > 2^n, m > 2^62
+    # too, the kernel finds row 0.  Either way the table is counted once
     rng = random.Random(6)
     calls = _kernel_calls(monkeypatch)
+    counts, bincount = [], np.bincount
+
+    def counted_bincount(*args, **kwargs):
+        counts.append(args[0].size)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
     for m, n in ((2, 3), (4, 3), (6, 3), (12, 4), (100, 7), (12, 2), (100, 3)):
         zero = table(m, n, [0] * (1 << n))
         assert gbf._content(zero)[0] == 2
         for f in (zero, _random_table(rng, m, n)):
             spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
             want = _referee_violation(f, spectrum)
-            del calls[:]
+            del calls[:], counts[:]
             assert want[0] == 0 and first_flat_violation(f) == want
+            assert counts == [1 << n]
             assert not is_gbf(f)
             c = gbf._content(f)[0]
             assert calls == ([] if m <= 1 << n else [(c, n)] * 2)

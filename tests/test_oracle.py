@@ -2,6 +2,10 @@
 
 import random
 import tracemalloc
+from collections import Counter
+from dataclasses import FrozenInstanceError
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 import pytest
 
@@ -81,6 +85,51 @@ def test_enumerate_matches_census_across_slow_batches(m, n, monkeypatch):
     count, total, witnesses = _brute_census(m, n, 5)
     assert res.gbf_count == count and res.total_candidates == total
     assert [w.values for w in res.witnesses] == witnesses
+
+
+def _row0_flat_by_histogram(m, n):
+    """The tables whose W(0) = sum_v count(v) zeta^v has |W(0)|^2 = 2^n,
+    counted over the histograms by CycInt arithmetic: each histogram is
+    taken by multinomially many tables."""
+    size = 1 << n
+    flat = 0
+    for values in combinations_with_replacement(range(m), size):
+        hist = Counter(values)
+        w0 = sum((zeta_pow(m, v) * c for v, c in hist.items()),
+                 CycInt.zero(m))
+        if w0.abs_square() == size:
+            flat += factorial(size) // prod(map(factorial, hist.values()))
+    return flat
+
+
+@pytest.mark.parametrize("m,n,row0_flat,flat", [
+    (4, 3, 7840, 896), (6, 2, 204, 168), (3, 2, 18, 0)])
+def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
+                                                 monkeypatch):
+    # the batches the oracle tests at every row hold exactly its tables
+    # (those with f(2^n - 1) = 0, one in m, since adding a constant keeps
+    # |W(0)|) whose row 0 is flat, and more tables than it counts as flat
+    recorded, batches = oracle._flat, []
+
+    def every_row(test, spec, n):
+        if spec.shape[1] == 1 << n:
+            batches.append(spec.shape[2])
+        return recorded(test, spec, n)
+
+    monkeypatch.setattr(oracle, "_flat", every_row)
+    res = enumerate_gbfs(GbfType(m, n))
+    assert _row0_flat_by_histogram(m, n) == row0_flat == sum(batches) * m
+    assert res.gbf_count == flat < row0_flat
+
+
+def test_result_is_a_hashable_value():
+    res = enumerate_gbfs(GbfType(4, 1))
+    assert hash(res) == hash(enumerate_gbfs(GbfType(4, 1)))
+    assert isinstance(res.witnesses, tuple) and len(res.witnesses) == 4
+    with pytest.raises(AttributeError):
+        res.witnesses.clear()
+    with pytest.raises(FrozenInstanceError):
+        res.witnesses = ()
 
 
 def test_enumerate_witness_order_deterministic():
