@@ -401,7 +401,7 @@ def first_flat_violation(f: FunctionTable):
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
     if y == 0 and hist is not None:
-        # m // c is l, but for the all-zero table, whose one value is 0
+        # m // c is l, or, for the all-zero table, scales its one value 0
         values, counts = hist
         row = np.zeros(f.m, dtype=np.int64)
         row[values * (f.m // c)] = counts

@@ -106,9 +106,10 @@ def _row0_flat_by_histogram(m, n):
     (4, 3, 7840, 896), (6, 2, 204, 168), (3, 2, 18, 0)])
 def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
                                                  monkeypatch):
-    # the batches the oracle tests at every row hold exactly its tables
-    # (those with f(2^n - 1) = 0, one in m, since adding a constant keeps
-    # |W(0)|) whose row 0 is flat, and more tables than it counts as flat
+    # the batches tested at every row hold exactly the oracle's tables
+    # whose row 0 is flat, and more of them than are flat.  It tests one
+    # table in m, those with f(2^n - 1) = 0, and adding a constant keeps
+    # |W(0)|, so they hold one in m of the row-0 flat tables
     recorded, batches = oracle._flat, []
 
     def every_row(test, spec, n):
