@@ -110,7 +110,7 @@ class Verdict:
     witness: FunctionTable | None = None
     rule: str | None = None
     report: CriterionReport | None = None
-    attempts: list = field(default_factory=list)
+    attempts: tuple = ()
 
 
 def _base_quantities(m_odd: int, factors):
@@ -634,8 +634,8 @@ def decide(t: GbfType) -> Verdict:
         chosen = fired[0]
         chosen.also_applicable = [rep.criterion for rep in fired[1:]]
         revalidate_report(chosen)
-        return Verdict(NOT_EXISTS, report=chosen, attempts=reports)
-    return Verdict(UNKNOWN, attempts=reports)
+        return Verdict(NOT_EXISTS, report=chosen, attempts=tuple(reports))
+    return Verdict(UNKNOWN, attempts=tuple(reports))
 
 
 def summarize_report(rep: CriterionReport) -> str:

@@ -20,15 +20,15 @@ the split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 
-A single table goes through _nonflat_rows.  When m <= 2^n, it decides
-row 0 first: one bincount of the values gives both l and W(0) =
-sum_v count(v) zeta^v, and _row0_flat puts W(0) through the kernel's own
-tests, at O(m phi(m)) cost, never more than the kernel's own exponent
-matrix.  Each test is exact per row, so a row that fails one is
-not flat; since 0 is the least index, it is then the first failing y, with
-no FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
-from a gcd pass and the table goes straight to the kernel, every row is
-tested as a batch of one.
+A single table goes through _first_nonflat, the one search behind both.
+When m <= 2^n, it decides row 0 first: one bincount of the values gives
+both l and W(0) = sum_v count(v) zeta^v, which goes through the kernel's
+own tests at O(m phi(m)) cost, never more than the kernel's own exponent
+matrix.  Each test is exact per row, so a row that fails one is not flat;
+since 0 is the least index, it is then the first failing y, with no FWHT
+run.  When row 0 passes every test, or when m > 2^n, where l comes from a
+gcd pass and the table goes straight to the kernel, every row is tested as
+a batch of one, and the first failing y is the least over the tests.
 """
 
 from __future__ import annotations
@@ -317,18 +317,28 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     return (low == (1 << n) % test).all(axis=0)
 
 
-def _content(f: FunctionTable):
-    """(c, table, hist): the content modulus c = m/l for l = gcd(m,
-    values), the int64 table of the quotients v/l over Z_c, and hist.  Both
-    tables have the same Walsh values as complex numbers, since
-    zeta_m^(l*v) = zeta_c^v; an all-zero table, whose W(y) are the same
-    integers at every modulus, is taken at c = 2, never 1.
+def _first_nonflat(f: FunctionTable):
+    """(y, c, hist) for one table: y is the least row whose |W(y)|^2
+    differs from 2^n, or None; c is the content modulus m/l, l = gcd(m,
+    values); hist is the (values, counts) histogram of f when it refutes
+    row 0, and None otherwise.
 
-    When m <= 2^n, one bincount gives l with no gcd pass, and hist is
-    (values, counts) over Z_c with W(0) = sum_i counts[i] zeta_c^values[i].
-    Otherwise l comes from a gcd pass over the table and hist is None.  An
-    unsupported c is refused before the quotients are built."""
-    m, arr = f.m, f.array
+    The table is tested at c, on the quotients v/l, which have the same
+    Walsh values as complex numbers, since zeta_m^(l*v) = zeta_c^v; an
+    all-zero table, whose W(y) are the same integers at every modulus, is
+    taken at c = 2, never 1.  An unsupported c is refused before any
+    quotient is built.
+
+    When m <= 2^n, one bincount gives l with no gcd pass, and W(0) =
+    sum_v count(v) zeta_c^(v/l) goes through the tests of _spectra: row 0
+    of each spectrum is the sum of the terms over x, so the values' terms
+    weighted by their counts give it exactly, in O(len(values) phi(c)), and
+    the counts sum to 2^n, so the bounds of _spectra hold.  Each test is
+    exact per row, so when one fails there, 0 is the least failing y, with
+    no FWHT.  Otherwise every row is tested as a batch of one, and y is the
+    least failing row over the tests; the quotient table and the histogram
+    are dropped before the FWHT."""
+    m, n, arr = f.m, f.n, f.array
     hist = None
     if m <= arr.size:
         counts = np.bincount(arr)
@@ -337,47 +347,20 @@ def _content(f: FunctionTable):
     l = gcd(m, int(np.gcd.reduce(arr if hist is None else hist[0])))
     c = max(m // l, 2)
     if c not in _UNIT_COORDS:
-        _root_powers(c, f.n)        # refuses an unsupported c here
+        _root_powers(c, n)          # refuses an unsupported c here
+    if hist is not None:
+        values, counts = hist
+        for test, terms in _terms(values[:, None] // l, c, n):
+            if not _flat(test, (counts @ terms[:, 0])[:, None, None], n)[0, 0]:
+                return 0, c, hist
+        del hist, values, counts
     if l > 1:
         arr = (arr // l).astype(np.int64, copy=False)
-        if hist is not None:
-            hist = hist[0] // l, hist[1]
-    return c, arr, hist
-
-
-def _row0_flat(values: np.ndarray, counts: np.ndarray, m: int, n: int) -> bool:
-    """Whether W(0) = sum_i counts[i] zeta^values[i], the character sum
-    of a modulus-m table (see _content), passes every test of _spectra.
-    Row 0 of each spectrum is the sum of the terms over x, so the values'
-    terms weighted by their counts give it exactly, in O(len(values) phi(m));
-    the counts sum to 2^n, so the bounds of _spectra hold."""
-    for test, terms in _terms(values[:, None], m, n):
-        row = counts @ terms[:, 0]
-        if not _flat(test, row[:, None, None], n)[0, 0]:
-            return False
-    return True
-
-
-def _nonflat_rows(c: int, arr: np.ndarray, hist, n: int):
-    """The first y whose |W(y)|^2 differs from 2^n, or None, once per test
-    of _spectra, for the (c, table, hist) of _content.  When hist is given
-    (m <= 2^n), row 0 is decided first, from it: each test is exact per
-    row, so when one fails at row 0, 0 is the least failing y, and it is
-    yielded alone, with no FWHT.  Otherwise every row is tested as a batch
-    of one; the quotient table and the histogram are dropped here, so
-    neither is held through the FWHT unless the caller keeps it."""
-    if hist is not None and not _row0_flat(*hist, c, n):
-        yield 0
-        return
-    del hist
     spectra = _spectra(arr[:, None], c, n)
-    del arr
-    for test, spec in spectra:
-        ok = _flat(test, spec, n)[:, 0]
-        del spec
-        yield None if ok.all() else int(np.argmin(ok))
-        if not ok[0]:
-            return              # no later prime can report an earlier row
+    del arr                         # so _terms can free the quotients
+    ok = np.logical_and.reduce([_flat(test, spec, n)[:, 0]
+                                for test, spec in spectra])
+    return (None if ok.all() else int(np.argmin(ok))), c, None
 
 
 def first_flat_violation(f: FunctionTable):
@@ -385,26 +368,21 @@ def first_flat_violation(f: FunctionTable):
     otherwise (y, canonical coefficients of |W(y)|^2 in Z[zeta_m]) for the
     first failing y in index order.
 
-    The spectrum is tested at the content modulus m/l, l = gcd(m, values),
-    where every W(y) is the same complex number, so the verdict and the
-    failing y, the least over the tests, do not depend on l.  Only the
-    reported row is built at m, and so is refused for m at or above 2^30:
-    at y = 0 with a histogram it is the counts placed at the values times
-    l, otherwise one bincount (signed when y > 0)."""
-    c, arr, hist = _content(f)
-    rows = _nonflat_rows(c, arr, hist, f.n)
-    del arr                     # rows drops the quotient table before its FWHT
-    y = min((y for y in rows if y is not None), default=None)
+    _first_nonflat finds y at the content modulus m/l, l = gcd(m, values),
+    where every W(y) is the same complex number, so y does not depend on l.
+    Only the reported row is built at m, and so is refused for m at or above
+    2^30: when row 0 was refuted from the histogram it is the counts placed
+    at the values, otherwise one bincount (signed when y > 0)."""
+    y, _, hist = _first_nonflat(f)
     if y is None:
         return None
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
-    if y == 0 and hist is not None:
-        # m // c is l, or, for the all-zero table, scales its one value 0
+    if hist is not None:
         values, counts = hist
         row = np.zeros(f.m, dtype=np.int64)
-        row[values * (f.m // c)] = counts
+        row[values] = counts
     else:
         signs = None if y == 0 else np.where(
             np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
@@ -415,9 +393,9 @@ def first_flat_violation(f: FunctionTable):
 
 def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
-    Decided at the content modulus, with no report built at m; the first
-    test that fails a row settles it."""
-    return all(y is None for y in _nonflat_rows(*_content(f), f.n))
+    Decided by _first_nonflat at the content modulus, with no report built
+    at m."""
+    return _first_nonflat(f)[0] is None
 
 
 # -- constructions -----------------------------------------------------------

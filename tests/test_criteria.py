@@ -565,6 +565,21 @@ def test_criterion_abstains_on_failed_witness(monkeypatch, name, fake, crit,
     assert any("abstain" in note for note in rep.notes)
 
 
+def test_c4_abstains_when_r2_has_no_solution(monkeypatch):
+    # branch II at {1990, 3}: r1 is solved honestly, but no Cornacchia call
+    # with the multiplier p2 = 5 finds a solution, so r2 has no witness
+    assert crit_p7_x_p35(GbfType(1990, 3)).quantities["branch"] == "II"
+    solutions = criteria._two_adic_solutions
+    monkeypatch.setattr(
+        criteria, "_two_adic_solutions",
+        lambda a, b, exp, multiplier=1:
+            [] if multiplier > 1 else solutions(a, b, exp))
+    rep = crit_p7_x_p35(GbfType(1990, 3))
+    assert not rep.fired and rep.excluded is None
+    assert "abstain: no solution at r2" in rep.notes
+    assert summarize_report(rep) == "abstained"
+
+
 def test_decide_deterministic():
     for m, n in ((9, 3), (14, 1), (8, 3), (2 * 19 * 29, 7)):
         a = decide(GbfType(m, n))
@@ -594,6 +609,17 @@ def test_unknown_is_first_class():
     v = decide(GbfType(14, 1))
     assert v.kind == UNKNOWN and v.witness is None and v.report is None
     assert all(not rep.fired for rep in v.attempts)
+
+
+def test_verdict_attempts_cannot_change_in_place():
+    for m, n in ((14, 1), (9, 3)):
+        v = decide(GbfType(m, n))
+        assert isinstance(v.attempts, tuple) and v.attempts
+        with pytest.raises(AttributeError):
+            v.attempts.clear()
+        with pytest.raises(TypeError):
+            v.attempts[0] = None
+    assert decide(GbfType(8, 3)).attempts == ()
 
 
 def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):

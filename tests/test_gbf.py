@@ -389,12 +389,12 @@ def test_content_modulus_all_zero_table():
     for m in (4, 6, 9, 15, 7, 35, 1000):
         for n in (1, 2, 3):
             f = table(m, n, [0] * (1 << n))
-            assert gbf._content(f)[0] == 2 and not is_gbf(f)
+            assert gbf._first_nonflat(f)[1] == 2 and not is_gbf(f)
             assert first_flat_violation(f) == \
                 (0, (4 ** n,) + (0,) * (euler_phi(m) - 1))
     for m in (2**63 + 1, 2**64):
         f = table(m, 1, [0, 0])
-        assert gbf._content(f)[0] == 2 and not is_gbf(f)
+        assert gbf._first_nonflat(f)[1] == 2 and not is_gbf(f)
         with pytest.raises(ValueError, match=r"not flat at y=0; .* 2\^30"):
             first_flat_violation(f)
 
@@ -543,23 +543,28 @@ def _flat_of_content_1(c, n, rng):
     (60, 6, 5), (100, 8, 25),           # content modulus below m
     (40, 4, 1), (100, 4, 1),            # m > 2^n: no histogram
     (60, 4, 5), (100, 4, 25),
+    (6, 16, 1), (60, 16, 5),            # two split primes
 ])
 def test_row_0_flat_but_later_row_not_matches_referee(monkeypatch, m, n, l):
     # a swap keeps the histogram, so W(0) stays flat and only the kernel
     # finds the failing row; it and its coefficients are the referee's.
-    # Past m = 2^n the table goes to the kernel with no row-0 step
+    # Past m = 2^n the table goes to the kernel with no row-0 step.  At
+    # n = 16 the kernel runs two exact tests, and the row is the least over
+    # both
     rng = random.Random(f"{m}:{n}")
     c = m // l
+    if n > 14:
+        assert len(gbf._split_primes(c, n)) == 2
     flat = _flat_of_content_1(c, n, rng)
     calls = _kernel_calls(monkeypatch)
     later = 0
     for _ in range(4):
         f = lift_modulus(_swapped(flat, rng), l)
         assert f.gbf_type == GbfType(m, n)
-        content, _, hist = gbf._content(f)
-        assert content == c and (hist is None) == (m > 1 << n)
-        assert hist is None or gbf._row0_flat(*hist, c, n)
-        spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
+        assert gbf._first_nonflat(f)[1:] == (c, None)   # no row-0 refusal
+        # the exact rows of walsh_matrix, read only up to the failing one
+        spectrum = (_walsh_by_definition(f) if n <= 4 else
+                    (CycInt(m, row.tolist()) for row in walsh_matrix(f)))
         want = _referee_violation(f, spectrum)
         del calls[:]
         assert first_flat_violation(f) == want
@@ -582,7 +587,7 @@ def test_row_0_flat_but_later_row_not_at_huge_modulus(monkeypatch):
             g = _swapped(base, rng)
             want = _referee_violation(g, _walsh_by_definition(g))
             f = lift_modulus(g, 2**62 + 1)
-            assert f.array.dtype == object and gbf._content(f)[0] == c
+            assert f.array.dtype == object and gbf._first_nonflat(f)[1] == c
             del calls[:]
             assert is_gbf(f) == (want is None) and calls == [(c, g.n)]
             if want is not None:
@@ -608,20 +613,21 @@ def test_row_0_failure_runs_no_kernel(monkeypatch):
     monkeypatch.setattr(np, "bincount", counted_bincount)
     for m, n in ((2, 3), (4, 3), (6, 3), (12, 4), (100, 7), (12, 2), (100, 3)):
         zero = table(m, n, [0] * (1 << n))
-        assert gbf._content(zero)[0] == 2
+        assert gbf._first_nonflat(zero)[1] == 2
         for f in (zero, _random_table(rng, m, n)):
             spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
             want = _referee_violation(f, spectrum)
+            y, c, hist = gbf._first_nonflat(f)
+            assert y == 0 and (hist is None) == (m > 1 << n)
             del calls[:], counts[:]
             assert want[0] == 0 and first_flat_violation(f) == want
             assert counts == [1 << n]
             assert not is_gbf(f)
-            c = gbf._content(f)[0]
             assert calls == ([] if m <= 1 << n else [(c, n)] * 2)
     zero = table(2**64, 3, [0] * 8)
+    assert gbf._first_nonflat(zero)[1] == 2
     del calls[:]
-    assert not is_gbf(zero) and gbf._content(zero)[0] == 2
-    assert calls == [(2, 3)]
+    assert not is_gbf(zero) and calls == [(2, 3)]
 
 
 # -- the batched kernel ---------------------------------------------------------

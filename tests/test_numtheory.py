@@ -439,6 +439,8 @@ def test_form_class_group_laws():
     assert nt.reduce_form(3, 7, 5) == nt.reduce_form(3, 1, 1) == (1, 1, 3)
     with pytest.raises(ValueError):
         nt.form_order((2, 1, 3), 2)                  # h(-23) = 3
+    with pytest.raises(ValueError):
+        nt.form_order(nt.reduce_form(2, 1, 3), 1)    # not principal
 
 
 def _least_odd_r(a, b, k=1, *, bound):
