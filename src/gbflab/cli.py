@@ -141,6 +141,7 @@ def parse_witness(data: dict) -> FunctionTable:
 
 
 def verdict_to_dict(m: int, n: int, v: Verdict, witness_path=None) -> dict:
+    """The certificate of v, holding its reports' own values, not copies."""
     return {
         "m": m,
         "n": n,

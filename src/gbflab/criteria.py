@@ -75,25 +75,18 @@ class CriterionReport:
     also_applicable: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """A JSON-native copy (tuples become lists) that shares no mutable
-        object with the report."""
-        return {key: _json_copy(getattr(self, key)) for key in _REPORT_FIELDS}
+        """The report's fields by name, holding the report's own values, not
+        copies: they are JSON-native already."""
+        return {key: getattr(self, key) for key in _REPORT_FIELDS}
 
 
 _REPORT_FIELDS = tuple(f.name for f in fields(CriterionReport))
 
 
-def _json_copy(value):
-    if isinstance(value, dict):
-        return {k: _json_copy(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_copy(v) for v in value]
-    return value
-
-
 def report_from_dict(data) -> CriterionReport:
-    """The report a ``to_dict()`` mapping describes; ValueError unless data
-    is a mapping with exactly the report's keys."""
+    """The report a ``to_dict()`` mapping describes, holding the mapping's
+    own values; ValueError unless data is a mapping with exactly the
+    report's keys."""
     if not isinstance(data, Mapping) or set(data) != set(_REPORT_FIELDS):
         raise ValueError("a report is a mapping with exactly the keys "
                          + ", ".join(_REPORT_FIELDS))

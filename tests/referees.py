@@ -1,14 +1,18 @@
 """Slow, direct referees for the number theory in gbflab.numtheory.
 
-They are the package's earlier algorithms, kept to check the fast ones at
+Most are the package's earlier algorithms, kept to check the fast ones at
 small sizes: a scanner for a*x^2 + b*y^2 = N, a search over exponents on
 top of it, and a class number that visits every (a, b) with
-|b| <= a <= sqrt(|D|/3).
+|b| <= a <= sqrt(|D|/3).  The last section checks that the C3-C5 exponents
+are least at any class number: it tries every exponent in turn with
+Cornacchia's algorithm and uses nothing of the class group.
 """
 
 from __future__ import annotations
 
 import math
+
+from gbflab import numtheory as nt
 
 
 def solve_ax2_by2(a: int, b: int, N: int):
@@ -82,3 +86,43 @@ def c4_r2_scan(p1: int, p2: int, r1: int):
             return e, [x, y], even
         even.append([e, x, y])
     return None, None, even
+
+
+# -- C3-C5 exponents by Cornacchia at every exponent ---------------------------
+#
+# gcd(x, y)^2 divides 2^(e+2) * multiplier, so a solution with gcd 2^j at e
+# is 2^j times a primitive one at e - 2j: e is solvable exactly when some
+# e' <= e of its parity, down to the least with 2^(e'+2) * multiplier >= 2,
+# has a primitive solution.
+
+
+def primitive_solutions(a: int, b: int, exp: int, multiplier: int = 1):
+    """The primitive (x, y), x, y >= 0, of a*x^2 + b*y^2 =
+    2^(exp+2) * multiplier, least y first, for a = 1 or an odd prime a not
+    dividing b and multiplier 1 or an odd prime other than a:
+    numtheory.cornacchia on X^2 + a*b*y^2 = a*2^(exp+2)*multiplier, keeping
+    X = a*x."""
+    factors = sorted((p, k) for p, k in ((2, exp + 2), (a, 1), (multiplier, 1))
+                     if p > 1 and k > 0)
+    return [(X // a, y) for X, y in nt.cornacchia(a * b, factors)
+            if X % a == 0]
+
+
+def least_odd_exponent(a: int, b: int, top: int, multiplier: int = 1):
+    """(r, x, y) at the least odd r <= top at which a*x^2 + b*y^2 =
+    2^(r+2) * multiplier is solvable, with its primitive solution of least
+    y, or None.  The odd exponents from -1 up are tried in turn."""
+    for e in range(-1, top + 1, 2):
+        found = primitive_solutions(a, b, e, multiplier)
+        if found:
+            return (e, *found[0])
+    return None
+
+
+def solvable_even_exponents(a: int, b: int, stop: int, multiplier: int):
+    """The even e with 2 <= e < stop at which a*x^2 + b*y^2 =
+    2^(e+2) * multiplier is solvable, for an odd prime multiplier: every
+    even e from the least with a primitive solution, e = -2 included."""
+    first = next((e for e in range(-2, stop, 2)
+                  if primitive_solutions(a, b, e, multiplier)), stop)
+    return list(range(max(first, 2), stop, 2))

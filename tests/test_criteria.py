@@ -1,12 +1,15 @@
 """The decision engine: rule dispatch, criterion firing, report integrity."""
 
+import copy
 import dataclasses
 import json
+import random
 import time
 
 import pytest
 
 from gbflab import criteria, numtheory as nt
+from gbflab.cli import verdict_to_dict
 from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              UNKNOWN, crit_lam_leung, crit_p3_x_p5, crit_p7,
                              crit_p7_x_p35, crit_semiprimitive, decide,
@@ -175,17 +178,10 @@ def test_c5_examples():
 def _scanned_or_searched(a, b, h):
     """(r, x, y) at the least odd r <= h with a*x^2 + b*y^2 = 2^(r+2)
     solvable, or None: the scanner while its 2^(r/2) steps stay small, else
-    Cornacchia at each odd r in turn (every solution at the least odd r is
-    primitive)."""
+    Cornacchia at each odd r in turn."""
     if h <= 45:
         return ref.least_odd_r(a, b, h)
-    for r in range(1, h + 1, 2):
-        found = [(x // a, y) for x, y in
-                 nt.cornacchia(a * b, sorted([(2, r + 2)] + [(a, 1)] * (a > 1)))
-                 if x % a == 0]
-        if found:
-            return (r, *found[0])
-    return None
+    return ref.least_odd_exponent(a, b, h)
 
 
 def _recorded_r(q, key="r"):
@@ -260,6 +256,61 @@ def test_c4_r1_r2_and_even_hits_match_scanner():
     assert hits == 262
 
 
+def _held_out_odd_parts():
+    # (odd part m0 < 10^4, d) for every m0 whose C3-C5 exponent lives in
+    # the class group of Q(sqrt(-d)) with h > 40: the odd parts the
+    # certificates workload holds out
+    out = []
+    for m0 in range(3, 10**4, 2):
+        fs = nt.factorize(m0)
+        classes = sorted(p % 8 for p, _ in fs)
+        primes = sorted((p for p, _ in fs), key=lambda p: p % 8 != 7)
+        if classes in ([7], [3, 7], [5, 7]):
+            d = primes[0]
+        elif classes == [3, 5]:
+            d = primes[0] * primes[1]
+        else:
+            continue
+        if nt.class_number(d) > 40:
+            out.append((m0, d))
+    return out
+
+
+def test_exponents_are_least_on_the_held_out_odd_parts():
+    # the class group route against Cornacchia at every exponent below the
+    # recorded one, where the scanner cannot reach: r (C3, C5 branch II) or
+    # r1 (C4) is the least odd exponent up to h, C4's r2 the least odd one
+    # of its own equation up to r1, and its even hits every solvable even
+    # exponent below r2.  h itself is checked on a sample.
+    held_out = _held_out_odd_parts()
+    assert len(held_out) == 404
+    checked, largest, hits = [], 0, 0
+    for m0, d in held_out:
+        rep = next(rep for rep in decide(GbfType(2 * m0, 1)).attempts
+                   if rep.criterion in (C3, C4, C5))
+        q = rep.quantities
+        if "class_number" not in q:     # abstained before the exponent
+            continue
+        a, b = (q["p1"], q["p2"]) if rep.criterion == C5 else (1, d)
+        key = "r1" if rep.criterion == C4 else "r"
+        want = ref.least_odd_exponent(a, b, q["class_number"]["h"])
+        assert _recorded_r(q, key) == want, m0
+        checked.append((m0, d, q["class_number"]["h"]))
+        largest = max(largest, want[0] if want else 0)
+        if rep.criterion != C4 or want is None:
+            continue
+        r1, p2 = want[0], q["p2"]
+        r2 = ref.least_odd_exponent(1, d, r1, p2)
+        assert (q["r2"], q.get("r2_witness")) == (
+            (r2[0], list(r2[1:])) if r2 else (None, None)), m0
+        even = ref.solvable_even_exponents(1, d, r2[0] if r2 else r1 + 1, p2)
+        assert [e for e, _, _ in q["r2_even_hits"]] == even, m0
+        hits += len(even)
+    assert (len(checked), largest, hits) == (299, 139, 171)
+    for m0, d, h in random.Random(21).sample(checked, 40):
+        assert h == ref.class_number_by_forms(d), m0
+
+
 @pytest.mark.parametrize("m,n,criterion", [
     (200206, 1, C3), (2080798, 1, C5), (18958, 11, C3), (17994, 1, C4),
     (12526, 7, C3)])
@@ -291,8 +342,7 @@ def test_reports_revalidate():
 
 
 def test_revalidation_catches_tampering():
-    v = decide(GbfType(2 * 47, 3))
-    rep = report_from_dict(v.report.to_dict())
+    rep = copy.deepcopy(decide(GbfType(2 * 47, 3)).report)
     rep.quantities["r"] = 7
     with pytest.raises(ValueError):
         revalidate_report(rep)
@@ -448,7 +498,7 @@ def _forge_extra_key(q, rep):
 def test_revalidation_catches_forgery(m, n, criterion, forge):
     v = decide(GbfType(m, n))
     honest = next(rep for rep in v.attempts if rep.criterion == criterion)
-    rep = report_from_dict(honest.to_dict())
+    rep = copy.deepcopy(honest)
     forge(rep.quantities, rep)
     with pytest.raises(ValueError):
         revalidate_report(rep)
@@ -479,18 +529,45 @@ def test_revalidation_refuses_n_out_of_range_first(n, monkeypatch):
         revalidate_report(rep)
 
 
-def test_to_dict_shares_no_mutable_object():
-    def containers(value):
-        if isinstance(value, (dict, list)):
-            yield id(value)
-            for v in (value.values() if isinstance(value, dict) else value):
-                yield from containers(v)
-
+def test_to_dict_holds_the_reports_own_values():
     rep = decide(GbfType(2 * 199 * 5, 3)).report
-    fields = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
-    ours = {i for v in fields for i in containers(v)}
-    assert ours.isdisjoint(containers(rep.to_dict()))
-    assert rep.to_dict() == dataclasses.asdict(rep)
+    data = rep.to_dict()
+    assert all(data[f.name] is getattr(rep, f.name)
+               for f in dataclasses.fields(rep))
+    assert data == dataclasses.asdict(rep)
+
+
+def _poison(value):
+    """Add a key to every dict and an entry to every list nested in value."""
+    if isinstance(value, dict):
+        for v in list(value.values()):
+            _poison(v)
+        value["poison"] = None
+    elif isinstance(value, list):
+        for v in list(value):
+            _poison(v)
+        value.append("poison")
+
+
+def test_a_mutated_certificate_changes_no_later_decision():
+    # a report shares its values with the certificate, so no report may
+    # hold an object a cache hands out again
+    rng = random.Random("certificates:21")
+    types = [(rng.randrange(3, 10**4, 2) * rng.choice((1, 2)),
+              rng.choice((1, 3, 5, 7, 9, 11))) for _ in range(300)]
+
+    def certificate(m, n):
+        return json.dumps(verdict_to_dict(m, n, decide(GbfType(m, n))))
+
+    before = [certificate(m, n) for m, n in types]
+    criteria_seen = set()
+    for m, n in types:
+        for rep in decide(GbfType(m, n)).attempts:
+            _poison(rep.to_dict())
+            assert "poison" in rep.quantities and rep.covers[-1] == "poison"
+            criteria_seen.add(rep.criterion)
+    assert criteria_seen == {C1, C2, C3, C4, C5}
+    assert [certificate(m, n) for m, n in types] == before
 
 
 def test_every_attempt_revalidates():
