@@ -60,18 +60,23 @@ _WRITE_CHUNK = 1 << 16
 def _witness_chunks(w: FunctionTable):
     """The witness file without its final newline, byte for byte
     json.dumps(_witness_dict(w)), as a stream of byte strings.  The values
-    are spelled through a byte table of the tokens "v, ", for each v < m
-    (or each distinct value when m exceeds the table length), padded with
-    NUL bytes: tokens gathered a chunk at a time, NULs dropped, the last
-    separator cut."""
+    are spelled through a byte table of the tokens "v, ", for each v up to
+    the largest value (or each distinct value when m exceeds the table
+    length), padded with NUL bytes: tokens gathered a chunk at a time, NULs
+    dropped, the last separator cut.  When the least value's token is as
+    wide as the widest, no token is padded, and the drop is skipped."""
     a = w.array
-    distinct, index = ((np.arange(w.m), a) if w.m <= len(a)
-                       else np.unique(a, return_inverse=True))
+    if w.m <= len(a):
+        distinct, index, least = np.arange(a.max() + 1), a, a.min()
+    else:
+        distinct, index = np.unique(a, return_inverse=True)
+        least = distinct[0]
     tokens = np.array([f"{v}, ".encode() for v in distinct.tolist()])
+    padded = len(f"{least}, ") < tokens.itemsize
     yield f'{{"m": {w.m}, "n": {w.n}, "values": ['.encode()
     for start in range(0, len(a), _WRITE_CHUNK):
         spelled = tokens.take(index[start:start + _WRITE_CHUNK]).view(np.uint8)
-        body = spelled[spelled != 0].tobytes()
+        body = (spelled[spelled != 0] if padded else spelled).tobytes()
         yield body if start + _WRITE_CHUNK < len(a) else body[:-2]
     yield b"]}"
 

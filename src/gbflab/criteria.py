@@ -32,9 +32,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from math import lcm
 
+import numpy as np
+
 from . import numtheory as nt
 from .gbf import (FunctionTable, GbfType, _fold_mod4, construct_boolean_bent,
-                  construct_even_even, is_gbf, lift_modulus)
+                  construct_even_even, is_gbf, lift_modulus, table)
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -113,10 +115,41 @@ def _base_quantities(m_odd: int, factors):
 # -- existence ---------------------------------------------------------------
 
 
-# (rule, n) whose base table passed the exact flatness check in this
-# process.  A lift has the same content-modulus table as its base, so that
-# check is also the check of every witness the rule builds at n.
+# (rule, n) whose base table was proved flat in this process by
+# _flat_by_pieces.  A lift has the same content-modulus table as its base,
+# so that proof also covers every witness the rule builds at n.
 _FLAT_BASES: set[tuple[str, int]] = set()
+
+
+def _flat_by_pieces(base: FunctionTable, split: bool) -> bool:
+    """Whether base, of modulus c = 2 or 4, is the direct sum of flat 1- and
+    2-variable pieces, hence flat.
+
+    The pieces are P = (c/2)*x*y on each pair of variables and, at odd n,
+    the piece x at modulus 4 on the top variable x_n (E1 by folding:
+    2*Q'(x') + x_n).  The pairs are adjacent bits (x_(2i-1), x_(2i)), or,
+    when split, bit i of the low half with bit i of the high half
+    (x_i, x_(t+i)), t = n/2, as in construct_even_even.  Each piece goes
+    through the exact kernel; then one comparison finds base equal to the
+    sum of the pieces, built pair by pair in its own index layout by
+    broadcast adds, O(2^n) in all.  The Walsh transform of a direct sum is
+    the product of the pieces' transforms, and permuting the variables only
+    permutes the spectrum, so the base is flat when every piece is."""
+    c, n = base.m, base.n
+    pair, top = table(c, 2, [0, 0, 0, c // 2]), table(4, 1, [0, 1])
+    if not is_gbf(pair) or n % 2 and not is_gbf(top):
+        return False
+    # acc is (rows, cols) = (high half, low half) of the index when split,
+    # else (1, 2^k); each piece, shaped (rows, cols) alike, takes the bits
+    # above those of acc on each side; a sum is at most (n/2)*(c/2) + 1 <= 25
+    # at n <= MAX_N, so uint8 holds it unreduced
+    pair = pair.array.astype(np.uint8).reshape((2, 2) if split else (1, 4))
+    top = top.array.astype(np.uint8).reshape(2, 1)
+    acc = np.zeros((1, 1), dtype=np.uint8)
+    for piece in [pair] * (n // 2) + [top] * (n % 2):
+        acc = (piece[:, None, :, None] + acc[None, :, None, :]).reshape(
+            len(piece) * len(acc), -1)
+    return np.array_equal(base.array, acc.reshape(-1) % c)
 
 
 def rule_exists(t: GbfType):
@@ -127,7 +160,9 @@ def rule_exists(t: GbfType):
     construction for even n, quaternary folding of a boolean witness for odd
     n) and lifted by m/4.  E3: remaining even m with even n, the product
     construction at modulus 2 lifted by m/2.  Each base table depends on the
-    rule and n only, and is verified once per process.  Refuses n > MAX_N.
+    rule and n only, and is verified once per process, from its direct-sum
+    pieces (_flat_by_pieces), with no FWHT over its 2^n rows.  Refuses
+    n > MAX_N.
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -143,7 +178,8 @@ def rule_exists(t: GbfType):
     else:
         return None
     if (rule, n) not in _FLAT_BASES:
-        if not is_gbf(base):  # unreachable: the constructions are flat
+        split = rule != "E2" and n % 2 == 0     # the product construction
+        if not _flat_by_pieces(base, split):  # unreachable: they are flat
             raise AssertionError(f"construction {rule} failed exact verification")
         _FLAT_BASES.add((rule, n))
     return lift_modulus(base, m // base.m), rule

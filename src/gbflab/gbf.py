@@ -272,7 +272,10 @@ def _terms(tables: np.ndarray, m: int, n: int):
     the unit columns are the int32 coordinates of zeta^f(x) in Z or Z[i].
     Otherwise test is each prime q of _split_primes(m, n), and column k
     holds omega^(k f(x)) mod q for each k of the cols of _root_powers.
-    tables is dropped once gathered."""
+    At m = 2 or 4 tables is dropped once gathered.  Otherwise each test
+    gathers from exponents of its own, dropped as soon as it is gathered,
+    so the terms never share memory with a matrix of exponents; tables,
+    phi(m) times smaller, is kept until the last test."""
     if n > _MAX_N:
         raise ValueError(f"n = {n} beyond the supported resource guard")
     if m in _UNIT_COORDS:
@@ -281,10 +284,8 @@ def _terms(tables: np.ndarray, m: int, n: int):
         yield None, terms
         return
     cols, roots = _root_powers(m, n)
-    exps = np.multiply.outer(tables, cols) % m
-    del tables
     for q, pw in roots:
-        yield q, pw[exps]
+        yield q, pw[np.multiply.outer(tables, cols) % m]
 
 
 def _spectra(tables: np.ndarray, m: int, n: int):
@@ -298,6 +299,7 @@ def _spectra(tables: np.ndarray, m: int, n: int):
     del tables
     for test, terms in tests:
         yield test, _fwht_inplace(terms).transpose(2, 0, 1)
+        del terms               # before the next test gathers its own
 
 
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
@@ -358,8 +360,10 @@ def _first_nonflat(f: FunctionTable):
         arr = (arr // l).astype(np.int64, copy=False)
     spectra = _spectra(arr[:, None], c, n)
     del arr                         # so _terms can free the quotients
-    ok = np.logical_and.reduce([_flat(test, spec, n)[:, 0]
-                                for test, spec in spectra])
+    ok = True
+    for test, spec in spectra:
+        ok = ok & _flat(test, spec, n)[:, 0]
+        del spec                # before the next test gathers its terms
     return (None if ok.all() else int(np.argmin(ok))), c, None
 
 

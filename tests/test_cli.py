@@ -233,6 +233,22 @@ def test_parse_warning_of_older_numpy_reads_by_json(
         3, "", "cannot parse witness file: values must be a list of integers\n")
 
 
+@pytest.mark.parametrize("kind", ["m=4", "lifted {12,17}", "m=12", "m=100"])
+def test_witness_chunks_spell_json_dumps_past_one_chunk(kind):
+    # single-width tokens (the first two) skip the NUL drop; mixed widths
+    # take it
+    n = 17
+    assert 1 << n > cli._WRITE_CHUNK
+    rng = np.random.default_rng(17)
+    if kind == "lifted {12,17}":
+        w = criteria.rule_exists(GbfType(12, n))[0]
+    else:
+        m = int(kind[2:])
+        w = gbf.FunctionTable(GbfType(m, n), rng.integers(0, m, 1 << n))
+    spelled = b"".join(cli._witness_chunks(w))
+    assert spelled == json.dumps(cli._witness_dict(w)).encode()
+
+
 def test_verify_refuses_huge_n_by_name(tmp_path, capsys):
     # refused before 1 << n, which at n = 10^9 is a 125 MB integer
     path = tmp_path / "w.json"
@@ -257,6 +273,22 @@ def test_verify_of_written_witness_never_reaches_json(
     monkeypatch.setattr(json, "loads", unreachable)
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (0, "") and out.startswith("OK")
+
+
+def test_verify_runs_the_full_kernel_on_a_written_witness(
+        tmp_path, monkeypatch, capsys):
+    # decide proves the base from its pieces; verify trusts no such proof
+    path = tmp_path / "w.json"
+    assert run(capsys, "decide", "4", "10", "--out", str(path))[0] == 0
+    rows, fwht = [], gbf._fwht_inplace
+
+    def recorded(mat):
+        rows.append(mat.shape[0])
+        return fwht(mat)
+
+    monkeypatch.setattr(gbf, "_fwht_inplace", recorded)
+    assert run(capsys, "verify", str(path))[0] == 0
+    assert rows == [1 << 10]
 
 
 def test_oracle_command(capsys):
@@ -373,7 +405,8 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
         raise MemoryError("Unable to allocate 15.3 GiB")
 
     # the one flatness kernel behind is_gbf, first_flat_violation and the
-    # oracle; decide reaches it only while its rule's base is not yet verified
+    # oracle; decide reaches it only while it checks the pieces of a rule's
+    # base not yet verified
     monkeypatch.setattr(gbf, "_spectra", exhausted)
     monkeypatch.setattr(oracle, "_spectra", exhausted)
     monkeypatch.setattr(criteria, "_FLAT_BASES", set())

@@ -8,14 +8,15 @@ import time
 
 import pytest
 
-from gbflab import criteria, numtheory as nt
+from gbflab import criteria, gbf, numtheory as nt
 from gbflab.cli import verdict_to_dict
 from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              UNKNOWN, crit_lam_leung, crit_p3_x_p5, crit_p7,
                              crit_p7_x_p35, crit_semiprimitive, decide,
                              report_from_dict, revalidate_report, rule_exists,
                              summarize_report)
-from gbflab.gbf import GbfType, is_gbf
+from gbflab.gbf import (FunctionTable, GbfType, _fold_mod4,
+                        construct_boolean_bent, construct_even_even, is_gbf)
 
 import referees as ref
 
@@ -705,6 +706,73 @@ def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):
     with pytest.raises(AssertionError,
                        match="construction E1 failed exact verification"):
         rule_exists(GbfType(8, 3))
+
+
+# each rule's base, its pairing of variables, and the types that reach it
+_BASE_SHAPES = {
+    "E1 even n": (lambda n: construct_even_even(4, n), True,
+                  4, range(2, 17, 2)),
+    "E1 odd n": (lambda n: _fold_mod4(construct_boolean_bent(n + 1)), False,
+                 4, range(1, 17, 2)),
+    "E2": (construct_boolean_bent, False, 2, range(2, 17, 2)),
+    "E3": (lambda n: construct_even_even(2, n), True, 6, range(2, 17, 2)),
+}
+
+
+@pytest.mark.parametrize("shape", _BASE_SHAPES)
+def test_each_base_is_the_sum_of_its_flat_pieces(shape):
+    build, split, m, ns = _BASE_SHAPES[shape]
+    for n in ns:
+        base = build(n)
+        assert criteria._flat_by_pieces(base, split), n
+        assert is_gbf(base), n              # the full kernel as referee
+        if n >= 4:                          # the pairing is checked too
+            assert not criteria._flat_by_pieces(base, not split), n
+        assert rule_exists(GbfType(m, n))[0].array.tolist() == \
+            (base.array * (m // base.m)).tolist()
+
+
+@pytest.mark.parametrize("name,m,n", [("construct_even_even", 4, 6),
+                                      ("construct_even_even", 6, 6),
+                                      ("construct_boolean_bent", 2, 6),
+                                      ("construct_boolean_bent", 4, 5)])
+def test_rule_exists_refuses_a_base_unequal_to_its_pieces(monkeypatch, name,
+                                                          m, n):
+    real = getattr(criteria, name)
+
+    def altered(*args):
+        base = real(*args)
+        values = base.array.copy()
+        values[5] ^= 1
+        return FunctionTable(base.gbf_type, values)
+
+    checked = []
+
+    def recorded(f):
+        checked.append(f.n)
+        return is_gbf(f)
+
+    monkeypatch.setattr(criteria, name, altered)
+    monkeypatch.setattr(criteria, "is_gbf", recorded)
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    with pytest.raises(AssertionError, match="failed exact verification"):
+        rule_exists(GbfType(m, n))
+    # every piece passed the kernel: the comparison refused the base
+    assert checked and max(checked) <= 2
+
+
+def test_decide_runs_no_fwht_larger_than_a_piece(monkeypatch):
+    rows, fwht = [], gbf._fwht_inplace
+
+    def recorded(mat):
+        rows.append(mat.shape[0])
+        return fwht(mat)
+
+    monkeypatch.setattr(gbf, "_fwht_inplace", recorded)
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    v = decide(GbfType(4, 18))
+    assert v.kind == EXISTS and v.witness.n == 18
+    assert rows and max(rows) <= 4
 
 
 @pytest.mark.parametrize("crit,m,n", [(crit_p7_x_p35, 2 * 199 * 5, 3),

@@ -7,6 +7,7 @@ compare with the library verdict.
 
 import dataclasses
 import random
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
@@ -680,6 +681,23 @@ def test_spectra_add_over_disjoint_supports(m):
                                        m, n):
             sa, sb, s0, whole = np.moveaxis(spec, -1, 0)
             assert np.array_equal(sa + sb - s0, whole), (n, test)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_single_table_check_peaks_below_three_matrices(n):
+    # one split prime at n = 14, two at 16: the terms and _flat's temporary
+    # are the two matrices a check needs; no matrix of exponents sits beside
+    # them, and no test's terms last into the next test's gather
+    f = construct_even_even(12, n, seed=3)
+    assert is_gbf(f)                # builds the modulus-12 tables
+    tracemalloc.start()
+    try:
+        assert is_gbf(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = (1 << n) * euler_phi(12) * 8        # one (2^n, phi) int64
+    assert peak < 2.5 * matrix
 
 
 # -- the split primes of the exact flatness check ------------------------------
