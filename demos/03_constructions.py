@@ -6,6 +6,8 @@ construction for even/even types, the quaternary folding of a boolean
 witness, direct sums, and modulus lifts.
 """
 
+import random
+
 from gbflab import (construct_boolean_bent, construct_even_even,
                     construct_mod4_from_bent, direct_sum, is_gbf,
                     lift_modulus)
@@ -17,7 +19,11 @@ print("  flat:", is_gbf(bent))
 ee = construct_even_even(6, 2)
 print("\nproduct construction {6,2} (g = 0, sigma = id):", ee.values)
 print("  flat:", is_gbf(ee))
-randomized = construct_even_even(10, 4, seed=7)
+rng = random.Random(7)
+g = [rng.randrange(10) for _ in range(4)]
+sigma = list(range(4))
+rng.shuffle(sigma)
+randomized = construct_even_even(10, 4, g=g, sigma=sigma)
 print("randomized g, sigma at {10,4} (seed 7): flat =", is_gbf(randomized))
 
 quaternary = construct_mod4_from_bent(construct_boolean_bent(4))

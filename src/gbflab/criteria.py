@@ -35,8 +35,8 @@ from math import lcm
 import numpy as np
 
 from . import numtheory as nt
-from .gbf import (FunctionTable, GbfType, _fold_mod4, construct_boolean_bent,
-                  construct_even_even, is_gbf, lift_modulus, table)
+from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
+                  construct_even_even, direct_sum, is_gbf, lift_modulus, table)
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -120,13 +120,17 @@ def _base_quantities(m_odd: int, factors):
 # so that proof also covers every witness the rule builds at n.
 _FLAT_BASES: set[tuple[str, int]] = set()
 
+# x on one variable at modulus 4: E1's base at n = 1, and its top variable
+# at every odd n
+_X_MOD4 = table(4, 1, [0, 1])
+
 
 def _flat_by_pieces(base: FunctionTable, split: bool) -> bool:
     """Whether base, of modulus c = 2 or 4, is the direct sum of flat 1- and
     2-variable pieces, hence flat.
 
     The pieces are P = (c/2)*x*y on each pair of variables and, at odd n,
-    the piece x at modulus 4 on the top variable x_n (E1 by folding:
+    the piece x at modulus 4 on the top variable x_n (E1 at odd n:
     2*Q'(x') + x_n).  The pairs are adjacent bits (x_(2i-1), x_(2i)), or,
     when split, bit i of the low half with bit i of the high half
     (x_i, x_(t+i)), t = n/2, as in construct_even_even.  Each piece goes
@@ -156,13 +160,16 @@ def rule_exists(t: GbfType):
     """A verified flat witness for t when one of the rules applies, with the
     rule id; None otherwise.
 
-    E2: m = 2, even n.  E1: 4 | m, any n, built at modulus 4 (product
-    construction for even n, quaternary folding of a boolean witness for odd
-    n) and lifted by m/4.  E3: remaining even m with even n, the product
-    construction at modulus 2 lifted by m/2.  Each base table depends on the
-    rule and n only, and is verified once per process, from its direct-sum
-    pieces (_flat_by_pieces), with no FWHT over its 2^n rows.  Refuses
-    n > MAX_N.
+    E2: m = 2, even n, the quadratic form x1*x2 + x3*x4 + ...  E1: 4 | m,
+    any n, built at modulus 4 and lifted by m/4: for even n the product
+    construction, for odd n the direct sum 2*Q'(x') + x_n of the lifted
+    form on the low n - 1 variables and x on the top one (x alone at
+    n = 1).  E3: remaining even m with even n, the product construction at
+    modulus 2 lifted by m/2.  Each base is built at its own size from
+    direct sums, or one selection per row for the product construction.
+    It depends on the rule and n only, and is verified once per process,
+    from its direct-sum pieces (_flat_by_pieces), with no FWHT over its
+    2^n rows.  Refuses n > MAX_N.
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -171,8 +178,13 @@ def rule_exists(t: GbfType):
         rule, base = "E2", construct_boolean_bent(n)
     elif m % 4 == 0:
         rule = "E1"
-        base = (construct_even_even(4, n) if n % 2 == 0
-                else _fold_mod4(construct_boolean_bent(n + 1)))
+        if n % 2 == 0:
+            base = construct_even_even(4, n)
+        elif n == 1:
+            base = _X_MOD4
+        else:
+            base = direct_sum(lift_modulus(construct_boolean_bent(n - 1), 2),
+                              _X_MOD4)
     elif m % 2 == 0 and n % 2 == 0:
         rule, base = "E3", construct_even_even(2, n)
     else:

@@ -34,7 +34,6 @@ a batch of one, and the first failing y is the least over the tests.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
@@ -182,8 +181,6 @@ def walsh_matrix(f: FunctionTable) -> np.ndarray:
     vector of W(y) = sum_x (-1)^(x.y) zeta^f(x) over powers of zeta_m.
     Entries are bounded by 2^n, so int64 never wraps within the n guard."""
     m, n = f.m, f.n
-    if n > _MAX_N:
-        raise ValueError(f"n = {n} beyond the supported resource guard")
     rows = 1 << n
     mat = np.zeros((rows, m), dtype=np.int64)
     mat[np.arange(rows), f.array] = 1
@@ -276,8 +273,6 @@ def _terms(tables: np.ndarray, m: int, n: int):
     gathers from exponents of its own, dropped as soon as it is gathered,
     so the terms never share memory with a matrix of exponents; tables,
     phi(m) times smaller, is kept until the last test."""
-    if n > _MAX_N:
-        raise ValueError(f"n = {n} beyond the supported resource guard")
     if m in _UNIT_COORDS:
         terms = _UNIT_COORDS[m][tables]
         del tables
@@ -407,39 +402,31 @@ def is_gbf(f: FunctionTable) -> bool:
 
 def construct_boolean_bent(n: int) -> FunctionTable:
     """The quadratic form x1*x2 + x3*x4 + ... on an even number of
-    variables, the classical flat-spectrum boolean function."""
+    variables, the classical flat-spectrum boolean function: x1*x2 at
+    n = 2, and above it the direct sum of the forms on the low k = 2*(n//4)
+    and the high n - k variables, so only the result has 2^n entries."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    i = np.arange(1 << n)
-    # bit 2k of i & (i >> 1) is x_(2k+1)*x_(2k+2); the mask keeps even bits
-    pairs = i & (i >> 1) & (((1 << n) - 1) // 3)
-    vals = np.bitwise_count(pairs) & 1
-    return FunctionTable(GbfType(2, n), vals.astype(np.int64))
+    if n == 2:
+        return FunctionTable(GbfType(2, 2), np.array([0, 0, 0, 1]))
+    k = n // 4 * 2
+    return direct_sum(construct_boolean_bent(k), construct_boolean_bent(n - k))
 
 
-def construct_even_even(m: int, n: int, g=None, sigma=None,
-                        seed=None) -> FunctionTable:
+def construct_even_even(m: int, n: int, g=None, sigma=None) -> FunctionTable:
     """For even m = 2l and even n = 2t, the table f(x, y) = g(y) + l*(x.sigma(y))
     over the split x = low t bits, y = high t bits.
 
     g may be any map Z_2^t -> Z_m (default all zeros) and sigma any
     permutation of Z_2^t (default identity), so the default witness is
-    deterministic; pass a seed to draw both at random for property tests.
+    deterministic.  Row y is g(y) where x.sigma(y) is even and g(y) + l
+    where it is odd: one selection from the two per-row vectors.
     """
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    t = n // 2
-    half = m // 2
-    size = 1 << t
-    if seed is not None:
-        rng = random.Random(seed)
-        if g is None:
-            g = [rng.randrange(m) for _ in range(size)]
-        if sigma is None:
-            sigma = list(range(size))
-            rng.shuffle(sigma)
+    size = 1 << n // 2
     g = [0] * size if g is None else [operator.index(v) % m for v in g]
     sigma = list(map(operator.index, range(size) if sigma is None else sigma))
     if len(g) != size:
@@ -448,13 +435,10 @@ def construct_even_even(m: int, n: int, g=None, sigma=None,
         raise ValueError(f"sigma must be a permutation of 0..{size - 1}")
     # row y, column x; index dtype as narrow as the coordinates allow
     x = np.arange(size, dtype=np.min_scalar_type(size))
-    dot = np.bitwise_count(np.array(sigma, dtype=x.dtype)[:, None] & x) & 1
-    dtype = _value_dtype(2 * m)
-    vals = dot.astype(dtype)
-    vals *= half
-    vals += np.array(g, dtype=dtype)[:, None]
-    vals %= m
-    return FunctionTable(GbfType(m, n), vals.reshape(-1))
+    odd = np.bitwise_count(np.array(sigma, dtype=x.dtype)[:, None] & x) & 1
+    g = np.array(g, dtype=_value_dtype(2 * m))[:, None]
+    return FunctionTable(GbfType(m, n),
+                         np.where(odd, (g + m // 2) % m, g).reshape(-1))
 
 
 def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
@@ -468,12 +452,6 @@ def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
         raise ValueError("input table must have at least 2 variables")
     if not is_gbf(b):
         raise ValueError("input table must have a flat spectrum")
-    return _fold_mod4(b)
-
-
-def _fold_mod4(b: FunctionTable) -> FunctionTable:
-    """The folding of construct_mod4_from_bent without its checks, for a
-    caller that verifies the result itself."""
     half = 1 << (b.n - 1)
     low, high = b.array[:half], b.array[half:]
     return FunctionTable(GbfType(4, b.n - 1), 2 * low + (low ^ high))
@@ -481,14 +459,16 @@ def _fold_mod4(b: FunctionTable) -> FunctionTable:
 
 def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     """F(x, x') = f(x) + g(x') on n + n' variables (x in the low bits);
-    flat whenever both inputs are."""
+    flat whenever both inputs are.  The outer sum, the one array of
+    2^(n + n') entries, is reduced mod m in place."""
     if f.m != g.m:
         raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
     m = f.m
     dtype = _value_dtype(2 * m)
-    low = f.array.astype(dtype, copy=False)
-    high = g.array.astype(dtype, copy=False)
-    vals = (high[:, None] + low[None, :]) % m        # row x', column x
+    # row x', column x
+    vals = np.add.outer(g.array.astype(dtype, copy=False),
+                        f.array.astype(dtype, copy=False))
+    vals %= m
     return FunctionTable(GbfType(m, f.n + g.n), vals.reshape(-1))
 
 

@@ -61,19 +61,21 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                    max_witnesses: int = 4) -> OracleResult:
     """Exact census of flat-spectrum tables of type t.
 
-    Refuses when m^(2^n) exceeds the budget, stating the budget required,
-    and, with gbf's exact flatness check, a modulus at or above 2^30.
+    Refuses when m^(2^n) exceeds the budget, and, with gbf's exact
+    flatness check, a modulus at or above 2^30.
     Witnesses are the first ``max_witnesses`` hits in odometer order over
     all m^(2^n) tables and are re-verified through the independent
     per-table test before returning.
     """
     m, n = t.m, t.n
+    # from n = B on, B the bit length of the budget's bit length, 2^n
+    # exceeds the budget's bit length, so m^(2^n) >= 2^(2^n) > budget: such
+    # n is refused before any power is taken
+    total = m ** (1 << n) if n < budget.bit_length().bit_length() else None
+    if total is None or total > budget:
+        raise ValueError(f"enumeration of {t} has {m}^(2^{n}) candidates, "
+                         f"above the budget {budget}")
     rows = 1 << n
-    total = m ** rows
-    if total > budget:
-        raise ValueError(
-            f"enumeration of {t} has m^(2^n) = {total} candidates, above "
-            f"the budget {budget}; pass budget >= {total}")
 
     # f(rows-1) stays 0: the fast block is the b fastest of the free
     # digits, the slow block the others, read in batches

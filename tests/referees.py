@@ -1,18 +1,25 @@
-"""Slow, direct referees for the number theory in gbflab.numtheory.
+"""Slow, direct referees for the number theory in gbflab.numtheory, and
+closed formulas for the Exists rules' base tables.
 
 Most are the package's earlier algorithms, kept to check the fast ones at
 small sizes: a scanner for a*x^2 + b*y^2 = N, a search over exponents on
 top of it, and a class number that visits every (a, b) with
-|b| <= a <= sqrt(|D|/3).  The last section checks that the C3-C5 exponents
+|b| <= a <= sqrt(|D|/3).  The C3-C5 section checks that the exponents
 are least at any class number: it tries every exponent in turn with
-Cornacchia's algorithm and uses nothing of the class group.
+Cornacchia's algorithm and uses nothing of the class group.  The last
+section builds each rule's base from index bits, with no direct sum, and
+draws seeded random product constructions.
 """
 
 from __future__ import annotations
 
 import math
+import random
+
+import numpy as np
 
 from gbflab import numtheory as nt
+from gbflab.gbf import FunctionTable, GbfType, construct_even_even
 
 
 def solve_ax2_by2(a: int, b: int, N: int):
@@ -126,3 +133,40 @@ def solvable_even_exponents(a: int, b: int, stop: int, multiplier: int):
     first = next((e for e in range(-2, stop, 2)
                   if primitive_solutions(a, b, e, multiplier)), stop)
     return list(range(max(first, 2), stop, 2))
+
+
+# -- Exists bases by bit formulas -----------------------------------------------
+
+
+def boolean_bent(n: int) -> FunctionTable:
+    """E2's base x1*x2 + x3*x4 + ...: bit 2k of i & (i >> 1) is
+    x_(2k+1)*x_(2k+2), and the mask keeps the even bits."""
+    i = np.arange(1 << n)
+    pairs = i & (i >> 1) & (((1 << n) - 1) // 3)
+    return FunctionTable(GbfType(2, n), np.bitwise_count(pairs) & 1)
+
+
+def folded_mod4(n: int) -> FunctionTable:
+    """E1's base at odd n: the pair (b(x, 0), b(x, 1)) of boolean_bent(n + 1),
+    split at its top variable, as 2*b(x, 0) + (b(x, 0) xor b(x, 1)) mod 4."""
+    b = boolean_bent(n + 1).array
+    low, high = b[:1 << n], b[1 << n:]
+    return FunctionTable(GbfType(4, n), 2 * low + (low ^ high))
+
+
+def inner_product(c: int, n: int) -> FunctionTable:
+    """E1's base at even n (c = 4) and E3's (c = 2): (c/2)*(x.y) with x the
+    low n/2 bits of the index and y the high."""
+    i = np.arange(1 << n)
+    dot = np.bitwise_count(i & (i >> n // 2)) & 1
+    return FunctionTable(GbfType(c, n), c // 2 * dot)
+
+
+def seeded_even_even(m: int, n: int, seed) -> FunctionTable:
+    """construct_even_even with g, then sigma, drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    size = 1 << n // 2
+    g = [rng.randrange(m) for _ in range(size)]
+    sigma = list(range(size))
+    rng.shuffle(sigma)
+    return construct_even_even(m, n, g=g, sigma=sigma)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,8 +16,7 @@ from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              crit_p7_x_p35, crit_semiprimitive, decide,
                              report_from_dict, revalidate_report, rule_exists,
                              summarize_report)
-from gbflab.gbf import (FunctionTable, GbfType, _fold_mod4,
-                        construct_boolean_bent, construct_even_even, is_gbf)
+from gbflab.gbf import FunctionTable, GbfType, is_gbf
 
 import referees as ref
 
@@ -708,14 +708,13 @@ def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):
         rule_exists(GbfType(8, 3))
 
 
-# each rule's base, its pairing of variables, and the types that reach it
+# each rule's base by its bit formula (no gbf construction), its pairing
+# of variables, and the types that reach it
 _BASE_SHAPES = {
-    "E1 even n": (lambda n: construct_even_even(4, n), True,
-                  4, range(2, 17, 2)),
-    "E1 odd n": (lambda n: _fold_mod4(construct_boolean_bent(n + 1)), False,
-                 4, range(1, 17, 2)),
-    "E2": (construct_boolean_bent, False, 2, range(2, 17, 2)),
-    "E3": (lambda n: construct_even_even(2, n), True, 6, range(2, 17, 2)),
+    "E1 even n": (lambda n: ref.inner_product(4, n), True, 4, range(2, 17, 2)),
+    "E1 odd n": (ref.folded_mod4, False, 4, range(1, 17, 2)),
+    "E2": (ref.boolean_bent, False, 2, range(2, 17, 2)),
+    "E3": (lambda n: ref.inner_product(2, n), True, 6, range(2, 17, 2)),
 }
 
 
@@ -730,6 +729,21 @@ def test_each_base_is_the_sum_of_its_flat_pieces(shape):
             assert not criteria._flat_by_pieces(base, not split), n
         assert rule_exists(GbfType(m, n))[0].array.tolist() == \
             (base.array * (m // base.m)).tolist()
+
+
+@pytest.mark.parametrize("m,n", [(2, 16), (12, 17)])
+def test_rule_exists_peaks_below_two_and_a_half_witnesses(monkeypatch, m, n):
+    # each base is built at its own size, so no more than the witness, its
+    # base and the piece check's uint8 sums are held at once
+    rule_exists(GbfType(m, n))
+    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    tracemalloc.start()
+    try:
+        witness = rule_exists(GbfType(m, n))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * witness.array.nbytes
 
 
 @pytest.mark.parametrize("name,m,n", [("construct_even_even", 4, 6),

@@ -9,7 +9,6 @@ import dataclasses
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
                         direct_sum, first_flat_violation, is_gbf,
                         lift_modulus, table, walsh, walsh_matrix)
 from gbflab.numtheory import euler_phi
+
+import referees as ref
 
 # the old FunctionTable, a frozen dataclass over a tuple, for its semantics
 _TupleTable = dataclasses.make_dataclass(
@@ -108,6 +109,8 @@ def test_boolean_bent_construction():
     assert construct_boolean_bent(2).values == (0, 0, 0, 1)
     for n in (2, 4, 6):
         assert is_gbf(construct_boolean_bent(n))
+    for n in range(2, 17, 2):       # direct sums against the bit formula
+        assert construct_boolean_bent(n) == ref.boolean_bent(n)
     with pytest.raises(ValueError):
         construct_boolean_bent(3)
 
@@ -116,10 +119,7 @@ def test_even_even_construction():
     assert is_gbf(construct_even_even(6, 2))
     # m = 2 degenerates to the x.sigma(y) form, still a bent table
     assert is_gbf(construct_even_even(2, 2))
-    assert is_gbf(construct_even_even(10, 4, seed=7))
-    got = construct_even_even(10, 4, seed=7)
-    again = construct_even_even(10, 4, seed=7)
-    assert got.values == again.values
+    assert is_gbf(ref.seeded_even_even(10, 4, 7))
     with pytest.raises(ValueError):
         construct_even_even(5, 2)
     with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_parseval_and_inversion_random():
 def test_constant_shift_invariance_even_m():
     rng = random.Random(12)
     for m in (2, 4, 6, 10):
-        f = construct_even_even(m, 2, seed=rng.randrange(999))
+        f = ref.seeded_even_even(m, 2, rng.randrange(999))
         for c in range(m):
             shifted = table(m, 2, [(v + c) % m for v in f.values])
             assert is_gbf(shifted)
@@ -307,7 +307,7 @@ def test_function_table_array_is_read_only():
 
 
 def test_function_table_object_array_above_2_62():
-    base = construct_even_even(4, 4, seed=3)
+    base = ref.seeded_even_even(4, 4, 3)
     for l in (2**60 + 1, 2**61, 2**70):
         lifted = lift_modulus(base, l)
         assert lifted.m == 4 * l
@@ -346,7 +346,7 @@ def test_content_modulus_keeps_verdict_and_failing_row():
         n = rng.randrange(1, 4)
         l = rng.randrange(2, 6)
         if base_m % 2 == 0 and n % 2 == 0 and rng.random() < 0.5:
-            g = construct_even_even(base_m, n, seed=rng.randrange(999))
+            g = ref.seeded_even_even(base_m, n, rng.randrange(999))
         else:
             g = _random_table(rng, base_m, n)
         f = lift_modulus(g, l)          # every value a multiple of l | m
@@ -435,7 +435,7 @@ def _referee_violation(f, spectrum):
 def _flat_at(c, n, rng):
     """A flat table of type {c, n}, or None when no construction covers it."""
     if c % 2 == 0 and n % 2 == 0:
-        return construct_even_even(c, n, seed=rng.randrange(999))
+        return ref.seeded_even_even(c, n, rng.randrange(999))
     if c == 4:
         return construct_mod4_from_bent(construct_boolean_bent(n + 1))
     return None
@@ -688,7 +688,7 @@ def test_single_table_check_peaks_below_three_matrices(n):
     # one split prime at n = 14, two at 16: the terms and _flat's temporary
     # are the two matrices a check needs; no matrix of exponents sits beside
     # them, and no test's terms last into the next test's gather
-    f = construct_even_even(12, n, seed=3)
+    f = ref.seeded_even_even(12, n, 3)
     assert is_gbf(f)                # builds the modulus-12 tables
     tracemalloc.start()
     try:
@@ -746,13 +746,12 @@ def test_root_powers_own_exactly_m_entries(m):
         assert not cols.flags.writeable
 
 
-def test_spectra_refuse_n_beyond_guard():
-    # a stand-in with the type's m and n only: nothing of size 2^27 is built
-    big = SimpleNamespace(m=2, n=27)
-    with pytest.raises(ValueError, match="resource guard"):
-        walsh_matrix(big)
-    with pytest.raises(ValueError, match="resource guard"):
-        next(gbf._spectra(None, big.m, big.n))
+def test_table_refuses_n_beyond_guard():
+    # n is refused before 1 << n: nothing of size 2^27 is built, so no
+    # walsh matrix or spectrum of such a table can be asked for
+    for n in (27, 10**9):
+        with pytest.raises(ValueError, match="resource guard"):
+            FunctionTable(GbfType(2, n), [])
 
 
 def test_split_primes_refuse_modulus_limit():
@@ -821,7 +820,7 @@ def test_constructions_match_loops():
             got = construct_even_even(m, n, g=g, sigma=sigma)
             assert got.values == _even_even_loop(m, n, g, sigma)
             assert _all_python_ints(got)
-            folded = construct_even_even(2, n, seed=rng.randrange(999))
+            folded = ref.seeded_even_even(2, n, rng.randrange(999))
             assert construct_mod4_from_bent(folded).values == _mod4_loop(folded)
 
 

@@ -1,6 +1,8 @@
 """Exhaustive enumeration against an independent per-table route."""
 
 import random
+import re
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
@@ -180,8 +182,16 @@ def test_enumerate_memory_is_bounded():
 def test_enumerate_budget_refusal():
     with pytest.raises(ValueError, match="budget"):
         enumerate_gbfs(GbfType(5, 3), budget=1000)
-    with pytest.raises(ValueError, match=str(7 ** 16)):
+    with pytest.raises(ValueError, match=re.escape("7^(2^4) candidates")):
         enumerate_gbfs(GbfType(7, 4), budget=10)
+    # m^(2^n) of tens of thousands of digits or more: neither computed nor
+    # written out
+    for m, n in ((3, 16), (1000, 24), (2, 40)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{m}^(2^{n}) candidates, above the budget")):
+            enumerate_gbfs(GbfType(m, n))
+        assert time.perf_counter() - start < 1
 
 
 def test_count_divisible_by_m_for_even_m():

@@ -10,9 +10,10 @@ import pytest
 import gbflab
 from gbflab.criteria import EXISTS, NOT_EXISTS, UNKNOWN, decide
 from gbflab.cyclotomic import cyclotomic_poly, zeta_pow
-from gbflab.gbf import (FunctionTable, GbfType, construct_even_even,
-                        lift_modulus, walsh)
+from gbflab.gbf import FunctionTable, GbfType, lift_modulus, walsh
 from gbflab.oracle import enumerate_gbfs
+
+import referees as ref
 
 
 def test_star_import_resolves_every_exported_name():
@@ -32,7 +33,7 @@ def _tables(value):
 
 
 def _values():
-    base = construct_even_even(4, 4, seed=3)
+    base = ref.seeded_even_even(4, 4, 3)
     big = lift_modulus(base, 2**61 + 1)
     assert base.array.dtype == "int64" and big.array.dtype == object
     verdicts = [decide(GbfType(m, n)) for m, n in ((8, 3), (9, 3), (14, 1))]
