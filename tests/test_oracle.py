@@ -105,7 +105,7 @@ def _row0_flat_by_histogram(m, n):
 
 
 @pytest.mark.parametrize("m,n,row0_flat,flat", [
-    (4, 3, 7840, 896), (6, 2, 204, 168), (3, 2, 18, 0)])
+    (4, 3, 7840, 896), (6, 2, 204, 168), (3, 2, 18, 0), (7, 3, 35280, 0)])
 def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
                                                  monkeypatch):
     # the batches tested at every row hold exactly the oracle's tables
@@ -123,6 +123,34 @@ def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
     res = enumerate_gbfs(GbfType(m, n))
     assert _row0_flat_by_histogram(m, n) == row0_flat == sum(batches) * m
     assert res.gbf_count == flat < row0_flat
+
+
+def test_row_0_sieve_runs_once_per_pair_of_multisets(monkeypatch):
+    # row 0 of a block's spectrum depends only on its value multiset: at
+    # {7,3} the 2,401 fast blocks hold 210 multisets of 4 digits and the
+    # 343 slow readings 84 multisets of 3, so the sieve tests 210 * 84
+    # pairs, not 343 * 2,401 tables
+    recorded, widths = oracle._flat, Counter()
+
+    def row_0(test, spec, n):
+        if spec.shape[1] == 1:
+            widths[test] += spec.shape[2]
+        return recorded(test, spec, n)
+
+    monkeypatch.setattr(oracle, "_flat", row_0)
+    assert enumerate_gbfs(GbfType(7, 3)).gbf_count == 0
+    assert list(widths.values()) == [210 * 84]
+
+
+def test_sliced_census_matches_default(monkeypatch):
+    # 1,960 of the 16,384 tables tested at {4,3} pass row 0; a batch target
+    # of 4 cuts the sieve, the lookup of (reading, block) pairs and the
+    # survivors tested at every row into many slices, with the same hits in
+    # the same order
+    default = enumerate_gbfs(GbfType(4, 3), max_witnesses=40)
+    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    assert enumerate_gbfs(GbfType(4, 3), max_witnesses=40) == default
+    assert default.gbf_count == 896
 
 
 def test_result_is_a_hashable_value():
@@ -167,16 +195,18 @@ def test_enumerate_n1_closed_form(m):
 
 
 def test_enumerate_memory_is_bounded():
-    t = GbfType(60, 1)
-    enumerate_gbfs(t)               # builds the modulus-60 tables
-    tracemalloc.start()
-    try:
-        enumerate_gbfs(t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one unchunked batch of 3600 candidates gathers 107 MiB
-    assert peak < 16 * 2**20
+    # {60,1}: one unchunked batch of 3600 candidates gathers 107 MiB;
+    # {53,2}: an unsliced row-0 table of its 1,431 x 53 pairs of multisets,
+    # 52 unit columns each, peaks at 65.5 MiB
+    for t in (GbfType(60, 1), GbfType(53, 2)):
+        enumerate_gbfs(t)           # builds the modulus-m tables
+        tracemalloc.start()
+        try:
+            enumerate_gbfs(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, t
 
 
 def test_enumerate_budget_refusal():
@@ -192,6 +222,19 @@ def test_enumerate_budget_refusal():
                 f"{m}^(2^{n}) candidates, above the budget")):
             enumerate_gbfs(GbfType(m, n))
         assert time.perf_counter() - start < 1
+
+
+def test_enumerate_refuses_malformed_counts():
+    # as a slice bound a negative cap would drop hits from the end, and a
+    # float budget has no exact bit length
+    for cap in (-1, -3):
+        with pytest.raises(ValueError, match="max_witnesses is"):
+            enumerate_gbfs(GbfType(4, 2), max_witnesses=cap)
+    for kwargs in ({"budget": 1e7}, {"max_witnesses": 2.0}):
+        with pytest.raises(TypeError):
+            enumerate_gbfs(GbfType(4, 2), **kwargs)
+    res = enumerate_gbfs(GbfType(4, 2), max_witnesses=0)
+    assert res.witnesses == () and res.gbf_count == 64
 
 
 def test_count_divisible_by_m_for_even_m():
