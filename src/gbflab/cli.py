@@ -9,7 +9,9 @@ running out of memory and any other failure exit 3 everywhere, so a crash
 never reads as a verdict.  Witness files are JSON objects
 {"m": .., "n": .., "values": [..2^n residues..]} under the package-wide
 index convention (x_1 is the least significant index bit).  verify reads
-a file in the writer's own form in one C pass, and any other through json.
+a file in the writer's own form whose values all have one number of
+digits as one byte matrix, a file in that form with values of mixed widths
+by a C parse and a re-encode, and any other through json.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import criteria, oracle as oracle_mod
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
                        describe_rule, rule_exists, summarize_report)
-from .gbf import FunctionTable, GbfType, first_flat_violation
+from .gbf import _MAX_N, FunctionTable, GbfType, first_flat_violation
 
 EXIT_EXISTS = 0
 EXIT_NOT_EXISTS = 1
@@ -91,13 +93,52 @@ def _write_witness(path: str, w: FunctionTable) -> None:
 # that int() never meets CPython's int-to-str limit
 _CANONICAL_HEAD = re.compile(
     rb'\{"m": ([1-9][0-9]{0,18}), "n": ([1-9][0-9]?), "values": \[')
+_SEPARATOR = int.from_bytes(b", ", "little")
+
+
+def _column_values(data: bytes, start: int, stop: int, n: int):
+    """The values of a body data[start:stop] that is ", ".join(map(str, v))
+    + "]}" for 2^n values v below 2^63 of one decimal width w, as an int64
+    array; None for any other body.  The bytes are viewed, not copied, as a
+    (2^n, w + 2) matrix: every row but the last ends in ", ", the first w
+    columns hold only digits, the first of them no 0 when w > 1, and the
+    digit columns are summed into one uint64 array."""
+    if n > _MAX_N:
+        return None
+    rows = 1 << n
+    size, rest = divmod(stop - start, rows)
+    w = size - 2
+    if rest or not 1 <= w <= 19:
+        return None
+    mat = np.frombuffer(data, np.uint8, rows * size, start).reshape(rows, size)
+    # each row's last two bytes as one little-endian 16-bit word
+    if not (mat[:-1, w:].view("<u2") == _SEPARATOR).all():
+        return None
+    for k in range(w):
+        column = mat[:, k]
+        first = ord("1") if k == 0 < w - 1 else ord("0")
+        if column.min() < first or column.max() > ord("9"):
+            return None
+        if k == 0:
+            values = column.astype(np.uint64)
+        else:
+            values *= 10
+            values += column
+    # the "0" of each digit, taken off at once; past 2^64 at w = 19 the
+    # sums wrap, and the true values, below 10^19, come back exactly
+    values -= np.uint64(ord("0") * (10**w - 1) // 9 % 2**64)
+    if w == 19 and values.max() >= 2**63:
+        return None
+    return values.view(np.int64)
 
 
 def _read_canonical(path: str) -> FunctionTable | None:
     """The table of a witness file that is byte for byte its own
     _witness_chunks, with or without the final newline; None for any other
-    file.  The values are parsed in one C pass, and the table is taken only
-    if encoding it again gives the file back, so it is the table that
+    file.  Values of one decimal width are read by _column_values, whose
+    checks hold exactly when the body is in the writer's form.  Any other
+    body is parsed in one C pass, and the table is taken only if encoding
+    it again gives the file back.  Either way it is the table that
     json.load and parse_witness would read.  The file's bytes are dropped
     on return."""
     with open(path, "rb") as fh:
@@ -106,16 +147,22 @@ def _read_canonical(path: str) -> FunctionTable | None:
     end = len(data) - 1 if data.endswith(b"\n") else len(data)
     if head is None or not data.startswith(b"]}", end - 2):
         return None
+    n = int(head[2])
+    values = _column_values(data, head.end(), end, n)
+    single = values is not None
     try:
-        # a token that is no integer stops the parse with ValueError, or
-        # with a DeprecationWarning in numpy releases before that
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(data[head.end():end - 2], dtype=np.int64,
-                                   sep=",")
-        w = FunctionTable(GbfType(int(head[1]), int(head[2])), values)
+        if not single:
+            # a token that is no integer stops the parse with ValueError,
+            # or with a DeprecationWarning in numpy releases before that
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                values = np.fromstring(data[head.end():end - 2],
+                                       dtype=np.int64, sep=",")
+        w = FunctionTable(GbfType(int(head[1]), n), values)
     except (ValueError, DeprecationWarning):
         return None         # json.load and parse_witness give the error
+    if single:
+        return w
     pos = 0
     for chunk in _witness_chunks(w):
         if not data.startswith(chunk, pos):

@@ -274,7 +274,7 @@ def _terms(tables: np.ndarray, m: int, n: int):
     so the terms never share memory with a matrix of exponents; tables,
     phi(m) times smaller, is kept until the last test."""
     if m in _UNIT_COORDS:
-        terms = _UNIT_COORDS[m][tables]
+        terms = _UNIT_COORDS[m].take(tables, axis=0)
         del tables
         yield None, terms
         return

@@ -82,7 +82,13 @@ def _row0_sieve(fast, fast_reps, slow, slow_reps, n: int) -> np.ndarray:
     """The (len(slow_reps), len(fast_reps)) mask of the pairs of a slow and
     a fast multiset whose summed row 0 passes every test.  Row 0 of every
     fast representative is added to that of a slice of slow ones: about
-    2 * _BATCH_TARGET int64 entries a slice, and at least one slow one."""
+    2 * _BATCH_TARGET int64 entries a slice, and at least one slow one.
+    When every fast block is its own representative, as at n = 1, row 0
+    of the fast spectra is a view, not a gathered copy."""
+    # blocks of two or more digits share multisets (0, 1 and 1, 0), so a
+    # representative for each block means _multisets' arange of one digit
+    if len(fast_reps) == fast[0][1].shape[2]:
+        fast_reps = slice(None)
     fast0 = [spec[:, :1, fast_reps] for _, spec in fast]
     slow0 = [spec[:, 0, slow_reps, None] for spec in slow]
     k, _, width = fast0[0].shape

@@ -8,6 +8,7 @@ import io
 import json
 import random
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -202,6 +203,15 @@ _NOT_CANONICAL = [
     b'{"m": 4, "n": 1, "values": []}',
     b'{"m": 4, "n": 1, "values": [0, 1]}]}',
     b'',
+    # the length of one token width, with a defect the column route sees
+    b'{"m": 4, "n": 2, "values": [0, 1 ,2, 3]}',
+    b'{"m": 4, "n": 2, "values": [0, 1,,2, 3]}',
+    b'{"m": 4, "n": 2, "values": [0, 1, -, 3]}',
+    b'{"m": 4, "n": 2, "values": [0, 1, \x00, 3]}',
+    b'{"m": 100, "n": 1, "values": [07, 10]}',
+    # 19 digits at or above 2^63, and 20 digits, past 2^64
+    b'{"m": 9999999999999999999, "n": 1, "values": [9223372036854775808, 9223372036854775809]}',
+    b'{"m": 4, "n": 1, "values": [18446744073709551617, 18446744073709551618]}',
 ]
 
 
@@ -231,6 +241,111 @@ def test_parse_warning_of_older_numpy_reads_by_json(
     assert cli._read_canonical(str(path)) is None
     assert run(capsys, "verify", str(path)) == (
         3, "", "cannot parse witness file: values must be a list of integers\n")
+
+
+def _no_fromstring(*args, **kwargs):
+    raise AssertionError("np.fromstring reached")
+
+
+def test_19_digit_values_below_2_63_read_as_one_byte_matrix(
+        tmp_path, monkeypatch):
+    path = tmp_path / "w.json"
+    path.write_bytes(b'{"m": 9223372036854775808, "n": 1, "values": '
+                     b'[9223372036854775807, 9223372036854775806]}')
+    monkeypatch.setattr(np, "fromstring", _no_fromstring)
+    got = cli._read_canonical(str(path))
+    assert got == _json_table(path)
+    assert got.values == (2**63 - 1, 2**63 - 2)
+    # one value at 2^63 and the column route steps aside, not reading it
+    # as a negative int64
+    body = b"9223372036854775807, 9223372036854775808]}"
+    assert cli._column_values(body, 0, len(body), 1) is None
+
+
+def test_single_width_files_skip_the_c_parse_in_little_memory(
+        tmp_path, monkeypatch):
+    n = 18
+    path = tmp_path / "w.json"
+    w = gbf.FunctionTable(
+        GbfType(4, n), np.random.default_rng(n).integers(0, 4, 1 << n))
+    cli._write_witness(str(path), w)
+    size = path.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "fromstring", _no_fromstring)
+        tracemalloc.start()
+        try:
+            got = cli._read_canonical(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert got == w
+    assert peak < 1.25 * (size + (8 << n))
+
+    # values of two widths keep the C parse and the re-encode
+    parsed, c_parse = [], np.fromstring
+
+    def fromstring(*args, **kwargs):
+        parsed.append(1)
+        return c_parse(*args, **kwargs)
+
+    w = gbf.FunctionTable(GbfType(12, 3), [0, 11, 2, 10, 3, 4, 5, 9])
+    cli._write_witness(str(path), w)
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    assert cli._read_canonical(str(path)) == w and len(parsed) == 1
+
+
+_FUZZ_BYTES = b"0123456789/:, -+.e[]{}\"\x00\n"
+
+
+def _fuzzed_witness_files(seed: int, count: int):
+    """(text, m, values, edited): the json.dumps text of a random table,
+    its values of one decimal width or of any, with m from 2 to 2^64, and
+    then 0-2 byte edits that replace, insert or delete a byte."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        m = rng.randint(2, 2 ** rng.randint(1, 64))
+        if rng.random() < 0.5:
+            width = rng.randint(1, len(str(m - 1)))
+            lo = 0 if width == 1 else 10 ** (width - 1)
+            hi = min(10**width, m) - 1
+            values = [rng.randint(lo, hi) for _ in range(1 << n)]
+        else:
+            values = [rng.randrange(m) for _ in range(1 << n)]
+        text = bytearray(json.dumps({"m": m, "n": n, "values": values}).encode())
+        edits = rng.randint(0, 2)
+        for _ in range(edits):
+            pos = rng.randrange(len(text))
+            byte = rng.choice(_FUZZ_BYTES)
+            kind = rng.randrange(3)
+            if kind == 0:
+                text[pos] = byte
+            elif kind == 1:
+                text.insert(pos, byte)
+            else:
+                del text[pos]
+        yield bytes(text), m, values, edits > 0
+
+
+def test_fuzzed_witness_files_read_as_json_and_the_c_parse_read_them(
+        tmp_path, monkeypatch):
+    # about 1,500 files: each is read as json.load reads it or not at all,
+    # and the column route takes exactly what the C parse and re-encode do
+    path = tmp_path / "w.json"
+    for text, m, values, edited in _fuzzed_witness_files(25, 1500):
+        path.write_bytes(text)
+        got = cli._read_canonical(str(path))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_column_values", lambda *args: None)
+            by_c_parse = cli._read_canonical(str(path))
+        try:
+            want = _json_table(path)
+        except ValueError:
+            want = None
+        assert got is None or got == want, text
+        assert got == by_c_parse, text
+        if not edited and m < 10**19 and max(values) < 2**63:
+            assert got is not None and list(got.values) == values, text
 
 
 @pytest.mark.parametrize("kind", ["m=4", "lifted {12,17}", "m=12", "m=100"])
