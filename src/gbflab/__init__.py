@@ -3,6 +3,9 @@
 Exact cyclotomic-integer arithmetic, Walsh spectra, explicit constructions,
 a battery of nonexistence criteria with machine-checkable reports, and an
 exhaustive enumeration oracle.
+
+Importing the package imports every module but not numpy, which loads at
+the first use of the table layer (gbflab._lazy).
 """
 
 from .cyclotomic import CycInt, cyclotomic_poly, reduction_rows, zeta_pow

@@ -26,9 +26,8 @@ import sys
 import traceback
 import warnings
 
-import numpy as np
-
 from . import criteria, oracle as oracle_mod
+from ._lazy import np
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
                        describe_rule, rule_exists, summarize_report)
 from .gbf import _MAX_N, FunctionTable, GbfType, first_flat_violation

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from math import lcm
 
-import numpy as np
-
 from . import numtheory as nt
+from ._lazy import np
 from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
                   construct_even_even, direct_sum, is_gbf, lift_modulus, table)
 
@@ -120,9 +120,12 @@ def _base_quantities(m_odd: int, factors):
 # so that proof also covers every witness the rule builds at n.
 _FLAT_BASES: set[tuple[str, int]] = set()
 
-# x on one variable at modulus 4: E1's base at n = 1, and its top variable
-# at every odd n
-_X_MOD4 = table(4, 1, [0, 1])
+
+@lru_cache(maxsize=None)
+def _x_mod4() -> FunctionTable:
+    """x on one variable at modulus 4: E1's base at n = 1, and its top
+    variable at every odd n.  Built at first use."""
+    return table(4, 1, [0, 1])
 
 
 def _flat_by_pieces(base: FunctionTable, split: bool) -> bool:
@@ -140,7 +143,7 @@ def _flat_by_pieces(base: FunctionTable, split: bool) -> bool:
     the product of the pieces' transforms, and permuting the variables only
     permutes the spectrum, so the base is flat when every piece is."""
     c, n = base.m, base.n
-    pair, top = table(c, 2, [0, 0, 0, c // 2]), table(4, 1, [0, 1])
+    pair, top = table(c, 2, [0, 0, 0, c // 2]), _x_mod4()
     if not is_gbf(pair) or n % 2 and not is_gbf(top):
         return False
     # acc is (rows, cols) = (high half, low half) of the index when split,
@@ -181,10 +184,10 @@ def rule_exists(t: GbfType):
         if n % 2 == 0:
             base = construct_even_even(4, n)
         elif n == 1:
-            base = _X_MOD4
+            base = _x_mod4()
         else:
             base = direct_sum(lift_modulus(construct_boolean_bent(n - 1), 2),
-                              _X_MOD4)
+                              _x_mod4())
     elif m % 2 == 0 and n % 2 == 0:
         rule, base = "E3", construct_even_even(2, n)
     else:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
+from ._lazy import np
 from .numtheory import factorize
 
 

@@ -10,6 +10,7 @@ The value types are frozen dataclasses.  A table holds its 2^n residues as
 one read-only numpy array: int64, or Python integers (an object array) when
 m > 2^62; a copied or unpickled table is checked and frozen again.  Every
 layer works on that array; the tuple ``values`` is built only when asked for.
+numpy is loaded by the first table built or read, not at import.
 
 One batched kernel decides flatness: _spectra yields the spectra of a
 (2^n, batch) array of tables, one per exact test, and _flat where they are
@@ -38,8 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
-import numpy as np
-
+from ._lazy import np
 from .cyclotomic import CycInt
 from .numtheory import euler_phi, factorize, is_probable_prime
 
@@ -258,8 +258,15 @@ def _root_powers(m: int, n: int):
 
 
 # the signed coordinates of zeta^v, v in Z_m, in Z (m = 2) and Z[i] (m = 4)
-_UNIT_COORDS = {2: np.array([[1], [-1]], dtype=np.int32),
-                4: np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int32)}
+_UNIT_COORDS = {2: [[1], [-1]], 4: [[1, 0], [0, 1], [-1, 0], [0, -1]]}
+
+
+@lru_cache(maxsize=None)
+def _unit_coords(m: int) -> np.ndarray:
+    """_UNIT_COORDS[m] as a read-only int32 array, built at first use."""
+    coords = np.array(_UNIT_COORDS[m], dtype=np.int32)
+    coords.setflags(write=False)
+    return coords
 
 
 def _terms(tables: np.ndarray, m: int, n: int):
@@ -274,7 +281,7 @@ def _terms(tables: np.ndarray, m: int, n: int):
     so the terms never share memory with a matrix of exponents; tables,
     phi(m) times smaller, is kept until the last test."""
     if m in _UNIT_COORDS:
-        terms = _UNIT_COORDS[m].take(tables, axis=0)
+        terms = _unit_coords(m).take(tables, axis=0)
         del tables
         yield None, terms
         return

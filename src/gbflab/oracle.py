@@ -39,8 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .gbf import FunctionTable, GbfType, _flat, _spectra, is_gbf
 
 DEFAULT_BUDGET = 10**7
