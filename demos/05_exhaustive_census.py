@@ -2,13 +2,12 @@
 
 Every flat table among the m^(2^n) is counted exactly; counts are ground
 truth the engine's verdicts are checked against.  Since f and f + c are
-flat together, only the tables with f(2^n - 1) = 0 are tested.  Each is
-a block of fast digits plus a block of slow ones, its spectrum the sum of
-theirs minus the zero table's.  Row 0, W(0) = sum_v count(v) zeta^v,
-depends only on a block's value multiset, so it is tested once per pair
-of a slow and a fast multiset (210 x 84 at {7,3}, for 823,543 tables),
-and every row only for the tables whose pair passes: the 5.7 million
-tables of {7,3} take well under a second.
+flat together, only the tables with f(2^n - 1) = 0 are tested.  Row 0,
+W(0) = sum_v count(v) zeta^v, depends only on a table's value multiset,
+so it is tested once per multiset of the free values (1,716 at {7,3},
+for 823,543 tables), and every row only for the distinct arrangements of
+the multisets that pass (5,040): the 5.7 million tables of {7,3} take
+well under a second.
 """
 
 import sys

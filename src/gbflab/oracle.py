@@ -5,42 +5,43 @@ Tables are ordered as odometer readings (index 0 varies fastest, f(2^n - 1)
 is the most significant digit).  Adding a constant c to every value
 multiplies every W(y) by zeta^c, so f and f + c are flat together: each
 flat table is g + c for exactly one flat g with g(2^n - 1) = 0.  Only those
-tables are tested, and the count is m times theirs.  They are the first
-m^(2^n - 1) readings of the full odometer, so the enumeration walks them in
-the same order.  Each is the sum of a fast block, its b fastest digits,
-and a slow block, the other free digits.  W is linear in the terms
-zeta^f(x), so its spectrum is the sum of the two blocks' spectra minus the
-zero table's.  gbf's batched kernel gives every fast block's spectrum once,
-and the slow blocks' a batch at a time.
+tables are tested, and the count is m times theirs.
 
-Each table is then tested in two stages.  Row 0 of a spectrum is
-W(0) = sum_v count(v) zeta^v, so it depends only on the block's value
-multiset, and the row-0 sieve runs once per pair of a slow and a fast
-multiset: it adds row 0 of one representative of each and puts the sum
-through every test of gbf's flatness check.  A boolean lookup maps the
-pairs that pass onto the (slow reading, fast block) pairs, row-major, so
-the survivors come out in odometer order; they are tested at every row
-in numpy batches.  Each test is exact per row, so a table that fails at
-row 0 is not flat, and the hits, their count and their order are those
-of testing every row of every table.  At {7,3} the sieve tests the
-210 x 84 pairs of multisets of the 2,401 fast blocks and 343 slow
-readings in place of their 823,543 tables; 5,040 tables pass row 0 and
-none is flat.  The pair table, the lookup and the survivors are each taken
-in slices sized from _BATCH_TARGET, so memory stays that of one batch.
+Each table is tested in two stages.  Row 0 of a spectrum is
+W(0) = sum_v count(v) zeta^v, so it depends only on the table's value
+multiset.  The multisets of the 2^n - 1 free values are enumerated in
+order, and the W(0) of each, the sum of the terms of its values and of
+the fixed 0, goes through every test of gbf's flatness check.  Only the
+distinct arrangements of the multisets that pass are tested at every row,
+in numpy batches.  A sorted multiset's run shape, the lengths of its runs
+of equal values, fixes its orderings, which are built once per shape and
+gathered for every multiset of that shape.  Each test is exact per row,
+so a table that fails at row 0 is not flat, and the hits and their count
+are those of testing every row of every table.  At {7,3} the sieve tests
+the 1,716 multisets of the 7 free values in place of their 823,543
+tables; 8 pass, their 5,040 arrangements are tested at every row, and
+none is flat.  The multisets and the arrangements are each taken in
+slices sized from _BATCH_TARGET, so memory stays that of one batch.
 
-Witnesses are the first hits of the full odometer order.  When the tables
-with f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
-hand, and the hits with top value c = 1, 2, ... are those plus c: one sort
-of all those shifts as odometer readings gives the rest in order.
+Witnesses are the first hits of the full odometer order.  Each batch's
+hits join those kept so far, which are sorted as odometer readings and cut
+to max_witnesses.  When the tables with f(2^n - 1) = 0 hold fewer hits than
+asked for, every one of them is in hand, and the hits with top value
+c = 1, 2, ... are those plus c: one sort of all those shifts as odometer
+readings gives the rest in order.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import (chain, combinations, combinations_with_replacement,
+                       islice)
+from math import comb
 
 from ._lazy import np
-from .gbf import FunctionTable, GbfType, _flat, _spectra, is_gbf
+from .gbf import FunctionTable, GbfType, _flat, _spectra, _terms, is_gbf
 
 DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
@@ -54,66 +55,48 @@ class OracleResult:
     witnesses: tuple[FunctionTable, ...]
 
 
-def _odometer(m: int, readings, width: int) -> np.ndarray:
-    """The digits of odometer readings over Z_m, digit 0 the fastest, as
-    a (width, len(readings)) int64 array: one table per column."""
-    digits = np.empty((width, len(readings)), dtype=np.int64)
-    for row in digits:
-        readings, row[:] = np.divmod(readings, m)
-    return digits
+def _tables(free: np.ndarray) -> np.ndarray:
+    """The (2^n, count) tables, one per column, of a (count, 2^n - 1) array
+    of free values, with f(2^n - 1) = 0."""
+    tables = np.zeros((free.shape[1] + 1, len(free)), np.int64)
+    tables[:-1] = free.T
+    return tables
 
 
-def _multisets(m: int, digits: np.ndarray):
-    """(reps, classes) for the value multisets of the columns of a digit
-    array, the digits of distinct odometer readings: classes[j] numbers the
-    multiset of column j, and reps[i] is the first column holding multiset
-    i.  A multiset is keyed by the odometer reading of its sorted digits:
-    exact, and below m^len(digits).  With fewer than two digits no two
-    columns share a multiset, and none is keyed."""
-    if len(digits) < 2:
-        return np.arange(digits.shape[1]), np.arange(digits.shape[1])
-    keys = np.sort(digits, axis=0).T @ m ** np.arange(len(digits))
-    _, reps, classes = np.unique(keys, return_index=True, return_inverse=True)
-    return reps, classes
+@lru_cache(maxsize=None)
+def _orderings(runs: tuple[int, ...]) -> np.ndarray:
+    """The distinct orderings of a sorted row with these run lengths, as a
+    read-only (count, sum(runs)) array of indices into that row: ordering
+    j puts row[idx[j, x]] at place x, and a run is indexed by its first
+    entry.  Each run in turn takes every choice of its places among those
+    so far, the earlier runs keeping their order in the places left, so
+    there are sum(runs)! / prod(runs[i]!) orderings, all distinct."""
+    idx = np.zeros((1, 0), dtype=np.intp)
+    for r in runs:
+        start, width = idx.shape[1], idx.shape[1] + r
+        places = (np.array(list(combinations(range(width), r)))[:, :, None]
+                  == np.arange(width)).any(axis=1)
+        out = np.full((len(idx), *places.shape), start, dtype=np.intp)
+        out[:, ~places] = np.tile(idx, len(places))
+        idx = out.reshape(-1, width)
+    idx.setflags(write=False)
+    return idx
 
 
-def _row0_sieve(fast, fast_reps, slow, slow_reps, n: int) -> np.ndarray:
-    """The (len(slow_reps), len(fast_reps)) mask of the pairs of a slow and
-    a fast multiset whose summed row 0 passes every test.  Row 0 of every
-    fast representative is added to that of a slice of slow ones: about
-    2 * _BATCH_TARGET int64 entries a slice, and at least one slow one.
-    When every fast block is its own representative, as at n = 1, row 0
-    of the fast spectra is a view, not a gathered copy."""
-    # blocks of two or more digits share multisets (0, 1 and 1, 0), so a
-    # representative for each block means _multisets' arange of one digit
-    if len(fast_reps) == fast[0][1].shape[2]:
-        fast_reps = slice(None)
-    fast0 = [spec[:, :1, fast_reps] for _, spec in fast]
-    slow0 = [spec[:, 0, slow_reps, None] for spec in slow]
-    k, _, width = fast0[0].shape
-    step = max(1, 2 * _BATCH_TARGET // (k * width))
-    passes = np.empty((len(slow_reps), width), dtype=bool)
-    for lo in range(0, len(passes), step):
-        passes[lo:lo + step] = np.all(
-            [_flat(test, (f0 + s0[:, lo:lo + step]).reshape(k, 1, -1), n)
-             for (test, _), f0, s0 in zip(fast, fast0, slow0)],
-            axis=(0, 1)).reshape(-1, width)
-    return passes
-
-
-def _survivors(passes: np.ndarray, slow_class, fast_class):
-    """(readings, blocks): the indices of the (slow reading, fast block)
-    pairs whose multisets pass the sieve, at most len(fast_class) pairs at
-    a time.  The pairs are looked up about 16 * _BATCH_TARGET at a time,
-    row-major over (reading, block), which is odometer order."""
-    nb = len(fast_class)
-    per = max(1, 16 * _BATCH_TARGET // nb)
-    for lo in range(0, len(slow_class), per):
-        js, vs = np.divmod(np.flatnonzero(
-            passes[slow_class[lo:lo + per]][:, fast_class]), nb)
-        js += lo
-        for i in range(0, len(js), nb):
-            yield js[i:i + nb], vs[i:i + nb]
+def _arrangements(rows: np.ndarray, size: int):
+    """Every distinct ordering of each of a (count, width) array of sorted
+    rows, in slices of at most size rows: the rows of each run shape
+    gather the _orderings of that shape."""
+    steps = rows[:, 1:] != rows[:, :-1]
+    shapes, shape_of = np.unique(steps, axis=0, return_inverse=True)
+    for s, step in enumerate(shapes):
+        same = rows[shape_of == s]
+        order = _orderings(tuple(np.diff(np.flatnonzero(
+            np.concatenate([[True], step, [True]]))).tolist()))
+        total = len(same) * len(order)
+        for lo in range(0, total, size):
+            i, j = np.divmod(np.arange(lo, min(lo + size, total)), len(order))
+            yield same[i[:, None], order[j]]
 
 
 def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
@@ -141,38 +124,38 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                          f"above the budget {budget}")
     rows = 1 << n
 
-    # f(rows-1) stays 0: the fast block is the b fastest of the free
-    # digits, the slow block the others, read in batches
+    # the kernel refuses an unsupported m here, before anything of size m
+    # is built: combinations_with_replacement copies range(m) to a tuple
+    _, zero = next(_terms(np.zeros((rows, 1), np.int64), m, n))
+    # multisets a slice and tables a batch: each gathers about
+    # 16 * _BATCH_TARGET terms
+    per = max(1, 16 * _BATCH_TARGET // zero.size)
     free = rows - 1
-    b = 1
-    while b < free and m ** (b + 1) <= _BATCH_TARGET:
-        b += 1
-    nb = m ** b
-    slow_total = m ** (free - b)
-    # the kernel refuses an unsupported m here, before any block is built
-    zero = [spec for _, spec in _spectra(np.zeros((rows, 1), np.int64), m, n)]
-    fast_tables = _odometer(m, np.arange(nb), rows)
-    fast = [(test, np.ascontiguousarray(spec))
-            for test, spec in _spectra(fast_tables, m, n)]
-    fast_reps, fast_class = _multisets(m, fast_tables[:b])
+    multisets = combinations_with_replacement(range(m), free)
+    passed = []
+    for _ in range(0, comb(m + free - 1, free), per):
+        batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
+                            np.int64).reshape(-1, free)
+        # W(0) sums the terms of a table's values, gathered from those of
+        # the slice's distinct values
+        tables = _tables(batch)
+        values, at = np.unique(tables, return_inverse=True)
+        ok = np.all([_flat(test, terms[0, at].sum(axis=0).T[:, None], n)
+                     for test, terms in _terms(values[None], m, n)],
+                    axis=(0, 1))
+        passed.append(batch[ok])
 
     count = 0
-    witnesses: list[FunctionTable] = []
-    for start in range(0, slow_total, _BATCH_TARGET):
-        readings = np.arange(start, min(start + _BATCH_TARGET, slow_total))
-        slow_tables = _odometer(m, readings * nb, rows)
-        slow = [spec - z for (_, spec), z
-                in zip(_spectra(slow_tables, m, n), zero)]
-        slow_reps, slow_class = _multisets(m, slow_tables[b:free])
-        passes = _row0_sieve(fast, fast_reps, slow, slow_reps, n)
-        for j, v in _survivors(passes, slow_class, fast_class):
-            ok = np.all([_flat(test, spec[..., v] + s[..., j], n)
-                         for (test, spec), s in zip(fast, slow)], axis=(0, 1))
-            count += int(ok.sum())
-            need = max_witnesses - len(witnesses)
-            for jj, vv in zip(j[ok][:need], v[ok][:need]):
-                witnesses.append(FunctionTable(
-                    t, fast_tables[:, vv] + slow_tables[:, jj]))
+    hits = np.empty((0, rows), np.int64)
+    for batch in _arrangements(np.concatenate(passed), per):
+        tables = _tables(batch)
+        ok = np.all([_flat(test, spec, n)
+                     for test, spec in _spectra(tables, m, n)], axis=(0, 1))
+        count += int(ok.sum())
+        # the first hits in odometer order: f(rows-1) the most significant
+        hits = np.concatenate([hits, tables[:, ok].T])
+        hits = hits[np.lexsort(hits.T)[:max_witnesses]]
+    witnesses = [FunctionTable(t, h) for h in hits]
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
     # the hits with f(rows-1) = c > 0 are them plus c, next in odometer order

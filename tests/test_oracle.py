@@ -6,9 +6,10 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
-from itertools import combinations_with_replacement
-from math import factorial, prod
+from itertools import combinations_with_replacement, permutations
+from math import comb, factorial, prod
 
+import numpy as np
 import pytest
 
 from gbflab import cli, oracle
@@ -79,9 +80,9 @@ def test_enumerate_matches_independent_census(m, n, max_witnesses):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3)])
 def test_enumerate_matches_census_across_slow_batches(m, n, monkeypatch):
-    # a batch target of 4 leaves a slow block of several readings, read in
-    # more than one batch, where the default keeps every one of these types
-    # in a single fast block
+    # a batch target of 4 cuts the multisets of {3,2}, {4,2} and {6,2},
+    # and the arrangements of the last two, into several slices, where the
+    # default takes each in one
     monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
     res = enumerate_gbfs(GbfType(m, n), max_witnesses=5)
     count, total, witnesses = _brute_census(m, n, 5)
@@ -125,11 +126,10 @@ def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
     assert res.gbf_count == flat < row0_flat
 
 
-def test_row_0_sieve_runs_once_per_pair_of_multisets(monkeypatch):
-    # row 0 of a block's spectrum depends only on its value multiset: at
-    # {7,3} the 2,401 fast blocks hold 210 multisets of 4 digits and the
-    # 343 slow readings 84 multisets of 3, so the sieve tests 210 * 84
-    # pairs, not 343 * 2,401 tables
+def test_row_0_sieve_runs_once_per_multiset(monkeypatch):
+    # row 0 of a spectrum depends only on the table's value multiset: at
+    # {7,3} the sieve tests the C(13, 7) = 1,716 multisets of the 7 free
+    # values, not the 823,543 tables with f(7) = 0
     recorded, widths = oracle._flat, Counter()
 
     def row_0(test, spec, n):
@@ -139,14 +139,50 @@ def test_row_0_sieve_runs_once_per_pair_of_multisets(monkeypatch):
 
     monkeypatch.setattr(oracle, "_flat", row_0)
     assert enumerate_gbfs(GbfType(7, 3)).gbf_count == 0
-    assert list(widths.values()) == [210 * 84]
+    assert list(widths.values()) == [comb(13, 7)] == [1716]
+
+
+def _arranged(rows, size):
+    """Every row _arrangements yields for a (count, width) array of sorted
+    rows, each slice at most size rows."""
+    out = []
+    for batch in oracle._arrangements(np.array(rows).reshape(len(rows), -1),
+                                      size):
+        assert 0 < len(batch) <= size
+        out += map(tuple, batch.tolist())
+    return out
+
+
+def test_arrangements_are_the_distinct_permutations():
+    rng = random.Random(27)
+    for _ in range(60):
+        width = rng.randrange(1, 8)
+        row = tuple(sorted(rng.randrange(rng.randrange(1, 6))
+                           for _ in range(width)))
+        got = _arranged([row], rng.choice((1, 5, 64, 5040)))
+        assert len(got) == len(set(got))
+        assert set(got) == set(permutations(row)), row
+    # several rows of one run shape and of others, sliced across rows
+    rows = [(0, 0, 1), (2, 3, 3), (1, 2, 3), (0, 0, 0), (4, 4, 5)]
+    got = _arranged(rows, 4)
+    assert len(got) == len(set(got))
+    assert set(got) == {p for row in rows for p in permutations(row)}
+
+
+def test_arrangements_of_binary_rows_of_width_15():
+    # the run shapes of {2,4}: up to C(15, 7) = 6,435 orderings of one row
+    for ones in range(16):
+        row = (0,) * (15 - ones) + (1,) * ones
+        got = _arranged([row], 4096)
+        assert len(got) == comb(15, ones)
+        assert len(set(got)) == len(got)
+        assert all(tuple(sorted(r)) == row for r in got)
 
 
 def test_sliced_census_matches_default(monkeypatch):
     # 1,960 of the 16,384 tables tested at {4,3} pass row 0; a batch target
-    # of 4 cuts the sieve, the lookup of (reading, block) pairs and the
-    # survivors tested at every row into many slices, with the same hits in
-    # the same order
+    # of 4 cuts its 120 multisets and the arrangements of those that pass
+    # into many slices, with the same hits in the same order
     default = enumerate_gbfs(GbfType(4, 3), max_witnesses=40)
     monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
     assert enumerate_gbfs(GbfType(4, 3), max_witnesses=40) == default
@@ -196,9 +232,11 @@ def test_enumerate_n1_closed_form(m):
 
 def test_enumerate_memory_is_bounded():
     # {60,1}: one unchunked batch of 3600 candidates gathers 107 MiB;
-    # {53,2}: an unsliced row-0 table of its 1,431 x 53 pairs of multisets,
-    # 52 unit columns each, peaks at 65.5 MiB
-    for t in (GbfType(60, 1), GbfType(53, 2)):
+    # {53,2}: its 26,235 multisets of 3 free values, gathered unsliced at
+    # 52 unit columns, take 42 MiB; {56,2} has the most multisets under the
+    # default budget, 30,856, and {2,4} the most arrangements of one, up
+    # to 6,435, of which 8,008 are tested at every row
+    for t in (GbfType(60, 1), GbfType(53, 2), GbfType(56, 2), GbfType(2, 4)):
         enumerate_gbfs(t)           # builds the modulus-m tables
         tracemalloc.start()
         try:
