@@ -14,6 +14,10 @@ scripts stay stable:
     C5-P3xP5          primes (3, 5 mod 8): all odd n, or odd n below r/s
     DIV-Propagation   nonexistence transferred to a divisor type
 
+Each Exists witness is built once: its base at modulus 2 or 4 is the
+direct sum of 1- and 2-variable pieces that the exact kernel checks once
+per rule and process, and the lift to m keeps it flat.
+
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
 {2*m0, n} cover odd inputs m0.  A criterion abstains rather than conclude
@@ -35,8 +39,7 @@ from math import lcm
 
 from . import numtheory as nt
 from ._lazy import np
-from .gbf import (FunctionTable, GbfType, construct_boolean_bent,
-                  construct_even_even, direct_sum, is_gbf, lift_modulus, table)
+from .gbf import FunctionTable, GbfType, is_gbf, lift_modulus, table
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -115,89 +118,72 @@ def _base_quantities(m_odd: int, factors):
 # -- existence ---------------------------------------------------------------
 
 
-# (rule, n) whose base table was proved flat in this process by
-# _flat_by_pieces.  A lift has the same content-modulus table as its base,
-# so that proof also covers every witness the rule builds at n.
-_FLAT_BASES: set[tuple[str, int]] = set()
-
-
 @lru_cache(maxsize=None)
-def _x_mod4() -> FunctionTable:
-    """x on one variable at modulus 4: E1's base at n = 1, and its top
-    variable at every odd n.  Built at first use."""
-    return table(4, 1, [0, 1])
+def _pieces(rule: str, c: int):
+    """(pair, top) as read-only uint8 arrays: P = (c/2)*x*y on two
+    variables at rule's base modulus c, and x on one variable at modulus 4.
+    Each goes through the exact kernel once per rule and process; lru_cache
+    keeps no exception, so a failure is raised again at the next call."""
+    pieces = table(c, 2, [0, 0, 0, c // 2]), table(4, 1, [0, 1])
+    if not all(is_gbf(piece) for piece in pieces):  # unreachable: they are flat
+        raise AssertionError(f"construction {rule} failed exact verification")
+    arrays = tuple(piece.array.astype(np.uint8) for piece in pieces)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-def _flat_by_pieces(base: FunctionTable, split: bool) -> bool:
-    """Whether base, of modulus c = 2 or 4, is the direct sum of flat 1- and
-    2-variable pieces, hence flat.
+def _flat_base(rule: str, c: int, n: int, split: bool) -> FunctionTable:
+    """rule's base on n variables at modulus c: the direct sum of P on each
+    pair of variables and, at odd n, x on the top variable x_n (E1 at odd
+    n: 2*Q'(x') + x_n), with the pieces of _pieces.
 
-    The pieces are P = (c/2)*x*y on each pair of variables and, at odd n,
-    the piece x at modulus 4 on the top variable x_n (E1 at odd n:
-    2*Q'(x') + x_n).  The pairs are adjacent bits (x_(2i-1), x_(2i)), or,
-    when split, bit i of the low half with bit i of the high half
-    (x_i, x_(t+i)), t = n/2, as in construct_even_even.  Each piece goes
-    through the exact kernel; then one comparison finds base equal to the
-    sum of the pieces, built pair by pair in its own index layout by
-    broadcast adds, O(2^n) in all.  The Walsh transform of a direct sum is
-    the product of the pieces' transforms, and permuting the variables only
-    permutes the spectrum, so the base is flat when every piece is."""
-    c, n = base.m, base.n
-    pair, top = table(c, 2, [0, 0, 0, c // 2]), _x_mod4()
-    if not is_gbf(pair) or n % 2 and not is_gbf(top):
-        return False
+    The pairs are adjacent bits (x_(2i-1), x_(2i)), or, when split, bit i
+    of the low half with bit i of the high half (x_i, x_(t+i)), t = n/2:
+    the product construction.  The Walsh transform of a direct sum is the
+    product of the pieces' transforms, and permuting the variables only
+    permutes the spectrum, so the base is flat because every piece is; no
+    FWHT runs over its 2^n rows.  Built pair by pair in its own index
+    layout by broadcast adds, O(2^n) in all."""
+    pair, top = _pieces(rule, c)
     # acc is (rows, cols) = (high half, low half) of the index when split,
     # else (1, 2^k); each piece, shaped (rows, cols) alike, takes the bits
     # above those of acc on each side; a sum is at most (n/2)*(c/2) + 1 <= 25
     # at n <= MAX_N, so uint8 holds it unreduced
-    pair = pair.array.astype(np.uint8).reshape((2, 2) if split else (1, 4))
-    top = top.array.astype(np.uint8).reshape(2, 1)
+    pair = pair.reshape((2, 2) if split else (1, 4))
     acc = np.zeros((1, 1), dtype=np.uint8)
-    for piece in [pair] * (n // 2) + [top] * (n % 2):
+    for piece in [pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2):
         acc = (piece[:, None, :, None] + acc[None, :, None, :]).reshape(
             len(piece) * len(acc), -1)
-    return np.array_equal(base.array, acc.reshape(-1) % c)
+    acc %= c
+    return FunctionTable(GbfType(c, n), acc.reshape(-1))
 
 
 def rule_exists(t: GbfType):
-    """A verified flat witness for t when one of the rules applies, with the
-    rule id; None otherwise.
+    """A flat witness for t when one of the rules applies, with the rule
+    id; None otherwise.
 
     E2: m = 2, even n, the quadratic form x1*x2 + x3*x4 + ...  E1: 4 | m,
     any n, built at modulus 4 and lifted by m/4: for even n the product
-    construction, for odd n the direct sum 2*Q'(x') + x_n of the lifted
-    form on the low n - 1 variables and x on the top one (x alone at
-    n = 1).  E3: remaining even m with even n, the product construction at
-    modulus 2 lifted by m/2.  Each base is built at its own size from
-    direct sums, or one selection per row for the product construction.
-    It depends on the rule and n only, and is verified once per process,
-    from its direct-sum pieces (_flat_by_pieces), with no FWHT over its
-    2^n rows.  Refuses n > MAX_N.
+    construction, for odd n 2*Q'(x') + x_n, twice the form on the low n - 1
+    variables plus x on the top one (x alone at n = 1).  E3: remaining
+    even m with even n, the product construction at modulus 2 lifted by
+    m/2.  Each base is assembled once, at its own size, from pieces the
+    exact kernel checked (_flat_base), and is flat as their direct sum;
+    the lift keeps it flat.  Refuses n > MAX_N.
     """
     m, n = t.m, t.n
     if n > MAX_N:
         raise ValueError(f"n = {n} beyond the resource guard ({MAX_N})")
     if m == 2 and n % 2 == 0:
-        rule, base = "E2", construct_boolean_bent(n)
+        rule, c, split = "E2", 2, False
     elif m % 4 == 0:
-        rule = "E1"
-        if n % 2 == 0:
-            base = construct_even_even(4, n)
-        elif n == 1:
-            base = _x_mod4()
-        else:
-            base = direct_sum(lift_modulus(construct_boolean_bent(n - 1), 2),
-                              _x_mod4())
+        rule, c, split = "E1", 4, n % 2 == 0
     elif m % 2 == 0 and n % 2 == 0:
-        rule, base = "E3", construct_even_even(2, n)
+        rule, c, split = "E3", 2, True
     else:
         return None
-    if (rule, n) not in _FLAT_BASES:
-        split = rule != "E2" and n % 2 == 0     # the product construction
-        if not _flat_by_pieces(base, split):  # unreachable: they are flat
-            raise AssertionError(f"construction {rule} failed exact verification")
-        _FLAT_BASES.add((rule, n))
-    return lift_modulus(base, m // base.m), rule
+    return lift_modulus(_flat_base(rule, c, n, split), m // c), rule
 
 
 def describe_rule(rule: str, m: int, n: int) -> str:

@@ -392,7 +392,7 @@ def first_flat_violation(f: FunctionTable):
     else:
         signs = None if y == 0 else np.where(
             np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
-        row = np.bincount(f.array.astype(np.int64, copy=False), weights=signs,
+        row = np.bincount(f.array, weights=signs,
                           minlength=f.m).astype(np.int64, copy=False)
     return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:euler_phi(f.m)]
 

@@ -524,7 +524,7 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     # base not yet verified
     monkeypatch.setattr(gbf, "_spectra", exhausted)
     monkeypatch.setattr(oracle, "_spectra", exhausted)
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    criteria._pieces.cache_clear()
     monkeypatch.chdir(tmp_path)
     for argv in (("decide", "8", "2"), ("verify", str(path)),
                  ("oracle", "8", "1")):
@@ -551,7 +551,7 @@ def test_internal_failure_never_exits_with_a_verdict(
     (tmp_path / "w.json").write_text('{"m": 4, "n": 1, "values": [0, 1]}')
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(module, name, broken)
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    criteria._pieces.cache_clear()
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("Traceback")
@@ -662,6 +662,31 @@ def test_exists_witness_matches_bench_goldens(tmp_path, monkeypatch, capsys):
                                    workloads.random_table(2, m, n)}))
         code, out, _ = run(capsys, "verify", str(rnd))
         assert code == 1 and out == random_golden[f"verify-random {m} {n}"]
+
+
+# sha256 of the witness files, without their final newline, of every type
+# {m, n} with n <= top that a rule covers, fed in n order
+_WITNESS_DIGESTS = {
+    (2, 20): "6340670c4cb7a88927efc64a4d3764520b1528a7d89a16450c803d2304de1a54",
+    (4, 20): "2255d04d3fa0f230614b4593c4ff9fa54bbd3ff4193e89f912d77b2d008343c0",
+    (6, 20): "c9a1f4bb1f7bb35e4b2189bf16c13767bb7342ea346ef74c172b914b67872da6",
+    (12, 20): "40cb2d1dd8c664fdb147bb4ffea2be6e8ccbe025f19c41c5035a245651df922b",
+    (100, 20): "9ced70c01454297ccd572b9b16d5df68e1d60d2aa711106d5122b1d9444ef100",
+    (2**62 + 4, 12):
+        "58473bac00d8d5f0cd3fd6c919a9207938abace66d717f1cceb974716b929bd9",
+    (2**63 - 4, 12):
+        "61a098865ec033c188ee8e4120a01e87f192272ebce9cc13dae1c2b0ae8a927c",
+}
+
+
+@pytest.mark.parametrize("m,top", _WITNESS_DIGESTS)
+def test_witness_files_match_recorded_digests(m, top):
+    digest = hashlib.sha256()
+    for n in range(1, top + 1):
+        found = criteria.rule_exists(GbfType(m, n))
+        if found is not None:
+            digest.update(b"".join(cli._witness_chunks(found[0])))
+    assert digest.hexdigest() == _WITNESS_DIGESTS[m, top]
 
 
 @pytest.mark.parametrize("seed", [2, 7])

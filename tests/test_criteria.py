@@ -16,7 +16,8 @@ from gbflab.criteria import (C1, C2, C3, C4, C5, EXISTS, MAX_N, NOT_EXISTS,
                              crit_p7_x_p35, crit_semiprimitive, decide,
                              report_from_dict, revalidate_report, rule_exists,
                              summarize_report)
-from gbflab.gbf import FunctionTable, GbfType, is_gbf
+from gbflab.gbf import (GbfType, construct_boolean_bent, construct_even_even,
+                        direct_sum, is_gbf, lift_modulus, table)
 
 import referees as ref
 
@@ -702,33 +703,62 @@ def test_verdict_attempts_cannot_change_in_place():
 
 def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):
     monkeypatch.setattr(criteria, "is_gbf", lambda f: False)
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    criteria._pieces.cache_clear()
     with pytest.raises(AssertionError,
                        match="construction E1 failed exact verification"):
         rule_exists(GbfType(8, 3))
 
 
-# each rule's base by its bit formula (no gbf construction), its pairing
-# of variables, and the types that reach it
+def test_rule_exists_recovers_once_the_failing_check_is_undone(monkeypatch):
+    # lru_cache keeps no exception: a failed piece check is not remembered
+    criteria._pieces.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(criteria, "is_gbf", lambda f: False)
+        with pytest.raises(AssertionError,
+                           match="construction E3 failed exact verification"):
+            rule_exists(GbfType(6, 4))
+    w, rule = rule_exists(GbfType(6, 4))
+    assert rule == "E3" and w == lift_modulus(ref.inner_product(2, 4), 3)
+
+
+def _folded(n):
+    # E1 at odd n by the public constructors: 2*Q'(x') + x_n, x alone at n = 1
+    top = table(4, 1, [0, 1])
+    if n == 1:
+        return top
+    return direct_sum(lift_modulus(construct_boolean_bent(n - 1), 2), top)
+
+
+# each rule's base by its bit formula (no gbf construction) and by the
+# public constructors, its rule and pairing of variables, and the type
+# whose witness lifts it
 _BASE_SHAPES = {
-    "E1 even n": (lambda n: ref.inner_product(4, n), True, 4, range(2, 17, 2)),
-    "E1 odd n": (ref.folded_mod4, False, 4, range(1, 17, 2)),
-    "E2": (ref.boolean_bent, False, 2, range(2, 17, 2)),
-    "E3": (lambda n: ref.inner_product(2, n), True, 6, range(2, 17, 2)),
+    "E1 even n": (lambda n: ref.inner_product(4, n),
+                  lambda n: construct_even_even(4, n), "E1", True, 12,
+                  range(2, 17, 2)),
+    "E1 odd n": (ref.folded_mod4, _folded, "E1", False, 12, range(1, 17, 2)),
+    "E2": (ref.boolean_bent, construct_boolean_bent, "E2", False, 2,
+           range(2, 17, 2)),
+    "E3": (lambda n: ref.inner_product(2, n),
+           lambda n: construct_even_even(2, n), "E3", True, 6,
+           range(2, 17, 2)),
 }
 
 
 @pytest.mark.parametrize("shape", _BASE_SHAPES)
 def test_each_base_is_the_sum_of_its_flat_pieces(shape):
-    build, split, m, ns = _BASE_SHAPES[shape]
+    # the witness equals the referee formula and the constructor route,
+    # lifted: how a fault in either the pieces or a constructor shows
+    formula, construct, rule, split, m, ns = _BASE_SHAPES[shape]
     for n in ns:
-        base = build(n)
-        assert criteria._flat_by_pieces(base, split), n
+        base = formula(n)
+        c = base.m
+        witness = rule_exists(GbfType(m, n))[0]
+        assert witness == lift_modulus(base, m // c), n
+        assert witness == lift_modulus(construct(n), m // c), n
         assert is_gbf(base), n              # the full kernel as referee
         if n >= 4:                          # the pairing is checked too
-            assert not criteria._flat_by_pieces(base, not split), n
-        assert rule_exists(GbfType(m, n))[0].array.tolist() == \
-            (base.array * (m // base.m)).tolist()
+            assert criteria._flat_base(rule, c, n, not split) != base, n
 
 
 @pytest.mark.parametrize("m,n", [(2, 16), (12, 17)])
@@ -736,7 +766,7 @@ def test_rule_exists_peaks_below_two_and_a_half_witnesses(monkeypatch, m, n):
     # each base is built at its own size, so no more than the witness, its
     # base and the piece check's uint8 sums are held at once
     rule_exists(GbfType(m, n))
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    criteria._pieces.cache_clear()
     tracemalloc.start()
     try:
         witness = rule_exists(GbfType(m, n))[0]
@@ -744,35 +774,6 @@ def test_rule_exists_peaks_below_two_and_a_half_witnesses(monkeypatch, m, n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * witness.array.nbytes
-
-
-@pytest.mark.parametrize("name,m,n", [("construct_even_even", 4, 6),
-                                      ("construct_even_even", 6, 6),
-                                      ("construct_boolean_bent", 2, 6),
-                                      ("construct_boolean_bent", 4, 5)])
-def test_rule_exists_refuses_a_base_unequal_to_its_pieces(monkeypatch, name,
-                                                          m, n):
-    real = getattr(criteria, name)
-
-    def altered(*args):
-        base = real(*args)
-        values = base.array.copy()
-        values[5] ^= 1
-        return FunctionTable(base.gbf_type, values)
-
-    checked = []
-
-    def recorded(f):
-        checked.append(f.n)
-        return is_gbf(f)
-
-    monkeypatch.setattr(criteria, name, altered)
-    monkeypatch.setattr(criteria, "is_gbf", recorded)
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
-    with pytest.raises(AssertionError, match="failed exact verification"):
-        rule_exists(GbfType(m, n))
-    # every piece passed the kernel: the comparison refused the base
-    assert checked and max(checked) <= 2
 
 
 def test_decide_runs_no_fwht_larger_than_a_piece(monkeypatch):
@@ -783,7 +784,7 @@ def test_decide_runs_no_fwht_larger_than_a_piece(monkeypatch):
         return fwht(mat)
 
     monkeypatch.setattr(gbf, "_fwht_inplace", recorded)
-    monkeypatch.setattr(criteria, "_FLAT_BASES", set())
+    criteria._pieces.cache_clear()
     v = decide(GbfType(4, 18))
     assert v.kind == EXISTS and v.witness.n == 18
     assert rows and max(rows) <= 4
