@@ -16,7 +16,8 @@ scripts stay stable:
 
 Each Exists witness is built once: its base at modulus 2 or 4 is the
 direct sum of 1- and 2-variable pieces that the exact kernel checks once
-per rule and process, and the lift to m keeps it flat.
+per rule and process, cast once into the witness's dtype and scaled in
+place by m/c, which keeps it flat.
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
@@ -39,7 +40,7 @@ from math import lcm
 
 from . import numtheory as nt
 from ._lazy import np
-from .gbf import FunctionTable, GbfType, is_gbf, lift_modulus, table
+from .gbf import FunctionTable, GbfType, _value_dtype, is_gbf, table
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -133,32 +134,6 @@ def _pieces(rule: str, c: int):
     return arrays
 
 
-def _flat_base(rule: str, c: int, n: int, split: bool) -> FunctionTable:
-    """rule's base on n variables at modulus c: the direct sum of P on each
-    pair of variables and, at odd n, x on the top variable x_n (E1 at odd
-    n: 2*Q'(x') + x_n), with the pieces of _pieces.
-
-    The pairs are adjacent bits (x_(2i-1), x_(2i)), or, when split, bit i
-    of the low half with bit i of the high half (x_i, x_(t+i)), t = n/2:
-    the product construction.  The Walsh transform of a direct sum is the
-    product of the pieces' transforms, and permuting the variables only
-    permutes the spectrum, so the base is flat because every piece is; no
-    FWHT runs over its 2^n rows.  Built pair by pair in its own index
-    layout by broadcast adds, O(2^n) in all."""
-    pair, top = _pieces(rule, c)
-    # acc is (rows, cols) = (high half, low half) of the index when split,
-    # else (1, 2^k); each piece, shaped (rows, cols) alike, takes the bits
-    # above those of acc on each side; a sum is at most (n/2)*(c/2) + 1 <= 25
-    # at n <= MAX_N, so uint8 holds it unreduced
-    pair = pair.reshape((2, 2) if split else (1, 4))
-    acc = np.zeros((1, 1), dtype=np.uint8)
-    for piece in [pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2):
-        acc = (piece[:, None, :, None] + acc[None, :, None, :]).reshape(
-            len(piece) * len(acc), -1)
-    acc %= c
-    return FunctionTable(GbfType(c, n), acc.reshape(-1))
-
-
 def rule_exists(t: GbfType):
     """A flat witness for t when one of the rules applies, with the rule
     id; None otherwise.
@@ -168,9 +143,19 @@ def rule_exists(t: GbfType):
     construction, for odd n 2*Q'(x') + x_n, twice the form on the low n - 1
     variables plus x on the top one (x alone at n = 1).  E3: remaining
     even m with even n, the product construction at modulus 2 lifted by
-    m/2.  Each base is assembled once, at its own size, from pieces the
-    exact kernel checked (_flat_base), and is flat as their direct sum;
-    the lift keeps it flat.  Refuses n > MAX_N.
+    m/2.  Refuses n > MAX_N.
+
+    Each base at its modulus c is the direct sum of P on each pair of
+    variables and, at odd n, x on the top variable x_n, with the pieces
+    the exact kernel checked (_pieces).  The pairs are adjacent bits
+    (x_(2i-1), x_(2i)), or, for the product construction, bit i of the
+    low half with bit i of the high half (x_i, x_(t+i)), t = n/2.  The
+    Walsh transform of a direct sum is the product of the pieces'
+    transforms, and permuting the variables only permutes the spectrum,
+    so the base is flat because every piece is; no FWHT runs over its 2^n
+    rows.  It is built pair by pair in its own index layout by broadcast
+    adds, O(2^n) in all, then cast once into the witness's dtype and
+    scaled in place by m/c, which keeps it flat (zeta_m^(m/c) = zeta_c).
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -183,7 +168,21 @@ def rule_exists(t: GbfType):
         rule, c, split = "E3", 2, True
     else:
         return None
-    return lift_modulus(_flat_base(rule, c, n, split), m // c), rule
+    pair, top = _pieces(rule, c)
+    # acc is (rows, cols) = (high half, low half) of the index when split,
+    # else (1, 2^k); each piece, shaped (rows, cols) alike, takes the bits
+    # above those of acc on each side; a sum is at most (n/2)*(c/2) + 1 <= 25
+    # at n <= MAX_N, so uint8 holds it unreduced
+    pair = pair.reshape((2, 2) if split else (1, 4))
+    acc = np.zeros((1, 1), dtype=np.uint8)
+    for piece in [pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2):
+        acc = (piece[:, None, :, None] + acc[None, :, None, :]).reshape(
+            len(piece) * len(acc), -1)
+    acc %= c
+    vals = acc.reshape(-1).astype(_value_dtype(m))
+    if m > c:
+        vals *= m // c
+    return FunctionTable(t, vals), rule
 
 
 def describe_rule(rule: str, m: int, n: int) -> str:

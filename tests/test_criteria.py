@@ -7,6 +7,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gbflab import criteria, gbf, numtheory as nt
@@ -721,6 +722,9 @@ def test_rule_exists_recovers_once_the_failing_check_is_undone(monkeypatch):
     assert rule == "E3" and w == lift_modulus(ref.inner_product(2, 4), 3)
 
 
+_WIDE_E1 = (2**62, 2**62 + 4, 2**63 - 4)   # int64 at 2^62, objects above
+
+
 def _folded(n):
     # E1 at odd n by the public constructors: 2*Q'(x') + x_n, x alone at n = 1
     top = table(4, 1, [0, 1])
@@ -729,18 +733,23 @@ def _folded(n):
     return direct_sum(lift_modulus(construct_boolean_bent(n - 1), 2), top)
 
 
-# each rule's base by its bit formula (no gbf construction) and by the
-# public constructors, its rule and pairing of variables, and the type
-# whose witness lifts it
+# each rule's base by its bit formula (no gbf construction), by the public
+# constructors and, as a table the witness must not lift, by the formula of
+# the other pairing of variables; its rule; the type whose witness lifts it
+# at every n, and the moduli past int64 whose witnesses lift it at n <= 12
 _BASE_SHAPES = {
     "E1 even n": (lambda n: ref.inner_product(4, n),
-                  lambda n: construct_even_even(4, n), "E1", True, 12,
-                  range(2, 17, 2)),
-    "E1 odd n": (ref.folded_mod4, _folded, "E1", False, 12, range(1, 17, 2)),
-    "E2": (ref.boolean_bent, construct_boolean_bent, "E2", False, 2,
-           range(2, 17, 2)),
+                  lambda n: construct_even_even(4, n),
+                  lambda n: lift_modulus(ref.boolean_bent(n), 2), "E1", 12,
+                  _WIDE_E1, range(2, 17, 2)),
+    "E1 odd n": (ref.folded_mod4, _folded,
+                 lambda n: direct_sum(ref.inner_product(4, n - 1),
+                                      table(4, 1, [0, 1])), "E1", 12,
+                 _WIDE_E1, range(1, 17, 2)),
+    "E2": (ref.boolean_bent, construct_boolean_bent,
+           lambda n: ref.inner_product(2, n), "E2", 2, (), range(2, 17, 2)),
     "E3": (lambda n: ref.inner_product(2, n),
-           lambda n: construct_even_even(2, n), "E3", True, 6,
+           lambda n: construct_even_even(2, n), ref.boolean_bent, "E3", 6, (),
            range(2, 17, 2)),
 }
 
@@ -748,23 +757,29 @@ _BASE_SHAPES = {
 @pytest.mark.parametrize("shape", _BASE_SHAPES)
 def test_each_base_is_the_sum_of_its_flat_pieces(shape):
     # the witness equals the referee formula and the constructor route,
-    # lifted: how a fault in either the pieces or a constructor shows
-    formula, construct, rule, split, m, ns = _BASE_SHAPES[shape]
+    # lifted, in values and in dtype: how a fault in either the pieces or a
+    # constructor shows
+    formula, construct, other, rule, m, wide, ns = _BASE_SHAPES[shape]
     for n in ns:
         base = formula(n)
         c = base.m
-        witness = rule_exists(GbfType(m, n))[0]
-        assert witness == lift_modulus(base, m // c), n
-        assert witness == lift_modulus(construct(n), m // c), n
         assert is_gbf(base), n              # the full kernel as referee
-        if n >= 4:                          # the pairing is checked too
-            assert criteria._flat_base(rule, c, n, not split) != base, n
+        for mm in (m,) + (wide if n <= 12 else ()):
+            witness, got = rule_exists(GbfType(mm, n))
+            lifted = lift_modulus(base, mm // c)
+            assert got == rule and witness == lifted, (mm, n)
+            assert witness.array.dtype == lifted.array.dtype == (
+                np.int64 if mm <= 2**62 else object), (mm, n)
+            assert witness == lift_modulus(construct(n), mm // c), (mm, n)
+            if n >= 4:                      # the pairing is checked too
+                assert witness != lift_modulus(other(n), mm // c), (mm, n)
 
 
-@pytest.mark.parametrize("m,n", [(2, 16), (12, 17)])
-def test_rule_exists_peaks_below_two_and_a_half_witnesses(monkeypatch, m, n):
-    # each base is built at its own size, so no more than the witness, its
-    # base and the piece check's uint8 sums are held at once
+@pytest.mark.parametrize("m,n", [(2, 16), (12, 17), (6, 20), (100, 20)])
+def test_rule_exists_peaks_below_one_and_a_quarter_witnesses(m, n):
+    # the uint8 base is cast once into the witness's dtype and scaled in
+    # place, so no more than the witness, its uint8 base (an eighth of it)
+    # and the piece check's small tables are held at once
     rule_exists(GbfType(m, n))
     criteria._pieces.cache_clear()
     tracemalloc.start()
@@ -773,7 +788,26 @@ def test_rule_exists_peaks_below_two_and_a_half_witnesses(monkeypatch, m, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * witness.array.nbytes
+    assert peak <= 1.25 * witness.array.nbytes
+
+
+def test_rule_exists_builds_one_table_per_witness(monkeypatch):
+    # no table at the base modulus and no lift copy: the witness is the
+    # only table built once the pieces are checked
+    assert criteria.FunctionTable is gbf.FunctionTable
+    criteria._pieces("E1", 4)
+    built, lifts, init = [], [], gbf.FunctionTable.__init__
+
+    def counted(self, gbf_type, values):
+        built.append(gbf_type)
+        init(self, gbf_type, values)
+
+    monkeypatch.setattr(gbf.FunctionTable, "__init__", counted)
+    monkeypatch.setattr(gbf, "lift_modulus",
+                        lambda f, l: lifts.append(l) or f)
+    witness, rule = rule_exists(GbfType(12, 17))
+    assert rule == "E1" and witness.gbf_type == GbfType(12, 17)
+    assert built == [GbfType(12, 17)] and lifts == []
 
 
 def test_decide_runs_no_fwht_larger_than_a_piece(monkeypatch):
