@@ -20,6 +20,10 @@ prime.  Every other modulus is tested at the m-th roots of unity of F_q for
 the split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
+Every FWHT is one _fwht_inplace call.  On a large array with short rows it
+runs the butterflies in rounds over runs of at least 2^12 entries, rotating
+the index bits between rounds through one scratch array of the input's
+size; any other array, such as an oracle block, it transforms in place.
 
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one bincount of the values gives
@@ -149,30 +153,81 @@ def table(m: int, n: int, values) -> FunctionTable:
     return FunctionTable(GbfType(m, n), [operator.index(v) % m for v in values])
 
 
-def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a C-contiguous
-    (2^k, ...) array, in place: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat.
+_LONG_RUN = 1 << 12      # butterfly runs this long cost numpy least per entry
+# index bits per rotation: its copy reads 2^t rows at once, a power-of-two
+# stride apart, and past 2^4 of them they evict each other from the caches
+_MAX_ROUND = 4
 
-    Each stage pairs the halves a, b of blocks of rows and makes them
-    (a + b, a - b) through a += b; b *= -2; b += a.  On the flat array the
-    halves are runs of `inner` entries.  In an array of 2^11 entries or
-    more, while a run is shorter than 8, the stage goes as `inner` strided
-    1-D pairs, which numpy loops over faster than over many short runs;
-    in a smaller one the extra calls cost more than they save."""
-    flat = mat.reshape(-1, copy=False)
-    inner = flat.size // mat.shape[0]
-    while inner < flat.size:
-        if inner < 8 and flat.size >= 1 << 11:
-            halves = [(flat[j::2 * inner], flat[j + inner::2 * inner])
-                      for j in range(inner)]
+
+def _butterflies(flat: np.ndarray, run: int) -> None:
+    """The stages of flat whose halves are runs of run, 2 run, ... entries,
+    up to half of flat: each pairs the halves a, b of blocks of rows and
+    makes them (a + b, a - b) through a += b; b *= -2; b += a.  In an array
+    of 2^11 entries or more, while a run is shorter than 8, the stage goes
+    as `run` strided 1-D pairs, which numpy loops over faster than over many
+    short runs; in a smaller one the extra calls cost more than they save."""
+    while run < flat.size:
+        if run < 8 and flat.size >= 1 << 11:
+            halves = [(flat[j::2 * run], flat[j + run::2 * run])
+                      for j in range(run)]
         else:
-            view = flat.reshape(-1, 2, inner)
+            view = flat.reshape(-1, 2, run)
             halves = [(view[:, 0], view[:, 1])]
         for a, b in halves:
             a += b
             b *= -2
             b += a          # (a + b) - 2b = a - b
-        inner *= 2
+        run *= 2
+
+
+def _as_rows(flat: np.ndarray, rows: int) -> np.ndarray:
+    """flat as `rows` rows, each one unsigned word when its entries fill 1,
+    2, 4 or 8 bytes, so that a transposed copy moves whole rows."""
+    width = flat.size // rows * flat.itemsize
+    if width in (1, 2, 4, 8):
+        return flat.view(f"u{width}")
+    return flat.reshape(rows, -1)
+
+
+def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a C-contiguous
+    (2^k, ...) array, in place: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat.
+
+    The stage over index bit b pairs runs of inner 2^b entries, inner the
+    size of a row.  Below _LONG_RUN entries a run costs numpy several times
+    more per entry.  So when at least three stages run short and at least
+    two, `span`, run long, the stages go in rounds, after Bailey's
+    four-step FFT: a round runs the stages over the top t index bits, t at
+    most span and _MAX_ROUND, so every run is long; then one transposed copy
+    rotates the index bits up by t, bringing the next t bits to the top.
+    The widths sum to k, so the last rotation restores the row order.  The
+    copies alternate between mat and one scratch array of its size; when the
+    rounds are odd in number, one plain copy brings the result back into
+    mat.  Every other array runs its k stages in place: with fewer short
+    stages the copies cost more than they save, and a small array has too
+    few long bits to rotate into."""
+    flat = mat.reshape(-1, copy=False)
+    rows = mat.shape[0]
+    k = rows.bit_length() - 1
+    inner = flat.size // rows
+    short = 0
+    while short < k and inner << short < _LONG_RUN:
+        short += 1
+    span = k - short
+    if short < 3 or span < 2:
+        _butterflies(flat, inner)
+        return mat
+    count = -(-k // min(span, _MAX_ROUND))
+    src, dst = flat, np.empty_like(flat)
+    for i in range(count):
+        t = (k + i) // count    # widths as even as can be, summing to k
+        _butterflies(src, inner << (k - t))
+        np.copyto(_as_rows(dst, rows).reshape(rows >> t, 1 << t, -1),
+                  _as_rows(src, rows).reshape(1 << t, rows >> t, -1)
+                  .swapaxes(0, 1))
+        src, dst = dst, src
+    if count % 2:
+        np.copyto(flat, src)
     return mat
 
 

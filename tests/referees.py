@@ -8,7 +8,8 @@ top of it, and a class number that visits every (a, b) with
 are least at any class number: it tries every exponent in turn with
 Cornacchia's algorithm and uses nothing of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
-draws seeded random product constructions.
+draws seeded random product constructions.  The FWHT referee is the
+package's earlier butterfly loop, one in-place stage per index bit.
 """
 
 from __future__ import annotations
@@ -170,3 +171,26 @@ def seeded_even_even(m: int, n: int, seed) -> FunctionTable:
     sigma = list(range(size))
     rng.shuffle(sigma)
     return construct_even_even(m, n, g=g, sigma=sigma)
+
+
+# -- the Walsh-Hadamard transform ----------------------------------------------
+
+def fwht(mat: np.ndarray) -> np.ndarray:
+    """gbf._fwht_inplace as it was before its rounds: the stage over each
+    index bit in turn, low to high, in place along axis 0 of a C-contiguous
+    (2^k, ...) array.  Returns mat."""
+    flat = mat.reshape(-1, copy=False)
+    inner = flat.size // mat.shape[0]
+    while inner < flat.size:
+        if inner < 8 and flat.size >= 1 << 11:
+            halves = [(flat[j::2 * inner], flat[j + inner::2 * inner])
+                      for j in range(inner)]
+        else:
+            view = flat.reshape(-1, 2, inner)
+            halves = [(view[:, 0], view[:, 1])]
+        for a, b in halves:
+            a += b
+            b *= -2
+            b += a          # (a + b) - 2b = a - b
+        inner *= 2
+    return mat

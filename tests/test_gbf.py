@@ -700,6 +700,40 @@ def test_single_table_check_peaks_below_three_matrices(n):
     assert peak < 2.5 * matrix
 
 
+# -- the FWHT kernel -----------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("inner", [1, 2, 3, 4, 6, 8, 4095, 4096, 5000])
+def test_fwht_matches_the_referee_loop(inner, dtype):
+    # every k <= 20 up to 2^20 entries.  With one entry a row, k = 14, 15,
+    # 16 and 17 take 7 rounds of 2 bits, 5 of 3, 4 of 4 and 3, 3, 3, 4, 4;
+    # with 3 or 4 entries, whole rows move in the copies, not words; k <= 13
+    # and rows of 4095 entries or more run in place
+    rng = np.random.default_rng([inner, np.dtype(dtype).itemsize])
+    for k in range(21):
+        if inner << k > 1 << 20:
+            break
+        mat = rng.integers(-1, 2, size=(1 << k, inner), dtype=dtype)
+        want = ref.fwht(mat.copy())
+        assert gbf._fwht_inplace(mat) is mat
+        assert np.array_equal(mat, want), k
+
+
+@pytest.mark.parametrize("shape,dtype", [((1 << 18, 1, 1), np.int32),
+                                         ((1 << 17, 1, 2), np.int32),
+                                         ((1 << 14, 1, 4), np.int64)])
+def test_fwht_holds_at_most_one_scratch_array(shape, dtype):
+    # the rounds copy through one scratch array of the input's size
+    mat = np.ones(shape, dtype)
+    tracemalloc.start()
+    try:
+        gbf._fwht_inplace(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * mat.nbytes
+
+
 # -- the split primes of the exact flatness check ------------------------------
 
 # p near 2^29 whose one prime q = 1 (mod p) below 2^30 is 2p + 1; no
