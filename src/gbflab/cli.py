@@ -68,7 +68,8 @@ def _witness_chunks(w: FunctionTable):
     wide as the widest, no token is padded, and the drop is skipped."""
     a = w.array
     if w.m <= len(a):
-        distinct, index, least = np.arange(a.max() + 1), a, a.min()
+        # a Python int: in a uint8 table, 255 + 1 would wrap to 0
+        distinct, index, least = np.arange(int(a.max()) + 1), a, a.min()
     else:
         distinct, index = np.unique(a, return_inverse=True)
         least = distinct[0]
@@ -97,11 +98,12 @@ _SEPARATOR = int.from_bytes(b", ", "little")
 
 def _column_values(data: bytes, start: int, stop: int, n: int):
     """The values of a body data[start:stop] that is ", ".join(map(str, v))
-    + "]}" for 2^n values v below 2^63 of one decimal width w, as an int64
-    array; None for any other body.  The bytes are viewed, not copied, as a
-    (2^n, w + 2) matrix: every row but the last ends in ", ", the first w
-    columns hold only digits, the first of them no 0 when w > 1, and the
-    digit columns are summed into one uint64 array."""
+    + "]}" for 2^n values v below 2^63 of one decimal width w, as an array
+    of the narrowest unsigned dtype that holds 10^w - 1; None for any other
+    body.  The bytes are viewed, not copied, as a (2^n, w + 2) matrix:
+    every row but the last ends in ", ", the first w columns hold only
+    digits, the first of them no 0 when w > 1, and the digit columns are
+    summed straight into that dtype."""
     if n > _MAX_N:
         return None
     rows = 1 << n
@@ -113,22 +115,23 @@ def _column_values(data: bytes, start: int, stop: int, n: int):
     # each row's last two bytes as one little-endian 16-bit word
     if not (mat[:-1, w:].view("<u2") == _SEPARATOR).all():
         return None
+    dtype = np.min_scalar_type(10**w - 1)
     for k in range(w):
         column = mat[:, k]
         first = ord("1") if k == 0 < w - 1 else ord("0")
         if column.min() < first or column.max() > ord("9"):
             return None
         if k == 0:
-            values = column.astype(np.uint64)
+            values = column.astype(dtype)
         else:
             values *= 10
             values += column
-    # the "0" of each digit, taken off at once; past 2^64 at w = 19 the
-    # sums wrap, and the true values, below 10^19, come back exactly
-    values -= np.uint64(ord("0") * (10**w - 1) // 9 % 2**64)
+    # the "0" of each digit, taken off at once; the sums wrap modulo the
+    # dtype's width, and the true values, below 10^w, come back exactly
+    values -= ord("0") * (10**w - 1) // 9 % (1 << 8 * dtype.itemsize)
     if w == 19 and values.max() >= 2**63:
         return None
-    return values.view(np.int64)
+    return values
 
 
 def _read_canonical(path: str) -> FunctionTable | None:

@@ -16,8 +16,8 @@ scripts stay stable:
 
 Each Exists witness is built once: its base at modulus 2 or 4 is the
 direct sum of 1- and 2-variable pieces that the exact kernel checks once
-per rule and process, cast once into the witness's dtype and scaled in
-place by m/c, which keeps it flat.
+per rule and process, summed in the witness's dtype and scaled in place
+by m/c, which keeps it flat.
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
@@ -128,10 +128,26 @@ def _pieces(rule: str, c: int):
     pieces = table(c, 2, [0, 0, 0, c // 2]), table(4, 1, [0, 1])
     if not all(is_gbf(piece) for piece in pieces):  # unreachable: they are flat
         raise AssertionError(f"construction {rule} failed exact verification")
-    arrays = tuple(piece.array.astype(np.uint8) for piece in pieces)
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
+    return tuple(piece.array for piece in pieces)
+
+
+def _sum_table(pieces, dtype):
+    """The (rows, cols) table of the sums of pieces, each a (rows, cols)
+    array on the index bits above those of the pieces before it, as a new
+    array of dtype.  The halves are summed on their own and joined in one
+    array, so the result is never built beside a part a quarter its size:
+    the high half is broadcast into it and the low half added in place,
+    since numpy buffers each broadcast operand of an add."""
+    if len(pieces) == 1:
+        return pieces[0].astype(dtype)
+    half = len(pieces) // 2
+    high, low = (_sum_table(pieces[half:], dtype),
+                 _sum_table(pieces[:half], dtype))
+    out = np.empty((len(high), len(low), high.shape[1], low.shape[1]),
+                   dtype=dtype)
+    out[...] = high[:, None, :, None]
+    out += low[None, :, None, :]
+    return out.reshape(len(high) * len(low), -1)
 
 
 def rule_exists(t: GbfType):
@@ -153,9 +169,10 @@ def rule_exists(t: GbfType):
     Walsh transform of a direct sum is the product of the pieces'
     transforms, and permuting the variables only permutes the spectrum,
     so the base is flat because every piece is; no FWHT runs over its 2^n
-    rows.  It is built pair by pair in its own index layout by broadcast
-    adds, O(2^n) in all, then cast once into the witness's dtype and
-    scaled in place by m/c, which keeps it flat (zeta_m^(m/c) = zeta_c).
+    rows.  It is built in its own index layout by _sum_table, O(2^n) in
+    all, straight in the witness's dtype (in uint8 and cast once when that
+    holds Python integers, which numpy adds one by one), and scaled in
+    place by m/c, which keeps it flat (zeta_m^(m/c) = zeta_c).
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -169,17 +186,16 @@ def rule_exists(t: GbfType):
     else:
         return None
     pair, top = _pieces(rule, c)
-    # acc is (rows, cols) = (high half, low half) of the index when split,
-    # else (1, 2^k); each piece, shaped (rows, cols) alike, takes the bits
-    # above those of acc on each side; a sum is at most (n/2)*(c/2) + 1 <= 25
-    # at n <= MAX_N, so uint8 holds it unreduced
+    # the table is (rows, cols) = (high half, low half) of the index when
+    # split, else (1, 2^n); each piece, shaped (rows, cols) alike, takes the
+    # bits above those of the pieces before it on each side; a sum is at
+    # most (n/2)*(c/2) + 1 <= 25 at n <= MAX_N, so uint8 and up hold it
     pair = pair.reshape((2, 2) if split else (1, 4))
-    acc = np.zeros((1, 1), dtype=np.uint8)
-    for piece in [pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2):
-        acc = (piece[:, None, :, None] + acc[None, :, None, :]).reshape(
-            len(piece) * len(acc), -1)
-    acc %= c
-    vals = acc.reshape(-1).astype(_value_dtype(m))
+    dtype = _value_dtype(m)
+    acc = _sum_table([pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2),
+                     np.uint8 if dtype is object else dtype)
+    acc &= c - 1                    # mod c, a power of two
+    vals = acc.reshape(-1).astype(dtype, copy=False)
     if m > c:
         vals *= m // c
     return FunctionTable(t, vals), rule

@@ -7,10 +7,12 @@ format: table index i encodes the point x = (x_1, ..., x_n) with x_j equal
 to bit j-1 of i, so x_1 is the least significant bit.
 
 The value types are frozen dataclasses.  A table holds its 2^n residues as
-one read-only numpy array: int64, or Python integers (an object array) when
-m > 2^62; a copied or unpickled table is checked and frozen again.  Every
-layer works on that array; the tuple ``values`` is built only when asked for.
-numpy is loaded by the first table built or read, not at import.
+one read-only numpy array in the narrowest dtype that holds m - 1: uint8,
+uint16 or uint32, int64 up to m = 2^62, and Python integers (an object
+array) beyond; a copied or unpickled table is checked and frozen again.
+Every layer works on that array, widening it before any arithmetic that
+could pass m; the tuple ``values`` is built only when asked for.  numpy is
+loaded by the first table built or read, not at import.
 
 One batched kernel decides flatness: _spectra yields the spectra of a
 (2^n, batch) array of tables, one per exact test, and _flat where they are
@@ -20,13 +22,16 @@ prime.  Every other modulus is tested at the m-th roots of unity of F_q for
 the split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
+No step copies a large table whole: histograms, gathers and the norm test
+go a chunk of about _CHUNK entries at a time, each into its slice of one
+output, and a table of one chunk or less takes one numpy call per step.
 Every FWHT is one _fwht_inplace call.  On a large array with short rows it
 runs the butterflies in rounds over runs of at least 2^12 entries, rotating
 the index bits between rounds through one scratch array of the input's
 size; any other array, such as an oracle block, it transforms in place.
 
 A single table goes through _first_nonflat, the one search behind both.
-When m <= 2^n, it decides row 0 first: one bincount of the values gives
+When m <= 2^n, it decides row 0 first: one histogram of the values gives
 both l and W(0) = sum_v count(v) zeta^v, which goes through the kernel's
 own tests at O(m phi(m)) cost, never more than the kernel's own exponent
 matrix.  Each test is exact per row, so a row that fails one is not flat;
@@ -72,20 +77,43 @@ class GbfType:
 
 
 def _value_dtype(bound: int):
-    """int64 for table arithmetic whose values stay below bound, else
-    Python integers (object arrays) so that no value wraps."""
+    """The narrowest dtype for values below bound: uint8, uint16 or uint32,
+    int64 up to 2^62, else Python integers (object arrays) so that no value
+    wraps.  A table at m is stored in _value_dtype(m); arithmetic whose
+    results stay below B widens into _value_dtype(B) first."""
+    if bound <= 1 << 32:
+        return np.min_scalar_type(bound - 1)
     return np.int64 if bound <= _INT64_SAFE else object
+
+
+def _out_of_range(values: np.ndarray, m: int) -> bool:
+    """Whether an array of integers holds a value outside 0..m-1, checked
+    in its own dtype, since a cast to an unsigned one would wrap -1 into
+    range.  A signed array is read as unsigned when that makes every
+    negative value at least m; one whose type reaches m is only checked
+    for negatives."""
+    kind = values.dtype.kind
+    if kind == "O":
+        return values.min() < 0 or values.max() >= m
+    if kind == "i":
+        if m > 1 << 8 * values.itemsize - 1:
+            return int(values.min()) < 0
+        values = values.view(values.dtype.str.replace("i", "u"))
+    return int(values.max()) >= m
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class FunctionTable:
     """A map Z_2^n -> Z_m stored as a read-only array of 2^n residues.
 
-    ``array`` is int64, or an object array of Python integers when
-    m > 2^62.  A numpy array passed in is frozen and shared, not copied.
-    Values that are not integers (a float or complex dtype, or a float in
-    an object array) raise TypeError instead of being truncated, and
-    n > _MAX_N raises ValueError before anything is allocated.
+    ``array`` is uint8, uint16 or uint32, the narrowest that holds m - 1,
+    int64 up to m = 2^62, and an object array of Python integers beyond
+    (_value_dtype(m)).  A numpy array passed in that already has this dtype
+    is frozen and shared; any other is range-checked in its own dtype and
+    cast into a new array.  Values that are not integers (a float or
+    complex dtype, or a float in an object array) raise TypeError instead
+    of being truncated, and n > _MAX_N raises ValueError before anything
+    is allocated.
     ``values`` is the same table as a tuple of Python integers, built on
     first use; equality, hashing and repr are those of a frozen dataclass
     with fields ``gbf_type`` and ``values``.  A copy or an unpickled table
@@ -106,16 +134,11 @@ class FunctionTable:
         if kind not in "biuO" or kind == "O" and not all(
                 isinstance(v, (int, np.integer)) for v in values.flat):
             raise TypeError(f"table values must be integers, not {values.dtype}")
-        try:
-            arr = values.astype(_value_dtype(m), copy=False)
-        except OverflowError:
-            raise ValueError(f"values must lie in 0..{m - 1}") from None
-        if arr.shape != (1 << n,):
-            raise ValueError(f"need {1 << n} values, got {len(arr)}")
-        # as uint64 a negative int64 exceeds 2^63 > m: one pass checks both
-        if (arr.view(np.uint64).max() >= m if arr.dtype == np.int64
-                else arr.min() < 0 or arr.max() >= m):
+        if values.shape != (1 << n,):
+            raise ValueError(f"need {1 << n} values, got {len(values)}")
+        if _out_of_range(values, m):
             raise ValueError(f"values must lie in 0..{m - 1}")
+        arr = values.astype(_value_dtype(m), copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "gbf_type", gbf_type)
         object.__setattr__(self, "array", arr)
@@ -324,37 +347,89 @@ def _unit_coords(m: int) -> np.ndarray:
     return coords
 
 
-def _terms(tables: np.ndarray, m: int, n: int):
+_CHUNK = 1 << 16         # entries a histogram, gather or norm step takes
+
+
+def _chunk_rows(rows: int, size: int) -> int:
+    """How many of the rows of an array of size entries hold about _CHUNK
+    entries: at least one."""
+    return max(1, _CHUNK * rows // size)
+
+
+def _histogram(arr: np.ndarray, m: int, y: int = 0) -> np.ndarray:
+    """The length-m count of each value of a table, the value at x
+    weighted by (-1)^(x.y): int64 counts at y = 0, else float64 sums,
+    exact below 2^53.  Taken a chunk at a time, since bincount first casts
+    a read-only or narrow input whole; one bincount at y = 0 when the
+    table is one chunk or less."""
+    if y == 0 and len(arr) <= _CHUNK:
+        return np.bincount(arr, minlength=m)
+    row = np.zeros(m, dtype=np.float64 if y else np.int64)
+    for lo in range(0, len(arr), _CHUNK):
+        hi = min(lo + _CHUNK, len(arr))
+        signs = None if y == 0 else np.where(
+            np.bitwise_count(np.arange(lo, hi) & y) & 1, -1., 1.)
+        row += np.bincount(arr[lo:hi], weights=signs, minlength=m)
+    return row
+
+
+def _quotient(tables: np.ndarray, l: int) -> np.ndarray:
+    """tables // l as indices, tables itself when l = 1; computed in intp,
+    since l may not fit a narrow dtype (the all-zero table has l = m)."""
+    if l == 1:
+        return tables
+    if tables.dtype == object:
+        return (tables // l).astype(np.intp)
+    return np.floor_divide(tables, l, dtype=np.intp)
+
+
+def _terms(tables, m: int, n: int):
     """(test, terms) for each exact test of a (rows, batch) array of
-    modulus-m tables, one per column; terms[x, table, k] is the image of
-    zeta^f(x) in unit column k.  At m = 2 or 4 the one test is None, and
-    the unit columns are the int32 coordinates of zeta^f(x) in Z or Z[i].
-    Otherwise test is each prime q of _split_primes(m, n), and column k
-    holds omega^(k f(x)) mod q for each k of the cols of _root_powers.
-    At m = 2 or 4 tables is dropped once gathered.  Otherwise each test
-    gathers from exponents of its own, dropped as soon as it is gathered,
-    so the terms never share memory with a matrix of exponents; tables,
-    phi(m) times smaller, is kept until the last test."""
+    modulus-m tables, one per column, or of a pair (tables, l) whose values
+    are l times such residues, read as v // l; terms[x, table, k] is the
+    image of zeta^f(x) in unit column k.  At m = 2 or 4 the one test is
+    None, and the unit columns are the int32 coordinates of zeta^f(x) in Z
+    or Z[i], gathered a block of about _CHUNK entries at a time into one
+    terms array, by one take when the tables are one block.  When l > 1
+    and the tables have at least m*l rows, the quotient is folded into a
+    lookup whose row v holds the coordinates of v // l; otherwise each
+    block is divided on its own.  Otherwise test is each prime q of
+    _split_primes(m, n), and column k holds omega^(k f(x)) mod q for each
+    k of the cols of _root_powers.  Each test gathers from exponents of its
+    own, dropped as soon as it is gathered, so the terms never share memory
+    with a matrix of exponents; the quotients, phi(m) times smaller, are
+    kept until the last test."""
+    tables, l = tables if isinstance(tables, tuple) else (tables, 1)
     if m in _UNIT_COORDS:
-        terms = _unit_coords(m).take(tables, axis=0)
-        del tables
+        coords = _unit_coords(m)
+        if l > 1 and m * l <= len(tables):
+            coords, l = np.repeat(coords, l, axis=0), 1
+        if tables.size <= _CHUNK:
+            terms = coords.take(_quotient(tables, l), axis=0)
+        else:
+            terms = np.empty((*tables.shape, coords.shape[1]), np.int32)
+            step = _chunk_rows(len(tables), tables.size)
+            for lo in range(0, len(tables), step):
+                block = slice(lo, lo + step)
+                coords.take(_quotient(tables[block], l), axis=0,
+                            out=terms[block], mode="clip")
         yield None, terms
         return
     cols, roots = _root_powers(m, n)
+    tables = _quotient(tables, l)
     for q, pw in roots:
         yield q, pw[np.multiply.outer(tables, cols) % m]
 
 
-def _spectra(tables: np.ndarray, m: int, n: int):
+def _spectra(tables, m: int, n: int):
     """(test, spec) for each test of _terms on a (2^n, batch) array of
-    modulus-m tables; spec is (unit column, y, table), the FWHT of the
-    terms, and so linear in them.  At m = 2 or 4 the unit columns are the
-    coordinates of W(y) in Z or Z[i]: partial sums are at most 2^n <= 2^26,
-    so the FWHT runs in int32.  Otherwise column k holds W_k(y) mod q:
-    residues below 2^30 summed over 2^26 rows stay below 2^56."""
-    tests = _terms(tables, m, n)
-    del tables
-    for test, terms in tests:
+    modulus-m tables, or a pair (tables, l) as _terms takes it; spec is
+    (unit column, y, table), the FWHT of the terms, and so linear in them.
+    At m = 2 or 4 the unit columns are the coordinates of W(y) in Z or
+    Z[i]: partial sums are at most 2^n <= 2^26, so the FWHT runs in int32.
+    Otherwise column k holds W_k(y) mod q: residues below 2^30 summed over
+    2^26 rows stay below 2^56."""
+    for test, terms in _terms(tables, m, n):
         yield test, _fwht_inplace(terms).transpose(2, 0, 1)
         del terms               # before the next test gathers its own
 
@@ -363,7 +438,16 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     """The (2^n, batch) mask of |W(y)|^2 = 2^n for a (test, spec) of
     _spectra: re^2 + im^2 in int64, or W_k W_(m-k) = 2^n (mod q) at each
     unit k <= m/2, overwriting spec.  x mod q is x - x // q * q, several
-    times faster in numpy; products of residues stay below q^2 < 2^60."""
+    times faster in numpy; products of residues stay below q^2 < 2^60.
+    A spec of more than _CHUNK entries is taken a block of rows at a time,
+    so the temporaries stay that small."""
+    if spec.size > _CHUNK and spec.shape[1] > 1:
+        mask = np.empty(spec.shape[1:], dtype=bool)
+        step = _chunk_rows(spec.shape[1], spec.size)
+        for lo in range(0, spec.shape[1], step):
+            block = slice(lo, lo + step)
+            mask[block] = _flat(test, spec[:, block], n)
+        return mask
     if test is None:
         norm = np.square(spec[0], dtype=np.int64)
         if len(spec) == 2:
@@ -379,46 +463,41 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
 def _first_nonflat(f: FunctionTable):
     """(y, c, hist) for one table: y is the least row whose |W(y)|^2
     differs from 2^n, or None; c is the content modulus m/l, l = gcd(m,
-    values); hist is the (values, counts) histogram of f when it refutes
+    values); hist is the length-m histogram of f's values when it refutes
     row 0, and None otherwise.
 
     The table is tested at c, on the quotients v/l, which have the same
     Walsh values as complex numbers, since zeta_m^(l*v) = zeta_c^v; an
     all-zero table, whose W(y) are the same integers at every modulus, is
     taken at c = 2, never 1.  An unsupported c is refused before any
-    quotient is built.
+    quotient is taken.
 
-    When m <= 2^n, one bincount gives l with no gcd pass, and W(0) =
+    When m <= 2^n, one histogram gives l with no gcd pass, and W(0) =
     sum_v count(v) zeta_c^(v/l) goes through the tests of _spectra: row 0
     of each spectrum is the sum of the terms over x, so the values' terms
     weighted by their counts give it exactly, in O(len(values) phi(c)), and
     the counts sum to 2^n, so the bounds of _spectra hold.  Each test is
     exact per row, so when one fails there, 0 is the least failing y, with
-    no FWHT.  Otherwise every row is tested as a batch of one, and y is the
-    least failing row over the tests; the quotient table and the histogram
-    are dropped before the FWHT."""
+    no FWHT.  Otherwise every row is tested as a batch of one, the table
+    going to _spectra with l, so no quotient table is built at c = 2 or 4,
+    and y is the least failing row over the tests."""
     m, n, arr = f.m, f.n, f.array
     hist = None
     if m <= arr.size:
-        counts = np.bincount(arr)
-        values = np.flatnonzero(counts)
-        hist = values, counts[values]
-    l = gcd(m, int(np.gcd.reduce(arr if hist is None else hist[0])))
+        hist = _histogram(arr, m)
+        values = np.flatnonzero(hist)
+    l = gcd(m, int(np.gcd.reduce(arr if hist is None else values)))
     c = max(m // l, 2)
     if c not in _UNIT_COORDS:
         _root_powers(c, n)          # refuses an unsupported c here
     if hist is not None:
-        values, counts = hist
-        for test, terms in _terms(values[:, None] // l, c, n):
-            if not _flat(test, (counts @ terms[:, 0])[:, None, None], n)[0, 0]:
+        for test, terms in _terms((values[:, None], l), c, n):
+            row0 = hist[values] @ terms[:, 0]
+            if not _flat(test, row0[:, None, None], n)[0, 0]:
                 return 0, c, hist
-        del hist, values, counts
-    if l > 1:
-        arr = (arr // l).astype(np.int64, copy=False)
-    spectra = _spectra(arr[:, None], c, n)
-    del arr                         # so _terms can free the quotients
+        del hist, values    # each up to 2^n entries, freed before the FWHT
     ok = True
-    for test, spec in spectra:
+    for test, spec in _spectra((arr[:, None], l), c, n):
         ok = ok & _flat(test, spec, n)[:, 0]
         del spec                # before the next test gathers its terms
     return (None if ok.all() else int(np.argmin(ok))), c, None
@@ -432,24 +511,17 @@ def first_flat_violation(f: FunctionTable):
     _first_nonflat finds y at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so y does not depend on l.
     Only the reported row is built at m, and so is refused for m at or above
-    2^30: when row 0 was refuted from the histogram it is the counts placed
-    at the values, otherwise one bincount (signed when y > 0)."""
+    2^30: when row 0 was refuted from the histogram it is that histogram,
+    otherwise one _histogram (signed when y > 0)."""
     y, _, hist = _first_nonflat(f)
     if y is None:
         return None
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
-    if hist is not None:
-        values, counts = hist
-        row = np.zeros(f.m, dtype=np.int64)
-        row[values] = counts
-    else:
-        signs = None if y == 0 else np.where(
-            np.bitwise_count(np.arange(1 << f.n) & y) & 1, -1., 1.)
-        row = np.bincount(f.array, weights=signs,
-                          minlength=f.m).astype(np.int64, copy=False)
-    return y, CycInt(f.m, row.tolist()).abs_square().coeffs[:euler_phi(f.m)]
+    row = _histogram(f.array, f.m, y) if hist is None else hist
+    return y, CycInt(f.m, row.astype(np.int64, copy=False).tolist()) \
+        .abs_square().coeffs[:euler_phi(f.m)]
 
 
 def is_gbf(f: FunctionTable) -> bool:

@@ -8,7 +8,8 @@ top of it, and a class number that visits every (a, b) with
 are least at any class number: it tries every exponent in turn with
 Cornacchia's algorithm and uses nothing of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
-draws seeded random product constructions.  The FWHT referee is the
+draws seeded random product constructions, and states the dtype a table
+is stored in at each modulus.  The FWHT referee is the
 package's earlier butterfly loop, one in-place stage per index bit.
 """
 
@@ -174,6 +175,16 @@ def seeded_even_even(m: int, n: int, seed) -> FunctionTable:
 
 
 # -- the Walsh-Hadamard transform ----------------------------------------------
+
+def table_dtype(m: int):
+    """The dtype of a table's array at modulus m, the narrowest that holds
+    m - 1: uint8, uint16 or uint32, int64 up to 2^62, objects beyond."""
+    for bits, dtype in ((8, np.uint8), (16, np.uint16), (32, np.uint32),
+                        (62, np.int64)):
+        if m <= 1 << bits:
+            return np.dtype(dtype)
+    return np.dtype(object)
+
 
 def fwht(mat: np.ndarray) -> np.ndarray:
     """gbf._fwht_inplace as it was before its rounds: the stage over each

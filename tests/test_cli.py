@@ -21,6 +21,8 @@ from gbflab.criteria import decide, revalidate_report, report_from_dict
 from gbflab.gbf import GbfType
 from gbflab.gbf import construct_even_even
 
+import referees as ref
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -362,6 +364,53 @@ def test_witness_chunks_spell_json_dumps_past_one_chunk(kind):
         w = gbf.FunctionTable(GbfType(m, n), rng.integers(0, m, 1 << n))
     spelled = b"".join(cli._witness_chunks(w))
     assert spelled == json.dumps(cli._witness_dict(w)).encode()
+
+
+def test_witness_chunks_spell_a_uint8_table_holding_255():
+    # the token table runs to the largest value: as a uint8 scalar,
+    # 255 + 1 would wrap to 0
+    values = np.random.default_rng(255).integers(0, 256, 1 << 9)
+    values[7] = 255
+    w = gbf.FunctionTable(GbfType(256, 9), values)
+    assert w.array.dtype == np.uint8 and w.m <= len(w.array)
+    spelled = b"".join(cli._witness_chunks(w))
+    assert spelled == json.dumps(cli._witness_dict(w)).encode()
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 2**16, 2**16 + 1, 2**32,
+                               2**32 + 1])
+def test_witness_files_round_trip_at_the_dtype_edges(
+        tmp_path, monkeypatch, capsys, m):
+    # tables holding m - 1, with values of one width (read as a byte
+    # matrix) and of mixed widths (the C parse), read back as json reads
+    # them and written again byte for byte; where a rule applies, decide
+    # --out and verify too
+    n = 4
+    path = tmp_path / "w.json"
+    width = len(str(m - 1))
+    for values in ([0, m - 1, 1, m // 2] * 4,
+                   [m - 1, 10 ** (width - 1), m - 2, m - 1] * 4):
+        w = gbf.FunctionTable(GbfType(m, n), values)
+        assert w.array.dtype == ref.table_dtype(m)
+        cli._write_witness(str(path), w)
+        data = path.read_bytes()
+        got = cli._read_canonical(str(path))
+        assert got == w == _json_table(path)
+        cli._write_witness(str(path), got)
+        assert path.read_bytes() == data
+        ran, by_json = _verify_both_routes(monkeypatch, capsys, path)
+        assert ran == by_json
+    if m % 4 == 0:
+        assert run(capsys, "decide", str(m), str(n), "--out", str(path)) == (
+            0, f"Exists -- rule E1: {criteria.describe_rule('E1', m, n)}\n"
+               f"witness written: {path}\n", "")
+        data = path.read_bytes()
+        witness = cli._read_canonical(str(path))
+        assert witness.array.dtype == ref.table_dtype(m)
+        cli._write_witness(str(path), witness)
+        assert path.read_bytes() == data
+        assert run(capsys, "verify", str(path)) == (
+            0, f"OK: flat spectrum of type {{{m},{n}}}\n", "")
 
 
 def test_verify_refuses_huge_n_by_name(tmp_path, capsys):

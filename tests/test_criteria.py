@@ -7,7 +7,6 @@ import random
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from gbflab import criteria, gbf, numtheory as nt
@@ -768,8 +767,8 @@ def test_each_base_is_the_sum_of_its_flat_pieces(shape):
             witness, got = rule_exists(GbfType(mm, n))
             lifted = lift_modulus(base, mm // c)
             assert got == rule and witness == lifted, (mm, n)
-            assert witness.array.dtype == lifted.array.dtype == (
-                np.int64 if mm <= 2**62 else object), (mm, n)
+            assert witness.array.dtype == lifted.array.dtype == \
+                ref.table_dtype(mm), (mm, n)
             assert witness == lift_modulus(construct(n), mm // c), (mm, n)
             if n >= 4:                      # the pairing is checked too
                 assert witness != lift_modulus(other(n), mm // c), (mm, n)
@@ -789,6 +788,22 @@ def test_rule_exists_peaks_below_one_and_a_quarter_witnesses(m, n):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * witness.array.nbytes
+
+
+@pytest.mark.parametrize("m", [1000, 2**20, 2**40])
+def test_rule_exists_sums_wide_witnesses_in_their_own_dtype(m):
+    # uint16, uint32 and int64 witnesses: no uint8 base is held beside
+    # them, which would be a half, a quarter or an eighth of the witness
+    n = 18
+    rule_exists(GbfType(m, n))
+    tracemalloc.start()
+    try:
+        witness = rule_exists(GbfType(m, n))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.array.dtype == ref.table_dtype(m)
+    assert peak <= 1.1 * witness.array.nbytes
 
 
 def test_rule_exists_builds_one_table_per_witness(monkeypatch):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from gbflab import gbf
+from gbflab.criteria import rule_exists
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
                         construct_even_even, construct_mod4_from_bent,
@@ -291,16 +292,18 @@ def test_function_table_equality_and_hash_as_tuple_table():
 
 def test_function_table_array_is_read_only():
     f = table(4, 2, [0, 1, 2, 3])
-    assert f.array.dtype == np.int64 and f.values == (0, 1, 2, 3)
+    assert f.array.dtype == np.uint8 and f.values == (0, 1, 2, 3)
     with pytest.raises(ValueError, match="read-only"):
         f.array[0] = 1
     with pytest.raises(FrozenInstanceError):
         f.values = (0, 0, 0, 0)
     with pytest.raises(FrozenInstanceError):
         f.array = np.zeros(4, dtype=np.int64)
-    # a numpy array passed in is frozen, not copied
-    mine = np.array([0, 1, 1, 0])
+    # a numpy array passed in already in the table's dtype is frozen, not
+    # copied
+    mine = np.array([0, 1, 1, 0], dtype=np.uint8)
     g = FunctionTable(GbfType(2, 2), mine)
+    assert g.array is mine
     with pytest.raises(ValueError, match="read-only"):
         mine[0] = 1
     assert g.values == (0, 1, 1, 0)
@@ -329,6 +332,30 @@ def test_function_table_rejects_bad_length_and_range(m):
     for bad in (m, -1, m + 2**64, 2**200):
         with pytest.raises(ValueError, match=f"values must lie in 0..{m - 1}"):
             FunctionTable(t, (0, 1, 2, bad))
+
+
+_DTYPE_EDGES = (255, 256, 257, 2**16, 2**16 + 1, 2**32, 2**32 + 1)
+
+
+@pytest.mark.parametrize("m", _DTYPE_EDGES)
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64,
+                                   object])
+def test_range_is_checked_before_the_narrowing_cast(m, dtype):
+    # a cast first would wrap -1 to the largest value of the table's
+    # unsigned dtype, which at m = 256, 2^16 or 2^32 lies in range.  Each
+    # of -1 and m that the input dtype holds is refused (int8 holds no m
+    # here, uint64 no -1), and m - 1 is kept when the input holds it
+    t = GbfType(m, 2)
+    held = [v for v in (-1, m) if dtype is object
+            or np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
+    assert held
+    for bad in held:
+        with pytest.raises(ValueError, match=f"values must lie in 0..{m - 1}"):
+            FunctionTable(t, np.array([0, 1, bad, 0], dtype=dtype))
+    if dtype is object or m - 1 <= np.iinfo(dtype).max:
+        f = FunctionTable(t, np.array([0, m - 1, 1, m - 1], dtype=dtype))
+        assert f.array.dtype == ref.table_dtype(m)
+        assert f.values == (0, m - 1, 1, m - 1)
 
 
 # -- flatness at the content modulus -------------------------------------------
@@ -512,6 +539,54 @@ def test_failing_row_matches_walsh_matrix_at_content_2_and_4(n):
         assert is_gbf(f) == (want is None)
         later_rows += want is not None and want[0] > 0
     assert later_rows
+
+
+@pytest.mark.parametrize("n", [17, 18])
+def test_failing_row_matches_walsh_matrix_past_one_chunk(n):
+    # tables of more than one chunk: the histogram, the gather (through a
+    # lookup of v // l when m <= 2^n, by blocks of quotients when m > 2^n),
+    # the norm and the signed report each take several chunks
+    assert 1 << n > gbf._CHUNK
+    rng = random.Random(n)
+    tables = [(_random_table(rng, 4, n), 4)]
+    for c in (2, 4):
+        flat = _flat_at(c, n, rng)
+        if flat is not None:
+            tables += [(flat, c), (_swapped(flat, rng), c),
+                       (lift_modulus(_swapped(flat, rng), 3), c)]
+    later_rows = 0
+    for f, c in tables:
+        want = _first_violation_by_walsh_matrix(f, c)
+        assert first_flat_violation(f) == want, f.gbf_type
+        assert is_gbf(f) == (want is None)
+        later_rows += want is not None and want[0] > 0
+        # past m = 2^n, where the report at m would cost far more
+        lifted = lift_modulus(f, (2**20 + 1) * 3 // (f.m // c))
+        assert lifted.m > 1 << n
+        assert gbf._first_nonflat(lifted)[:2] == (
+            None if want is None else want[0], c)
+    assert later_rows
+
+
+@pytest.mark.parametrize("y", [0, 1, 0b1011, (1 << 20) - 1])
+def test_signed_histogram_holds_no_table_sized_temporary(y):
+    # no 2^n float64 sign vector and no intp copy of the table: each is
+    # 8 MiB at n = 20, four times the bound
+    n, m = 20, 12
+    values = np.random.default_rng(y).integers(0, m, 1 << n)
+    arr = FunctionTable(GbfType(m, n), values).array
+    odd = np.bitwise_count(np.arange(1 << n) & y) & 1
+    want = np.bincount(values, weights=1 - 2 * odd.astype(np.int64),
+                       minlength=m)
+    tracemalloc.start()
+    try:
+        got = gbf._histogram(arr, m, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert got.dtype == (np.int64 if y == 0 else np.float64)
+    assert peak <= (8 << n) / 4
 
 
 # -- row 0 from the value histogram ----------------------------------------------
@@ -698,6 +773,29 @@ def test_single_table_check_peaks_below_three_matrices(n):
         tracemalloc.stop()
     matrix = (1 << n) * euler_phi(12) * 8        # one (2^n, phi) int64
     assert peak < 2.5 * matrix
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rule_exists(GbfType(4, 20))[0],
+    lambda: rule_exists(GbfType(6, 20))[0],
+    lambda: rule_exists(GbfType(12, 20))[0],
+    lambda: ref.seeded_even_even(4, 20, 5)],     # content modulus 4
+    ids=["{4,20}", "{6,20}", "{12,20}", "seeded {4,20}"])
+def test_single_table_check_peaks_at_the_terms_and_fwht_scratch(build):
+    # the histogram, the gather and the norm go a chunk at a time, so at
+    # n = 20 nothing of the table's size is held beside the int32 terms
+    # and the one scratch array of their FWHT
+    f = build()
+    c = gbf._first_nonflat(f)[1]
+    assert is_gbf(f)
+    tracemalloc.start()
+    try:
+        assert is_gbf(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = (1 << f.n) * len(gbf._UNIT_COORDS[c][0]) * 4
+    assert peak <= 1.1 * 2 * terms
 
 
 # -- the FWHT kernel -----------------------------------------------------------

@@ -42,7 +42,7 @@ def _tables(value):
 def _values():
     base = ref.seeded_even_even(4, 4, 3)
     big = lift_modulus(base, 2**61 + 1)
-    assert base.array.dtype == "int64" and big.array.dtype == object
+    assert base.array.dtype == "uint8" and big.array.dtype == object
     verdicts = [decide(GbfType(m, n)) for m, n in ((8, 3), (9, 3), (14, 1))]
     assert [v.kind for v in verdicts] == [EXISTS, NOT_EXISTS, UNKNOWN]
     census = enumerate_gbfs(GbfType(4, 1))
