@@ -49,9 +49,11 @@ def is_probable_prime(n: int) -> bool:
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization as ((p1, a1), ...) with ascending primes.
 
-    Trial division up to 10^6 with Miller-Rabin certification of any
-    remaining cofactor; inputs whose cofactor is composite are out of the
-    supported range and rejected.
+    Trial division up to 10^6.  Every prime below the last trial divisor
+    p is divided out, so a cofactor below p^2 is prime; only a cofactor
+    left when division stops at the bound is certified by Miller-Rabin.
+    Inputs whose cofactor is composite are out of the supported range and
+    rejected.
     """
     if not 2 <= m <= 2**63 - 1:
         raise ValueError("m must satisfy 2 <= m <= 2**63 - 1")
@@ -67,7 +69,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
             out.append((p, e))
         p += 1 if p == 2 else 2
     if rem > 1:
-        if not is_probable_prime(rem):
+        if p * p <= rem and not is_probable_prime(rem):
             raise ValueError(
                 f"cofactor {rem} is composite with factors beyond "
                 f"{TRIAL_DIVISION_BOUND}; out of supported range")

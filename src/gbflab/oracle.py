@@ -11,24 +11,33 @@ Each table is tested in two stages.  Row 0 of a spectrum is
 W(0) = sum_v count(v) zeta^v, so it depends only on the table's value
 multiset.  The multisets of the 2^n - 1 free values are enumerated in
 order, and the W(0) of each, the sum of the terms of its values and of
-the fixed 0, goes through every test of gbf's flatness check.  Only the
-distinct arrangements of the multisets that pass are tested at every row,
-in numpy batches.  A sorted multiset's run shape, the lengths of its runs
-of equal values, fixes its orderings, which are built once per shape and
-gathered for every multiset of that shape.  Each test is exact per row,
-so a table that fails at row 0 is not flat, and the hits and their count
-are those of testing every row of every table.  At {7,3} the sieve tests
-the 1,716 multisets of the 7 free values in place of their 823,543
-tables; 8 pass, their 5,040 arrangements are tested at every row, and
-none is flat.  The multisets and the arrangements are each taken in
-slices sized from _BATCH_TARGET, so memory stays that of one batch.
+the fixed 0, goes through every test of gbf's flatness check.  Of the
+multisets that pass, one per orbit of the units of Z_m has its distinct
+arrangements tested at every row, in numpy batches.  For a unit k,
+zeta -> zeta^k is an automorphism of Q(zeta_m) that takes W(y) of f to
+W(y) of k*f and keeps |W(y)|^2 = 2^n, so f and k*f are flat together,
+k*f keeps f(2^n - 1) = 0, and k maps the arrangements of a multiset M one
+to one onto those of k*M.  The sieve therefore passes whole orbits; of
+each, the least sorted row is tested, and each of its hits counts once
+for every multiset of its orbit, phi(m) over the number of units that fix
+it.  A sorted multiset's run shape, the lengths of its runs of equal
+values, fixes its orderings, which are built once per shape and gathered
+for every multiset of that shape.  Each test is exact per row, so a table
+that fails at row 0 is not flat, and the hits and their count are those
+of testing every row of every table.  At {7,3} the sieve tests the 1,716
+multisets of the 7 free values in place of their 823,543 tables; 8 pass,
+in two orbits of sizes 2 and 6, the 1,260 arrangements of the two least
+are tested at every row in place of the 5,040 of all 8, and none is flat.
+The multisets and the arrangements are each taken in slices sized from
+_BATCH_TARGET, so memory stays that of one batch.
 
-Witnesses are the first hits of the full odometer order.  Each batch's
-hits join those kept so far, which are sorted as odometer readings and cut
-to max_witnesses.  When the tables with f(2^n - 1) = 0 hold fewer hits than
-asked for, every one of them is in hand, and the hits with top value
-c = 1, 2, ... are those plus c: one sort of all those shifts as odometer
-readings gives the rest in order.
+Witnesses are the first hits of the full odometer order.  The hits with
+f(2^n - 1) = 0 are the images k*h of the tested hits h over the units k:
+each batch's images join those kept so far, which are sorted as odometer
+readings, rid of repeats and cut to max_witnesses.  When the tables with
+f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
+hand, and the hits with top value c = 1, 2, ... are those plus c: one
+sort of all those shifts as odometer readings gives the rest in order.
 """
 
 from __future__ import annotations
@@ -99,12 +108,29 @@ def _arrangements(rows: np.ndarray, size: int):
             yield same[i[:, None], order[j]]
 
 
+def _orbits(rows: np.ndarray, units: np.ndarray, m: int):
+    """(least, size) for a (count, width) array of sorted rows: whether each
+    row is the least of its sorted images sort(k*row mod m) over the units
+    k, and how many distinct images it has, phi(m) over the number of units
+    that fix it.  An image and its row compare at the first place they
+    differ, and are equal when that difference is 0."""
+    diff = np.sort(units[:, None, None] * rows % m, axis=2) - rows
+    diff = diff.reshape(-1, rows.shape[1])
+    lead = diff[np.arange(len(diff)), (diff != 0).argmax(axis=1)]
+    lead = lead.reshape(len(units), -1)
+    return (lead >= 0).all(axis=0), len(units) // (lead == 0).sum(axis=0)
+
+
 def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
                    max_witnesses: int = 4) -> OracleResult:
     """Exact census of flat-spectrum tables of type t.
 
     Refuses when m^(2^n) exceeds the budget, and, with gbf's exact
-    flatness check, a modulus at or above 2^30.
+    flatness check, a modulus at or above 2^30.  The cost is the row-0
+    sieve over the C(m + 2^n - 2, 2^n - 1) multisets of the free values,
+    then every row of the arrangements of one passing multiset per orbit
+    of the units: 1,716 multisets and 1,260 tables at {7,3}, 980 tables
+    at {4,3}, 80,570 at {12,3} and 53,690 at {16,3}.
     Witnesses are the first ``max_witnesses`` hits in odometer order over
     all m^(2^n) tables and are re-verified through the independent
     per-table test before returning.  ``budget`` and ``max_witnesses``
@@ -130,6 +156,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     # multisets a slice and tables a batch: each gathers about
     # 16 * _BATCH_TARGET terms
     per = max(1, 16 * _BATCH_TARGET // zero.size)
+    units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
     free = rows - 1
     multisets = combinations_with_replacement(range(m), free)
     passed = []
@@ -143,7 +170,10 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         ok = np.all([_flat(test, terms[0, at].sum(axis=0).T[:, None], n)
                      for test, terms in _terms(values[None], m, n)],
                     axis=(0, 1))
-        passed.append(batch[ok])
+        # one multiset of each orbit of the units: W(0) of k*f is the
+        # image of W(0) of f under zeta -> zeta^k, so the orbit passes with it
+        batch = batch[ok]
+        passed.append(batch[_orbits(batch, units, m)[0]])
 
     count = 0
     hits = np.empty((0, rows), np.int64)
@@ -151,10 +181,18 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         tables = _tables(batch)
         ok = np.all([_flat(test, spec, n)
                      for test, spec in _spectra(tables, m, n)], axis=(0, 1))
-        count += int(ok.sum())
-        # the first hits in odometer order: f(rows-1) the most significant
-        hits = np.concatenate([hits, tables[:, ok].T])
-        hits = hits[np.lexsort(hits.T)[:max_witnesses]]
+        # each hit stands for one hit of every multiset in its orbit
+        count += int(_orbits(np.sort(batch[ok], axis=1), units, m)[1].sum())
+        if max_witnesses:
+            # the hits with f(rows-1) = 0 are the images k*h of these, and
+            # the first ones in odometer order, f(rows-1) the most
+            # significant, are kept with no repeats
+            found = units[:, None, None] * tables[:, ok].T % m
+            hits = np.concatenate([hits, found.reshape(-1, rows)])
+            hits = hits[np.lexsort(hits.T)]
+            fresh = np.ones(len(hits), bool)
+            fresh[1:] = (hits[1:] != hits[:-1]).any(axis=1)
+            hits = hits[fresh][:max_witnesses]
     witnesses = [FunctionTable(t, h) for h in hits]
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and

@@ -10,18 +10,25 @@ Cornacchia's algorithm and uses nothing of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
 draws seeded random product constructions, and states the dtype a table
 is stored in at each modulus.  The FWHT referee is the
-package's earlier butterfly loop, one in-place stage per index bit.
+package's earlier butterfly loop, one in-place stage per index bit.  The
+census referee is the oracle's earlier enumeration, which tests the
+arrangements of every multiset that passes row 0, with no unit orbits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
+from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
 from gbflab import numtheory as nt
-from gbflab.gbf import FunctionTable, GbfType, construct_even_even
+from gbflab.gbf import (FunctionTable, GbfType, _flat, _spectra, _terms,
+                        construct_even_even, is_gbf)
+from gbflab.oracle import (DEFAULT_BUDGET, OracleResult, _arrangements,
+                           _tables)
 
 
 def solve_ax2_by2(a: int, b: int, N: int):
@@ -205,3 +212,62 @@ def fwht(mat: np.ndarray) -> np.ndarray:
             b += a          # (a + b) - 2b = a - b
         inner *= 2
     return mat
+
+
+# -- the census -----------------------------------------------------------------
+
+def census(t: GbfType, budget: int = DEFAULT_BUDGET,
+           max_witnesses: int = 4) -> OracleResult:
+    """oracle.enumerate_gbfs as it was before unit orbits: the row-0 sieve
+    over the multisets of the 2^n - 1 free values, then every arrangement
+    of every multiset that passes tested at every row, in batches of about
+    16 * 4096 terms, the first max_witnesses hits kept in odometer order
+    and the rest rebuilt by constant shifts."""
+    budget = operator.index(budget)
+    max_witnesses = operator.index(max_witnesses)
+    if max_witnesses < 0:
+        raise ValueError(f"max_witnesses is {max_witnesses}, not at least 0")
+    m, n = t.m, t.n
+    total = m ** (1 << n) if n < budget.bit_length().bit_length() else None
+    if total is None or total > budget:
+        raise ValueError(f"enumeration of {t} has {m}^(2^{n}) candidates, "
+                         f"above the budget {budget}")
+    rows = 1 << n
+
+    _, zero = next(_terms(np.zeros((rows, 1), np.int64), m, n))
+    per = max(1, 16 * 4096 // zero.size)
+    free = rows - 1
+    multisets = combinations_with_replacement(range(m), free)
+    passed = []
+    for _ in range(0, math.comb(m + free - 1, free), per):
+        batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
+                            np.int64).reshape(-1, free)
+        tables = _tables(batch)
+        values, at = np.unique(tables, return_inverse=True)
+        ok = np.all([_flat(test, terms[0, at].sum(axis=0).T[:, None], n)
+                     for test, terms in _terms(values[None], m, n)],
+                    axis=(0, 1))
+        passed.append(batch[ok])
+
+    count = 0
+    hits = np.empty((0, rows), np.int64)
+    for batch in _arrangements(np.concatenate(passed), per):
+        tables = _tables(batch)
+        ok = np.all([_flat(test, spec, n)
+                     for test, spec in _spectra(tables, m, n)], axis=(0, 1))
+        count += int(ok.sum())
+        hits = np.concatenate([hits, tables[:, ok].T])
+        hits = hits[np.lexsort(hits.T)[:max_witnesses]]
+    witnesses = [FunctionTable(t, h) for h in hits]
+
+    if len(witnesses) < max_witnesses:
+        shifted = sorted((tuple((v + c) % m for v in w.values)
+                          for c in range(1, m) for w in witnesses),
+                         key=lambda v: v[::-1])
+        witnesses += [FunctionTable(t, v)
+                      for v in shifted[:max_witnesses - len(witnesses)]]
+
+    for w in witnesses:
+        if not is_gbf(w):
+            raise AssertionError(f"witness failed independent verification: {w}")
+    return OracleResult(t, total, count * m, tuple(witnesses))

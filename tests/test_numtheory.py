@@ -47,6 +47,33 @@ def test_factorize_bounds():
         nt.factorize((10**6 + 3) * (10**6 + 33))
 
 
+def test_factorize_certifies_only_a_cofactor_past_the_bound(monkeypatch):
+    # every prime below the last trial divisor is divided out, so a cofactor
+    # below its square is prime: below 10^12 Miller-Rabin never runs
+    sympy = pytest.importorskip("sympy")
+    calls, probable_prime = [], nt.is_probable_prime
+    monkeypatch.setattr(nt, "is_probable_prime",
+                        lambda n: calls.append(n) or probable_prime(n))
+    factorize = nt.factorize.__wrapped__        # past the cache
+    rng = random.Random(32)
+    below = [rng.randrange(2, 10 ** rng.randrange(2, 13)) for _ in range(24)]
+    below += [999983**2, 999979 * 999983, 2 * 499999999979]
+    for m in below:
+        assert dict(factorize(m)) == sympy.factorint(m), m
+    assert calls == []
+    # a prime cofactor at or above (10^6 + 1)^2, the square of the first
+    # divisor past the bound, takes one call; 10^12 + 39 is prime and below it
+    for m, certified in ((10**12 + 39, 0), (10**12 + 2000007, 1),
+                         (3 * (2**61 - 1), 1)):
+        calls.clear()
+        assert factorize(m) == tuple(sorted(sympy.factorint(m).items()))
+        assert len(calls) == certified, m
+    calls.clear()
+    with pytest.raises(ValueError, match="composite"):   # both primes > 10^6
+        factorize((10**6 + 3) * (10**6 + 33))
+    assert calls == [(10**6 + 3) * (10**6 + 33)]
+
+
 def test_mult_order_2_examples():
     assert nt.mult_order_2(7) == 3
     assert nt.mult_order_2(17) == 8

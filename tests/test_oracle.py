@@ -1,21 +1,25 @@
 """Exhaustive enumeration against an independent per-table route."""
 
+import importlib.util
 import random
 import re
 import time
 import tracemalloc
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import referees as ref
 from gbflab import cli, oracle
 from gbflab.cyclotomic import CycInt, zeta_pow
-from gbflab.gbf import GbfType, table
-from gbflab.oracle import enumerate_gbfs
+from gbflab.gbf import GbfType, is_gbf, table
+from gbflab.oracle import OracleResult, enumerate_gbfs
 
 
 def _flat_by_ring_arithmetic(f):
@@ -105,25 +109,61 @@ def _row0_flat_by_histogram(m, n):
     return flat
 
 
-@pytest.mark.parametrize("m,n,row0_flat,flat", [
-    (4, 3, 7840, 896), (6, 2, 204, 168), (3, 2, 18, 0), (7, 3, 35280, 0)])
+def _unit_images(m, values):
+    """The distinct sorted images sort(k*values mod m) over the units k of
+    Z_m: the orbit of the multiset of values."""
+    return {tuple(sorted(k * v % m for v in values))
+            for k in range(1, m) if gcd(k, m) == 1}
+
+
+def _full_row_tables(monkeypatch):
+    """A list that collects every table the oracle tests at every row, as
+    a tuple of its values, once per table."""
+    recorded, tested = oracle._spectra, []
+
+    def every_row(tables, m, n):
+        tested.extend(map(tuple, tables.T.tolist()))
+        return recorded(tables, m, n)
+
+    monkeypatch.setattr(oracle, "_spectra", every_row)
+    return tested
+
+
+ROW_0_CASES = [(4, 3, 7840, 896, 980), (6, 2, 204, 168, 19), (3, 2, 18, 0, 3),
+               (7, 3, 35280, 0, 1260)]
+
+
+@pytest.mark.parametrize("m,n,row0_flat,flat,tested", ROW_0_CASES,
+                         ids=["-".join(map(str, c[:4])) for c in ROW_0_CASES])
 def test_row_0_survivors_are_tested_at_every_row(m, n, row0_flat, flat,
-                                                 monkeypatch):
-    # the batches tested at every row hold exactly the oracle's tables
-    # whose row 0 is flat, and more of them than are flat.  It tests one
-    # table in m, those with f(2^n - 1) = 0, and adding a constant keeps
-    # |W(0)|, so they hold one in m of the row-0 flat tables
-    recorded, batches = oracle._flat, []
-
-    def every_row(test, spec, n):
-        if spec.shape[1] == 1 << n:
-            batches.append(spec.shape[2])
-        return recorded(test, spec, n)
-
-    monkeypatch.setattr(oracle, "_flat", every_row)
+                                                 tested, monkeypatch):
+    # the tables tested at every row are the arrangements of one multiset
+    # per orbit of the units, the least sorted one: each stands for its
+    # multiset's orbit, and weighted by the orbit's size they are exactly
+    # the oracle's tables whose row 0 is flat, more of them than are flat.
+    # It tests tables with f(2^n - 1) = 0 only, and adding a constant keeps
+    # |W(0)|, so they stand for one in m of the row-0 flat tables
+    tables = _full_row_tables(monkeypatch)
     res = enumerate_gbfs(GbfType(m, n))
-    assert _row0_flat_by_histogram(m, n) == row0_flat == sum(batches) * m
+    assert len(set(tables)) == len(tables) == tested
+    weight = 0
+    for f in tables:
+        orbit = _unit_images(m, f[:-1])
+        assert f[-1] == 0 and tuple(sorted(f[:-1])) == min(orbit)
+        weight += len(orbit)
+    assert _row0_flat_by_histogram(m, n) == row0_flat == weight * m
     assert res.gbf_count == flat < row0_flat
+
+
+@pytest.mark.parametrize("m,n,arrangements,bound", [
+    (12, 3, 80570, 9 * 10**4), (16, 3, 53690, 6 * 10**4)])
+def test_unit_orbits_cut_the_full_row_tables(m, n, arrangements, bound,
+                                             monkeypatch):
+    # without orbits every row is tested for 276,640 tables at {12,3} and
+    # 208,600 at {16,3}: each multiset that passes row 0, not one per orbit
+    tables = _full_row_tables(monkeypatch)
+    enumerate_gbfs(GbfType(m, n), budget=10**10, max_witnesses=0)
+    assert len(tables) == arrangements <= bound
 
 
 def test_row_0_sieve_runs_once_per_multiset(monkeypatch):
@@ -187,6 +227,87 @@ def test_sliced_census_matches_default(monkeypatch):
     monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
     assert enumerate_gbfs(GbfType(4, 3), max_witnesses=40) == default
     assert default.gbf_count == 896
+
+
+def _census_grid():
+    """The oracle-census types of the benchmark, from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CENSUS_GRID
+
+
+REFEREE_TYPES = _census_grid() + ((8, 3), (12, 3), (16, 3))
+
+
+@lru_cache(maxsize=None)
+def _referee(m, n):
+    return ref.census(GbfType(m, n), budget=10**10, max_witnesses=40)
+
+
+def _referee_at(m, n, max_witnesses):
+    # the first max_witnesses hits in odometer order are a prefix of the
+    # first 40
+    want = _referee(m, n)
+    return OracleResult(want.gbf_type, want.total_candidates, want.gbf_count,
+                        want.witnesses[:max_witnesses])
+
+
+@pytest.mark.parametrize("m,n", REFEREE_TYPES,
+                         ids=[f"{m}-{n}" for m, n in REFEREE_TYPES])
+def test_unit_orbits_match_the_referee_census(m, n):
+    # the census over unit orbits against the one that tests every multiset
+    # passing row 0: counts, totals and witnesses, at each witness cap
+    for cap in (0, 1, 4, 40):
+        assert enumerate_gbfs(GbfType(m, n), budget=10**10,
+                              max_witnesses=cap) == _referee_at(m, n, cap)
+    if m ** (1 << n) <= oracle.DEFAULT_BUDGET:   # the referee at a cap of 4
+        assert ref.census(GbfType(m, n), max_witnesses=4) == _referee_at(
+            m, n, 4)
+
+
+def test_unit_orbits_match_the_referee_in_small_slices(monkeypatch):
+    # a batch target of 4 slices the sieve and the arrangements of every
+    # grid type with n > 1 into several pieces; {8,3} and above would take
+    # seconds of one-multiset slices
+    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    for m, n in _census_grid():
+        assert enumerate_gbfs(GbfType(m, n), budget=10**10,
+                              max_witnesses=40) == _referee_at(m, n, 40)
+
+
+def _affine(values, n, rng):
+    """f(Ax + b) for a seeded invertible A over F_2 and a seeded b, with A
+    given by the images of the index bits."""
+    while True:
+        cols = [rng.randrange(1, 1 << n) for _ in range(n)]
+        image = [0] * (1 << n)
+        for x in range(1 << n):
+            for i in range(n):
+                if x >> i & 1:
+                    image[x] ^= cols[i]
+        if len(set(image)) == 1 << n:
+            break
+    b = rng.randrange(1 << n)
+    return [values[image[x] ^ b] for x in range(1 << n)]
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (8, 3), (16, 3)])
+def test_census_witnesses_stay_flat_under_units_and_affine_maps(m, n):
+    # zeta -> zeta^k maps W(y) of f to that of k*f, and x -> Ax + b
+    # permutes the spectrum and changes signs: both keep flatness
+    rng = random.Random(m * 100 + n)
+    res = enumerate_gbfs(GbfType(m, n), budget=10**10, max_witnesses=8)
+    assert len(res.witnesses) == 8
+    for w in res.witnesses:
+        images = [[k * v % m for v in w.values]
+                  for k in range(1, m) if gcd(k, m) == 1]
+        images += [_affine(w.values, n, rng) for _ in range(6)]
+        for values in images:
+            assert is_gbf(table(m, n, values)), values
+            if m == 4:
+                assert _flat_by_ring_arithmetic(table(m, n, values))
 
 
 def test_result_is_a_hashable_value():
