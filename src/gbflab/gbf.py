@@ -16,10 +16,12 @@ loaded by the first table built or read, not at import.
 
 One batched kernel decides flatness: _spectra yields the spectra of a
 (2^n, batch) array of tables, one per exact test, and _flat where they are
-flat.  At modulus 2 or 4, Z[zeta] is Z or Z[i]: one int32 FWHT of the
-signed unit coordinates of zeta^f(x) gives every W(y) exactly, with no
-prime.  Every other modulus is tested at the m-th roots of unity of F_q for
-the split primes q of _split_primes.  is_gbf and first_flat_violation test
+flat.  At modulus 2 or 4, Z[zeta] is Z or Z[i]: one FWHT of the signed
+unit coordinates of zeta^f(x), in int16 with wrapping arithmetic, gives
+every coordinate of every W(y) mod 2^16, with no prime, and re^2 + im^2 =
+2^n is tested in int64 on those signed values.  Every other modulus is
+tested at the m-th roots of unity of F_q for the split primes q of
+_split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 No step copies a large table whole: histograms, gathers and the norm test
@@ -30,15 +32,37 @@ runs the butterflies in rounds over runs of at least 2^12 entries, rotating
 the index bits between rounds through one scratch array of the input's
 size; any other array, such as an oracle block, it transforms in place.
 
+The int16 test is exact for a whole table, by Parseval.  A row that
+fails it is not flat: a flat row has coordinates at most 2^13 in absolute
+value, since n <= 26, so they fit int16 and are tested as they are.  A row
+that passes has signed coordinates that solve re^2 + im^2 = 2^n, each at
+most 2^13 in absolute value; any other integer of the same class mod 2^16
+is at least 2^16 - 2^13 = 57344 in absolute value, and 57344^2 > 2^26 >=
+2^n.  So a passing row has |W(y)|^2 >= 2^n, with equality only when its
+coordinates are exact.  Parseval gives sum_y |W(y)|^2 = 4^n, so when all
+2^n rows of a table pass, every one is exactly flat: is_gbf and the
+oracle's per-table verdicts are exact.  A single row, though, is exact
+only when n < 16: past that a coordinate of W(y) can reach 57344 in
+absolute value, and a non-flat row can pass by wrapping.  The {2,16}
+table f = x1 + 1, except f = 0 at 128 points with x1 = 0, has W(0) = 256
+and W(1) = -65280, which is 256 mod 2^16.  That matters only where the
+least failing row is asked for, and _first_nonflat then runs the kernel
+once more in int32.
+
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one histogram of the values gives
 both l and W(0) = sum_v count(v) zeta^v, which goes through the kernel's
 own tests at O(m phi(m)) cost, never more than the kernel's own exponent
-matrix.  Each test is exact per row, so a row that fails one is not flat;
-since 0 is the least index, it is then the first failing y, with no FWHT
-run.  When row 0 passes every test, or when m > 2^n, where l comes from a
-gcd pass and the table goes straight to the kernel, every row is tested as
-a batch of one, and the first failing y is the least over the tests.
+matrix.  Row 0 is computed exactly there, so a row that fails a test is
+not flat; since 0 is the least index, it is then the first failing y, with
+no FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
+from a gcd pass and the table goes straight to the kernel, every row is
+tested as a batch of one, and the first failing y is the least over the
+tests.  A failing row found by the int16 pass is always not flat, so
+is_gbf stops there; first_flat_violation needs the least one, and when
+that pass finds one at n >= 16 with a row before it that passed in int16
+alone (any row but a row 0 decided from the histogram), the table is
+transformed again in int32, where every row is exact, to find it.
 """
 
 from __future__ import annotations
@@ -340,9 +364,11 @@ _UNIT_COORDS = {2: [[1], [-1]], 4: [[1, 0], [0, 1], [-1, 0], [0, -1]]}
 
 
 @lru_cache(maxsize=None)
-def _unit_coords(m: int) -> np.ndarray:
-    """_UNIT_COORDS[m] as a read-only int32 array, built at first use."""
-    coords = np.array(_UNIT_COORDS[m], dtype=np.int32)
+def _unit_coords(m: int, dtype: str = "int16") -> np.ndarray:
+    """_UNIT_COORDS[m] as a read-only array, built at first use: int16, in
+    which the FWHT of the coordinates gives W(y) mod 2^16, or the dtype
+    asked for (int32, in which it gives W(y) itself)."""
+    coords = np.array(_UNIT_COORDS[m], dtype=dtype)
     coords.setflags(write=False)
     return coords
 
@@ -383,13 +409,14 @@ def _quotient(tables: np.ndarray, l: int) -> np.ndarray:
     return np.floor_divide(tables, l, dtype=np.intp)
 
 
-def _terms(tables, m: int, n: int):
+def _terms(tables, m: int, n: int, dtype: str = "int16"):
     """(test, terms) for each exact test of a (rows, batch) array of
     modulus-m tables, one per column, or of a pair (tables, l) whose values
     are l times such residues, read as v // l; terms[x, table, k] is the
     image of zeta^f(x) in unit column k.  At m = 2 or 4 the one test is
-    None, and the unit columns are the int32 coordinates of zeta^f(x) in Z
-    or Z[i], gathered a block of about _CHUNK entries at a time into one
+    None, and the unit columns are the coordinates of zeta^f(x) in Z or
+    Z[i] in _unit_coords(m, dtype), int16 unless the caller asks for
+    another, gathered a block of about _CHUNK entries at a time into one
     terms array, by one take when the tables are one block.  When l > 1
     and the tables have at least m*l rows, the quotient is folded into a
     lookup whose row v holds the coordinates of v // l; otherwise each
@@ -401,13 +428,13 @@ def _terms(tables, m: int, n: int):
     kept until the last test."""
     tables, l = tables if isinstance(tables, tuple) else (tables, 1)
     if m in _UNIT_COORDS:
-        coords = _unit_coords(m)
+        coords = _unit_coords(m, dtype)
         if l > 1 and m * l <= len(tables):
             coords, l = np.repeat(coords, l, axis=0), 1
         if tables.size <= _CHUNK:
             terms = coords.take(_quotient(tables, l), axis=0)
         else:
-            terms = np.empty((*tables.shape, coords.shape[1]), np.int32)
+            terms = np.empty((*tables.shape, coords.shape[1]), coords.dtype)
             step = _chunk_rows(len(tables), tables.size)
             for lo in range(0, len(tables), step):
                 block = slice(lo, lo + step)
@@ -421,26 +448,32 @@ def _terms(tables, m: int, n: int):
         yield q, pw[np.multiply.outer(tables, cols) % m]
 
 
-def _spectra(tables, m: int, n: int):
+def _spectra(tables, m: int, n: int, dtype: str = "int16"):
     """(test, spec) for each test of _terms on a (2^n, batch) array of
-    modulus-m tables, or a pair (tables, l) as _terms takes it; spec is
-    (unit column, y, table), the FWHT of the terms, and so linear in them.
-    At m = 2 or 4 the unit columns are the coordinates of W(y) in Z or
-    Z[i]: partial sums are at most 2^n <= 2^26, so the FWHT runs in int32.
+    modulus-m tables, or a pair (tables, l) as _terms takes it, with its
+    dtype; spec is (unit column, y, table), the FWHT of the terms, and so
+    linear in them.  At m = 2 or 4 the unit columns are the coordinates of
+    W(y) in Z or Z[i].  The butterflies are ring operations, so in int16
+    they wrap and give each coordinate mod 2^16, as a signed int16; in
+    int32 they give it exactly, since partial sums are at most 2^n <= 2^26.
+    The module docstring says why int16 decides flatness exactly.
     Otherwise column k holds W_k(y) mod q: residues below 2^30 summed over
     2^26 rows stay below 2^56."""
-    for test, terms in _terms(tables, m, n):
+    for test, terms in _terms(tables, m, n, dtype):
         yield test, _fwht_inplace(terms).transpose(2, 0, 1)
         del terms               # before the next test gathers its own
 
 
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     """The (2^n, batch) mask of |W(y)|^2 = 2^n for a (test, spec) of
-    _spectra: re^2 + im^2 in int64, or W_k W_(m-k) = 2^n (mod q) at each
-    unit k <= m/2, overwriting spec.  x mod q is x - x // q * q, several
-    times faster in numpy; products of residues stay below q^2 < 2^60.
-    A spec of more than _CHUNK entries is taken a block of rows at a time,
-    so the temporaries stay that small."""
+    _spectra: re^2 + im^2 = 2^n in int64, of the signed coordinates as
+    _spectra gives them (mod 2^16 in int16), or W_k W_(m-k) = 2^n (mod q)
+    at each unit k <= m/2, overwriting spec.  A row that fails is not flat.
+    A row that passes in int16 is flat when n < 16, and in any case when
+    every row of its table passes (module docstring).  x mod q is
+    x - x // q * q, several times faster in numpy; products of residues
+    stay below q^2 < 2^60.  A spec of more than _CHUNK entries is taken a
+    block of rows at a time, so the temporaries stay that small."""
     if spec.size > _CHUNK and spec.shape[1] > 1:
         mask = np.empty(spec.shape[1:], dtype=bool)
         step = _chunk_rows(spec.shape[1], spec.size)
@@ -460,11 +493,24 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     return (low == (1 << n) % test).all(axis=0)
 
 
-def _first_nonflat(f: FunctionTable):
+def _flat_rows(tables, m: int, n: int, *dtype) -> np.ndarray:
+    """The (2^n,) mask of the rows of one table, a (table, l) pair as
+    _spectra takes it, that pass every test of _spectra (in its dtype when
+    one is given); each test's spectrum is dropped before the next test
+    gathers its terms."""
+    ok = True
+    for test, spec in _spectra(tables, m, n, *dtype):
+        ok = ok & _flat(test, spec, n)[:, 0]
+        del spec
+    return ok
+
+
+def _first_nonflat(f: FunctionTable, least: bool = True):
     """(y, c, hist) for one table: y is the least row whose |W(y)|^2
     differs from 2^n, or None; c is the content modulus m/l, l = gcd(m,
     values); hist is the length-m histogram of f's values when it refutes
-    row 0, and None otherwise.
+    row 0, and None otherwise.  With least false, y is some failing row,
+    not always the least one.
 
     The table is tested at c, on the quotients v/l, which have the same
     Walsh values as complex numbers, since zeta_m^(l*v) = zeta_c^v; an
@@ -476,11 +522,18 @@ def _first_nonflat(f: FunctionTable):
     sum_v count(v) zeta_c^(v/l) goes through the tests of _spectra: row 0
     of each spectrum is the sum of the terms over x, so the values' terms
     weighted by their counts give it exactly, in O(len(values) phi(c)), and
-    the counts sum to 2^n, so the bounds of _spectra hold.  Each test is
-    exact per row, so when one fails there, 0 is the least failing y, with
-    no FWHT.  Otherwise every row is tested as a batch of one, the table
-    going to _spectra with l, so no quotient table is built at c = 2 or 4,
-    and y is the least failing row over the tests."""
+    the counts sum to 2^n, so the bounds of _spectra hold; at c = 2 or 4
+    the int16 coordinates, summed in int64, give W(0) itself.  Each test
+    is exact per row there, so when one fails, 0 is the least failing y,
+    with no FWHT.  Otherwise every row is tested as a batch of one, the
+    table going to _spectra with l, so no quotient table is built at c = 2
+    or 4, and y is the least failing row over the tests.  At c = 2 or 4
+    that pass is in int16: None is exact, by Parseval, and so is any
+    failing row, but at n >= 16 a row before it may have passed by
+    wrapping.  So when least is set and a row before it passed in int16
+    alone, which is every row before it but a row 0 decided from the
+    histogram, the table goes through the same kernel again in int32,
+    which gives the least failing row exactly."""
     m, n, arr = f.m, f.n, f.array
     hist = None
     if m <= arr.size:
@@ -496,11 +549,16 @@ def _first_nonflat(f: FunctionTable):
             if not _flat(test, row0[:, None, None], n)[0, 0]:
                 return 0, c, hist
         del hist, values    # each up to 2^n entries, freed before the FWHT
-    ok = True
-    for test, spec in _spectra((arr[:, None], l), c, n):
-        ok = ok & _flat(test, spec, n)[:, 0]
-        del spec                # before the next test gathers its terms
-    return (None if ok.all() else int(np.argmin(ok))), c, None
+    ok = _flat_rows((arr[:, None], l), c, n)
+    if ok.all():
+        return None, c, None
+    y = int(np.argmin(ok))
+    # the rows before y passed, row 0 exactly when it came from the
+    # histogram, the others in int16 alone when c is 2 or 4
+    if least and y > (m <= arr.size) and n >= 16 and c in _UNIT_COORDS:
+        del ok
+        y = int(np.argmin(_flat_rows((arr[:, None], l), c, n, "int32")))
+    return y, c, None
 
 
 def first_flat_violation(f: FunctionTable):
@@ -510,6 +568,10 @@ def first_flat_violation(f: FunctionTable):
 
     _first_nonflat finds y at the content modulus m/l, l = gcd(m, values),
     where every W(y) is the same complex number, so y does not depend on l.
+    At content modulus 2 or 4 and n >= 16, a table whose least row that
+    fails in int16 has a row before it that passed in int16 alone is
+    transformed twice, in int16 and then in int32, so that y is the least
+    failing row and not only a failing one.
     Only the reported row is built at m, and so is refused for m at or above
     2^30: when row 0 was refuted from the histogram it is that histogram,
     otherwise one _histogram (signed when y > 0)."""
@@ -527,8 +589,9 @@ def first_flat_violation(f: FunctionTable):
 def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided by _first_nonflat at the content modulus, with no report built
-    at m."""
-    return _first_nonflat(f)[0] is None
+    at m and no search for the least failing row, so one transform a
+    test, int16 at content modulus 2 or 4."""
+    return _first_nonflat(f, least=False)[0] is None
 
 
 # -- constructions -----------------------------------------------------------

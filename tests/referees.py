@@ -8,8 +8,9 @@ top of it, and a class number that visits every (a, b) with
 are least at any class number: it tries every exponent in turn with
 Cornacchia's algorithm and uses nothing of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
-draws seeded random product constructions, and states the dtype a table
-is stored in at each modulus.  The FWHT referee is the
+draws seeded random product constructions, builds tables whose Walsh
+coordinates wrap mod 2^16 into a flat-looking row, and states the dtype a
+table is stored in at each modulus.  The FWHT referee is the
 package's earlier butterfly loop, one in-place stage per index bit.  The
 census referee is the oracle's earlier enumeration, which tests the
 arrangements of every multiset that passes row 0, with no unit orbits.
@@ -179,6 +180,23 @@ def seeded_even_even(m: int, n: int, seed) -> FunctionTable:
     sigma = list(range(size))
     rng.shuffle(sigma)
     return construct_even_even(m, n, g=g, sigma=sigma)
+
+
+def wrapped_row(c: int) -> FunctionTable:
+    """A {c, 16} table, c = 2 or 4, not flat at row 1, whose row 1 passes
+    the norm test when its coordinates are taken mod 2^16.  At c = 2,
+    f = x1 + 1 except f = 0 at the first 128 points with x1 = 0: W(0) = 256
+    and W(1) = -65280, which is 256 mod 2^16.  At c = 4 that table doubled,
+    with two of those 128 points set to 1 and 3 and two other points with
+    x1 = 0 set to 1 and 3: the four changes cancel in W(0) and W(1), which
+    stay the same integers, and the content modulus is 4."""
+    i = np.arange(1 << 16)
+    even = np.flatnonzero(i & 1 == 0)
+    values = (i & 1 ^ 1) * (c // 2)
+    values[even[:128]] = 0
+    if c == 4:
+        values[even[[0, 1, 128, 129]]] = [1, 3, 1, 3]
+    return FunctionTable(GbfType(c, 16), values)
 
 
 # -- the Walsh-Hadamard transform ----------------------------------------------

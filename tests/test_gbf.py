@@ -6,6 +6,8 @@ compare with the library verdict.
 """
 
 import dataclasses
+import hashlib
+import json
 import random
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -13,7 +15,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from gbflab import gbf
+from gbflab import cli, gbf
 from gbflab.criteria import rule_exists
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import (FunctionTable, GbfType, construct_boolean_bent,
@@ -798,21 +800,137 @@ def test_single_table_check_peaks_at_the_terms_and_fwht_scratch(build):
     assert peak <= 1.1 * 2 * terms
 
 
+@pytest.mark.parametrize("build", [
+    lambda: rule_exists(GbfType(4, 20))[0],
+    lambda: rule_exists(GbfType(6, 20))[0],
+    lambda: rule_exists(GbfType(12, 20))[0],
+    lambda: ref.seeded_even_even(4, 20, 5)],     # content modulus 4
+    ids=["{4,20}", "{6,20}", "{12,20}", "seeded {4,20}"])
+def test_single_table_check_peaks_at_the_int16_terms_and_scratch(build):
+    # at content modulus 2 and 4 the terms and the FWHT scratch are int16,
+    # half the int32 bound above
+    f = build()
+    c = gbf._first_nonflat(f)[1]
+    assert is_gbf(f)
+    tracemalloc.start()
+    try:
+        assert is_gbf(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = (1 << f.n) * len(gbf._UNIT_COORDS[c][0]) * 2
+    assert peak <= 1.1 * 2 * terms
+
+
+# -- int16 coordinates at content modulus 2 and 4 -----------------------------
+
+
+@pytest.mark.parametrize("build,c,digest", [
+    (lambda: ref.wrapped_row(2), 2,
+     "7816a38b131d39f67de79d117bd411f3327be6aa0122b7ecadf529256503f533"),
+    (lambda: ref.wrapped_row(4), 4,
+     "12e1a369e199b63eaa587c93c275c30db8b680cef04c14bf30a1dd1e06798819"),
+    # the wrapped coordinate is the imaginary one: W(y) times zeta_4
+    (lambda: FunctionTable(GbfType(4, 16), 2 * ref.wrapped_row(2).array + 1),
+     4, "12e1a369e199b63eaa587c93c275c30db8b680cef04c14bf30a1dd1e06798819"),
+    (lambda: lift_modulus(ref.wrapped_row(2), 6), 2,
+     "c24b842af3aa0220f021d33230c396ce066926719abbac9f8de9357be398380c"),
+], ids=["{2,16}", "{4,16}", "{4,16} imaginary", "{12,16} lifted"])
+def test_row_that_wraps_into_flat_is_reported(monkeypatch, tmp_path, capsys,
+                                              build, c, digest):
+    # W(1) = -65280 is 256 mod 2^16, so row 1 passes in int16: is_gbf is
+    # still false, by Parseval, and first_flat_violation and gbf verify
+    # name y = 1 from a second pass in int32, with the report of the
+    # int32 kernel byte for byte
+    f = build()
+    want = _first_violation_by_walsh_matrix(f, c)
+    assert want[0] == 1 and gbf._first_nonflat(f)[:2] == (1, c)
+    assert gbf._first_nonflat(f, least=False)[0] > 1   # int16 alone
+    calls = _kernel_calls(monkeypatch)
+    assert not is_gbf(f) and calls == [(c, 16)]
+    del calls[:]
+    assert first_flat_violation(f) == want
+    assert calls == [(c, 16), (c, 16, "int32")]
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"m": f.m, "n": f.n, "values": list(f.values)}))
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("not flat at y=1: ")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(14, 19))
+def test_int16_kernel_matches_walsh_matrix_at_content_2_and_4(n):
+    # rule witnesses at m = 2 and 4 and lifted to 6 and 12, each also with
+    # two entries swapped, which keeps row 0 flat, and random tables,
+    # against the exact int64 walsh_matrix: the verdict, the least failing
+    # row and its report.  The rules' witnesses at even n have content
+    # modulus 2, so a product construction with random g stands in at 4
+    rng = random.Random(1400 + n)
+    flat = [found[0] for found in map(rule_exists, (
+        GbfType(m, n) for m in (2, 4, 6, 12))) if found is not None]
+    if n % 2 == 0:
+        flat.append(ref.seeded_even_even(4, n, n))
+    tables = [_random_table(rng, c, n) for c in (2, 4)] + flat
+    tables += [_swapped(f, rng) for f in flat]
+    seen = set()
+    for f in tables:
+        c = gbf._first_nonflat(f)[1]
+        want = _first_violation_by_walsh_matrix(f, c)
+        assert first_flat_violation(f) == want, f.gbf_type
+        assert is_gbf(f) == (want is None), f.gbf_type
+        seen.add((c, None if want is None else want[0] > 0))
+    assert seen == {(2, False), (4, False), (4, None), (4, True)} | (
+        {(2, None), (2, True)} if n % 2 == 0 else set())
+
+
+def test_int32_pass_runs_only_when_an_earlier_row_passed_in_int16_alone(
+        monkeypatch):
+    # a {4,16} witness with f(0) swapped for an f(j), j odd: row 1 fails.
+    # Row 0 comes from the histogram, exactly, so row 1 is the least
+    # failing row with no int32 pass.  Lifted past m = 2^16, row 0 too is
+    # tested in int16, and the int32 pass confirms row 1
+    values = ref.seeded_even_even(4, 16, 7).array.copy()
+    j = next(j for j in range(1, 1 << 16, 2) if values[j] != values[0])
+    values[[0, j]] = values[[j, 0]]
+    f = FunctionTable(GbfType(4, 16), values)
+    want = _first_violation_by_walsh_matrix(f, 4)
+    assert want[0] == 1
+    calls = _kernel_calls(monkeypatch)
+    assert first_flat_violation(f) == want and calls == [(4, 16)]
+    lifted = lift_modulus(f, 3 << 15)
+    del calls[:]
+    assert gbf._first_nonflat(lifted)[:2] == (1, 4)
+    assert calls == [(4, 16), (4, 16, "int32")]
+    # 65,408 ones and 128 zeros at {2,16}: W(0) = -65280, which wraps to
+    # 256, and W(1) = 0.  The histogram refutes row 0; past m = 2^16 row 0
+    # passes in int16, row 1 fails, and the int32 pass finds row 0
+    ones = np.ones(1 << 16, np.uint8)
+    ones[:128] = 0
+    g = FunctionTable(GbfType(2, 16), ones)
+    assert _first_violation_by_walsh_matrix(g, 2)[0] == 0
+    assert gbf._first_nonflat(g)[:2] == (0, 2)
+    lifted = lift_modulus(g, 3 << 16)
+    assert gbf._first_nonflat(lifted, least=False)[0] == 1
+    assert gbf._first_nonflat(lifted)[:2] == (0, 2) and not is_gbf(lifted)
+
+
 # -- the FWHT kernel -----------------------------------------------------------
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 @pytest.mark.parametrize("inner", [1, 2, 3, 4, 6, 8, 4095, 4096, 5000])
 def test_fwht_matches_the_referee_loop(inner, dtype):
     # every k <= 20 up to 2^20 entries.  With one entry a row, k = 14, 15,
     # 16 and 17 take 7 rounds of 2 bits, 5 of 3, 4 of 4 and 3, 3, 3, 4, 4;
     # with 3 or 4 entries, whole rows move in the copies, not words; k <= 13
-    # and rows of 4095 entries or more run in place
+    # and rows of 4095 entries or more run in place.  The referee runs in
+    # int64, so in int16, from k = 15 on, the result is its value mod 2^16
     rng = np.random.default_rng([inner, np.dtype(dtype).itemsize])
     for k in range(21):
         if inner << k > 1 << 20:
             break
         mat = rng.integers(-1, 2, size=(1 << k, inner), dtype=dtype)
-        want = ref.fwht(mat.copy())
+        want = ref.fwht(mat.astype(np.int64)).astype(dtype)
         assert gbf._fwht_inplace(mat) is mat
         assert np.array_equal(mat, want), k
 
