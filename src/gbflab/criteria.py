@@ -15,9 +15,10 @@ scripts stay stable:
     DIV-Propagation   nonexistence transferred to a divisor type
 
 Each Exists witness is built once: its base at modulus 2 or 4 is the
-direct sum of 1- and 2-variable pieces that the exact kernel checks once
-per rule and process, summed in the witness's dtype and scaled in place
-by m/c, which keeps it flat.
+direct sum of 1- and 2-variable pieces.  The rule is chosen here and its
+pieces go through the exact kernel once per rule and process; gbf sums
+them in the witness's dtype and scales the sum in place by m/c, which
+keeps it flat.  This module holds no table code.
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
@@ -39,8 +40,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import numtheory as nt
-from ._lazy import np
-from .gbf import FunctionTable, GbfType, _value_dtype, is_gbf, table
+from .gbf import FunctionTable, GbfType, _pair_sum, is_gbf, table
 
 C1 = "C1-LamLeung"
 C2 = "C2-Semiprimitive"
@@ -131,25 +131,6 @@ def _pieces(rule: str, c: int):
     return tuple(piece.array for piece in pieces)
 
 
-def _sum_table(pieces, dtype):
-    """The (rows, cols) table of the sums of pieces, each a (rows, cols)
-    array on the index bits above those of the pieces before it, as a new
-    array of dtype.  The halves are summed on their own and joined in one
-    array, so the result is never built beside a part a quarter its size:
-    the high half is broadcast into it and the low half added in place,
-    since numpy buffers each broadcast operand of an add."""
-    if len(pieces) == 1:
-        return pieces[0].astype(dtype)
-    half = len(pieces) // 2
-    high, low = (_sum_table(pieces[half:], dtype),
-                 _sum_table(pieces[:half], dtype))
-    out = np.empty((len(high), len(low), high.shape[1], low.shape[1]),
-                   dtype=dtype)
-    out[...] = high[:, None, :, None]
-    out += low[None, :, None, :]
-    return out.reshape(len(high) * len(low), -1)
-
-
 def rule_exists(t: GbfType):
     """A flat witness for t when one of the rules applies, with the rule
     id; None otherwise.
@@ -163,16 +144,11 @@ def rule_exists(t: GbfType):
 
     Each base at its modulus c is the direct sum of P on each pair of
     variables and, at odd n, x on the top variable x_n, with the pieces
-    the exact kernel checked (_pieces).  The pairs are adjacent bits
-    (x_(2i-1), x_(2i)), or, for the product construction, bit i of the
-    low half with bit i of the high half (x_i, x_(t+i)), t = n/2.  The
-    Walsh transform of a direct sum is the product of the pieces'
-    transforms, and permuting the variables only permutes the spectrum,
-    so the base is flat because every piece is; no FWHT runs over its 2^n
-    rows.  It is built in its own index layout by _sum_table, O(2^n) in
-    all, straight in the witness's dtype (in uint8 and cast once when that
-    holds Python integers, which numpy adds one by one), and scaled in
-    place by m/c, which keeps it flat (zeta_m^(m/c) = zeta_c).
+    the exact kernel checked (_pieces).  The pairs are adjacent bits, or,
+    for the product construction, bit i of the low half with bit i of the
+    high half.  gbf._pair_sum sums the pieces into the witness, scaled by
+    m/c, and it is flat because every piece is; no FWHT runs over its 2^n
+    rows.
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -185,20 +161,7 @@ def rule_exists(t: GbfType):
         rule, c, split = "E3", 2, True
     else:
         return None
-    pair, top = _pieces(rule, c)
-    # the table is (rows, cols) = (high half, low half) of the index when
-    # split, else (1, 2^n); each piece, shaped (rows, cols) alike, takes the
-    # bits above those of the pieces before it on each side; a sum is at
-    # most (n/2)*(c/2) + 1 <= 25 at n <= MAX_N, so uint8 and up hold it
-    pair = pair.reshape((2, 2) if split else (1, 4))
-    dtype = _value_dtype(m)
-    acc = _sum_table([pair] * (n // 2) + [top.reshape(2, 1)] * (n % 2),
-                     np.uint8 if dtype is object else dtype)
-    acc &= c - 1                    # mod c, a power of two
-    vals = acc.reshape(-1).astype(dtype, copy=False)
-    if m > c:
-        vals *= m // c
-    return FunctionTable(t, vals), rule
+    return _pair_sum(t, c, *_pieces(rule, c), split), rule
 
 
 def describe_rule(rule: str, m: int, n: int) -> str:

@@ -1,6 +1,7 @@
 """Function tables on Z_2^n with values in Z_m, exact Walsh spectra, the
-flat-spectrum (generalized bent) test, and the product and lift
-constructions.
+flat-spectrum (generalized bent) test, and every construction: the
+boolean quadratic form, the product, the quaternary folding, the direct
+sum, the modulus lift, and the witnesses of rules E1-E3.
 
 Index convention, fixed across the whole package and the witness file
 format: table index i encodes the point x = (x_1, ..., x_n) with x_j equal
@@ -13,6 +14,11 @@ array) beyond; a copied or unpickled table is checked and frozen again.
 Every layer works on that array, widening it before any arithmetic that
 could pass m; the tuple ``values`` is built only when asked for.  numpy is
 loaded by the first table built or read, not at import.
+
+Every direct sum is built by _sum_table, which alone decides the index
+layout of a sum: direct_sum adds two tables through it, and _pair_sum
+sums 1- and 2-variable pieces through it into the E1-E3 witnesses and
+construct_boolean_bent, in the table's own dtype, scaled in place.
 
 One batched kernel decides flatness: _spectra yields the spectra of a
 (2^n, batch) array of tables, one per exact test, and _flat where they are
@@ -597,17 +603,63 @@ def is_gbf(f: FunctionTable) -> bool:
 # -- constructions -----------------------------------------------------------
 
 
+def _sum_table(pieces, dtype):
+    """The (rows, cols) table of the sums of pieces, each a (rows, cols)
+    array on the index bits above those of the pieces before it, as a new
+    array of dtype.  The halves are summed on their own and joined in one
+    array, so the result is never built beside a part a quarter its size:
+    the high half is broadcast into it and the low half added in place,
+    since numpy buffers each broadcast operand of an add."""
+    if len(pieces) == 1:
+        return pieces[0].astype(dtype)
+    half = len(pieces) // 2
+    high, low = (_sum_table(pieces[half:], dtype),
+                 _sum_table(pieces[:half], dtype))
+    out = np.empty((len(high), len(low), high.shape[1], low.shape[1]),
+                   dtype=dtype)
+    out[...] = high[:, None, :, None]
+    out += low[None, :, None, :]
+    return out.reshape(len(high) * len(low), -1)
+
+
+def _pair_sum(t: GbfType, c: int, pair, top=None, split: bool = False):
+    """The table on t of (m/c)*F, F the direct sum mod c, c = 2 or 4, of
+    the 4-entry array pair on each pair of variables and, at odd n, the
+    2-entry array top on the top variable x_n.  The pairs are adjacent
+    bits (x_(2i-1), x_(2i)), or, when split, bit i of the low half with
+    bit i of the high half (x_i, x_(n/2+i)).
+
+    F is summed in its own index layout by _sum_table, O(2^n) in all,
+    straight in the table's dtype (in uint8 and cast once when that holds
+    Python integers, which numpy adds one by one), and scaled in place by
+    m/c.  The Walsh transform of a direct sum is the product of the
+    pieces' transforms, permuting the variables only permutes the
+    spectrum, and zeta_m^(m/c) = zeta_c, so the table is flat when the
+    pieces are; no FWHT runs over its 2^n rows."""
+    m, n = t.m, t.n
+    # the table is (rows, cols) = (high half, low half) of the index when
+    # split, else (1, 2^n); each piece, shaped (rows, cols) alike, takes the
+    # bits above those of the pieces before it on each side; a sum is at
+    # most (n/2 + 1)*(c - 1) < 2^8 at n <= _MAX_N, so uint8 and up hold it
+    pieces = [pair.reshape((2, 2) if split else (1, 4))] * (n // 2)
+    if n % 2:
+        pieces.append(top.reshape(2, 1))
+    dtype = _value_dtype(m)
+    acc = _sum_table(pieces, np.uint8 if dtype is object else dtype)
+    acc &= c - 1                    # mod c, a power of two
+    vals = acc.reshape(-1).astype(dtype, copy=False)
+    if m > c:
+        vals *= m // c
+    return FunctionTable(t, vals)
+
+
 def construct_boolean_bent(n: int) -> FunctionTable:
     """The quadratic form x1*x2 + x3*x4 + ... on an even number of
-    variables, the classical flat-spectrum boolean function: x1*x2 at
-    n = 2, and above it the direct sum of the forms on the low k = 2*(n//4)
-    and the high n - k variables, so only the result has 2^n entries."""
+    variables, the classical flat-spectrum boolean function: the direct
+    sum of x*y on each adjacent pair, built by _pair_sum as one table."""
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-    if n == 2:
-        return FunctionTable(GbfType(2, 2), np.array([0, 0, 0, 1]))
-    k = n // 4 * 2
-    return direct_sum(construct_boolean_bent(k), construct_boolean_bent(n - k))
+    return _pair_sum(GbfType(2, n), 2, np.array([0, 0, 0, 1], np.uint8))
 
 
 def construct_even_even(m: int, n: int, g=None, sigma=None) -> FunctionTable:
@@ -656,25 +708,25 @@ def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
 
 def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     """F(x, x') = f(x) + g(x') on n + n' variables (x in the low bits);
-    flat whenever both inputs are.  The outer sum, the one array of
-    2^(n + n') entries, is reduced mod m in place."""
+    flat whenever both inputs are.  The sum, built by _sum_table as the
+    one array of 2^(n + n') entries, is reduced mod m in place."""
     if f.m != g.m:
         raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
     m = f.m
-    dtype = _value_dtype(2 * m)
-    # row x', column x
-    vals = np.add.outer(g.array.astype(dtype, copy=False),
-                        f.array.astype(dtype, copy=False))
+    vals = _sum_table([f.array.reshape(1, -1), g.array.reshape(1, -1)],
+                      _value_dtype(2 * m))
     vals %= m
     return FunctionTable(GbfType(m, f.n + g.n), vals.reshape(-1))
 
 
 def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:
     """Rescale values by l into Z_(l*m); the spectrum is unchanged under
-    zeta_(l*m)^l = zeta_m, so flatness is preserved."""
+    zeta_(l*m)^l = zeta_m, so flatness is preserved.  The values are
+    copied once into the new table's dtype and scaled in place."""
     if l < 1:
         raise ValueError("l must be >= 1")
     if l == 1:
         return f
-    vals = f.array.astype(_value_dtype(l * f.m), copy=False) * l
+    vals = f.array.astype(_value_dtype(l * f.m))
+    vals *= l
     return FunctionTable(GbfType(l * f.m, f.n), vals)

@@ -193,16 +193,13 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
             fresh = np.ones(len(hits), bool)
             fresh[1:] = (hits[1:] != hits[:-1]).any(axis=1)
             hits = hits[fresh][:max_witnesses]
-    witnesses = [FunctionTable(t, h) for h in hits]
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
     # the hits with f(rows-1) = c > 0 are them plus c, next in odometer order
-    if len(witnesses) < max_witnesses:
-        shifted = sorted((tuple((v + c) % m for v in w.values)
-                          for c in range(1, m) for w in witnesses),
-                         key=lambda v: v[::-1])
-        witnesses += [FunctionTable(t, v)
-                      for v in shifted[:max_witnesses - len(witnesses)]]
+    if len(hits) < max_witnesses:
+        shifted = (np.add.outer(np.arange(1, m), hits) % m).reshape(-1, rows)
+        hits = np.concatenate([hits, shifted[np.lexsort(shifted.T)]])
+    witnesses = [FunctionTable(t, h) for h in hits[:max_witnesses]]
 
     for w in witnesses:
         if not is_gbf(w):  # unreachable while the two routes agree

@@ -10,7 +10,9 @@ Cornacchia's algorithm and uses nothing of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
 draws seeded random product constructions, builds tables whose Walsh
 coordinates wrap mod 2^16 into a flat-looking row, and states the dtype a
-table is stored in at each modulus.  The FWHT referee is the
+table is stored in at each modulus.  The one exact |W|^2 referee sums
+W(y) over every x as ring elements and tests |W(y)|^2 = 2^n in CycInt
+arithmetic.  The FWHT referee is the
 package's earlier butterfly loop, one in-place stage per index bit.  The
 census referee is the oracle's earlier enumeration, which tests the
 arrangements of every multiset that passes row 0, with no unit orbits.
@@ -26,6 +28,7 @@ from itertools import chain, combinations_with_replacement, islice
 import numpy as np
 
 from gbflab import numtheory as nt
+from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import (FunctionTable, GbfType, _flat, _spectra, _terms,
                         construct_even_even, is_gbf)
 from gbflab.oracle import (DEFAULT_BUDGET, OracleResult, _arrangements,
@@ -197,6 +200,27 @@ def wrapped_row(c: int) -> FunctionTable:
     if c == 4:
         values[even[[0, 1, 128, 129]]] = [1, 3, 1, 3]
     return FunctionTable(GbfType(c, 16), values)
+
+
+# -- Walsh spectra by definition -----------------------------------------------
+
+
+def walsh_by_definition(f):
+    """W(y) as a direct double sum of ring elements."""
+    m, n = f.m, f.n
+    out = []
+    for y in range(1 << n):
+        acc = CycInt.zero(m)
+        for x, v in enumerate(f.values):
+            term = zeta_pow(m, v)
+            acc = acc + (-term if (x & y).bit_count() & 1 else term)
+        out.append(acc)
+    return out
+
+
+def is_flat_by_definition(f):
+    target = 1 << f.n
+    return all(w.abs_square() == target for w in walsh_by_definition(f))
 
 
 # -- the Walsh-Hadamard transform ----------------------------------------------

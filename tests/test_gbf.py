@@ -1,8 +1,8 @@
 """Walsh spectra, the flatness test, and the constructions.
 
 The independent route used throughout: recompute Walsh values as plain
-ring-element sums and test |W(y)|^2 through CycInt arithmetic only, then
-compare with the library verdict.
+ring-element sums and test |W(y)|^2 through CycInt arithmetic only
+(referees.walsh_by_definition), then compare with the library verdict.
 """
 
 import dataclasses
@@ -31,24 +31,6 @@ _TupleTable = dataclasses.make_dataclass(
     "FunctionTable", [("gbf_type", GbfType), ("values", tuple)], frozen=True)
 
 
-def _walsh_by_definition(f):
-    """W(y) as a direct double sum of ring elements."""
-    m, n = f.m, f.n
-    out = []
-    for y in range(1 << n):
-        acc = CycInt.zero(m)
-        for x, v in enumerate(f.values):
-            term = zeta_pow(m, v)
-            acc = acc + (-term if (x & y).bit_count() & 1 else term)
-        out.append(acc)
-    return out
-
-
-def _is_flat_by_definition(f):
-    target = 1 << f.n
-    return all(w.abs_square() == target for w in _walsh_by_definition(f))
-
-
 def test_walsh_constant_table():
     for m, n in ((3, 2), (5, 1), (4, 3)):
         sp = walsh(table(m, n, [0] * (1 << n)))
@@ -62,7 +44,7 @@ def test_walsh_matches_definition_random():
         m = rng.randrange(2, 9)
         n = rng.randrange(1, 4)
         f = table(m, n, [rng.randrange(m) for _ in range(1 << n)])
-        direct = _walsh_by_definition(f)
+        direct = ref.walsh_by_definition(f)
         assert list(walsh(f)) == direct
 
 
@@ -101,11 +83,11 @@ def test_is_gbf_matches_definition_random():
         m = rng.randrange(2, 8)
         n = rng.randrange(1, 4)
         f = table(m, n, [rng.randrange(m) for _ in range(1 << n)])
-        flat = _is_flat_by_definition(f)
+        flat = ref.is_flat_by_definition(f)
         seen_flat += flat
         assert is_gbf(f) == flat
     # and on known flat tables
-    assert _is_flat_by_definition(construct_even_even(6, 2))
+    assert ref.is_flat_by_definition(construct_even_even(6, 2))
 
 
 def test_boolean_bent_construction():
@@ -116,6 +98,23 @@ def test_boolean_bent_construction():
         assert construct_boolean_bent(n) == ref.boolean_bent(n)
     with pytest.raises(ValueError):
         construct_boolean_bent(3)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_boolean_bent_is_the_e2_witness(n):
+    assert construct_boolean_bent(n) == rule_exists(GbfType(2, n))[0]
+
+
+def test_boolean_bent_builds_no_table_but_its_own():
+    # one direct sum of the pairs: no form on fewer variables is built
+    construct_boolean_bent(20)
+    tracemalloc.start()
+    try:
+        bent = construct_boolean_bent(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * bent.array.nbytes
 
 
 def test_even_even_construction():
@@ -186,13 +185,26 @@ def test_lift_modulus():
         assert all(up[y, c] == 0 for c in range(6) if c % 3)
 
 
+def test_lift_modulus_holds_one_new_table():
+    # uint8 -> uint16: the values are cast with one copy, scaled in place
+    f = rule_exists(GbfType(4, 20))[0]
+    tracemalloc.start()
+    try:
+        lifted = lift_modulus(f, 1 << 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (f.array.dtype, lifted.array.dtype) == (np.uint8, np.uint16)
+    assert peak <= 1.1 * lifted.array.nbytes
+
+
 def test_parseval_and_inversion_random():
     rng = random.Random(8)
     for _ in range(40):
         m = rng.randrange(2, 13)
         n = rng.randrange(1, 5)
         f = table(m, n, [rng.randrange(m) for _ in range(1 << n)])
-        sp = _walsh_by_definition(f)
+        sp = ref.walsh_by_definition(f)
         total = CycInt.zero(m)
         for w in sp:
             total = total + w.abs_square()
@@ -379,9 +391,9 @@ def test_content_modulus_keeps_verdict_and_failing_row():
         else:
             g = _random_table(rng, base_m, n)
         f = lift_modulus(g, l)          # every value a multiple of l | m
-        flat = _is_flat_by_definition(f)
+        flat = ref.is_flat_by_definition(f)
         flat_seen += flat
-        assert is_gbf(f) == is_gbf(g) == flat == _is_flat_by_definition(g)
+        assert is_gbf(f) == is_gbf(g) == flat == ref.is_flat_by_definition(g)
         bad_f, bad_g = first_flat_violation(f), first_flat_violation(g)
         assert (bad_f is None) == (bad_g is None)
         if bad_f is not None:
@@ -397,7 +409,7 @@ def test_content_modulus_report_is_taken_at_m():
             f = lift_modulus(_random_table(rng, m // l, n), l)
             bad = first_flat_violation(f)
             if bad is None:
-                assert _is_flat_by_definition(f)
+                assert ref.is_flat_by_definition(f)
                 continue
             y, coeffs = bad
             reported += 1
@@ -407,7 +419,7 @@ def test_content_modulus_report_is_taken_at_m():
             assert coeffs == want[:phi] and not any(want[phi:])
             # and y is the first failing row by the definition
             target = 1 << n
-            spectrum = _walsh_by_definition(f)
+            spectrum = ref.walsh_by_definition(f)
             assert all(w.abs_square() == target for w in spectrum[:y])
             assert spectrum[y].abs_square() != target
     assert reported >= 15
@@ -498,7 +510,7 @@ def test_failing_row_matches_referee_at_each_content_modulus(c):
     verdicts = set()
     for n in range(1, 6):
         for f in _content_tables(rng, c, n):
-            want = _referee_violation(f, _walsh_by_definition(f))
+            want = _referee_violation(f, ref.walsh_by_definition(f))
             assert first_flat_violation(f) == want, (f.gbf_type, c)
             assert is_gbf(f) == (want is None)
             verdicts.add(want is None)
@@ -641,7 +653,7 @@ def test_row_0_flat_but_later_row_not_matches_referee(monkeypatch, m, n, l):
         assert f.gbf_type == GbfType(m, n)
         assert gbf._first_nonflat(f)[1:] == (c, None)   # no row-0 refusal
         # the exact rows of walsh_matrix, read only up to the failing one
-        spectrum = (_walsh_by_definition(f) if n <= 4 else
+        spectrum = (ref.walsh_by_definition(f) if n <= 4 else
                     (CycInt(m, row.tolist()) for row in walsh_matrix(f)))
         want = _referee_violation(f, spectrum)
         del calls[:]
@@ -663,7 +675,7 @@ def test_row_0_flat_but_later_row_not_at_huge_modulus(monkeypatch):
                     (2, construct_boolean_bent(4))):
         for _ in range(4):
             g = _swapped(base, rng)
-            want = _referee_violation(g, _walsh_by_definition(g))
+            want = _referee_violation(g, ref.walsh_by_definition(g))
             f = lift_modulus(g, 2**62 + 1)
             assert f.array.dtype == object and gbf._first_nonflat(f)[1] == c
             del calls[:]
@@ -693,7 +705,7 @@ def test_row_0_failure_runs_no_kernel(monkeypatch):
         zero = table(m, n, [0] * (1 << n))
         assert gbf._first_nonflat(zero)[1] == 2
         for f in (zero, _random_table(rng, m, n)):
-            spectrum = _walsh_by_definition(f) if n <= 4 else walsh(f)
+            spectrum = ref.walsh_by_definition(f) if n <= 4 else walsh(f)
             want = _referee_violation(f, spectrum)
             y, c, hist = gbf._first_nonflat(f)
             assert y == 0 and (hist is None) == (m > 1 << n)
