@@ -20,14 +20,14 @@ layout of a sum: direct_sum adds two tables through it, and _pair_sum
 sums 1- and 2-variable pieces through it into the E1-E3 witnesses and
 construct_boolean_bent, in the table's own dtype, scaled in place.
 
-One batched kernel decides flatness: _spectra yields the spectra of a
-(2^n, batch) array of tables, one per exact test, and _flat where they are
-flat.  At modulus 2 or 4, Z[zeta] is Z or Z[i]: one FWHT of the signed
-unit coordinates of zeta^f(x), in int16 with wrapping arithmetic, gives
-every coordinate of every W(y) mod 2^16, with no prime, and re^2 + im^2 =
-2^n is tested in int64 on those signed values.  Every other modulus is
-tested at the m-th roots of unity of F_q for the split primes q of
-_split_primes.  is_gbf and first_flat_violation test
+One batched kernel decides flatness: _flat_mask takes a (2^n, batch) array
+of tables through each exact test of _terms, one FWHT and _flat, to the
+mask of the rows that pass them all.  At modulus 2 or 4, Z[zeta] is Z or
+Z[i]: one FWHT of the signed unit coordinates of zeta^f(x), in int16 with
+wrapping arithmetic, gives every coordinate of every W(y) mod 2^16, with
+no prime, and re^2 + im^2 = 2^n is tested in int64 on those signed values.
+Every other modulus is tested at the m-th roots of unity of F_q for the
+split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 No step copies a large table whole: histograms, gathers and the norm test
@@ -52,8 +52,8 @@ only when n < 16: past that a coordinate of W(y) can reach 57344 in
 absolute value, and a non-flat row can pass by wrapping.  The {2,16}
 table f = x1 + 1, except f = 0 at 128 points with x1 = 0, has W(0) = 256
 and W(1) = -65280, which is 256 mod 2^16.  That matters only where the
-least failing row is asked for, and _first_nonflat then runs the kernel
-once more in int32.
+least failing row is asked for, and there _low_rows_flat decides the rows
+before the first int16 failure exactly, from the table folded onto them.
 
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one histogram of the values gives
@@ -64,11 +64,14 @@ not flat; since 0 is the least index, it is then the first failing y, with
 no FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
 from a gcd pass and the table goes straight to the kernel, every row is
 tested as a batch of one, and the first failing y is the least over the
-tests.  A failing row found by the int16 pass is always not flat, so
-is_gbf stops there; first_flat_violation needs the least one, and when
-that pass finds one at n >= 16 with a row before it that passed in int16
-alone (any row but a row 0 decided from the histogram), the table is
-transformed again in int32, where every row is exact, to find it.
+tests.  A failing row found in int16 is always not flat, so is_gbf stops
+there; first_flat_violation needs the least one.  When the int16 pass
+finds it at n >= 16 with a row before it that passed in int16 alone (any
+row but a row 0 decided from the histogram), the rows r < 2^k, 2^k >= y,
+depend on x only through its low k index bits: the unit coordinates summed
+over the high n - k bits, in int32, and a k-stage FWHT give their W(r)
+exactly, and the least failing one among them, or y itself, is reported.
+Only one full-size transform runs per table.
 """
 
 from __future__ import annotations
@@ -370,11 +373,10 @@ _UNIT_COORDS = {2: [[1], [-1]], 4: [[1, 0], [0, 1], [-1, 0], [0, -1]]}
 
 
 @lru_cache(maxsize=None)
-def _unit_coords(m: int, dtype: str = "int16") -> np.ndarray:
-    """_UNIT_COORDS[m] as a read-only array, built at first use: int16, in
-    which the FWHT of the coordinates gives W(y) mod 2^16, or the dtype
-    asked for (int32, in which it gives W(y) itself)."""
-    coords = np.array(_UNIT_COORDS[m], dtype=dtype)
+def _unit_coords(m: int) -> np.ndarray:
+    """_UNIT_COORDS[m] as a read-only int16 array, built at first use: the
+    FWHT of these coordinates gives W(y) mod 2^16 (module docstring)."""
+    coords = np.array(_UNIT_COORDS[m], dtype=np.int16)
     coords.setflags(write=False)
     return coords
 
@@ -415,26 +417,25 @@ def _quotient(tables: np.ndarray, l: int) -> np.ndarray:
     return np.floor_divide(tables, l, dtype=np.intp)
 
 
-def _terms(tables, m: int, n: int, dtype: str = "int16"):
+def _terms(tables, m: int, n: int):
     """(test, terms) for each exact test of a (rows, batch) array of
     modulus-m tables, one per column, or of a pair (tables, l) whose values
     are l times such residues, read as v // l; terms[x, table, k] is the
     image of zeta^f(x) in unit column k.  At m = 2 or 4 the one test is
-    None, and the unit columns are the coordinates of zeta^f(x) in Z or
-    Z[i] in _unit_coords(m, dtype), int16 unless the caller asks for
-    another, gathered a block of about _CHUNK entries at a time into one
-    terms array, by one take when the tables are one block.  When l > 1
-    and the tables have at least m*l rows, the quotient is folded into a
-    lookup whose row v holds the coordinates of v // l; otherwise each
-    block is divided on its own.  Otherwise test is each prime q of
-    _split_primes(m, n), and column k holds omega^(k f(x)) mod q for each
-    k of the cols of _root_powers.  Each test gathers from exponents of its
-    own, dropped as soon as it is gathered, so the terms never share memory
-    with a matrix of exponents; the quotients, phi(m) times smaller, are
-    kept until the last test."""
+    None, and the unit columns are the int16 coordinates of zeta^f(x) in Z
+    or Z[i], _unit_coords(m), gathered a block of about _CHUNK entries at a
+    time into one terms array, by one take when the tables are one block.
+    When l > 1 and the tables have at least m*l rows, the quotient is
+    folded into a lookup whose row v holds the coordinates of v // l;
+    otherwise each block is divided on its own.  Otherwise test is each
+    prime q of _split_primes(m, n), and column k holds omega^(k f(x)) mod q
+    for each k of the cols of _root_powers.  Each test gathers from
+    exponents of its own, dropped as soon as it is gathered, so the terms
+    never share memory with a matrix of exponents; the quotients, phi(m)
+    times smaller, are kept until the last test."""
     tables, l = tables if isinstance(tables, tuple) else (tables, 1)
     if m in _UNIT_COORDS:
-        coords = _unit_coords(m, dtype)
+        coords = _unit_coords(m)
         if l > 1 and m * l <= len(tables):
             coords, l = np.repeat(coords, l, axis=0), 1
         if tables.size <= _CHUNK:
@@ -454,32 +455,16 @@ def _terms(tables, m: int, n: int, dtype: str = "int16"):
         yield q, pw[np.multiply.outer(tables, cols) % m]
 
 
-def _spectra(tables, m: int, n: int, dtype: str = "int16"):
-    """(test, spec) for each test of _terms on a (2^n, batch) array of
-    modulus-m tables, or a pair (tables, l) as _terms takes it, with its
-    dtype; spec is (unit column, y, table), the FWHT of the terms, and so
-    linear in them.  At m = 2 or 4 the unit columns are the coordinates of
-    W(y) in Z or Z[i].  The butterflies are ring operations, so in int16
-    they wrap and give each coordinate mod 2^16, as a signed int16; in
-    int32 they give it exactly, since partial sums are at most 2^n <= 2^26.
-    The module docstring says why int16 decides flatness exactly.
-    Otherwise column k holds W_k(y) mod q: residues below 2^30 summed over
-    2^26 rows stay below 2^56."""
-    for test, terms in _terms(tables, m, n, dtype):
-        yield test, _fwht_inplace(terms).transpose(2, 0, 1)
-        del terms               # before the next test gathers its own
-
-
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
-    """The (2^n, batch) mask of |W(y)|^2 = 2^n for a (test, spec) of
-    _spectra: re^2 + im^2 = 2^n in int64, of the signed coordinates as
-    _spectra gives them (mod 2^16 in int16), or W_k W_(m-k) = 2^n (mod q)
-    at each unit k <= m/2, overwriting spec.  A row that fails is not flat.
-    A row that passes in int16 is flat when n < 16, and in any case when
-    every row of its table passes (module docstring).  x mod q is
-    x - x // q * q, several times faster in numpy; products of residues
-    stay below q^2 < 2^60.  A spec of more than _CHUNK entries is taken a
-    block of rows at a time, so the temporaries stay that small."""
+    """The (2^n, batch) mask of |W(y)|^2 = 2^n for a test of _terms and its
+    spectrum spec, (unit column, y, table): re^2 + im^2 = 2^n in int64, of
+    the signed coordinates as given (mod 2^16 in int16), or W_k W_(m-k) =
+    2^n (mod q) at each unit k <= m/2, overwriting spec.  A row that fails
+    is not flat.  A row that passes in int16 is flat when n < 16, and in
+    any case when every row of its table passes (module docstring).  x mod
+    q is x - x // q * q, several times faster in numpy; products of
+    residues stay below q^2 < 2^60.  A spec of more than _CHUNK entries is
+    taken a block of rows at a time, so the temporaries stay that small."""
     if spec.size > _CHUNK and spec.shape[1] > 1:
         mask = np.empty(spec.shape[1:], dtype=bool)
         step = _chunk_rows(spec.shape[1], spec.size)
@@ -499,47 +484,48 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     return (low == (1 << n) % test).all(axis=0)
 
 
-def _flat_rows(tables, m: int, n: int, *dtype) -> np.ndarray:
-    """The (2^n,) mask of the rows of one table, a (table, l) pair as
-    _spectra takes it, that pass every test of _spectra (in its dtype when
-    one is given); each test's spectrum is dropped before the next test
-    gathers its terms."""
+def _flat_mask(tables, m: int, n: int) -> np.ndarray:
+    """The (2^n, batch) mask of the rows of a (2^n, batch) array of
+    modulus-m tables, or a pair (tables, l) as _terms takes it, that pass
+    every test of _terms.  Each test's terms go through one FWHT, which is
+    linear: at m = 2 or 4 it gives the coordinates of W(y) in Z or Z[i]
+    mod 2^16, the butterflies wrapping in int16; otherwise column k holds
+    W_k(y) mod q, residues below 2^30 summed over 2^26 rows staying below
+    2^56.  _flat then tests the spectrum, which is dropped before the next
+    test gathers its terms."""
     ok = True
-    for test, spec in _spectra(tables, m, n, *dtype):
-        ok = ok & _flat(test, spec, n)[:, 0]
-        del spec
+    for test, terms in _terms(tables, m, n):
+        ok = ok & _flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
+        del terms
     return ok
 
 
-def _first_nonflat(f: FunctionTable, least: bool = True):
-    """(y, c, hist) for one table: y is the least row whose |W(y)|^2
-    differs from 2^n, or None; c is the content modulus m/l, l = gcd(m,
-    values); hist is the length-m histogram of f's values when it refutes
-    row 0, and None otherwise.  With least false, y is some failing row,
-    not always the least one.
+def _first_nonflat(f: FunctionTable):
+    """(y, c, hist) for one table: y is a row whose |W(y)|^2 differs from
+    2^n, or None; c is the content modulus m/l, l = gcd(m, values); hist
+    is the length-m histogram of f's values when it refutes row 0, and None
+    otherwise.  y is the least failing row except at c = 2 or 4 and n >=
+    16, where it is the least row that fails in int16.
 
     The table is tested at c, on the quotients v/l, which have the same
     Walsh values as complex numbers, since zeta_m^(l*v) = zeta_c^v; an
     all-zero table, whose W(y) are the same integers at every modulus, is
-    taken at c = 2, never 1.  An unsupported c is refused before any
-    quotient is taken.
+    taken at c = 2, never 1.  An unsupported c is refused by _terms
+    before any quotient is taken.
 
     When m <= 2^n, one histogram gives l with no gcd pass, and W(0) =
-    sum_v count(v) zeta_c^(v/l) goes through the tests of _spectra: row 0
+    sum_v count(v) zeta_c^(v/l) goes through the tests of _terms: row 0
     of each spectrum is the sum of the terms over x, so the values' terms
     weighted by their counts give it exactly, in O(len(values) phi(c)), and
-    the counts sum to 2^n, so the bounds of _spectra hold; at c = 2 or 4
+    the counts sum to 2^n, so the bounds of _flat_mask hold; at c = 2 or 4
     the int16 coordinates, summed in int64, give W(0) itself.  Each test
     is exact per row there, so when one fails, 0 is the least failing y,
-    with no FWHT.  Otherwise every row is tested as a batch of one, the
-    table going to _spectra with l, so no quotient table is built at c = 2
-    or 4, and y is the least failing row over the tests.  At c = 2 or 4
-    that pass is in int16: None is exact, by Parseval, and so is any
+    with no FWHT.  Otherwise every row is tested by _flat_mask as a batch
+    of one, the table going in with l, so no quotient table is built at
+    c = 2 or 4, and y is the least failing row over the tests.  At c = 2
+    or 4 that pass is in int16: None is exact, by Parseval, and so is any
     failing row, but at n >= 16 a row before it may have passed by
-    wrapping.  So when least is set and a row before it passed in int16
-    alone, which is every row before it but a row 0 decided from the
-    histogram, the table goes through the same kernel again in int32,
-    which gives the least failing row exactly."""
+    wrapping (first_flat_violation settles those rows)."""
     m, n, arr = f.m, f.n, f.array
     hist = None
     if m <= arr.size:
@@ -547,24 +533,35 @@ def _first_nonflat(f: FunctionTable, least: bool = True):
         values = np.flatnonzero(hist)
     l = gcd(m, int(np.gcd.reduce(arr if hist is None else values)))
     c = max(m // l, 2)
-    if c not in _UNIT_COORDS:
-        _root_powers(c, n)          # refuses an unsupported c here
     if hist is not None:
         for test, terms in _terms((values[:, None], l), c, n):
             row0 = hist[values] @ terms[:, 0]
             if not _flat(test, row0[:, None, None], n)[0, 0]:
                 return 0, c, hist
         del hist, values    # each up to 2^n entries, freed before the FWHT
-    ok = _flat_rows((arr[:, None], l), c, n)
-    if ok.all():
-        return None, c, None
-    y = int(np.argmin(ok))
-    # the rows before y passed, row 0 exactly when it came from the
-    # histogram, the others in int16 alone when c is 2 or 4
-    if least and y > (m <= arr.size) and n >= 16 and c in _UNIT_COORDS:
-        del ok
-        y = int(np.argmin(_flat_rows((arr[:, None], l), c, n, "int32")))
-    return y, c, None
+    ok = _flat_mask((arr[:, None], l), c, n)[:, 0]
+    return (None if ok.all() else int(np.argmin(ok))), c, None
+
+
+def _low_rows_flat(f: FunctionTable, c: int, k: int) -> np.ndarray:
+    """The exact (2^k,) mask of |W(r)|^2 = 2^n over the rows r < 2^k of a
+    table at content modulus c = 2 or 4.  (-1)^(x.r) depends on x only
+    through its low k index bits, so W(r) is the k-stage FWHT of the int16
+    unit coordinates summed over the high n - k bits.  The sums are taken
+    in int32 and the int16 terms dropped before the FWHT, which is exact
+    there: every partial sum is at most 2^n <= 2^26 in absolute value.  At
+    k = n this is one int32 transform of the whole table.  numpy adds one
+    row into the next fastest when rows are long, so the sums go first over
+    rows of at least _LONG_RUN entries, which needs n >= 12, then over the
+    few rows left: at n = 24 and k = 1, 18 ms instead of 160 ms."""
+    _, terms = next(_terms((f.array[:, None], f.m // c), c, f.n))
+    row = terms.shape[-1] << k          # the terms of the x < 2^k
+    low = terms.reshape(-1, max(_LONG_RUN, row)).sum(axis=0, dtype=np.int32)
+    del terms
+    if len(low) > row:
+        low = low.reshape(-1, row).sum(axis=0)
+    spec = _fwht_inplace(low.reshape(1 << k, 1, -1)).transpose(2, 0, 1)
+    return _flat(None, spec, f.n)[:, 0]
 
 
 def first_flat_violation(f: FunctionTable):
@@ -572,18 +569,24 @@ def first_flat_violation(f: FunctionTable):
     otherwise (y, canonical coefficients of |W(y)|^2 in Z[zeta_m]) for the
     first failing y in index order.
 
-    _first_nonflat finds y at the content modulus m/l, l = gcd(m, values),
-    where every W(y) is the same complex number, so y does not depend on l.
-    At content modulus 2 or 4 and n >= 16, a table whose least row that
-    fails in int16 has a row before it that passed in int16 alone is
-    transformed twice, in int16 and then in int32, so that y is the least
-    failing row and not only a failing one.
+    _first_nonflat finds a failing y at the content modulus m/l, l =
+    gcd(m, values), where every W(y) is the same complex number, so y does
+    not depend on l.  At content modulus 2 or 4 and n >= 16, when a row
+    before it passed in int16 alone, _low_rows_flat decides the rows before
+    y exactly, and the least of them that fails, or else y, is reported:
+    one full-size transform in all.
     Only the reported row is built at m, and so is refused for m at or above
     2^30: when row 0 was refuted from the histogram it is that histogram,
     otherwise one _histogram (signed when y > 0)."""
-    y, _, hist = _first_nonflat(f)
+    y, c, hist = _first_nonflat(f)
     if y is None:
         return None
+    # the rows before y passed, row 0 exactly when it came from the
+    # histogram, the others in int16 alone when c is 2 or 4; argmin over a
+    # trailing False gives the first failing row, or y when none fails
+    if y > (f.m <= f.array.size) and f.n >= 16 and c in _UNIT_COORDS:
+        low = _low_rows_flat(f, c, (y - 1).bit_length())[:y]
+        y = int(np.argmin(np.append(low, False)))
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
@@ -597,7 +600,7 @@ def is_gbf(f: FunctionTable) -> bool:
     Decided by _first_nonflat at the content modulus, with no report built
     at m and no search for the least failing row, so one transform a
     test, int16 at content modulus 2 or 4."""
-    return _first_nonflat(f, least=False)[0] is None
+    return _first_nonflat(f)[0] is None
 
 
 # -- constructions -----------------------------------------------------------

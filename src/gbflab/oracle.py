@@ -13,7 +13,7 @@ multiset.  The multisets of the 2^n - 1 free values are enumerated in
 order, and the W(0) of each, the sum of the terms of its values and of
 the fixed 0, goes through every test of gbf's flatness check.  Of the
 multisets that pass, one per orbit of the units of Z_m has its distinct
-arrangements tested at every row, in numpy batches.  For a unit k,
+arrangements tested at every row, in _flat_mask batches.  For a unit k,
 zeta -> zeta^k is an automorphism of Q(zeta_m) that takes W(y) of f to
 W(y) of k*f and keeps |W(y)|^2 = 2^n, so f and k*f are flat together,
 k*f keeps f(2^n - 1) = 0, and k maps the arrangements of a multiset M one
@@ -50,7 +50,7 @@ from itertools import (chain, combinations, combinations_with_replacement,
 from math import comb
 
 from ._lazy import np
-from .gbf import FunctionTable, GbfType, _flat, _spectra, _terms, is_gbf
+from .gbf import FunctionTable, GbfType, _flat, _flat_mask, _terms, is_gbf
 
 DEFAULT_BUDGET = 10**7
 _BATCH_TARGET = 4096
@@ -179,8 +179,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     hits = np.empty((0, rows), np.int64)
     for batch in _arrangements(np.concatenate(passed), per):
         tables = _tables(batch)
-        ok = np.all([_flat(test, spec, n)
-                     for test, spec in _spectra(tables, m, n)], axis=(0, 1))
+        ok = _flat_mask(tables, m, n).all(axis=0)
         # each hit stands for one hit of every multiset in its orbit
         count += int(_orbits(np.sort(batch[ok], axis=1), units, m)[1].sum())
         if max_witnesses:

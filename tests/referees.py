@@ -29,7 +29,7 @@ import numpy as np
 
 from gbflab import numtheory as nt
 from gbflab.cyclotomic import CycInt, zeta_pow
-from gbflab.gbf import (FunctionTable, GbfType, _flat, _spectra, _terms,
+from gbflab.gbf import (FunctionTable, GbfType, _flat, _fwht_inplace, _terms,
                         construct_even_even, is_gbf)
 from gbflab.oracle import (DEFAULT_BUDGET, OracleResult, _arrangements,
                            _tables)
@@ -295,8 +295,8 @@ def census(t: GbfType, budget: int = DEFAULT_BUDGET,
     hits = np.empty((0, rows), np.int64)
     for batch in _arrangements(np.concatenate(passed), per):
         tables = _tables(batch)
-        ok = np.all([_flat(test, spec, n)
-                     for test, spec in _spectra(tables, m, n)], axis=(0, 1))
+        ok = np.all([_flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
+                     for test, terms in _terms(tables, m, n)], axis=(0, 1))
         count += int(ok.sum())
         hits = np.concatenate([hits, tables[:, ok].T])
         hits = hits[np.lexsort(hits.T)[:max_witnesses]]

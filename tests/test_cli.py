@@ -571,8 +571,8 @@ def test_out_of_memory_exits_usage(tmp_path, monkeypatch, capsys):
     # the one flatness kernel behind is_gbf, first_flat_violation and the
     # oracle; decide reaches it only while it checks the pieces of a rule's
     # base not yet verified
-    monkeypatch.setattr(gbf, "_spectra", exhausted)
-    monkeypatch.setattr(oracle, "_spectra", exhausted)
+    monkeypatch.setattr(gbf, "_flat_mask", exhausted)
+    monkeypatch.setattr(oracle, "_flat_mask", exhausted)
     criteria._pieces.cache_clear()
     monkeypatch.chdir(tmp_path)
     for argv in (("decide", "8", "2"), ("verify", str(path)),

@@ -492,6 +492,18 @@ def _swapped(f, rng):
     return FunctionTable(f.gbf_type, values)
 
 
+def _swapped_at(f, y):
+    """f with f(0) exchanged for the first different f(j) whose index j has
+    the one set bit of y = 2^t as its lowest: W(r) changes exactly at the
+    rows r with j.r odd, the least of which is y.  So a flat f becomes a
+    table whose least failing row is y, which it fails by a few units, far
+    from any wrapping."""
+    values = f.array.copy()
+    j = next(j for j in range(y, len(values), 2 * y) if values[j] != values[0])
+    values[[0, j]] = values[[j, 0]]
+    return FunctionTable(f.gbf_type, values)
+
+
 def _content_tables(rng, c, n):
     """Seeded tables of content modulus c: random, flat and swapped flat,
     lifted by l = 2, 3, 5, 1, 2 at n = 1..5, so that m = c * l."""
@@ -517,9 +529,9 @@ def test_failing_row_matches_referee_at_each_content_modulus(c):
     assert verdicts == ({False, True} if c % 2 == 0 else {False})
 
 
-def _first_violation_by_walsh_matrix(f, c):
-    """The same referee for a table whose values are multiples of l = m/c,
-    c = 2 or 4, with W(y) read off the exact walsh_matrix rows: since
+def _flat_rows_by_walsh_matrix(f, c):
+    """(walsh_matrix(f), the (2^n,) mask of its rows with |W(y)|^2 = 2^n)
+    for a table whose values are multiples of l = m/c, c = 2 or 4: since
     zeta_m^(l u) = zeta_c^u, W(y) is row[0] - row[l] at c = 2, and has
     coordinates row[0] - row[2l] and row[l] - row[3l] at c = 4."""
     mat, l = walsh_matrix(f), f.m // c
@@ -527,7 +539,15 @@ def _first_violation_by_walsh_matrix(f, c):
         norm = (mat[:, 0] - mat[:, l]) ** 2
     else:
         norm = (mat[:, 0] - mat[:, 2 * l]) ** 2 + (mat[:, l] - mat[:, 3 * l]) ** 2
-    bad = np.flatnonzero(norm != 1 << f.n)
+    return mat, norm == 1 << f.n
+
+
+def _first_violation_by_walsh_matrix(f, c):
+    """The same referee for a table whose values are multiples of l = m/c,
+    c = 2 or 4, with W(y) read off the exact walsh_matrix rows
+    (_flat_rows_by_walsh_matrix)."""
+    mat, flat = _flat_rows_by_walsh_matrix(f, c)
+    bad = np.flatnonzero(~flat)
     if not len(bad):
         return None
     y = int(bad[0])
@@ -608,13 +628,13 @@ def test_signed_histogram_holds_no_table_sized_temporary(y):
 
 def _kernel_calls(monkeypatch):
     """A list that grows by one for each call of the batched kernel."""
-    calls, spectra = [], gbf._spectra
+    calls, kernel = [], gbf._flat_mask
 
     def counted(*args):
         calls.append(args[1:])
-        return spectra(*args)
+        return kernel(*args)
 
-    monkeypatch.setattr(gbf, "_spectra", counted)
+    monkeypatch.setattr(gbf, "_flat_mask", counted)
     return calls
 
 
@@ -736,6 +756,12 @@ def _kernel_batch(rng, m, n):
     return tables
 
 
+def _spectrum(terms):
+    """The spectrum of a test's terms as _flat takes it: their FWHT, as
+    (unit column, y, table)."""
+    return gbf._fwht_inplace(terms).transpose(2, 0, 1)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
 def test_batched_kernel_matches_per_table_checks(m):
     rng = random.Random(200 + m)
@@ -743,9 +769,10 @@ def test_batched_kernel_matches_per_table_checks(m):
     for n in range(1, 6):
         batch = _kernel_batch(rng, m, n)
         tables = np.stack([f.array for f in batch], axis=1)
-        ok = np.all([gbf._flat(test, spec, n)
-                     for test, spec in gbf._spectra(tables, m, n)], axis=0)
+        ok = np.all([gbf._flat(test, _spectrum(terms), n)
+                     for test, terms in gbf._terms(tables, m, n)], axis=0)
         assert ok.shape == (1 << n, len(batch))
+        assert np.array_equal(gbf._flat_mask(tables, m, n), ok)
         for f, rows in zip(batch, ok.T):
             bad = first_flat_violation(f)
             assert bool(rows.all()) == is_gbf(f) == (bad is None)
@@ -766,9 +793,9 @@ def test_spectra_add_over_disjoint_supports(m):
         support = np.array([rng.random() < 0.5 for _ in range(rows)])
         a, b = np.where(support, values, 0), np.where(support, 0, values)
         zero = np.zeros(rows, dtype=np.int64)
-        for test, spec in gbf._spectra(np.stack([a, b, zero, values], 1),
-                                       m, n):
-            sa, sb, s0, whole = np.moveaxis(spec, -1, 0)
+        for test, terms in gbf._terms(np.stack([a, b, zero, values], 1),
+                                      m, n):
+            sa, sb, s0, whole = np.moveaxis(_spectrum(terms), -1, 0)
             assert np.array_equal(sa + sb - s0, whole), (n, test)
 
 
@@ -852,17 +879,17 @@ def test_row_that_wraps_into_flat_is_reported(monkeypatch, tmp_path, capsys,
                                               build, c, digest):
     # W(1) = -65280 is 256 mod 2^16, so row 1 passes in int16: is_gbf is
     # still false, by Parseval, and first_flat_violation and gbf verify
-    # name y = 1 from a second pass in int32, with the report of the
-    # int32 kernel byte for byte
+    # name y = 1, which the fold decides exactly, with one kernel call and
+    # the pinned report byte for byte
     f = build()
     want = _first_violation_by_walsh_matrix(f, c)
-    assert want[0] == 1 and gbf._first_nonflat(f)[:2] == (1, c)
-    assert gbf._first_nonflat(f, least=False)[0] > 1   # int16 alone
+    y, content, _ = gbf._first_nonflat(f)
+    assert want[0] == 1 and y > 1 and content == c     # int16 alone
     calls = _kernel_calls(monkeypatch)
     assert not is_gbf(f) and calls == [(c, 16)]
     del calls[:]
     assert first_flat_violation(f) == want
-    assert calls == [(c, 16), (c, 16, "int32")]
+    assert calls == [(c, 16)]
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"m": f.m, "n": f.n, "values": list(f.values)}))
     assert cli.main(["verify", str(path)]) == 1
@@ -879,12 +906,18 @@ def test_int16_kernel_matches_walsh_matrix_at_content_2_and_4(n):
     # row and its report.  The rules' witnesses at even n have content
     # modulus 2, so a product construction with random g stands in at 4
     rng = random.Random(1400 + n)
-    flat = [found[0] for found in map(rule_exists, (
+    rules = [found[0] for found in map(rule_exists, (
         GbfType(m, n) for m in (2, 4, 6, 12))) if found is not None]
+    flat = list(rules)
     if n % 2 == 0:
         flat.append(ref.seeded_even_even(4, n, n))
     tables = [_random_table(rng, c, n) for c in (2, 4)] + flat
     tables += [_swapped(f, rng) for f in flat]
+    # from n = 16 on, the witnesses at m = 4 and 12 swapped to fail first,
+    # in int16 too, at row 2, 4 or 8: the fold decides the rows before it
+    swaps = [(_swapped_at(f, y), y) for f in rules if f.m in (4, 12)
+             for y in (2, 4, 8)] if n >= 16 else []
+    tables += [f for f, _ in swaps]
     seen = set()
     for f in tables:
         c = gbf._first_nonflat(f)[1]
@@ -892,39 +925,108 @@ def test_int16_kernel_matches_walsh_matrix_at_content_2_and_4(n):
         assert first_flat_violation(f) == want, f.gbf_type
         assert is_gbf(f) == (want is None), f.gbf_type
         seen.add((c, None if want is None else want[0] > 0))
+    for f, y in swaps:
+        assert gbf._first_nonflat(f)[0] == first_flat_violation(f)[0] == y
     assert seen == {(2, False), (4, False), (4, None), (4, True)} | (
         {(2, None), (2, True)} if n % 2 == 0 else set())
+
+
+def _fold_calls(monkeypatch):
+    """A list that grows by the k of each call of _low_rows_flat."""
+    calls, fold = [], gbf._low_rows_flat
+
+    def counted(f, c, k):
+        calls.append(k)
+        return fold(f, c, k)
+
+    monkeypatch.setattr(gbf, "_low_rows_flat", counted)
+    return calls
 
 
 def test_int32_pass_runs_only_when_an_earlier_row_passed_in_int16_alone(
         monkeypatch):
     # a {4,16} witness with f(0) swapped for an f(j), j odd: row 1 fails.
     # Row 0 comes from the histogram, exactly, so row 1 is the least
-    # failing row with no int32 pass.  Lifted past m = 2^16, row 0 too is
-    # tested in int16, and the int32 pass confirms row 1
+    # failing row with no fold.  Lifted past m = 2^16, row 0 too is tested
+    # in int16, and the fold of every x onto row 0 confirms row 1
     values = ref.seeded_even_even(4, 16, 7).array.copy()
     j = next(j for j in range(1, 1 << 16, 2) if values[j] != values[0])
     values[[0, j]] = values[[j, 0]]
     f = FunctionTable(GbfType(4, 16), values)
     want = _first_violation_by_walsh_matrix(f, 4)
     assert want[0] == 1
-    calls = _kernel_calls(monkeypatch)
-    assert first_flat_violation(f) == want and calls == [(4, 16)]
+    folds = _fold_calls(monkeypatch)
+    assert first_flat_violation(f) == want and folds == []
     lifted = lift_modulus(f, 3 << 15)
-    del calls[:]
     assert gbf._first_nonflat(lifted)[:2] == (1, 4)
-    assert calls == [(4, 16), (4, 16, "int32")]
+    assert first_flat_violation(lifted)[0] == 1 and folds == [0]
     # 65,408 ones and 128 zeros at {2,16}: W(0) = -65280, which wraps to
     # 256, and W(1) = 0.  The histogram refutes row 0; past m = 2^16 row 0
-    # passes in int16, row 1 fails, and the int32 pass finds row 0
+    # passes in int16, row 1 fails, and the fold finds row 0
     ones = np.ones(1 << 16, np.uint8)
     ones[:128] = 0
     g = FunctionTable(GbfType(2, 16), ones)
     assert _first_violation_by_walsh_matrix(g, 2)[0] == 0
+    del folds[:]
     assert gbf._first_nonflat(g)[:2] == (0, 2)
+    assert first_flat_violation(g)[0] == 0 and folds == []
     lifted = lift_modulus(g, 3 << 16)
-    assert gbf._first_nonflat(lifted, least=False)[0] == 1
-    assert gbf._first_nonflat(lifted)[:2] == (0, 2) and not is_gbf(lifted)
+    assert gbf._first_nonflat(lifted)[:2] == (1, 2) and not is_gbf(lifted)
+    assert first_flat_violation(lifted)[0] == 0 and folds == [0]
+
+
+@pytest.mark.parametrize("c", [2, 4])
+def test_low_rows_flat_matches_walsh_matrix(c):
+    # the fold onto the rows below 2^k, k = 0, 1 and n, on seeded random
+    # {c,16} tables, the table whose row 1 wraps into flat and a swapped
+    # flat table, each also lifted past m = 2^16, where every W(y) is the
+    # same: its mask is the flat rows of walsh_matrix, exactly
+    n = 16
+    rng = random.Random(1600 + c)
+    tables = [_random_table(rng, c, n) for _ in range(2)]
+    tables += [ref.wrapped_row(c), _swapped(_flat_at(c, n, rng), rng)]
+    flat_rows = 0
+    for f in tables:
+        want = _flat_rows_by_walsh_matrix(f, c)[1]
+        flat_rows += int(want.sum())
+        for g in (f, lift_modulus(f, 3 << 15)):
+            for k in (0, 1, n):
+                got = gbf._low_rows_flat(g, c, k)
+                assert got.shape == (1 << k,)
+                assert np.array_equal(got, want[:1 << k]), (g.gbf_type, k)
+    assert flat_rows
+
+
+@pytest.mark.parametrize("n,m,y", [(19, 4, 2), (19, 12, 4), (20, 4, 8)])
+def test_least_row_below_the_int16_failure_matches_walsh_matrix(
+        monkeypatch, n, m, y):
+    # a rule witness swapped to fail first at row y, in int16 too: one fold
+    # onto the rows below 2^k = y decides the rows before it, and the row
+    # and its report are the referee's
+    f = _swapped_at(rule_exists(GbfType(m, n))[0], y)
+    y16, c, _ = gbf._first_nonflat(f)
+    assert y16 == y
+    folds = _fold_calls(monkeypatch)
+    assert first_flat_violation(f) == _first_violation_by_walsh_matrix(f, c)
+    assert folds == [(y - 1).bit_length()]
+
+
+def test_least_row_search_peaks_at_the_flatness_check():
+    # a {4,20} witness swapped to fail first at row 2: the rows before it
+    # are decided from a fold onto 2 rows, not from a second transform of
+    # the whole table, so the search peaks where is_gbf does (an int32
+    # transform of the whole table took twice that)
+    f = _swapped_at(rule_exists(GbfType(4, 20))[0], 2)
+    assert first_flat_violation(f)[0] == 2 and not is_gbf(f)
+    peaks = []
+    for check in (is_gbf, first_flat_violation):
+        tracemalloc.start()
+        try:
+            check(f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # -- the FWHT kernel -----------------------------------------------------------

@@ -105,13 +105,13 @@ def _unit_images(m, values):
 def _full_row_tables(monkeypatch):
     """A list that collects every table the oracle tests at every row, as
     a tuple of its values, once per table."""
-    recorded, tested = oracle._spectra, []
+    recorded, tested = oracle._flat_mask, []
 
     def every_row(tables, m, n):
         tested.extend(map(tuple, tables.T.tolist()))
         return recorded(tables, m, n)
 
-    monkeypatch.setattr(oracle, "_spectra", every_row)
+    monkeypatch.setattr(oracle, "_flat_mask", every_row)
     return tested
 
 
