@@ -26,7 +26,7 @@ import sys
 import traceback
 import warnings
 
-from . import criteria, oracle as oracle_mod
+from . import criteria, gbf, oracle as oracle_mod
 from ._lazy import np
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
                        describe_rule, rule_exists, summarize_report)
@@ -55,16 +55,13 @@ def _witness_dict(w: FunctionTable) -> dict:
     return {"m": w.m, "n": w.n, "values": w.array.tolist()}
 
 
-_WRITE_CHUNK = 1 << 16
-
-
 def _witness_chunks(w: FunctionTable):
     """The witness file without its final newline, byte for byte
     json.dumps(_witness_dict(w)), as a stream of byte strings.  The values
     are spelled through a byte table of the tokens "v, ", for each v up to
     the largest value (or each distinct value when m exceeds the table
-    length), padded with NUL bytes: tokens gathered a chunk at a time, NULs
-    dropped, the last separator cut.  When the least value's token is as
+    length), padded with NUL bytes: tokens gathered a block of gbf._blocks
+    at a time, NULs dropped, the last separator cut.  When the least value's token is as
     wide as the widest, no token is padded, and the drop is skipped."""
     a = w.array
     if w.m <= len(a):
@@ -76,10 +73,10 @@ def _witness_chunks(w: FunctionTable):
     tokens = np.array([f"{v}, ".encode() for v in distinct.tolist()])
     padded = len(f"{least}, ") < tokens.itemsize
     yield f'{{"m": {w.m}, "n": {w.n}, "values": ['.encode()
-    for start in range(0, len(a), _WRITE_CHUNK):
-        spelled = tokens.take(index[start:start + _WRITE_CHUNK]).view(np.uint8)
+    for block in gbf._blocks(len(a), len(a)):
+        spelled = tokens.take(index[block]).view(np.uint8)
         body = (spelled[spelled != 0] if padded else spelled).tobytes()
-        yield body if start + _WRITE_CHUNK < len(a) else body[:-2]
+        yield body if block.stop < len(a) else body[:-2]
     yield b"]}"
 
 
@@ -187,9 +184,12 @@ def parse_witness(data: dict) -> FunctionTable:
         raise ValueError("m and n must be integers")
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise ValueError("values must be a list of integers")
-    try:    # the scan above leaves no float: skip the dtype inference
-        values = np.asarray(values, dtype=np.int64)
-    except OverflowError:   # inference would mix uint64 and int64 to float64
+    # the scan above leaves no float: read straight into the table's dtype
+    # (m < 2 is refused by GbfType), and a value it cannot hold into Python
+    # integers, which FunctionTable checks; inference could give float64
+    try:
+        values = np.asarray(values, dtype=gbf._value_dtype(max(m, 2)))
+    except OverflowError:
         values = np.array(values, dtype=object)
     return FunctionTable(GbfType(m, n), values)
 

@@ -103,13 +103,14 @@ def report_from_dict(data) -> CriterionReport:
 class Verdict:
     """Engine output: Exists with a verified witness and the rule that built
     it, NotExists with a re-validated report, or Unknown with every
-    applicable-but-inconclusive report."""
+    applicable-but-inconclusive report.  Equality compares every field;
+    the hash leaves out report and attempts, which need not be hashable."""
 
     kind: str
     witness: FunctionTable | None = None
     rule: str | None = None
-    report: CriterionReport | None = None
-    attempts: tuple = ()
+    report: CriterionReport | None = field(default=None, hash=False)
+    attempts: tuple = field(default=(), hash=False)
 
 
 def _base_quantities(m_odd: int, factors):

@@ -30,9 +30,13 @@ Every other modulus is tested at the m-th roots of unity of F_q for the
 split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
-No step copies a large table whole: histograms, gathers and the norm test
-go a chunk of about _CHUNK entries at a time, each into its slice of one
-output, and a table of one chunk or less takes one numpy call per step.
+_CHUNK is the package's one block size, and _blocks its one rule: every
+chunked pass (histograms, int16 gathers, the norm test, direct_sum, the
+witness writer of the command line) takes the row blocks of _blocks, about
+_CHUNK entries each, each into its slice of one output, and the oracle
+sizes its census slices from _CHUNK; a table of one block or less takes
+one numpy call per step.  The split-prime test still builds its exponents
+whole, one prime at a time, and also its quotients when l > 1.
 Every FWHT is one _fwht_inplace call.  On a large array with short rows it
 runs the butterflies in rounds over runs of at least 2^12 entries, rotating
 the index bits between rounds through one scratch array of the input's
@@ -381,29 +385,30 @@ def _unit_coords(m: int) -> np.ndarray:
     return coords
 
 
-_CHUNK = 1 << 16         # entries a histogram, gather or norm step takes
+_CHUNK = 1 << 16         # entries a block of any chunked pass takes
 
 
-def _chunk_rows(rows: int, size: int) -> int:
-    """How many of the rows of an array of size entries hold about _CHUNK
-    entries: at least one."""
-    return max(1, _CHUNK * rows // size)
+def _blocks(rows: int, size: int):
+    """The slices, in order, of the rows of an array of size entries that
+    cut it into blocks of about _CHUNK entries: each at least one row, the
+    last one clipped.  _CHUNK is read at each call."""
+    step = max(1, _CHUNK * rows // size)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def _histogram(arr: np.ndarray, m: int, y: int = 0) -> np.ndarray:
     """The length-m count of each value of a table, the value at x
     weighted by (-1)^(x.y): int64 counts at y = 0, else float64 sums,
-    exact below 2^53.  Taken a chunk at a time, since bincount first casts
-    a read-only or narrow input whole; one bincount at y = 0 when the
-    table is one chunk or less."""
+    exact below 2^53.  Taken over the blocks of _blocks, since bincount
+    first casts a read-only or narrow input whole; one bincount at y = 0
+    when the table is one block or less."""
     if y == 0 and len(arr) <= _CHUNK:
         return np.bincount(arr, minlength=m)
     row = np.zeros(m, dtype=np.float64 if y else np.int64)
-    for lo in range(0, len(arr), _CHUNK):
-        hi = min(lo + _CHUNK, len(arr))
-        signs = None if y == 0 else np.where(
-            np.bitwise_count(np.arange(lo, hi) & y) & 1, -1., 1.)
-        row += np.bincount(arr[lo:hi], weights=signs, minlength=m)
+    for block in _blocks(len(arr), len(arr)):
+        signs = None if y == 0 else np.where(np.bitwise_count(
+            np.arange(block.start, block.stop) & y) & 1, -1., 1.)
+        row += np.bincount(arr[block], weights=signs, minlength=m)
     return row
 
 
@@ -423,8 +428,8 @@ def _terms(tables, m: int, n: int):
     are l times such residues, read as v // l; terms[x, table, k] is the
     image of zeta^f(x) in unit column k.  At m = 2 or 4 the one test is
     None, and the unit columns are the int16 coordinates of zeta^f(x) in Z
-    or Z[i], _unit_coords(m), gathered a block of about _CHUNK entries at a
-    time into one terms array, by one take when the tables are one block.
+    or Z[i], _unit_coords(m), gathered over the blocks of _blocks into one
+    terms array, by one take when the tables are one block.
     When l > 1 and the tables have at least m*l rows, the quotient is
     folded into a lookup whose row v holds the coordinates of v // l;
     otherwise each block is divided on its own.  Otherwise test is each
@@ -442,9 +447,7 @@ def _terms(tables, m: int, n: int):
             terms = coords.take(_quotient(tables, l), axis=0)
         else:
             terms = np.empty((*tables.shape, coords.shape[1]), coords.dtype)
-            step = _chunk_rows(len(tables), tables.size)
-            for lo in range(0, len(tables), step):
-                block = slice(lo, lo + step)
+            for block in _blocks(len(tables), tables.size):
                 coords.take(_quotient(tables[block], l), axis=0,
                             out=terms[block], mode="clip")
         yield None, terms
@@ -464,12 +467,10 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     any case when every row of its table passes (module docstring).  x mod
     q is x - x // q * q, several times faster in numpy; products of
     residues stay below q^2 < 2^60.  A spec of more than _CHUNK entries is
-    taken a block of rows at a time, so the temporaries stay that small."""
+    taken over the blocks of _blocks, so the temporaries stay that small."""
     if spec.size > _CHUNK and spec.shape[1] > 1:
         mask = np.empty(spec.shape[1:], dtype=bool)
-        step = _chunk_rows(spec.shape[1], spec.size)
-        for lo in range(0, spec.shape[1], step):
-            block = slice(lo, lo + step)
+        for block in _blocks(spec.shape[1], spec.size):
             mask[block] = _flat(test, spec[:, block], n)
         return mask
     if test is None:
@@ -711,15 +712,23 @@ def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:
 
 def direct_sum(f: FunctionTable, g: FunctionTable) -> FunctionTable:
     """F(x, x') = f(x) + g(x') on n + n' variables (x in the low bits);
-    flat whenever both inputs are.  The sum, built by _sum_table as the
-    one array of 2^(n + n') entries, is reduced mod m in place."""
+    flat whenever both inputs are.  The table is one array in
+    _value_dtype(m), with a row for each x': each block of its rows,
+    cut into blocks of f's values when one row is longer than a block, is
+    summed by _sum_table in _value_dtype(2m), reduced mod m in place,
+    copied into its place and dropped before the next."""
     if f.m != g.m:
         raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")
     m = f.m
-    vals = _sum_table([f.array.reshape(1, -1), g.array.reshape(1, -1)],
-                      _value_dtype(2 * m))
-    vals %= m
-    return FunctionTable(GbfType(m, f.n + g.n), vals.reshape(-1))
+    out = np.empty((len(g.array), len(f.array)), _value_dtype(m))
+    for rows in _blocks(len(out), out.size):
+        for cols in _blocks(out.shape[1], out[rows].size):
+            part = _sum_table([f.array[cols][None], g.array[rows][None]],
+                              _value_dtype(2 * m))
+            part %= m
+            out[rows, cols] = part.reshape(out[rows, cols].shape)
+            del part
+    return FunctionTable(GbfType(m, f.n + g.n), out.reshape(-1))
 
 
 def lift_modulus(f: FunctionTable, l: int) -> FunctionTable:

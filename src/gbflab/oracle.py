@@ -28,8 +28,8 @@ of testing every row of every table.  At {7,3} the sieve tests the 1,716
 multisets of the 7 free values in place of their 823,543 tables; 8 pass,
 in two orbits of sizes 2 and 6, the 1,260 arrangements of the two least
 are tested at every row in place of the 5,040 of all 8, and none is flat.
-The multisets and the arrangements are each taken in slices sized from
-_BATCH_TARGET, so memory stays that of one batch.
+The multisets and the arrangements are each taken in slices whose terms
+fill one block of gbf._CHUNK entries, so memory stays that of one batch.
 
 Witnesses are the first hits of the full odometer order.  The hits with
 f(2^n - 1) = 0 are the images k*h of the tested hits h over the units k:
@@ -49,11 +49,11 @@ from itertools import (chain, combinations, combinations_with_replacement,
                        islice)
 from math import comb
 
+from . import gbf
 from ._lazy import np
 from .gbf import FunctionTable, GbfType, _flat, _flat_mask, _terms, is_gbf
 
 DEFAULT_BUDGET = 10**7
-_BATCH_TARGET = 4096
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     # the kernel refuses an unsupported m here, before anything of size m
     # is built: combinations_with_replacement copies range(m) to a tuple
     _, zero = next(_terms(np.zeros((rows, 1), np.int64), m, n))
-    # multisets a slice and tables a batch: each gathers about
-    # 16 * _BATCH_TARGET terms
-    per = max(1, 16 * _BATCH_TARGET // zero.size)
+    # multisets a slice and tables a batch: each gathers about gbf._CHUNK
+    # terms, read at each call
+    per = max(1, gbf._CHUNK // zero.size)
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
     free = rows - 1
     multisets = combinations_with_replacement(range(m), free)

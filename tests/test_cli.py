@@ -355,7 +355,7 @@ def test_witness_chunks_spell_json_dumps_past_one_chunk(kind):
     # single-width tokens (the first two) skip the NUL drop; mixed widths
     # take it
     n = 17
-    assert 1 << n > cli._WRITE_CHUNK
+    assert 1 << n > gbf._CHUNK
     rng = np.random.default_rng(17)
     if kind == "lifted {12,17}":
         w = criteria.rule_exists(GbfType(12, n))[0]
@@ -364,6 +364,18 @@ def test_witness_chunks_spell_json_dumps_past_one_chunk(kind):
         w = gbf.FunctionTable(GbfType(m, n), rng.integers(0, m, 1 << n))
     spelled = b"".join(cli._witness_chunks(w))
     assert spelled == json.dumps(cli._witness_dict(w)).encode()
+
+
+def test_witness_chunks_follow_the_package_block_size(monkeypatch):
+    # the writer reads gbf._CHUNK at each call: blocks of 64 entries cut
+    # the 1,024 values of a {4,10} witness into 16 chunks, same bytes
+    w = criteria.rule_exists(GbfType(4, 10))[0]
+    whole = list(cli._witness_chunks(w))
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
+    chunks = list(cli._witness_chunks(w))
+    assert (len(whole), len(chunks)) == (3, 18)
+    assert b"".join(chunks) == b"".join(whole) == \
+        json.dumps(cli._witness_dict(w)).encode()
 
 
 def test_witness_chunks_spell_a_uint8_table_holding_255():
@@ -773,6 +785,33 @@ def test_witness_values_straddling_int64_read_as_python_ints(
     assert table.values == (1, 2**63) and table.array.dtype == object
     with pytest.raises(ValueError, match=r"values must lie in 0\.\.3"):
         cli.parse_witness({"m": 4, "n": 1, "values": [2**63, 1]})
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"m": 200, "n": 1, "values": [0, 300]}, r"values must lie in 0\.\.199"),
+    ({"m": 200, "n": 1, "values": [-1, 0]}, r"values must lie in 0\.\.199"),
+    ({"m": 200, "n": 27, "values": [300]},
+     "n = 27 beyond the supported resource guard"),
+    ({"m": 1, "n": 1, "values": [0, 300]}, "m must be >= 2"),
+])
+def test_parse_witness_reports_values_its_dtype_cannot_hold(data, message):
+    # a value outside the table's dtype falls back to Python integers, and
+    # FunctionTable reports it: the n guard before the range check
+    with pytest.raises(ValueError, match=message):
+        cli.parse_witness(data)
+
+
+def test_parse_witness_reads_into_the_table_dtype():
+    n = 18
+    values = np.random.default_rng(n).integers(0, 200, 1 << n).tolist()
+    tracemalloc.start()
+    try:
+        w = cli.parse_witness({"m": 200, "n": n, "values": values})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.array.dtype == np.uint8 and w.values == tuple(values)
+    assert peak <= 1.05 * w.array.nbytes
 
 
 def test_scan_matches_bench_golden(capsys):

@@ -701,6 +701,17 @@ def test_verdict_attempts_cannot_change_in_place():
     assert decide(GbfType(8, 3)).attempts == ()
 
 
+def test_verdicts_hash_by_kind_witness_and_rule():
+    # report and attempts hold mutable reports: equality compares them, the
+    # hash leaves them out
+    first, second = decide(GbfType(9, 3)), decide(GbfType(9, 3))
+    assert first.kind == NOT_EXISTS and first == second
+    assert hash(first) == hash(second) and len({first, second}) == 1
+    exists, unknown = decide(GbfType(8, 3)), decide(GbfType(14, 1))
+    assert (exists.kind, unknown.kind) == (EXISTS, UNKNOWN)
+    assert len({exists, unknown, first}) == 3
+
+
 def test_rule_exists_refuses_a_base_that_fails_verification(monkeypatch):
     monkeypatch.setattr(criteria, "is_gbf", lambda f: False)
     criteria._pieces.cache_clear()

@@ -575,6 +575,21 @@ def test_failing_row_matches_walsh_matrix_at_content_2_and_4(n):
     assert later_rows
 
 
+@pytest.mark.parametrize("rows,size", [
+    (1, 1), (5, 5), (1 << 16, 1 << 16), ((1 << 16) + 1, (1 << 16) + 1),
+    (1 << 17, 1 << 17), (1000, 3000 << 10), (4, 1 << 20), (3, 3 << 14),
+    (1 << 18, 1 << 19), (12345, 12345 * 7)])
+def test_blocks_cover_the_rows_once_in_order(rows, size):
+    blocks = gbf._blocks(rows, size)
+    starts = [b.start for b in blocks]
+    assert starts[0] == 0 and blocks[-1].stop == rows
+    assert [b.stop for b in blocks[:-1]] == starts[1:]
+    width = size // rows
+    for b in blocks:
+        assert b.step is None and b.stop > b.start
+        assert (b.stop - b.start) * width <= max(gbf._CHUNK, width)
+
+
 @pytest.mark.parametrize("n", [17, 18])
 def test_failing_row_matches_walsh_matrix_past_one_chunk(n):
     # tables of more than one chunk: the histogram, the gather (through a
@@ -1203,3 +1218,34 @@ def test_direct_sum_and_lift_match_loops():
             assert lifted.gbf_type == GbfType(l * m, n1)
             assert lifted.values == _lift_loop(f, l)
             assert _all_python_ints(lifted)
+
+
+def test_direct_sum_matches_loops_over_many_blocks(monkeypatch):
+    # blocks of 64 entries cut the sum into blocks of g's rows, and a row
+    # of more than 64 entries into blocks of f's values
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
+    rng = random.Random(43)
+    for m in (2, 200, 2**16 + 4, 2**62, 2**62 + 1, 2**70 + 1):
+        for n1, n2 in ((3, 5), (7, 2), (8, 1), (1, 8), (5, 5)):
+            f, g = _random_table(rng, m, n1), _random_table(rng, m, n2)
+            total = direct_sum(f, g)
+            assert total.array.dtype == gbf._value_dtype(m)
+            assert total.values == _direct_sum_loop(f, g)
+            assert _all_python_ints(total)
+
+
+@pytest.mark.parametrize("m", [200, 4, 2**16 + 4])
+def test_direct_sum_holds_one_table(m):
+    # the sum in _value_dtype(2m) lives one block at a time beside the
+    # result in _value_dtype(m)
+    rng = np.random.default_rng(m)
+    f, g = (FunctionTable(GbfType(m, 10), rng.integers(0, m, 1 << 10))
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        total = direct_sum(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.gbf_type == GbfType(m, 20)
+    assert peak <= 1.15 * total.array.nbytes

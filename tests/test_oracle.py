@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import referees as ref
-from gbflab import cli, oracle
+from gbflab import cli, gbf, oracle
 from gbflab.cyclotomic import CycInt, zeta_pow
 from gbflab.gbf import GbfType, is_gbf, table
 from gbflab.oracle import OracleResult, enumerate_gbfs
@@ -70,10 +70,10 @@ def test_enumerate_matches_independent_census(m, n, max_witnesses):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3)])
 def test_enumerate_matches_census_across_slow_batches(m, n, monkeypatch):
-    # a batch target of 4 cuts the multisets of {3,2}, {4,2} and {6,2},
+    # a block of 64 entries cuts the multisets of {3,2}, {4,2} and {6,2},
     # and the arrangements of the last two, into several slices, where the
     # default takes each in one
-    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
     res = enumerate_gbfs(GbfType(m, n), max_witnesses=5)
     count, total, witnesses = _brute_census(m, n, 5)
     assert res.gbf_count == count and res.total_candidates == total
@@ -206,13 +206,33 @@ def test_arrangements_of_binary_rows_of_width_15():
 
 
 def test_sliced_census_matches_default(monkeypatch):
-    # 1,960 of the 16,384 tables tested at {4,3} pass row 0; a batch target
-    # of 4 cuts its 120 multisets and the arrangements of those that pass
+    # 1,960 of the 16,384 tables tested at {4,3} pass row 0; a block of 64
+    # entries cuts its 120 multisets and the arrangements of those that pass
     # into many slices, with the same hits in the same order
     default = enumerate_gbfs(GbfType(4, 3), max_witnesses=40)
-    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
     assert enumerate_gbfs(GbfType(4, 3), max_witnesses=40) == default
     assert default.gbf_count == 896
+
+
+def test_census_slices_follow_the_package_block_size(monkeypatch):
+    # gbf._CHUNK is read at each call: at {4,3} one table gathers 8 x 2
+    # terms, so a block of 64 entries takes 4 multisets a slice and 4
+    # tables a batch, where the default takes the 120 multisets at once
+    widths = []
+
+    def tables(free):
+        widths.append(len(free))
+        return oracle_tables(free)
+
+    oracle_tables = oracle._tables
+    monkeypatch.setattr(oracle, "_tables", tables)
+    default = enumerate_gbfs(GbfType(4, 3), max_witnesses=40)
+    assert widths[0] == 120 and max(widths) > 4
+    widths.clear()
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
+    assert enumerate_gbfs(GbfType(4, 3), max_witnesses=40) == default
+    assert widths[:30] == [4] * 30 and max(widths) == 4
 
 
 def _census_grid():
@@ -254,10 +274,10 @@ def test_unit_orbits_match_the_referee_census(m, n):
 
 
 def test_unit_orbits_match_the_referee_in_small_slices(monkeypatch):
-    # a batch target of 4 slices the sieve and the arrangements of every
+    # a block of 64 entries slices the sieve and the arrangements of every
     # grid type with n > 1 into several pieces; {8,3} and above would take
     # seconds of one-multiset slices
-    monkeypatch.setattr(oracle, "_BATCH_TARGET", 4)
+    monkeypatch.setattr(gbf, "_CHUNK", 64)
     for m, n in _census_grid():
         assert enumerate_gbfs(GbfType(m, n), budget=10**10,
                               max_witnesses=40) == _referee_at(m, n, 40)
