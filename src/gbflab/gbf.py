@@ -30,13 +30,16 @@ Every other modulus is tested at the m-th roots of unity of F_q for the
 split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
+Both routes gather their terms in _terms from one cached lookup per test,
+_root_powers.  W(0) depends only on the counts of a table's values, and
+_row0_flat alone decides it: for one table in _first_nonflat, and for the
+value multisets of the oracle's census.
 _CHUNK is the package's one block size, and _blocks its one rule: every
-chunked pass (histograms, int16 gathers, the norm test, direct_sum, the
-witness writer of the command line) takes the row blocks of _blocks, about
-_CHUNK entries each, each into its slice of one output, and the oracle
-sizes its census slices from _CHUNK; a table of one block or less takes
-one numpy call per step.  The split-prime test still builds its exponents
-whole, one prime at a time, and also its quotients when l > 1.
+chunked pass (histograms, the gathers of the terms, the norm test,
+direct_sum, the witness writer of the command line) takes the row blocks
+of _blocks, about _CHUNK entries each, each into its slice of one output,
+and the oracle sizes its census slices from _CHUNK; a table of one block
+or less takes one numpy call per step.
 Every FWHT is one _fwht_inplace call.  On a large array with short rows it
 runs the butterflies in rounds over runs of at least 2^12 entries, rotating
 the index bits between rounds through one scratch array of the input's
@@ -61,11 +64,10 @@ before the first int16 failure exactly, from the table folded onto them.
 
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one histogram of the values gives
-both l and W(0) = sum_v count(v) zeta^v, which goes through the kernel's
-own tests at O(m phi(m)) cost, never more than the kernel's own exponent
-matrix.  Row 0 is computed exactly there, so a row that fails a test is
-not flat; since 0 is the least index, it is then the first failing y, with
-no FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
+both l and the counts that _row0_flat takes, at O(m phi(m)) cost, never
+more than the kernel's own terms.  A row 0 that fails there is not flat,
+and since 0 is the least index, it is then the first failing y, with no
+FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
 from a gcd pass and the table goes straight to the kernel, every row is
 tested as a batch of one, and the first failing y is the least over the
 tests.  A failing row found in int16 is always not flat, so is_gbf stops
@@ -347,42 +349,41 @@ def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _root_powers(m: int, n: int):
-    """(cols, ((q, pw), ...)): cols holds the units k <= m/2 of Z_m, then
-    their mirrors m - k (none for m = 2); pw[j] = omega^j mod q for j < m,
-    for each (q, omega) of _split_primes(m, n).  The cached arrays are
-    read-only."""
-    roots = []
-    for q, omega in _split_primes(m, n):
-        pw = np.empty(m, dtype=np.int64)
-        pw[0] = 1
-        k = 1
-        while k < m:                # pw[k:2k] = omega^k pw[:k], in place
-            step = min(k, m - k)
-            out = pw[k:k + step]
-            np.multiply(pw[:step], pow(omega, k, q), out=out)
-            out %= q
-            k += step
-        pw.setflags(write=False)
-        roots.append((q, pw))
-    units = np.flatnonzero(np.gcd(np.arange(m // 2 + 1), m) == 1)
-    cols = np.concatenate([units, (m - units)[2 * units < m]])
-    cols.setflags(write=False)
-    return cols, tuple(roots)
-
-
 # the signed coordinates of zeta^v, v in Z_m, in Z (m = 2) and Z[i] (m = 4)
 _UNIT_COORDS = {2: [[1], [-1]], 4: [[1, 0], [0, 1], [-1, 0], [0, -1]]}
 
 
 @lru_cache(maxsize=None)
-def _unit_coords(m: int) -> np.ndarray:
-    """_UNIT_COORDS[m] as a read-only int16 array, built at first use: the
-    FWHT of these coordinates gives W(y) mod 2^16 (module docstring)."""
-    coords = np.array(_UNIT_COORDS[m], dtype=np.int16)
-    coords.setflags(write=False)
-    return coords
+def _root_powers(m: int, n: int):
+    """(cols, ((test, lookup), ...)): the exact tests at modulus m, each
+    with the lookup whose entry j is the image of zeta^j, so that unit
+    column k of zeta^v is lookup[k v mod m].  At m = 2 or 4, cols is [1]
+    and the one test is None, with the int16 coordinates _UNIT_COORDS[m]
+    in Z or Z[i], whose FWHT gives W(y) mod 2^16 (module docstring).
+    Otherwise cols holds the units k <= m/2 of Z_m, then their mirrors
+    m - k, and each test is a prime q of _split_primes(m, n), with lookup
+    pw[j] = omega^j mod q.  The cached arrays are read-only."""
+    if m in _UNIT_COORDS:
+        cols = np.ones(1, np.uint8)     # the exponents keep the table's dtype
+        roots = [(None, np.array(_UNIT_COORDS[m], dtype=np.int16))]
+    else:
+        roots = []
+        for q, omega in _split_primes(m, n):
+            pw = np.empty(m, dtype=np.int64)
+            pw[0] = 1
+            k = 1
+            while k < m:            # pw[k:2k] = omega^k pw[:k], in place
+                step = min(k, m - k)
+                out = pw[k:k + step]
+                np.multiply(pw[:step], pow(omega, k, q), out=out)
+                out %= q
+                k += step
+            roots.append((q, pw))
+        units = np.flatnonzero(np.gcd(np.arange(m // 2 + 1), m) == 1)
+        cols = np.concatenate([units, (m - units)[2 * units < m]])
+    for arr in (cols, *(lookup for _, lookup in roots)):
+        arr.setflags(write=False)
+    return cols, tuple(roots)
 
 
 _CHUNK = 1 << 16         # entries a block of any chunked pass takes
@@ -422,40 +423,37 @@ def _quotient(tables: np.ndarray, l: int) -> np.ndarray:
     return np.floor_divide(tables, l, dtype=np.intp)
 
 
-def _terms(tables, m: int, n: int):
-    """(test, terms) for each exact test of a (rows, batch) array of
-    modulus-m tables, one per column, or of a pair (tables, l) whose values
-    are l times such residues, read as v // l; terms[x, table, k] is the
-    image of zeta^f(x) in unit column k.  At m = 2 or 4 the one test is
-    None, and the unit columns are the int16 coordinates of zeta^f(x) in Z
-    or Z[i], _unit_coords(m), gathered over the blocks of _blocks into one
-    terms array, by one take when the tables are one block.
-    When l > 1 and the tables have at least m*l rows, the quotient is
-    folded into a lookup whose row v holds the coordinates of v // l;
-    otherwise each block is divided on its own.  Otherwise test is each
-    prime q of _split_primes(m, n), and column k holds omega^(k f(x)) mod q
-    for each k of the cols of _root_powers.  Each test gathers from
-    exponents of its own, dropped as soon as it is gathered, so the terms
-    never share memory with a matrix of exponents; the quotients, phi(m)
-    times smaller, are kept until the last test."""
-    tables, l = tables if isinstance(tables, tuple) else (tables, 1)
-    if m in _UNIT_COORDS:
-        coords = _unit_coords(m)
-        if l > 1 and m * l <= len(tables):
-            coords, l = np.repeat(coords, l, axis=0), 1
-        if tables.size <= _CHUNK:
-            terms = coords.take(_quotient(tables, l), axis=0)
-        else:
-            terms = np.empty((*tables.shape, coords.shape[1]), coords.dtype)
-            for block in _blocks(len(tables), tables.size):
-                coords.take(_quotient(tables[block], l), axis=0,
-                            out=terms[block], mode="clip")
-        yield None, terms
-        return
+def _terms(tables, m: int, n: int, l: int = 1):
+    """(test, terms) for each exact test of _root_powers(m, n) on a
+    (rows, batch) array of tables, one per column, whose values are l
+    times residues mod m, read as f(x) = v // l: terms[x, table, :] holds
+    the unit columns of zeta^f(x), the int16 coordinates at m = 2 or 4 and
+    omega^(k f(x)) mod q at each k of cols otherwise.
+    Each test's terms are one array, gathered over the blocks of _blocks
+    sized in terms: the exponents k f(x) of a block are reduced mod m in
+    place (at m = 2 or 4 they are the residues f(x) themselves), gathered
+    into its slice by a take that clips rather than buffering its output,
+    and dropped before the next block, so the terms never sit beside more
+    than a block of exponents or quotients.  When
+    l > 1 and the tables have at least m*l rows, the quotient is folded
+    into a lookup of m*l entries, entry j that of j // l, read at k v mod
+    m*l, since k v = l (k f(x)) there; otherwise each block is divided."""
     cols, roots = _root_powers(m, n)
-    tables = _quotient(tables, l)
-    for q, pw in roots:
-        yield q, pw[np.multiply.outer(tables, cols) % m]
+    if l > 1 and m * l <= len(tables):
+        roots = [(test, np.repeat(lookup, l, axis=0))
+                 for test, lookup in roots]
+        m, l = m * l, 1
+    for test, lookup in roots:
+        terms = np.empty((*tables.shape, len(cols), *lookup.shape[1:]),
+                         lookup.dtype)
+        for block in _blocks(len(tables), terms.size):
+            exps = _quotient(tables[block], l)[..., None] * cols
+            if len(cols) > 1:       # k f(x) passes m only at a unit k > 1
+                exps %= m
+            lookup.take(exps, axis=0, out=terms[block], mode="clip")
+            del exps
+        yield test, terms.reshape(*tables.shape, -1)
+        del terms       # so the next test's gather is not made beside it
 
 
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
@@ -485,19 +483,36 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     return (low == (1 << n) % test).all(axis=0)
 
 
-def _flat_mask(tables, m: int, n: int) -> np.ndarray:
-    """The (2^n, batch) mask of the rows of a (2^n, batch) array of
-    modulus-m tables, or a pair (tables, l) as _terms takes it, that pass
-    every test of _terms.  Each test's terms go through one FWHT, which is
-    linear: at m = 2 or 4 it gives the coordinates of W(y) in Z or Z[i]
-    mod 2^16, the butterflies wrapping in int16; otherwise column k holds
-    W_k(y) mod q, residues below 2^30 summed over 2^26 rows staying below
-    2^56.  _flat then tests the spectrum, which is dropped before the next
-    test gathers its terms."""
+def _flat_mask(tables, m: int, n: int, l: int = 1) -> np.ndarray:
+    """The (2^n, batch) mask of the rows of a (2^n, batch) array of tables,
+    l times residues mod m as _terms takes them, that pass every test of
+    _terms.  Each test's terms go through one FWHT, which is linear: at
+    m = 2 or 4 it gives the coordinates of W(y) in Z or Z[i] mod 2^16, the
+    butterflies wrapping in int16; otherwise column k holds W_k(y) mod q,
+    residues below 2^30 summed over 2^26 rows staying below 2^56.  _flat
+    then tests the spectrum, which is dropped before the next test gathers
+    its terms."""
     ok = True
-    for test, terms in _terms(tables, m, n):
+    for test, terms in _terms(tables, m, n, l):
         ok = ok & _flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
         del terms
+    return ok
+
+
+def _row0_flat(values, counts, m: int, n: int, l: int = 1):
+    """The mask of |W(0)|^2 = 2^n over tables given by their counts of
+    each of the distinct values, l times residues mod m: one table's
+    counts, or one row of counts for each table.  W(0) = sum_x zeta^f(x)
+    = sum_v count(v) zeta^(v/l) depends only on the counts: row 0 of each
+    spectrum is the sum of the terms over x, so counts @ terms, over the
+    terms of the values alone, gives it exactly, in O(len(values) phi(m))
+    a table.  The counts sum to 2^n, so the bounds of _flat_mask hold, and
+    at m = 2 or 4 the int16 coordinates, summed in int64, give W(0)
+    itself.  Each test is exact per row here, so a table that fails one
+    is not flat."""
+    ok = True
+    for test, terms in _terms(values[:, None], m, n, l):
+        ok = ok & _flat(test, (counts @ terms[:, 0]).T[:, None], n)[0]
     return ok
 
 
@@ -514,17 +529,12 @@ def _first_nonflat(f: FunctionTable):
     taken at c = 2, never 1.  An unsupported c is refused by _terms
     before any quotient is taken.
 
-    When m <= 2^n, one histogram gives l with no gcd pass, and W(0) =
-    sum_v count(v) zeta_c^(v/l) goes through the tests of _terms: row 0
-    of each spectrum is the sum of the terms over x, so the values' terms
-    weighted by their counts give it exactly, in O(len(values) phi(c)), and
-    the counts sum to 2^n, so the bounds of _flat_mask hold; at c = 2 or 4
-    the int16 coordinates, summed in int64, give W(0) itself.  Each test
-    is exact per row there, so when one fails, 0 is the least failing y,
-    with no FWHT.  Otherwise every row is tested by _flat_mask as a batch
-    of one, the table going in with l, so no quotient table is built at
-    c = 2 or 4, and y is the least failing row over the tests.  At c = 2
-    or 4 that pass is in int16: None is exact, by Parseval, and so is any
+    When m <= 2^n, one histogram gives l with no gcd pass, and its counts
+    give W(0) exactly through _row0_flat: when it fails, 0 is the least
+    failing y, with no FWHT.  Otherwise every row is tested by _flat_mask
+    as a batch of one, the table going in with l, so no quotient table is
+    built, and y is the least failing row over the tests.  At c = 2 or 4
+    that pass is in int16: None is exact, by Parseval, and so is any
     failing row, but at n >= 16 a row before it may have passed by
     wrapping (first_flat_violation settles those rows)."""
     m, n, arr = f.m, f.n, f.array
@@ -535,12 +545,10 @@ def _first_nonflat(f: FunctionTable):
     l = gcd(m, int(np.gcd.reduce(arr if hist is None else values)))
     c = max(m // l, 2)
     if hist is not None:
-        for test, terms in _terms((values[:, None], l), c, n):
-            row0 = hist[values] @ terms[:, 0]
-            if not _flat(test, row0[:, None, None], n)[0, 0]:
-                return 0, c, hist
+        if not _row0_flat(values, hist[values], c, n, l):
+            return 0, c, hist
         del hist, values    # each up to 2^n entries, freed before the FWHT
-    ok = _flat_mask((arr[:, None], l), c, n)[:, 0]
+    ok = _flat_mask(arr[:, None], c, n, l)[:, 0]
     return (None if ok.all() else int(np.argmin(ok))), c, None
 
 
@@ -555,7 +563,7 @@ def _low_rows_flat(f: FunctionTable, c: int, k: int) -> np.ndarray:
     row into the next fastest when rows are long, so the sums go first over
     rows of at least _LONG_RUN entries, which needs n >= 12, then over the
     few rows left: at n = 24 and k = 1, 18 ms instead of 160 ms."""
-    _, terms = next(_terms((f.array[:, None], f.m // c), c, f.n))
+    _, terms = next(_terms(f.array[:, None], c, f.n, f.m // c))
     row = terms.shape[-1] << k          # the terms of the x < 2^k
     low = terms.reshape(-1, max(_LONG_RUN, row)).sum(axis=0, dtype=np.int32)
     del terms

@@ -10,8 +10,8 @@ tables are tested, and the count is m times theirs.
 Each table is tested in two stages.  Row 0 of a spectrum is
 W(0) = sum_v count(v) zeta^v, so it depends only on the table's value
 multiset.  The multisets of the 2^n - 1 free values are enumerated in
-order, and the W(0) of each, the sum of the terms of its values and of
-the fixed 0, goes through every test of gbf's flatness check.  Of the
+order, and the counts of each one's values, the fixed 0 included, go
+through gbf._row0_flat, the flatness kernel's one W(0) test.  Of the
 multisets that pass, one per orbit of the units of Z_m has its distinct
 arrangements tested at every row, in _flat_mask batches.  For a unit k,
 zeta -> zeta^k is an automorphism of Q(zeta_m) that takes W(y) of f to
@@ -51,7 +51,8 @@ from math import comb
 
 from . import gbf
 from ._lazy import np
-from .gbf import FunctionTable, GbfType, _flat, _flat_mask, _terms, is_gbf
+from .gbf import (FunctionTable, GbfType, _flat_mask, _row0_flat, _terms,
+                  is_gbf)
 
 DEFAULT_BUDGET = 10**7
 
@@ -163,13 +164,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     for _ in range(0, comb(m + free - 1, free), per):
         batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
                             np.int64).reshape(-1, free)
-        # W(0) sums the terms of a table's values, gathered from those of
-        # the slice's distinct values
-        tables = _tables(batch)
-        values, at = np.unique(tables, return_inverse=True)
-        ok = np.all([_flat(test, terms[0, at].sum(axis=0).T[:, None], n)
-                     for test, terms in _terms(values[None], m, n)],
-                    axis=(0, 1))
+        # W(0) depends only on a table's counts of the slice's distinct
+        # values, the free ones and the fixed 0
+        values, at = np.unique(_tables(batch), return_inverse=True)
+        counts = (at[..., None] == np.arange(len(values))).sum(axis=0)
+        ok = _row0_flat(values, counts, m, n)
         # one multiset of each orbit of the units: W(0) of k*f is the
         # image of W(0) of f under zeta -> zeta^k, so the orbit passes with it
         batch = batch[ok]

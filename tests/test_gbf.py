@@ -530,29 +530,31 @@ def test_failing_row_matches_referee_at_each_content_modulus(c):
 
 
 def _flat_rows_by_walsh_matrix(f, c):
-    """(walsh_matrix(f), the (2^n,) mask of its rows with |W(y)|^2 = 2^n)
-    for a table whose values are multiples of l = m/c, c = 2 or 4: since
-    zeta_m^(l u) = zeta_c^u, W(y) is row[0] - row[l] at c = 2, and has
-    coordinates row[0] - row[2l] and row[l] - row[3l] at c = 4."""
-    mat, l = walsh_matrix(f), f.m // c
+    """(walsh_matrix of the quotient table f/l at c, the (2^n,) mask of its
+    rows with |W(y)|^2 = 2^n) for a table whose values are multiples of
+    l = m/c, c = 2 or 4: since zeta_m^(l u) = zeta_c^u, every W(y) is the
+    same, and is row[0] - row[1] at c = 2, with coordinates row[0] - row[2]
+    and row[1] - row[3] at c = 4."""
+    mat = walsh_matrix(FunctionTable(GbfType(c, f.n), f.array // (f.m // c)))
     if c == 2:
-        norm = (mat[:, 0] - mat[:, l]) ** 2
+        norm = (mat[:, 0] - mat[:, 1]) ** 2
     else:
-        norm = (mat[:, 0] - mat[:, 2 * l]) ** 2 + (mat[:, l] - mat[:, 3 * l]) ** 2
+        norm = (mat[:, 0] - mat[:, 2]) ** 2 + (mat[:, 1] - mat[:, 3]) ** 2
     return mat, norm == 1 << f.n
 
 
 def _first_violation_by_walsh_matrix(f, c):
     """The same referee for a table whose values are multiples of l = m/c,
-    c = 2 or 4, with W(y) read off the exact walsh_matrix rows
-    (_flat_rows_by_walsh_matrix)."""
+    c = 2 or 4, with W(y) read off the exact walsh_matrix rows at c
+    (_flat_rows_by_walsh_matrix), column u spread into column l*u at m."""
     mat, flat = _flat_rows_by_walsh_matrix(f, c)
     bad = np.flatnonzero(~flat)
     if not len(bad):
         return None
     y = int(bad[0])
-    return _referee_violation(f, [CycInt(f.m, row) for row in
-                                  mat[:y + 1].tolist()])
+    rows = np.zeros((y + 1, f.m), np.int64)
+    rows[:, ::f.m // c] = mat[:y + 1]
+    return _referee_violation(f, [CycInt(f.m, row) for row in rows.tolist()])
 
 
 @pytest.mark.parametrize("n", [15, 16])
@@ -642,11 +644,11 @@ def test_signed_histogram_holds_no_table_sized_temporary(y):
 
 
 def _kernel_calls(monkeypatch):
-    """A list that grows by one for each call of the batched kernel."""
+    """A list that grows by the (m, n) of each call of the batched kernel."""
     calls, kernel = [], gbf._flat_mask
 
     def counted(*args):
-        calls.append(args[1:])
+        calls.append(args[1:3])
         return kernel(*args)
 
     monkeypatch.setattr(gbf, "_flat_mask", counted)
@@ -755,6 +757,33 @@ def test_row_0_failure_runs_no_kernel(monkeypatch):
     assert not is_gbf(zero) and calls == [(2, 3)]
 
 
+@pytest.mark.parametrize("l", [1, 3])
+def test_row0_flat_matches_walsh_matrix(l):
+    # seeded count rows at m = 2..40, random and those of flat tables, the
+    # values lifted by l: int16 coordinates at m = 2 and 4, split primes
+    # otherwise.  The mask is |W(0)|^2 = 2^n read off walsh_matrix of a
+    # table with those counts, for a batch of rows and for each row alone
+    rng, seen = np.random.default_rng(l), set()
+    for m in range(2, 41):
+        for n in (2, 3, 4):
+            rows = [rng.multinomial(1 << n, rng.dirichlet(np.full(m, 0.25)))
+                    for _ in range(4)]
+            flat = _flat_at(m, n, random.Random(m * n))
+            if flat is not None:
+                rows.append(np.bincount(flat.array, minlength=m))
+            counts = np.array(rows)
+            values = np.flatnonzero(counts.any(axis=0))
+            got = gbf._row0_flat(l * values, counts[:, values], m, n, l)
+            assert got.shape == (len(rows),)
+            for row, ok in zip(counts, got):
+                f = FunctionTable(GbfType(m, n), np.repeat(np.arange(m), row))
+                w0 = CycInt(m, walsh_matrix(f)[0].tolist())
+                assert ok == (w0.abs_square() == 1 << n), (m, n, row)
+                assert gbf._row0_flat(l * values, row[values], m, n, l) == ok
+                seen.add((m in (2, 4), bool(ok)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 # -- the batched kernel ---------------------------------------------------------
 
 
@@ -829,6 +858,28 @@ def test_single_table_check_peaks_below_three_matrices(n):
         tracemalloc.stop()
     matrix = (1 << n) * euler_phi(12) * 8        # one (2^n, phi) int64
     assert peak < 2.5 * matrix
+
+
+def test_split_prime_check_of_a_lifted_table_peaks_as_unlifted():
+    # the flat content-6 {6,20} table, the direct sum of ten {6,2} tables
+    # (4, 1, 0, 0), and the same table lifted by 2 to {12,20}, tested at
+    # content modulus 6: the exponents are gathered a block at a time, and
+    # the lifted table's quotients are folded into the lookup, so no
+    # exponent or quotient table (8 MiB at n = 20) sits beside the terms;
+    # only the folded lookup of 12 entries is added
+    f = table(6, 2, [4, 1, 0, 0])
+    for _ in range(9):
+        f = direct_sum(f, table(6, 2, [4, 1, 0, 0]))
+    peaks = []
+    for g in (f, lift_modulus(f, 2)):
+        assert gbf._first_nonflat(g)[1] == 6 and is_gbf(g)
+        tracemalloc.start()
+        try:
+            assert is_gbf(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
 
 
 @pytest.mark.parametrize("build", [
@@ -1012,7 +1063,8 @@ def test_low_rows_flat_matches_walsh_matrix(c):
     assert flat_rows
 
 
-@pytest.mark.parametrize("n,m,y", [(19, 4, 2), (19, 12, 4), (20, 4, 8)])
+@pytest.mark.parametrize("n,m,y", [(19, 4, 2), (19, 12, 4), (20, 4, 8),
+                                   (20, 12, 2)])
 def test_least_row_below_the_int16_failure_matches_walsh_matrix(
         monkeypatch, n, m, y):
     # a rule witness swapped to fail first at row y, in int16 too: one fold
@@ -1117,12 +1169,19 @@ def test_root_powers_own_exactly_m_entries(m):
     gbf._root_powers.cache_clear()
     for n in (1, 16):
         cols, roots = gbf._root_powers(m, n)
+        assert not cols.flags.writeable
+        if m == 2:
+            # no split prime: the int16 coordinates of +1 and -1
+            (test, coords), = roots
+            assert test is None and cols.tolist() == [1]
+            assert coords.dtype == np.int16 and coords.tolist() == [[1], [-1]]
+            assert not coords.flags.writeable
+            continue
         assert len(roots) == len(gbf._split_primes(m, n))
         for (q, pw), (_, omega) in zip(roots, gbf._split_primes(m, n)):
             assert pw.base is None and pw.shape == (m,) and pw.nbytes == 8 * m
             assert not pw.flags.writeable
             assert pw.tolist() == [pow(omega, j, q) for j in range(m)]
-        assert not cols.flags.writeable
 
 
 def test_table_refuses_n_beyond_guard():

@@ -156,14 +156,14 @@ def test_row_0_sieve_runs_once_per_multiset(monkeypatch):
     # row 0 of a spectrum depends only on the table's value multiset: at
     # {7,3} the sieve tests the C(13, 7) = 1,716 multisets of the 7 free
     # values, not the 823,543 tables with f(7) = 0
-    recorded, widths = oracle._flat, Counter()
+    recorded, widths = gbf._flat, Counter()
 
     def row_0(test, spec, n):
         if spec.shape[1] == 1:
             widths[test] += spec.shape[2]
         return recorded(test, spec, n)
 
-    monkeypatch.setattr(oracle, "_flat", row_0)
+    monkeypatch.setattr(gbf, "_flat", row_0)
     assert enumerate_gbfs(GbfType(7, 3)).gbf_count == 0
     assert list(widths.values()) == [comb(13, 7)] == [1716]
 
