@@ -31,9 +31,12 @@ split primes q of _split_primes.  is_gbf and first_flat_violation test
 one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 Both routes gather their terms in _terms from one cached lookup per test,
-_root_powers.  W(0) depends only on the counts of a table's values, and
-_row0_flat alone decides it: for one table in _first_nonflat, and for the
-value multisets of the oracle's census.
+_root_powers: by value, each entry taking its row of the terms of every
+value, when the tables have more entries than values, else by exponent.
+_row0_flat alone decides W(0), row 0 of the FWHT, as the sum over x of
+the terms of a batch of tables, with no transform: the oracle's census
+hands it the table of each value multiset, and _first_nonflat one
+table's distinct values, each weighted by its count.
 _CHUNK is the package's one block size, and _blocks its one rule: every
 chunked pass (histograms, the gathers of the terms, the norm test,
 direct_sum, the witness writer of the command line) takes the row blocks
@@ -64,19 +67,20 @@ before the first int16 failure exactly, from the table folded onto them.
 
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one histogram of the values gives
-both l and the counts that _row0_flat takes, at O(m phi(m)) cost, never
-more than the kernel's own terms.  A row 0 that fails there is not flat,
-and since 0 is the least index, it is then the first failing y, with no
-FWHT run.  When row 0 passes every test, or when m > 2^n, where l comes
-from a gcd pass and the table goes straight to the kernel, every row is
-tested as a batch of one, and the first failing y is the least over the
-tests.  A failing row found in int16 is always not flat, so is_gbf stops
-there; first_flat_violation needs the least one.  When the int16 pass
-finds it at n >= 16 with a row before it that passed in int16 alone (any
-row but a row 0 decided from the histogram), the rows r < 2^k, 2^k >= y,
-depend on x only through its low k index bits: the unit coordinates summed
-over the high n - k bits, in int32, and a k-stage FWHT give their W(r)
-exactly, and the least failing one among them, or y itself, is reported.
+l, and _row0_flat the distinct values with their counts as weights, at
+O(m phi(m)) cost, never more than the kernel's own terms.  A row 0 that
+fails there is not flat, and since 0 is the least index, it is then the
+first failing y, with no FWHT run.  When row 0 passes every test, or
+when m > 2^n, where l comes from a gcd pass and the table goes straight
+to the kernel, every row is tested as a batch of one, and the first
+failing y is the least over the tests.  A failing row found in int16 is
+always not flat, so is_gbf stops there; first_flat_violation needs the
+least one.  When the int16 pass finds it at n >= 16 with a row before it
+that passed in int16 alone (any row but a row 0 decided from the
+histogram), the rows r < 2^k, 2^k >= y, depend on x only through its low
+k index bits: the unit coordinates summed over the high n - k bits, in
+int32, and a k-stage FWHT give their W(r) exactly, and the least failing
+one among them, or y itself, is reported.
 Only one full-size transform runs per table.
 """
 
@@ -430,25 +434,29 @@ def _terms(tables, m: int, n: int, l: int = 1):
     the unit columns of zeta^f(x), the int16 coordinates at m = 2 or 4 and
     omega^(k f(x)) mod q at each k of cols otherwise.
     Each test's terms are one array, gathered over the blocks of _blocks
-    sized in terms: the exponents k f(x) of a block are reduced mod m in
-    place (at m = 2 or 4 they are the residues f(x) themselves), gathered
-    into its slice by a take that clips rather than buffering its output,
-    and dropped before the next block, so the terms never sit beside more
-    than a block of exponents or quotients.  When
-    l > 1 and the tables have at least m*l rows, the quotient is folded
-    into a lookup of m*l entries, entry j that of j // l, read at k v mod
-    m*l, since k v = l (k f(x)) there; otherwise each block is divided."""
+    sized in terms, by a take that clips rather than buffering its output.
+    When the tables have more entries than the m*l values, so that some
+    value recurs, and the terms of the m values fill at most a block,
+    each entry v indexes a lookup of the terms of the m*l values, row j
+    those of j // l, built once per test and smaller than the terms: a
+    block is one take of the tables themselves, with no exponent or
+    quotient formed, about ten times faster per term than the exponents.
+    Otherwise the exponents k f(x) of a block, of the quotient by l, are
+    reduced mod m in place (at m = 2 or 4, where cols is [1], they are the
+    residues f(x) themselves), gathered into its slice and dropped before
+    the next block, so the terms never sit beside more than a block of
+    exponents or quotients."""
     cols, roots = _root_powers(m, n)
-    if l > 1 and m * l <= len(tables):
-        roots = [(test, np.repeat(lookup, l, axis=0))
-                 for test, lookup in roots]
-        m, l = m * l, 1
+    by_value = m * l < tables.size and m * len(cols) <= _CHUNK
     for test, lookup in roots:
         terms = np.empty((*tables.shape, len(cols), *lookup.shape[1:]),
                          lookup.dtype)
+        if by_value:
+            lookup = np.repeat(lookup[np.arange(m)[:, None] * cols % m], l, 0)
         for block in _blocks(len(tables), terms.size):
-            exps = _quotient(tables[block], l)[..., None] * cols
-            if len(cols) > 1:       # k f(x) passes m only at a unit k > 1
+            exps = (tables[block] if by_value
+                    else _quotient(tables[block], l)[..., None] * cols)
+            if not by_value and len(cols) > 1:  # k f(x) < m at k = 1
                 exps %= m
             lookup.take(exps, axis=0, out=terms[block], mode="clip")
             del exps
@@ -499,20 +507,21 @@ def _flat_mask(tables, m: int, n: int, l: int = 1) -> np.ndarray:
     return ok
 
 
-def _row0_flat(values, counts, m: int, n: int, l: int = 1):
-    """The mask of |W(0)|^2 = 2^n over tables given by their counts of
-    each of the distinct values, l times residues mod m: one table's
-    counts, or one row of counts for each table.  W(0) = sum_x zeta^f(x)
-    = sum_v count(v) zeta^(v/l) depends only on the counts: row 0 of each
-    spectrum is the sum of the terms over x, so counts @ terms, over the
-    terms of the values alone, gives it exactly, in O(len(values) phi(m))
-    a table.  The counts sum to 2^n, so the bounds of _flat_mask hold, and
-    at m = 2 or 4 the int16 coordinates, summed in int64, give W(0)
-    itself.  Each test is exact per row here, so a table that fails one
-    is not flat."""
+def _row0_flat(tables, m: int, n: int, l: int = 1, counts=None):
+    """The (batch,) mask of |W(0)|^2 = 2^n over a (k, batch) array of
+    tables, l times residues mod m as _terms takes them.  W(0) =
+    sum_x zeta^f(x) is row 0 of the FWHT, the sum of each test's terms
+    over axis 0.  Given counts, a length-k weight per entry, the sum is
+    counts @ terms instead: one table's distinct values weighted by how
+    often each occurs, O(k phi(m)) however long the table.  Either way
+    2^n terms are summed, so the bounds of _flat_mask hold, and at m = 2
+    or 4 the int16 coordinates, summed in int64, give W(0) itself.  Each
+    test is exact per row here, so a table that fails one is not flat."""
     ok = True
-    for test, terms in _terms(values[:, None], m, n, l):
-        ok = ok & _flat(test, (counts @ terms[:, 0]).T[:, None], n)[0]
+    for test, terms in _terms(tables, m, n, l):
+        row0 = (terms.sum(axis=0, dtype=np.int64) if counts is None
+                else counts @ terms.swapaxes(0, 1))
+        ok = ok & _flat(test, row0.T[:, None], n)[0]
     return ok
 
 
@@ -529,14 +538,15 @@ def _first_nonflat(f: FunctionTable):
     taken at c = 2, never 1.  An unsupported c is refused by _terms
     before any quotient is taken.
 
-    When m <= 2^n, one histogram gives l with no gcd pass, and its counts
-    give W(0) exactly through _row0_flat: when it fails, 0 is the least
-    failing y, with no FWHT.  Otherwise every row is tested by _flat_mask
-    as a batch of one, the table going in with l, so no quotient table is
-    built, and y is the least failing row over the tests.  At c = 2 or 4
-    that pass is in int16: None is exact, by Parseval, and so is any
-    failing row, but at n >= 16 a row before it may have passed by
-    wrapping (first_flat_violation settles those rows)."""
+    When m <= 2^n, one histogram gives l with no gcd pass, and its
+    distinct values, weighted by their counts, give W(0) exactly through
+    _row0_flat: when it fails, 0 is the least failing y, with no FWHT.
+    Otherwise every row is tested by _flat_mask as a batch of one, the
+    table going in with l, so no quotient table is built, and y is the
+    least failing row over the tests.  At c = 2 or 4 that pass is in
+    int16: None is exact, by Parseval, and so is any failing row, but at
+    n >= 16 a row before it may have passed by wrapping
+    (first_flat_violation settles those rows)."""
     m, n, arr = f.m, f.n, f.array
     hist = None
     if m <= arr.size:
@@ -545,7 +555,7 @@ def _first_nonflat(f: FunctionTable):
     l = gcd(m, int(np.gcd.reduce(arr if hist is None else values)))
     c = max(m // l, 2)
     if hist is not None:
-        if not _row0_flat(values, hist[values], c, n, l):
+        if not _row0_flat(values[:, None], c, n, l, hist[values]):
             return 0, c, hist
         del hist, values    # each up to 2^n entries, freed before the FWHT
     ok = _flat_mask(arr[:, None], c, n, l)[:, 0]
@@ -681,7 +691,9 @@ def construct_even_even(m: int, n: int, g=None, sigma=None) -> FunctionTable:
     g may be any map Z_2^t -> Z_m (default all zeros) and sigma any
     permutation of Z_2^t (default identity), so the default witness is
     deterministic.  Row y is g(y) where x.sigma(y) is even and g(y) + l
-    where it is odd: one selection from the two per-row vectors.
+    where it is odd: g(y) plus the parity times the step to g(y) + l, for
+    the _blocks of rows in turn, straight into the one _value_dtype(m)
+    table, so no parity matrix or widened copy of the whole size is built.
     """
     if m < 2 or m % 2:
         raise ValueError("m must be even and >= 2")
@@ -696,10 +708,14 @@ def construct_even_even(m: int, n: int, g=None, sigma=None) -> FunctionTable:
         raise ValueError(f"sigma must be a permutation of 0..{size - 1}")
     # row y, column x; index dtype as narrow as the coordinates allow
     x = np.arange(size, dtype=np.min_scalar_type(size))
-    odd = np.bitwise_count(np.array(sigma, dtype=x.dtype)[:, None] & x) & 1
-    g = np.array(g, dtype=_value_dtype(2 * m))[:, None]
-    return FunctionTable(GbfType(m, n),
-                         np.where(odd, (g + m // 2) % m, g).reshape(-1))
+    sigma = np.array(sigma, dtype=x.dtype)[:, None]
+    out = np.empty((size, size), _value_dtype(m))
+    g = np.array([g, [(v + m // 2) % m for v in g]], out.dtype)[..., None]
+    for rows in _blocks(size, out.size):
+        odd = np.bitwise_count(sigma[rows] & x) & 1
+        # an unsigned step wraps, and the sum wraps back to g + l mod m
+        out[rows] = odd * (g[1, rows] - g[0, rows]) + g[0, rows]
+    return FunctionTable(GbfType(m, n), out.reshape(-1))
 
 
 def construct_mod4_from_bent(b: FunctionTable) -> FunctionTable:

@@ -10,8 +10,9 @@ tables are tested, and the count is m times theirs.
 Each table is tested in two stages.  Row 0 of a spectrum is
 W(0) = sum_v count(v) zeta^v, so it depends only on the table's value
 multiset.  The multisets of the 2^n - 1 free values are enumerated in
-order, and the counts of each one's values, the fixed 0 included, go
-through gbf._row0_flat, the flatness kernel's one W(0) test.  Of the
+order, and a slice of them goes as a batch of tables, each multiset's
+values in sorted order over the fixed 0, through gbf._row0_flat, the
+flatness kernel's one W(0) test, which sums each table's terms.  Of the
 multisets that pass, one per orbit of the units of Z_m has its distinct
 arrangements tested at every row, in _flat_mask batches.  For a unit k,
 zeta -> zeta^k is an automorphism of Q(zeta_m) that takes W(y) of f to
@@ -51,7 +52,7 @@ from math import comb
 
 from . import gbf
 from ._lazy import np
-from .gbf import (FunctionTable, GbfType, _flat_mask, _row0_flat, _terms,
+from .gbf import (FunctionTable, GbfType, _flat_mask, _root_powers, _row0_flat,
                   is_gbf)
 
 DEFAULT_BUDGET = 10**7
@@ -133,9 +134,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     of the units: 1,716 multisets and 1,260 tables at {7,3}, 980 tables
     at {4,3}, 80,570 at {12,3} and 53,690 at {16,3}.
     Witnesses are the first ``max_witnesses`` hits in odometer order over
-    all m^(2^n) tables and are re-verified through the independent
-    per-table test before returning.  ``budget`` and ``max_witnesses``
-    must be integers, and ``max_witnesses`` at least 0.
+    all m^(2^n) tables and are re-verified by is_gbf before returning:
+    not an independent test, but the same _row0_flat and _flat_mask
+    kernel run on each witness alone at its content modulus, through the
+    single-table search.  ``budget`` and ``max_witnesses`` must be
+    integers, and ``max_witnesses`` at least 0.
     """
     budget = operator.index(budget)
     max_witnesses = operator.index(max_witnesses)
@@ -152,11 +155,11 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     rows = 1 << n
 
     # the kernel refuses an unsupported m here, before anything of size m
-    # is built: combinations_with_replacement copies range(m) to a tuple
-    _, zero = next(_terms(np.zeros((rows, 1), np.int64), m, n))
-    # multisets a slice and tables a batch: each gathers about gbf._CHUNK
-    # terms, read at each call
-    per = max(1, gbf._CHUNK // zero.size)
+    # is built: combinations_with_replacement copies range(m) to a tuple.
+    # Multisets a slice and tables a batch: each gathers about gbf._CHUNK
+    # terms, read at each call, lookup.size // m of them per unit column
+    cols, [(_, lookup), *_] = _root_powers(m, n)
+    per = max(1, gbf._CHUNK // (rows * len(cols) * (lookup.size // m)))
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
     free = rows - 1
     multisets = combinations_with_replacement(range(m), free)
@@ -164,11 +167,8 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     for _ in range(0, comb(m + free - 1, free), per):
         batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
                             np.int64).reshape(-1, free)
-        # W(0) depends only on a table's counts of the slice's distinct
-        # values, the free ones and the fixed 0
-        values, at = np.unique(_tables(batch), return_inverse=True)
-        counts = (at[..., None] == np.arange(len(values))).sum(axis=0)
-        ok = _row0_flat(values, counts, m, n)
+        # W(0) of each multiset's own table, its free values and the fixed 0
+        ok = _row0_flat(_tables(batch), m, n)
         # one multiset of each orbit of the units: W(0) of k*f is the
         # image of W(0) of f under zeta -> zeta^k, so the orbit passes with it
         batch = batch[ok]
@@ -200,6 +200,8 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     witnesses = [FunctionTable(t, h) for h in hits[:max_witnesses]]
 
     for w in witnesses:
-        if not is_gbf(w):  # unreachable while the two routes agree
+        # the same kernel at the content modulus, one table at a time:
+        # unreachable while it agrees with the batched census at m
+        if not is_gbf(w):
             raise AssertionError(f"witness failed independent verification: {w}")
     return OracleResult(t, total, count * m, tuple(witnesses))
