@@ -32,7 +32,8 @@ one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
 for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 Both routes gather their terms in _terms from one cached lookup per test,
 _root_powers: by value, each entry taking its row of the terms of every
-value, when the tables have more entries than values, else by exponent.
+value, when the tables have more entries than values and those rows fill
+at most a block, else by exponent.
 _row0_flat alone decides W(0), row 0 of the FWHT, as the sum over x of
 the terms of a batch of tables, with no transform: the oracle's census
 hands it the table of each value multiset, and _first_nonflat one
@@ -436,19 +437,19 @@ def _terms(tables, m: int, n: int, l: int = 1):
     Each test's terms are one array, gathered over the blocks of _blocks
     sized in terms, by a take that clips rather than buffering its output.
     When the tables have more entries than the m*l values, so that some
-    value recurs, and the terms of the m values fill at most a block,
-    each entry v indexes a lookup of the terms of the m*l values, row j
-    those of j // l, built once per test and smaller than the terms: a
-    block is one take of the tables themselves, with no exponent or
-    quotient formed, about ten times faster per term than the exponents.
-    Otherwise the exponents k f(x) of a block, of the quotient by l, are
-    reduced mod m in place (at m = 2 or 4, where cols is [1], they are the
-    residues f(x) themselves), gathered into its slice and dropped before
-    the next block, so the terms never sit beside more than a block of
-    exponents or quotients."""
+    value recurs, and a lookup of the terms of the m*l values, row j
+    those of j // l, fills at most a block, each entry v indexes that
+    lookup, built once per test: a block is one take of the tables
+    themselves, with no exponent or quotient formed, about ten times
+    faster per term than the exponents.  Otherwise the exponents k f(x)
+    of a block, of the quotient by l, are reduced mod m in place (at m = 2
+    or 4, where cols is [1], they are the residues f(x) themselves),
+    gathered into its slice and dropped before the next block.  Either
+    way the terms never sit beside more than a block of lookup, exponents
+    or quotients."""
     cols, roots = _root_powers(m, n)
-    by_value = m * l < tables.size and m * len(cols) <= _CHUNK
     for test, lookup in roots:
+        by_value = m * l < tables.size and lookup.size * l * cols.size <= _CHUNK
         terms = np.empty((*tables.shape, len(cols), *lookup.shape[1:]),
                          lookup.dtype)
         if by_value:

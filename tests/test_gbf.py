@@ -851,9 +851,9 @@ def test_batched_kernel_matches_per_table_checks(m):
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
 def test_terms_by_value_match_the_exponents(m, l, chunk, monkeypatch):
     # a batch of more than m*l entries takes each entry's row of the terms
-    # of the m*l values, unless those of the m values pass a block (m = 60
-    # at a block of 64); a single entry, fewer, forms the exponents
-    # k f(x) mod m.  Both give lookup[k (v // l) mod m], test by test
+    # of the m*l values, unless those rows pass a block (m = 60, and m = 12
+    # at l = 3, at a block of 64); a single entry, fewer, forms the
+    # exponents k f(x) mod m.  Both give lookup[k (v // l) mod m]
     monkeypatch.setattr(gbf, "_CHUNK", chunk)
     rng = np.random.default_rng(m * l)
     for n in (1, 2, 3):
@@ -866,6 +866,25 @@ def test_terms_by_value_match_the_exponents(m, l, chunk, monkeypatch):
                 want = lookup[(tables // l)[..., None] * cols % m]
                 assert np.array_equal(terms,
                                       want.reshape(*tables.shape, -1))
+
+
+@pytest.mark.parametrize("m,l,n", [(4, 1 << 12, 20), (12, 1 << 10, 16),
+                                   (4, 1 << 17, 20), (1000, 1, 10)])
+def test_terms_hold_at_most_two_blocks_beside_them(m, l, n):
+    # the by-value lookup is built only when it fills at most a block, as
+    # at the first two; at the last two (2^20 and 400,000 entries, a half
+    # and all of the terms' size) each block forms its exponents, and at
+    # most a block of quotients and one of exponents sit beside the terms
+    rng = np.random.default_rng(m)
+    tables = (l * rng.integers(m, size=(1 << n, 1))).astype(np.uint32)
+    next(gbf._terms(tables[:1], m, n, l))       # builds _root_powers(m, n)
+    tracemalloc.start()
+    try:
+        _, terms = next(gbf._terms(tables, m, n, l))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= terms.nbytes + 2 * gbf._CHUNK * 8
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
