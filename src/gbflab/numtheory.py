@@ -1,12 +1,14 @@
 """Elementary and quadratic number theory behind the nonexistence criteria.
 
-Factorization, multiplicative orders, 2-adic valuations, Jacobi symbols,
-numerical-semigroup membership, square roots modulo prime powers,
-Cornacchia's algorithm for x^2 + d*y^2 = M, and the form class group of an
-imaginary quadratic field: reduced forms, composition, powers, orders,
-discrete logarithms and the exact class number.  Everything works over
-plain Python integers, without numpy: the semigroup's reachable sums are
-the bits of one int.
+Factorization, the order of 2 modulo an odd number, 2-adic valuations,
+Jacobi symbols, numerical-semigroup membership, square roots modulo prime
+powers, Cornacchia's algorithm for x^2 + d*y^2 = M, and the form class
+group of an imaginary quadratic field: reduced forms, composition, powers,
+orders, discrete logarithms and the exact class number.  Both orders, of 2
+from phi(mod) and of a form class from the class number, come from one
+routine, _order, which strips prime factors from a known multiple.
+Everything works over plain Python integers, without numpy: the
+semigroup's reachable sums are the bits of one int.
 All functions are pure and safe for concurrent use.
 """
 
@@ -90,21 +92,26 @@ def odd_part(m: int) -> int:
     return m >> v2(m)
 
 
-@lru_cache(maxsize=None)
-def mult_order_2(mod: int) -> int:
-    """Least f >= 1 with 2^f = 1 (mod mod), for odd mod >= 3.
-
-    Starts from Euler's phi and strips prime factors while the power stays 1,
-    which yields the exact order (it divides phi and the construction cannot
-    stop early).
-    """
-    if mod < 3 or mod % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
-    e = euler_phi(mod)
-    for q, _ in factorize(e):
-        while e % q == 0 and pow(2, e // q, mod) == 1:
+def _order(is_one, e: int) -> int:
+    """The order of a group element, given a multiple e >= 1 of that order,
+    where is_one(k) says whether the element to the power k is the identity:
+    each prime factor q of e is stripped while the power at e/q stays 1
+    (Cohen, ch. 1).  The order divides every e that passes, and each
+    strip stops only once q's power in e is q's power in the order, so the
+    e that remains is the order."""
+    for q, _ in (factorize(e) if e > 1 else ()):
+        while e % q == 0 and is_one(e // q):
             e //= q
     return e
+
+
+@lru_cache(maxsize=None)
+def mult_order_2(mod: int) -> int:
+    """Least f >= 1 with 2^f = 1 (mod mod), for odd mod >= 3: the _order
+    of 2 in the units modulo mod, from the multiple phi(mod)."""
+    if mod < 3 or mod % 2 == 0:
+        raise ValueError("modulus must be odd and >= 3")
+    return _order(lambda e: pow(2, e, mod) == 1, euler_phi(mod))
 
 
 def v2(d: int) -> int:
@@ -402,23 +409,15 @@ def form_pow(f, e: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def form_order(f, h: int) -> int:
-    """The order of the class of the reduced form f in a group whose order
-    h it divides: for each prime power q^k of h, the least q^j with
-    f^(h/q^k) of order q^j, multiplied.  ValueError when j would exceed k,
-    that is when f^h is not the identity."""
+    """The order of the class of the reduced form f, given a multiple h >= 1
+    of it such as the class number: the _order of f from h.  ValueError
+    when f^h is not the identity, that is when the order does not divide
+    h."""
     a, b, c = f
     one = principal_form(b * b - 4 * a * c)
-    order = 1
-    for q, k in (factorize(h) if h > 1 else ()):
-        g, j = form_pow(f, h // q ** k), 0
-        while g != one:
-            if j == k:
-                raise ValueError(f"the class of {f} has no order dividing {h}")
-            g, j = form_pow(g, q), j + 1
-        order *= q ** j
-    if h == 1 and f != one:
-        raise ValueError(f"the class of {f} has no order dividing 1")
-    return order
+    if form_pow(f, h) != one:
+        raise ValueError(f"the class of {f} has no order dividing {h}")
+    return _order(lambda e: form_pow(f, e) == one, h)
 
 
 @lru_cache(maxsize=None)

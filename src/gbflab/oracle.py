@@ -34,8 +34,9 @@ fill one block of gbf._CHUNK entries, so memory stays that of one batch.
 
 Witnesses are the first hits of the full odometer order.  The hits with
 f(2^n - 1) = 0 are the images k*h of the tested hits h over the units k:
-each batch's images join those kept so far, which are sorted as odometer
-readings, rid of repeats and cut to max_witnesses.  When the tables with
+each batch's images join those kept so far, and np.unique, over the
+tables read from f(2^n - 1) down, sorts them as odometer readings and rids
+them of repeats; the first max_witnesses are kept.  When the tables with
 f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
 hand, and the hits with top value c = 1, 2, ... are those plus c: one
 sort of all those shifts as odometer readings gives the rest in order.
@@ -175,6 +176,8 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         passed.append(batch[_orbits(batch, units, m)[0]])
 
     count = 0
+    # hits as odometer readings, most significant digit f(rows-1) first, so
+    # that their order as rows is odometer order
     hits = np.empty((0, rows), np.int64)
     for batch in _arrangements(np.concatenate(passed), per):
         tables = _tables(batch)
@@ -183,21 +186,19 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         count += int(_orbits(np.sort(batch[ok], axis=1), units, m)[1].sum())
         if max_witnesses:
             # the hits with f(rows-1) = 0 are the images k*h of these, and
-            # the first ones in odometer order, f(rows-1) the most
-            # significant, are kept with no repeats
-            found = units[:, None, None] * tables[:, ok].T % m
+            # the first ones are kept with no repeats.  Asked for an index,
+            # np.unique skips its masked-array test, whose first call
+            # imports numpy.ma: about 12 ms, a third of a cold census grid
+            found = units[:, None, None] * tables[::-1, ok].T % m
             hits = np.concatenate([hits, found.reshape(-1, rows)])
-            hits = hits[np.lexsort(hits.T)]
-            fresh = np.ones(len(hits), bool)
-            fresh[1:] = (hits[1:] != hits[:-1]).any(axis=1)
-            hits = hits[fresh][:max_witnesses]
+            hits = np.unique(hits, axis=0, return_index=True)[0][:max_witnesses]
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
     # the hits with f(rows-1) = c > 0 are them plus c, next in odometer order
     if len(hits) < max_witnesses:
         shifted = (np.add.outer(np.arange(1, m), hits) % m).reshape(-1, rows)
-        hits = np.concatenate([hits, shifted[np.lexsort(shifted.T)]])
-    witnesses = [FunctionTable(t, h) for h in hits[:max_witnesses]]
+        hits = np.concatenate([hits, shifted[np.lexsort(shifted.T[::-1])]])
+    witnesses = [FunctionTable(t, h[::-1]) for h in hits[:max_witnesses]]
 
     for w in witnesses:
         # the same kernel at the content modulus, one table at a time:

@@ -438,8 +438,8 @@ def _reduced_forms(d):
 def test_form_class_group_laws():
     # for each squarefree d < 600: the reduced forms are fixed by reduction,
     # composition is commutative and associative with the principal form as
-    # identity and (a, -b, c) as inverse, and form_order and form_log agree
-    # with repeated composition
+    # identity and (a, -b, c) as inverse, and form_order (given h or a
+    # multiple of it) and form_log agree with repeated composition
     rng = random.Random(11)
     for d in _squarefree(600):
         disc, forms = _reduced_forms(d)
@@ -453,6 +453,8 @@ def test_form_class_group_laws():
                 powers.append(nt.compose_forms(powers[-1], f))
             order = len(powers) - 1
             assert nt.form_order(f, h) == order
+            # and from the multiples k*h of the class number
+            assert all(nt.form_order(f, k * h) == order for k in (2, 3, 4, 6))
             assert nt.form_pow(f, order + 2) == powers[2 % order]
             assert nt.compose_forms(f, nt.reduce_form(f[0], -f[1], f[2])) == one
             g = rng.choice(forms)
