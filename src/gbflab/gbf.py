@@ -20,24 +20,24 @@ layout of a sum: direct_sum adds two tables through it, and _pair_sum
 sums 1- and 2-variable pieces through it into the E1-E3 witnesses and
 construct_boolean_bent, in the table's own dtype, scaled in place.
 
-One batched kernel decides flatness: _flat_mask takes a (2^n, batch) array
-of tables through each exact test of _terms, one FWHT and _flat, to the
-mask of the rows that pass them all.  At modulus 2 or 4, Z[zeta] is Z or
-Z[i]: one FWHT of the signed unit coordinates of zeta^f(x), in int16 with
-wrapping arithmetic, gives every coordinate of every W(y) mod 2^16, with
-no prime, and re^2 + im^2 = 2^n is tested in int64 on those signed values.
-Every other modulus is tested at the m-th roots of unity of F_q for the
-split primes q of _split_primes.  is_gbf and first_flat_violation test
-one table at its content modulus m/l, l = gcd(m, values), which is 2 or 4
-for every witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
+One batched kernel decides flatness, and answers two questions.  Is a
+whole table flat?  _flat_mask takes a (2^n, batch) array of tables
+through the first exact test of _terms, one FWHT and _flat, to the mask
+of the rows that pass it.  Which of its rows below 2^k are flat?
+_low_rows_flat answers exactly, at every test of _terms, from the terms
+summed onto those rows.  At modulus 2 or 4, Z[zeta] is Z or Z[i]: one
+FWHT of the signed unit coordinates of zeta^f(x), in int16 with wrapping
+arithmetic, gives every coordinate of every W(y) mod 2^16, with no prime,
+and re^2 + im^2 = 2^n is tested in int64 on those signed values.  Every
+other modulus is tested at the m-th roots of unity of F_q for the split
+primes q of _split_primes, whose product exceeds 4^n, so that together
+they decide each row.  is_gbf and first_flat_violation test one table at
+its content modulus m/l, l = gcd(m, values), which is 2 or 4 for every
+witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 Both routes gather their terms in _terms from one cached lookup per test,
 _root_powers: by value, each entry taking its row of the terms of every
 value, when the tables have more entries than values and those rows fill
 at most a block, else by exponent.
-_row0_flat alone decides W(0), row 0 of the FWHT, as the sum over x of
-the terms of a batch of tables, with no transform: the oracle's census
-hands it the table of each value multiset, and _first_nonflat one
-table's distinct values, each weighted by its count.
 _CHUNK is the package's one block size, and _blocks its one rule: every
 chunked pass (histograms, the gathers of the terms, the norm test,
 direct_sum, the witness writer of the command line) takes the row blocks
@@ -49,39 +49,53 @@ runs the butterflies in rounds over runs of at least 2^12 entries, rotating
 the index bits between rounds through one scratch array of the input's
 size; any other array, such as an oracle block, it transforms in place.
 
-The int16 test is exact for a whole table, by Parseval.  A row that
-fails it is not flat: a flat row has coordinates at most 2^13 in absolute
+One test is exact for a whole table, by Parseval.  In int16, a row that
+fails is not flat: a flat row has coordinates at most 2^13 in absolute
 value, since n <= 26, so they fit int16 and are tested as they are.  A row
 that passes has signed coordinates that solve re^2 + im^2 = 2^n, each at
 most 2^13 in absolute value; any other integer of the same class mod 2^16
 is at least 2^16 - 2^13 = 57344 in absolute value, and 57344^2 > 2^26 >=
 2^n.  So a passing row has |W(y)|^2 >= 2^n, with equality only when its
 coordinates are exact.  Parseval gives sum_y |W(y)|^2 = 4^n, so when all
-2^n rows of a table pass, every one is exactly flat: is_gbf and the
-oracle's per-table verdicts are exact.  A single row, though, is exact
-only when n < 16: past that a coordinate of W(y) can reach 57344 in
-absolute value, and a non-flat row can pass by wrapping.  The {2,16}
-table f = x1 + 1, except f = 0 at 128 points with x1 = 0, has W(0) = 256
-and W(1) = -65280, which is 256 mod 2^16.  That matters only where the
-least failing row is asked for, and there _low_rows_flat decides the rows
-before the first int16 failure exactly, from the table folded onto them.
+2^n rows of a table pass, every one is exactly flat.  At one split prime
+q > 2^n the argument runs on the trace.  alpha_y = |W(y)|^2 - 2^n is a
+real algebraic integer whose conjugates |W_k(y)|^2 - 2^n are at least
+-2^n, and Parseval at each conjugate gives sum_y alpha_y = 0.  When every
+row passes mod q, q divides each alpha_y, since q splits completely and
+the test covers every prime above it; so gamma_y = alpha_y/q + 1 is an
+algebraic integer with every conjugate positive, of norm at least 1, and
+by AM-GM its trace is at least phi(m), with equality only at gamma_y = 1.
+The gamma_y sum to 2^n, so their traces sum to phi(m) 2^n: each is
+exactly phi(m), and every alpha_y = 0 (Siegel, Ann. of Math. 46, 1945,
+for sharper forms of the trace bound).  _split_primes refuses a modulus
+whose largest split prime is not above 2^n.  So _flat_mask's one test
+makes is_gbf and the oracle's per-table verdicts exact, and a row that
+fails it is not flat.
+
+A single row that passes one test, though, need not be flat.  In int16,
+from n = 16 on, a coordinate of W(y) can reach 57344 in absolute value,
+and a non-flat row can pass by wrapping: the {2,16} table f = x1 + 1,
+except f = 0 at 128 points with x1 = 0, has W(0) = 256 and W(1) = -65280,
+which is 256 mod 2^16.  One split prime is below 4^n from n = 15 on, so
+its row test alone is exact only up to n = 14.  That matters only where
+the least failing row is asked for, and there _low_rows_flat decides the
+rows before the first failure exactly, at every test.
 
 A single table goes through _first_nonflat, the one search behind both.
 When m <= 2^n, it decides row 0 first: one histogram of the values gives
-l, and _row0_flat the distinct values with their counts as weights, at
-O(m phi(m)) cost, never more than the kernel's own terms.  A row 0 that
-fails there is not flat, and since 0 is the least index, it is then the
-first failing y, with no FWHT run.  When row 0 passes every test, or
-when m > 2^n, where l comes from a gcd pass and the table goes straight
-to the kernel, every row is tested as a batch of one, and the first
-failing y is the least over the tests.  A failing row found in int16 is
-always not flat, so is_gbf stops there; first_flat_violation needs the
-least one.  When the int16 pass finds it at n >= 16 with a row before it
-that passed in int16 alone (any row but a row 0 decided from the
-histogram), the rows r < 2^k, 2^k >= y, depend on x only through its low
-k index bits: the unit coordinates summed over the high n - k bits, in
-int32, and a k-stage FWHT give their W(r) exactly, and the least failing
-one among them, or y itself, is reported.
+l, and _low_rows_flat at k = 0 the distinct values with their counts as
+weights, at O(m phi(m)) cost, never more than the kernel's own terms.  A
+row 0 that fails there is not flat, and since 0 is the least index, it is
+then the first failing y, with no FWHT run.  When row 0 passes, or when
+m > 2^n, where l comes from a gcd pass and the table goes straight to the
+kernel, every row goes through _flat_mask as a batch of one, and y is its
+least failing row.  That row is not flat, so is_gbf stops there;
+first_flat_violation needs the least one, by one rule at every content
+modulus and every n.  When a row before y passed one test alone (any row
+but a row 0 decided from the histogram), the rows r < 2^k, 2^k >= y,
+depend on x only through its low k index bits: each test's terms summed
+over the high n - k bits, in int64, and a k-stage FWHT give their W(r)
+exactly, and the least failing one among them, or y itself, is reported.
 Only one full-size transform runs per table.
 """
 
@@ -319,17 +333,20 @@ def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """((q, omega), ...): primes q = 1 (mod m) below 2^30, largest first,
     until their product Q exceeds 4^n, each with an omega of order m mod q
     (one prime for n <= 14, two up to n = _MAX_N).  Refuses, before any
-    allocation of size m, m >= 2^30 and an m with too few such primes.
+    allocation of size m, m >= 2^30, an m with too few such primes, and
+    one whose largest such prime is not above 2^n.
 
-    They decide |W(y)|^2 = 2^n exactly.  q splits completely in Z[zeta_m]:
-    zeta -> omega^k over the units k of Z_m maps Z[zeta_m]/(q) onto
-    F_q^phi(m), taking W(y) to W_k(y) = sum_x (-1)^(x.y) omega^(k f(x)) and
-    its conjugate to W_(m-k)(y).  So q divides alpha = |W(y)|^2 - 2^n when
-    W_k W_(m-k) = 2^n mod q at every unit k, and Q does when every q does.
-    Each conjugate of alpha is |W'|^2 - 2^n with W' the Walsh value of some
-    k f, so |W'| <= 2^n and the conjugate lies below 4^n in absolute value.
-    A nonzero alpha would have Q^phi(m) <= |N(alpha)| < 4^(n phi(m)),
-    against Q > 4^n: so alpha = 0.
+    Together they decide |W(y)|^2 = 2^n exactly, row by row.  q splits
+    completely in Z[zeta_m]: zeta -> omega^k over the units k of Z_m maps
+    Z[zeta_m]/(q) onto F_q^phi(m), taking W(y) to W_k(y) = sum_x
+    (-1)^(x.y) omega^(k f(x)) and its conjugate to W_(m-k)(y).  So q
+    divides alpha = |W(y)|^2 - 2^n when W_k W_(m-k) = 2^n mod q at every
+    unit k, and Q does when every q does.  Each conjugate of alpha is
+    |W'|^2 - 2^n with W' the Walsh value of some k f, so |W'| <= 2^n and
+    the conjugate lies below 4^n in absolute value.  A nonzero alpha would
+    have Q^phi(m) <= |N(alpha)| < 4^(n phi(m)), against Q > 4^n: so
+    alpha = 0.  The first prime alone, being above 2^n, decides a whole
+    table (module docstring), which is all _flat_mask asks of it.
     """
     if m >= _Q_LIMIT:
         raise ValueError(f"modulus {m} is not below 2^30 = {_Q_LIMIT}, the "
@@ -340,10 +357,10 @@ def _split_primes(m: int, n: int) -> tuple[tuple[int, int], ...]:
             break
         if is_probable_prime(q):
             found.append(q)
-    if prod(found) <= 4 ** n:
+    if prod(found) <= 4 ** n or found[0] <= 1 << n:
         raise ValueError(f"the primes q = 1 (mod {m}) below 2^30 have "
-                         f"product {prod(found)}, not above 4^{n}: too few "
-                         f"for the exact flatness check")
+                         f"product {prod(found)}, not above 4^{n}, or none "
+                         f"above 2^{n}: too few for the exact flatness check")
     out = []
     for q in found:
         # g^((q-1)/m) has order m when no g^((q-1)/p), p | m, is 1
@@ -470,11 +487,12 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     spectrum spec, (unit column, y, table): re^2 + im^2 = 2^n in int64, of
     the signed coordinates as given (mod 2^16 in int16), or W_k W_(m-k) =
     2^n (mod q) at each unit k <= m/2, overwriting spec.  A row that fails
-    is not flat.  A row that passes in int16 is flat when n < 16, and in
-    any case when every row of its table passes (module docstring).  x mod
-    q is x - x // q * q, several times faster in numpy; products of
-    residues stay below q^2 < 2^60.  A spec of more than _CHUNK entries is
-    taken over the blocks of _blocks, so the temporaries stay that small."""
+    is not flat.  A row that passes is flat when every row of its table
+    passes, and in any case when it passes every test of _terms (module
+    docstring).  x mod q is x - x // q * q, several times faster in numpy;
+    products of residues stay below q^2 < 2^60.  A spec of more than _CHUNK
+    entries is taken over the blocks of _blocks, so the temporaries stay
+    that small."""
     if spec.size > _CHUNK and spec.shape[1] > 1:
         mask = np.empty(spec.shape[1:], dtype=bool)
         for block in _blocks(spec.shape[1], spec.size):
@@ -494,35 +512,49 @@ def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
 
 def _flat_mask(tables, m: int, n: int, l: int = 1) -> np.ndarray:
     """The (2^n, batch) mask of the rows of a (2^n, batch) array of tables,
-    l times residues mod m as _terms takes them, that pass every test of
-    _terms.  Each test's terms go through one FWHT, which is linear: at
-    m = 2 or 4 it gives the coordinates of W(y) in Z or Z[i] mod 2^16, the
+    l times residues mod m as _terms takes them, that pass the first test
+    of _terms.  Its terms go through one FWHT, which is linear: at m = 2 or
+    4 it gives the coordinates of W(y) in Z or Z[i] mod 2^16, the
     butterflies wrapping in int16; otherwise column k holds W_k(y) mod q,
     residues below 2^30 summed over 2^26 rows staying below 2^56.  _flat
-    then tests the spectrum, which is dropped before the next test gathers
-    its terms."""
+    then tests the spectrum.  A row that fails is not flat, and when every
+    row of a table passes, the table is flat, at either test (module
+    docstring): the first split prime exceeds 2^n, or _split_primes
+    refuses."""
+    test, terms = next(_terms(tables, m, n, l))
+    return _flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
+
+
+def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
+                   counts=None) -> np.ndarray:
+    """The exact (2^k, batch) mask of |W(r)|^2 = 2^n over the rows r < 2^k
+    of a (2^n, batch) array of tables, l times residues mod m as _terms
+    takes them: each row passes every test of _terms, which together are
+    exact per row.  (-1)^(x.r) depends on x only through its low k index
+    bits, so W(r) is the k-stage FWHT of each test's terms summed over the
+    high n - k bits, in int64, where every partial sum stays below 2^56;
+    at k = 0 it is W(0), the plain sum, and no FWHT runs.  Given counts, a
+    weight for each row of a (rows, batch) array, W(0) is counts @ terms
+    instead: one table's distinct values weighted by how often each
+    occurs, O(rows phi(m)) however long the table.  numpy adds one row into
+    the next fastest when rows are long, so the sums go first over rows of
+    at least _LONG_RUN entries, a power-of-two multiple of the terms of the
+    x < 2^k whatever their width, then over the few rows left: at n = 24
+    and k = 1, 18 ms instead of 160 ms."""
     ok = True
     for test, terms in _terms(tables, m, n, l):
-        ok = ok & _flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
+        if counts is None:
+            row = terms[0].size << k        # the terms of the x < 2^k
+            run = row << min(n - k, ((_LONG_RUN - 1) // row).bit_length())
+            low = terms.reshape(-1, run).sum(axis=0, dtype=np.int64)
+            if len(low) > row:
+                low = low.reshape(-1, row).sum(axis=0)
+        else:
+            low = counts @ terms.swapaxes(0, 1)
         del terms
-    return ok
-
-
-def _row0_flat(tables, m: int, n: int, l: int = 1, counts=None):
-    """The (batch,) mask of |W(0)|^2 = 2^n over a (k, batch) array of
-    tables, l times residues mod m as _terms takes them.  W(0) =
-    sum_x zeta^f(x) is row 0 of the FWHT, the sum of each test's terms
-    over axis 0.  Given counts, a length-k weight per entry, the sum is
-    counts @ terms instead: one table's distinct values weighted by how
-    often each occurs, O(k phi(m)) however long the table.  Either way
-    2^n terms are summed, so the bounds of _flat_mask hold, and at m = 2
-    or 4 the int16 coordinates, summed in int64, give W(0) itself.  Each
-    test is exact per row here, so a table that fails one is not flat."""
-    ok = True
-    for test, terms in _terms(tables, m, n, l):
-        row0 = (terms.sum(axis=0, dtype=np.int64) if counts is None
-                else counts @ terms.swapaxes(0, 1))
-        ok = ok & _flat(test, row0.T[:, None], n)[0]
+        spec = low.reshape(1 << k, tables.shape[1], -1)
+        spec = _fwht_inplace(spec) if k else spec
+        ok = ok & _flat(test, spec.transpose(2, 0, 1), n)
     return ok
 
 
@@ -530,8 +562,9 @@ def _first_nonflat(f: FunctionTable):
     """(y, c, hist) for one table: y is a row whose |W(y)|^2 differs from
     2^n, or None; c is the content modulus m/l, l = gcd(m, values); hist
     is the length-m histogram of f's values when it refutes row 0, and None
-    otherwise.  y is the least failing row except at c = 2 or 4 and n >=
-    16, where it is the least row that fails in int16.
+    otherwise.  y is the least row that fails the first test of _terms,
+    and the least failing row whenever the rows before it were decided
+    exactly: y = 0, or y = 1 with row 0 decided from the histogram.
 
     The table is tested at c, on the quotients v/l, which have the same
     Walsh values as complex numbers, since zeta_m^(l*v) = zeta_c^v; an
@@ -541,12 +574,10 @@ def _first_nonflat(f: FunctionTable):
 
     When m <= 2^n, one histogram gives l with no gcd pass, and its
     distinct values, weighted by their counts, give W(0) exactly through
-    _row0_flat: when it fails, 0 is the least failing y, with no FWHT.
+    _low_rows_flat: when it fails, 0 is the least failing y, with no FWHT.
     Otherwise every row is tested by _flat_mask as a batch of one, the
-    table going in with l, so no quotient table is built, and y is the
-    least failing row over the tests.  At c = 2 or 4 that pass is in
-    int16: None is exact, by Parseval, and so is any failing row, but at
-    n >= 16 a row before it may have passed by wrapping
+    table going in with l, so no quotient table is built: None is exact,
+    and so is any failing row, but a row before it passed one test alone
     (first_flat_violation settles those rows)."""
     m, n, arr = f.m, f.n, f.array
     hist = None
@@ -556,32 +587,12 @@ def _first_nonflat(f: FunctionTable):
     l = gcd(m, int(np.gcd.reduce(arr if hist is None else values)))
     c = max(m // l, 2)
     if hist is not None:
-        if not _row0_flat(values[:, None], c, n, l, hist[values]):
+        if not _low_rows_flat(values[:, None], c, n, l,
+                              counts=hist[values])[0, 0]:
             return 0, c, hist
         del hist, values    # each up to 2^n entries, freed before the FWHT
     ok = _flat_mask(arr[:, None], c, n, l)[:, 0]
     return (None if ok.all() else int(np.argmin(ok))), c, None
-
-
-def _low_rows_flat(f: FunctionTable, c: int, k: int) -> np.ndarray:
-    """The exact (2^k,) mask of |W(r)|^2 = 2^n over the rows r < 2^k of a
-    table at content modulus c = 2 or 4.  (-1)^(x.r) depends on x only
-    through its low k index bits, so W(r) is the k-stage FWHT of the int16
-    unit coordinates summed over the high n - k bits.  The sums are taken
-    in int32 and the int16 terms dropped before the FWHT, which is exact
-    there: every partial sum is at most 2^n <= 2^26 in absolute value.  At
-    k = n this is one int32 transform of the whole table.  numpy adds one
-    row into the next fastest when rows are long, so the sums go first over
-    rows of at least _LONG_RUN entries, which needs n >= 12, then over the
-    few rows left: at n = 24 and k = 1, 18 ms instead of 160 ms."""
-    _, terms = next(_terms(f.array[:, None], c, f.n, f.m // c))
-    row = terms.shape[-1] << k          # the terms of the x < 2^k
-    low = terms.reshape(-1, max(_LONG_RUN, row)).sum(axis=0, dtype=np.int32)
-    del terms
-    if len(low) > row:
-        low = low.reshape(-1, row).sum(axis=0)
-    spec = _fwht_inplace(low.reshape(1 << k, 1, -1)).transpose(2, 0, 1)
-    return _flat(None, spec, f.n)[:, 0]
 
 
 def first_flat_violation(f: FunctionTable):
@@ -591,10 +602,11 @@ def first_flat_violation(f: FunctionTable):
 
     _first_nonflat finds a failing y at the content modulus m/l, l =
     gcd(m, values), where every W(y) is the same complex number, so y does
-    not depend on l.  At content modulus 2 or 4 and n >= 16, when a row
-    before it passed in int16 alone, _low_rows_flat decides the rows before
-    y exactly, and the least of them that fails, or else y, is reported:
-    one full-size transform in all.
+    not depend on l.  When a row before it passed one test alone (any row
+    but a row 0 decided from the histogram), _low_rows_flat decides the
+    rows below 2^k >= y exactly from the table folded onto them, and the
+    least of them that fails, or else y, is reported: one full-size
+    transform in all.
     Only the reported row is built at m, and so is refused for m at or above
     2^30: when row 0 was refuted from the histogram it is that histogram,
     otherwise one _histogram (signed when y > 0)."""
@@ -602,10 +614,11 @@ def first_flat_violation(f: FunctionTable):
     if y is None:
         return None
     # the rows before y passed, row 0 exactly when it came from the
-    # histogram, the others in int16 alone when c is 2 or 4; argmin over a
-    # trailing False gives the first failing row, or y when none fails
-    if y > (f.m <= f.array.size) and f.n >= 16 and c in _UNIT_COORDS:
-        low = _low_rows_flat(f, c, (y - 1).bit_length())[:y]
+    # histogram, the others one test alone; argmin over a trailing False
+    # gives the first failing row, or y when none fails
+    if y > (f.m <= f.array.size):
+        low = _low_rows_flat(f.array[:, None], c, f.n, f.m // c,
+                             (y - 1).bit_length())[:y, 0]
         y = int(np.argmin(np.append(low, False)))
     if f.m >= _Q_LIMIT:
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
@@ -618,8 +631,8 @@ def first_flat_violation(f: FunctionTable):
 def is_gbf(f: FunctionTable) -> bool:
     """Exact flatness test: true when |W(y)|^2 equals 2^n for every y.
     Decided by _first_nonflat at the content modulus, with no report built
-    at m and no search for the least failing row, so one transform a
-    test, int16 at content modulus 2 or 4."""
+    at m and no search for the least failing row, so one transform in all,
+    int16 at content modulus 2 or 4."""
     return _first_nonflat(f)[0] is None
 
 

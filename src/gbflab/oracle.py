@@ -11,24 +11,26 @@ Each table is tested in two stages.  Row 0 of a spectrum is
 W(0) = sum_v count(v) zeta^v, so it depends only on the table's value
 multiset.  The multisets of the 2^n - 1 free values are enumerated in
 order, and a slice of them goes as a batch of tables, each multiset's
-values in sorted order over the fixed 0, through gbf._row0_flat, the
-flatness kernel's one W(0) test, which sums each table's terms.  Of the
-multisets that pass, one per orbit of the units of Z_m has its distinct
-arrangements tested at every row, in _flat_mask batches.  For a unit k,
-zeta -> zeta^k is an automorphism of Q(zeta_m) that takes W(y) of f to
-W(y) of k*f and keeps |W(y)|^2 = 2^n, so f and k*f are flat together,
-k*f keeps f(2^n - 1) = 0, and k maps the arrangements of a multiset M one
-to one onto those of k*M.  The sieve therefore passes whole orbits; of
-each, the least sorted row is tested, and each of its hits counts once
-for every multiset of its orbit, phi(m) over the number of units that fix
-it.  A sorted multiset's run shape, the lengths of its runs of equal
-values, fixes its orderings, which are built once per shape and gathered
-for every multiset of that shape.  Each test is exact per row, so a table
-that fails at row 0 is not flat, and the hits and their count are those
-of testing every row of every table.  At {7,3} the sieve tests the 1,716
-multisets of the 7 free values in place of their 823,543 tables; 8 pass,
-in two orbits of sizes 2 and 6, the 1,260 arrangements of the two least
-are tested at every row in place of the 5,040 of all 8, and none is flat.
+values in sorted order over the fixed 0, through gbf._low_rows_flat at
+k = 0, the flatness kernel's exact test of its low rows, which sums each
+table's terms with no FWHT.  Of the multisets that pass, one per orbit of
+the units of Z_m has its distinct arrangements tested at every row, in
+_flat_mask batches.  For a unit k, zeta -> zeta^k is an automorphism of
+Q(zeta_m) that takes W(y) of f to W(y) of k*f and keeps |W(y)|^2 = 2^n,
+so f and k*f are flat together, k*f keeps f(2^n - 1) = 0, and k maps the
+arrangements of a multiset M one to one onto those of k*M.  The sieve
+therefore passes whole orbits; of each, the least sorted row is tested,
+and each of its hits counts once for every multiset of its orbit, phi(m)
+over the number of units that fix it.  A sorted multiset's run shape, the
+lengths of its runs of equal values, fixes its orderings, which are built
+once per shape and gathered for every multiset of that shape.  The W(0)
+test is exact per row, so a table that fails at row 0 is not flat, and
+_flat_mask's one test is exact for a whole table, so the hits and their
+count are those of testing every row of every table.  At {7,3} the sieve
+tests the 1,716 multisets of the 7 free values in place of their 823,543
+tables; 8 pass, in two orbits of sizes 2 and 6, the 1,260 arrangements of
+the two least are tested at every row in place of the 5,040 of all 8, and
+none is flat.
 The multisets and the arrangements are each taken in slices whose terms
 fill one block of gbf._CHUNK entries, so memory stays that of one batch.
 
@@ -53,8 +55,8 @@ from math import comb
 
 from . import gbf
 from ._lazy import np
-from .gbf import (FunctionTable, GbfType, _flat_mask, _root_powers, _row0_flat,
-                  is_gbf)
+from .gbf import (FunctionTable, GbfType, _flat_mask, _low_rows_flat,
+                  _root_powers, is_gbf)
 
 DEFAULT_BUDGET = 10**7
 
@@ -69,8 +71,8 @@ class OracleResult:
 
 def _tables(free: np.ndarray) -> np.ndarray:
     """The (2^n, count) tables, one per column, of a (count, 2^n - 1) array
-    of free values, with f(2^n - 1) = 0."""
-    tables = np.zeros((free.shape[1] + 1, len(free)), np.int64)
+    of free values, with f(2^n - 1) = 0, in the dtype of free."""
+    tables = np.zeros((free.shape[1] + 1, len(free)), free.dtype)
     tables[:-1] = free.T
     return tables
 
@@ -136,7 +138,7 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     at {4,3}, 80,570 at {12,3} and 53,690 at {16,3}.
     Witnesses are the first ``max_witnesses`` hits in odometer order over
     all m^(2^n) tables and are re-verified by is_gbf before returning:
-    not an independent test, but the same _row0_flat and _flat_mask
+    not an independent test, but the same _low_rows_flat and _flat_mask
     kernel run on each witness alone at its content modulus, through the
     single-table search.  ``budget`` and ``max_witnesses`` must be
     integers, and ``max_witnesses`` at least 0.
@@ -167,9 +169,9 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
     passed = []
     for _ in range(0, comb(m + free - 1, free), per):
         batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
-                            np.int64).reshape(-1, free)
+                            gbf._value_dtype(m)).reshape(-1, free)
         # W(0) of each multiset's own table, its free values and the fixed 0
-        ok = _row0_flat(_tables(batch), m, n)
+        ok = _low_rows_flat(_tables(batch), m, n)[0]
         # one multiset of each orbit of the units: W(0) of k*f is the
         # image of W(0) of f under zeta -> zeta^k, so the orbit passes with it
         batch = batch[ok]

@@ -790,7 +790,7 @@ def test_row0_flat_matches_walsh_matrix(l):
             if flat is not None:
                 tables.append(flat.array)
             tables = np.array(tables, dtype=np.int64).T
-            got = gbf._row0_flat(l * tables, m, n, l)
+            got = gbf._low_rows_flat(l * tables, m, n, l)[0]
             assert got.shape == (tables.shape[1],)
             for column, ok in zip(tables.T, got):
                 f = FunctionTable(GbfType(m, n), column)
@@ -798,8 +798,9 @@ def test_row0_flat_matches_walsh_matrix(l):
                 assert ok == (w0.abs_square() == 1 << n), (m, n, column)
                 hist = np.bincount(column, minlength=m)
                 values = np.flatnonzero(hist)
-                assert gbf._row0_flat(l * values[:, None], m, n, l,
-                                      hist[values]).tolist() == [ok]
+                row0 = gbf._low_rows_flat(l * values[:, None], m, n, l,
+                                          counts=hist[values])
+                assert row0.tolist() == [[ok]]
                 seen.add((m in (2, 4), bool(ok)))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -1059,12 +1060,14 @@ def test_int16_kernel_matches_walsh_matrix_at_content_2_and_4(n):
 
 
 def _fold_calls(monkeypatch):
-    """A list that grows by the k of each call of _low_rows_flat."""
+    """A list that grows by the k of each call of _low_rows_flat without
+    counts, a fold of a whole table: not the row-0 test from a histogram."""
     calls, fold = [], gbf._low_rows_flat
 
-    def counted(f, c, k):
-        calls.append(k)
-        return fold(f, c, k)
+    def counted(tables, m, n, l=1, k=0, counts=None):
+        if counts is None:
+            calls.append(k)
+        return fold(tables, m, n, l, k, counts)
 
     monkeypatch.setattr(gbf, "_low_rows_flat", counted)
     return calls
@@ -1118,7 +1121,8 @@ def test_low_rows_flat_matches_walsh_matrix(c):
         flat_rows += int(want.sum())
         for g in (f, lift_modulus(f, 3 << 15)):
             for k in (0, 1, n):
-                got = gbf._low_rows_flat(g, c, k)
+                got = gbf._low_rows_flat(g.array[:, None], c, n, g.m // c,
+                                         k)[:, 0]
                 assert got.shape == (1 << k,)
                 assert np.array_equal(got, want[:1 << k]), (g.gbf_type, k)
     assert flat_rows
@@ -1155,6 +1159,121 @@ def test_least_row_search_peaks_at_the_flatness_check():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _six_two_sum(pieces):
+    """The flat content-6 {6, 2 pieces} table, the direct sum of that many
+    {6,2} tables (4, 1, 0, 0)."""
+    f = table(6, 2, [4, 1, 0, 0])
+    for _ in range(pieces - 1):
+        f = direct_sum(f, table(6, 2, [4, 1, 0, 0]))
+    return f
+
+
+def _flat_by_conjugates(f, c):
+    """(walsh_matrix of the quotient table f/l at c, the (2^n,) mask of its
+    rows with |W(y)|^2 = 2^n) for a table whose values are multiples of
+    l = m/c: every conjugate |W_k(y)|^2 - 2^n, k a unit of Z_c, from the
+    exact rows as complex floats, within 0.5 of 0.  That is exact, since a
+    nonzero algebraic integer has a nonzero integer norm, so some conjugate
+    is at least 1 in absolute value."""
+    mat = walsh_matrix(FunctionTable(GbfType(c, f.n), f.array // (f.m // c)))
+    units = [k for k in range(1, c) if np.gcd(k, c) == 1]
+    roots = np.exp(2j * np.pi * np.outer(np.arange(c), units) / c)
+    return mat, (abs(abs(mat @ roots) ** 2 - (1 << f.n)) < 0.5).all(axis=1)
+
+
+def _split_prime_tables(c, n):
+    """Seeded {c, n} tables for the split-prime route past n = 14: a random
+    one and, where a construction covers the type, a flat one (at c = 6 and
+    even n the direct sum of {6,2} tables (4, 1, 0, 0); at c = 10 and 12 and
+    even n even-even with a unit g; at c = 12 and odd n that sum lifted by 2
+    beside the {4,1} table (0, 1) lifted by 3), also swapped to fail first
+    at row 2, 8 and 2^(n-1)."""
+    rng = random.Random(1500 + 20 * c + n)
+    flat = []
+    if c == 6 and n % 2 == 0:
+        flat.append(_six_two_sum(n // 2))
+    elif c in (10, 12) and n % 2 == 0:
+        flat.append(_flat_of_content_1(c, n, rng))
+    elif c == 12:
+        flat.append(direct_sum(lift_modulus(_six_two_sum(n // 2), 2),
+                               table(12, 1, [0, 3])))
+    swapped = [_swapped_at(f, y) for f in flat for y in (2, 8, 1 << n - 1)]
+    return [_random_table(rng, c, n)] + flat + swapped
+
+
+@pytest.mark.parametrize("n", range(15, 19))
+def test_split_prime_route_matches_conjugate_referee(n):
+    # content modulus 3, 6, 10 and 12, each table also lifted by 5: the
+    # verdict, the least failing row and its report are the referee's, the
+    # report's coefficients those of CycInt(row).abs_square() at m.  The
+    # first split prime alone decides each verdict; the fold at both
+    # decides the rows before a failure
+    seen = set()
+    for c in (3, 6, 10, 12):
+        for f in _split_prime_tables(c, n):
+            mat, flat = _flat_by_conjugates(f, c)
+            y = int(np.argmin(flat))
+            for g in (f, lift_modulus(f, 5)):
+                want = None
+                if not flat.all():
+                    row = np.zeros(g.m, np.int64)
+                    row[::g.m // c] = mat[y]
+                    want = _referee_violation(g, [CycInt(g.m, row.tolist())])
+                    want = (y, want[1])
+                assert np.gcd(g.m, np.gcd.reduce(g.array)) == g.m // c
+                assert first_flat_violation(g) == want, (g.gbf_type, y)
+                assert is_gbf(g) == (want is None)
+            seen.add((c, None if flat.all() else y))
+    assert {y for _, y in seen} >= {0, 2, 8, 1 << n - 1} | (
+        {None} if n % 2 == 0 else set())
+    assert (12, None) in seen
+
+
+def test_is_gbf_runs_one_transform_at_the_first_split_prime(monkeypatch):
+    # the flat content-6 {6,16} table: two split primes decide each row
+    # together, but the first, above 2^16, decides the whole table alone,
+    # so one FWHT of its 2^16 rows runs, and row 0 takes none
+    f = _six_two_sum(8)
+    assert len(gbf._split_primes(6, 16)) == 2
+    assert gbf._split_primes(6, 16)[0][0] > 1 << 16
+    rows, fwht = [], gbf._fwht_inplace
+
+    def recorded(mat):
+        rows.append(mat.shape[0])
+        return fwht(mat)
+
+    monkeypatch.setattr(gbf, "_fwht_inplace", recorded)
+    assert is_gbf(f) and rows == [1 << 16]
+
+
+def test_split_primes_refuse_a_modulus_with_none_above_2_to_the_n(
+        monkeypatch):
+    # with every prime above 2^10 hidden (and the search cut at 2^12, so
+    # that it is short), the primes q = 1 (mod 6) below 2^10, 1021, 1009 and
+    # 997, still have a product above 4^10, enough to decide each row, but
+    # none of them decides a whole table alone: _split_primes refuses, with
+    # the reason, and so does is_gbf, before any test.  Shown the primes
+    # again, the verdict is the referee's
+    f = _six_two_sum(5)
+    real = gbf.is_probable_prime
+    monkeypatch.setattr(gbf, "is_probable_prime",
+                        lambda q: q <= 1 << 10 and real(q))
+    monkeypatch.setattr(gbf, "_Q_LIMIT", 1 << 12)
+    assert 1021 * 1009 * 997 > 4**10
+    gbf._root_powers.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"none above 2\^10: too few"):
+            gbf._split_primes(6, 10)
+        for g in (f, _swapped_at(f, 2)):
+            with pytest.raises(ValueError, match=r"none above 2\^10"):
+                is_gbf(g)
+    finally:
+        monkeypatch.undo()
+        gbf._root_powers.cache_clear()
+    assert is_gbf(f) and _flat_by_conjugates(f, 6)[1].all()
+    assert first_flat_violation(_swapped_at(f, 2))[0] == 2
 
 
 # -- the FWHT kernel -----------------------------------------------------------

@@ -172,15 +172,15 @@ def test_census_sieve_hands_row0_flat_each_multisets_table(monkeypatch):
     # the sieve passes the kernel's W(0) test the (2^n, batch) tables of
     # its multisets, the free values over the fixed 0, and no counts: at
     # {3162,1}, 2 rows a table and 3,162 multisets in all
-    shapes, recorded = [], oracle._row0_flat
+    shapes, recorded = [], oracle._low_rows_flat
 
-    def row_0(tables, m, n, l=1, counts=None):
+    def row_0(tables, m, n, l=1, k=0, counts=None):
         assert tables.ndim == 2 and not tables[-1].any()
-        assert (m, n, l, counts) == (3162, 1, 1, None)
+        assert (m, n, l, k, counts) == (3162, 1, 1, 0, None)
         shapes.append(tables.shape)
         return recorded(tables, m, n)
 
-    monkeypatch.setattr(oracle, "_row0_flat", row_0)
+    monkeypatch.setattr(oracle, "_low_rows_flat", row_0)
     assert enumerate_gbfs(GbfType(3162, 1)).gbf_count == 0
     assert {rows for rows, _ in shapes} == {2}
     assert sum(batch for _, batch in shapes) == 3162
