@@ -156,6 +156,12 @@ class CycInt:
         return CycInt(self.modulus,
                       tuple(a - b for a, b in zip(self.coeffs, rhs.coeffs)))
 
+    def __rsub__(self, other):
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs - self
+
     def __neg__(self):
         return CycInt(self.modulus, tuple(-a for a in self.coeffs))
 

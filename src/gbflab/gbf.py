@@ -146,18 +146,10 @@ def _value_dtype(bound: int):
 
 def _out_of_range(values: np.ndarray, m: int) -> bool:
     """Whether an array of integers holds a value outside 0..m-1, checked
-    in its own dtype, since a cast to an unsigned one would wrap -1 into
-    range.  A signed array is read as unsigned when that makes every
-    negative value at least m; one whose type reaches m is only checked
-    for negatives."""
-    kind = values.dtype.kind
-    if kind == "O":
-        return values.min() < 0 or values.max() >= m
-    if kind == "i":
-        if m > 1 << 8 * values.itemsize - 1:
-            return int(values.min()) < 0
-        values = values.view(values.dtype.str.replace("i", "u"))
-    return int(values.max()) >= m
+    in its own dtype, since a cast done first would wrap -1 into range:
+    both ends, or only the top one for an unsigned dtype."""
+    return ((values.dtype.kind != "u" and int(values.min()) < 0)
+            or int(values.max()) >= m)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -184,8 +176,7 @@ class FunctionTable:
         m, n = gbf_type.m, gbf_type.n
         if n > _MAX_N:      # before 1 << n: at n = 10^9 that alone is 125 MB
             raise ValueError(f"n = {n} beyond the supported resource guard")
-        if not isinstance(values, np.ndarray):
-            values = np.asarray(values)
+        values = np.asarray(values)
         # a cast would truncate floats: refuse by dtype, scanning values only
         # in an object array (Python integers beyond int64)
         kind = values.dtype.kind
@@ -547,8 +538,7 @@ def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
             row = terms[0].size << k        # the terms of the x < 2^k
             run = row << min(n - k, ((_LONG_RUN - 1) // row).bit_length())
             low = terms.reshape(-1, run).sum(axis=0, dtype=np.int64)
-            if len(low) > row:
-                low = low.reshape(-1, row).sum(axis=0)
+            low = low.reshape(-1, row).sum(axis=0)
         else:
             low = counts @ terms.swapaxes(0, 1)
         del terms

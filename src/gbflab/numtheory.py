@@ -385,7 +385,7 @@ def compose_forms(f, g) -> tuple[int, int, int]:
     a1, b1, c1 = f
     a2, b2, _ = g
     disc = b1 * b1 - 4 * a1 * c1
-    e1, u1, v1 = (a1, 0, 1) if f == g else _xgcd(a1, a2)
+    e1, u1, v1 = _xgcd(a1, a2)
     e, x, w = _xgcd(e1, (b1 + b2) // 2)
     a3 = a1 * a2 // (e * e)
     b3 = ((x * u1 * a1 * b2 + x * v1 * a2 * b1 + w * (b1 * b2 + disc) // 2)

@@ -124,6 +124,16 @@ def test_add_mul_identities():
     assert (zeta_pow(6, 1) - 3).coeffs == (-3, 1, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("m", [4, 12])
+def test_integer_minus_element(m):
+    # an int on the left of "-" goes through _coerce, as with "+" and "*"
+    z = zeta_pow(m, 1)
+    assert 3 - z == -(z - 3)
+    assert (3 - z).coeffs == (3, -1) + (0,) * (m - 2)
+    with pytest.raises(TypeError):
+        "x" - z
+
+
 def test_modulus_mismatch_is_usage_error():
     with pytest.raises(ValueError):
         zeta_pow(3, 1) + zeta_pow(4, 1)

@@ -366,10 +366,13 @@ def test_function_table_rejects_bad_length_and_range(m):
 _DTYPE_EDGES = (255, 256, 257, 2**16, 2**16 + 1, 2**32, 2**32 + 1)
 
 
-@pytest.mark.parametrize("m", _DTYPE_EDGES)
-@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64,
-                                   object])
-def test_range_is_checked_before_the_narrowing_cast(m, dtype):
+# int16 holds -1 and m at m = 255..257, and only -1 from m = 2^16 on;
+# uint16 holds m up to 2^16 - 1, and never -1
+@pytest.mark.parametrize("dtype, m", [
+    *((dtype, m) for dtype in (np.int8, np.int16, np.int32, np.int64,
+                               np.uint64, object) for m in _DTYPE_EDGES),
+    *((np.uint16, m) for m in _DTYPE_EDGES if m < 1 << 16)])
+def test_range_is_checked_before_the_narrowing_cast(dtype, m):
     # a cast first would wrap -1 to the largest value of the table's
     # unsigned dtype, which at m = 256, 2^16 or 2^32 lies in range.  Each
     # of -1 and m that the input dtype holds is refused (int8 holds no m
