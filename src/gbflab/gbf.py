@@ -35,19 +35,40 @@ they decide each row.  is_gbf and first_flat_violation test one table at
 its content modulus m/l, l = gcd(m, values), which is 2 or 4 for every
 witness of rules E1, E2 and E3; the oracle, blocks of tables at m.
 Both routes gather their terms in _terms from one cached lookup per test,
-_root_powers: by value, each entry taking its row of the terms of every
-value, when the tables have more entries than values and those rows fill
-at most a block, else by exponent.
+_root_powers: by value, each entry taking its terms at every unit column
+from a lookup of those of every value, when the tables have more entries
+than values and that lookup fills at most a block, else by exponent.
+The terms lie in one contiguous (slab, x, table, entry) array, from the
+gather through the FWHT to _flat, with no transposed view.  At a split
+prime each unit column k is its own slab of the omega^(k f(x)), so every
+modular step walks memory with unit stride, and a large slab's rows are
+8-byte words that the FWHT's copies move whole: in process on a 2-core
+VM, an int64 FWHT of the two columns of one table took 1.3 ms as slabs
+against 2.3-2.5 ms with the columns interleaved in each entry at n = 16,
+and 7.6-8.4 against 15-16 ms at 18.  Two cases keep one slab whose
+entries hold every column instead.  The int16 route has one unit column,
+whose entries are its two coordinates: its FWHT moves 4-byte rows as
+words, where two slabs of 2-byte rows take twice the word moves (one
+table: 0.42-0.59 ms interleaved against 0.63-0.96 ms as slabs at n = 16,
+0.93-1.33 against 1.37-2.08 ms at 17, 1.88-2.70 against 2.39-3.91 ms at
+18; within 10 % at 20).  And a single table of fewer than 2^14 rows,
+too short for the FWHT's rounds, interleaves its unit columns: as slabs,
+the butterflies of its short stages run over short runs of one column at
+a time, where interleaved they run over every column at once, and
+is_gbf of random tables took about twice as long in slabs at {4099,11},
+{65537,8} and {30030,12} (303-335 against 157-181 ms at {4099,11}).
 _CHUNK is the package's one block size, and _blocks its one rule: every
 chunked pass (histograms, the gathers of the terms, the norm test,
 direct_sum, the witness writer of the command line) takes the row blocks
 of _blocks, about _CHUNK entries each, each into its slice of one output,
 and the oracle sizes its census slices from _CHUNK; a table of one block
 or less takes one numpy call per step.
-Every FWHT is one _fwht_inplace call.  On a large array with short rows it
-runs the butterflies in rounds over runs of at least 2^12 entries, rotating
-the index bits between rounds through one scratch array of the input's
-size; any other array, such as an oracle block, it transforms in place.
+Every FWHT is one _fwht_inplace call, along the rows of each slab of its
+leading axes.  On a large slab with short rows it runs the butterflies in
+rounds over runs of at least 2^12 entries, a slab at a time, rotating the
+index bits between rounds through one scratch array of a slab's size; any
+other array, such as an oracle block, takes one set of butterflies in
+place across all its slabs, since no stage's blocks straddle two.
 
 One test is exact for a whole table, by Parseval.  In int16, a row that
 fails is not flat: a flat row has coordinates at most 2^13 in absolute
@@ -231,14 +252,17 @@ _LONG_RUN = 1 << 12      # butterfly runs this long cost numpy least per entry
 _MAX_ROUND = 4
 
 
-def _butterflies(flat: np.ndarray, run: int) -> None:
+def _butterflies(flat: np.ndarray, run: int, stop: int) -> None:
     """The stages of flat whose halves are runs of run, 2 run, ... entries,
-    up to half of flat: each pairs the halves a, b of blocks of rows and
-    makes them (a + b, a - b) through a += b; b *= -2; b += a.  In an array
-    of 2^11 entries or more, while a run is shorter than 8, the stage goes
-    as `run` strided 1-D pairs, which numpy loops over faster than over many
-    short runs; in a smaller one the extra calls cost more than they save."""
-    while run < flat.size:
+    below stop, a power-of-two multiple of run that divides flat.size:
+    each pairs the halves a, b of blocks of rows and makes them (a + b,
+    a - b) through a += b; b *= -2; b += a.  A block is at most stop
+    entries, so each slab of stop entries is transformed on its own.  In
+    an array of 2^11 entries or more, while a run is shorter than 8, the
+    stage goes as `run` strided 1-D pairs, which numpy loops over faster
+    than over many short runs; in a smaller one the extra calls cost more
+    than they save."""
+    while run < stop:
         if run < 8 and flat.size >= 1 << 11:
             halves = [(flat[j::2 * run], flat[j + run::2 * run])
                       for j in range(run)]
@@ -262,44 +286,49 @@ def _as_rows(flat: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _fwht_inplace(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly along axis 0 of a C-contiguous
-    (2^k, ...) array, in place: out[y] = sum_x (-1)^(x.y) in[x].  Returns mat.
+    """Unnormalized Walsh-Hadamard butterfly along axis -2 of a
+    C-contiguous (..., 2^k, inner) array, in place, each slab of the
+    leading axes on its own: out[..., y, :] = sum_x (-1)^(x.y) in[..., x,
+    :].  Returns mat.
 
-    The stage over index bit b pairs runs of inner 2^b entries, inner the
-    size of a row.  Below _LONG_RUN entries a run costs numpy several times
-    more per entry.  So when at least three stages run short and at least
-    two, `span`, run long, the stages go in rounds, after Bailey's
-    four-step FFT: a round runs the stages over the top t index bits, t at
-    most span and _MAX_ROUND, so every run is long; then one transposed copy
-    rotates the index bits up by t, bringing the next t bits to the top.
-    The widths sum to k, so the last rotation restores the row order.  The
-    copies alternate between mat and one scratch array of its size; when the
-    rounds are odd in number, one plain copy brings the result back into
-    mat.  Every other array runs its k stages in place: with fewer short
-    stages the copies cost more than they save, and a small array has too
-    few long bits to rotate into."""
+    The stage over index bit b pairs runs of inner 2^b entries.  Below
+    _LONG_RUN entries a run costs numpy several times more per entry.  So
+    when at least three stages run short and at least two, `span`, run
+    long, each slab goes in rounds, after Bailey's four-step FFT: a round
+    runs the stages over the top t index bits, t at most span and
+    _MAX_ROUND, so every run is long; then one transposed copy rotates the
+    index bits up by t, bringing the next t bits to the top.  The widths
+    sum to k, so the last rotation restores the row order.  The copies
+    alternate between the slab and one scratch array of a slab's size;
+    when the rounds are odd in number, one plain copy brings the result
+    back.  Otherwise one set of butterflies runs over every slab at once,
+    since no stage's blocks straddle two: with fewer short stages the
+    copies cost more than they save, and a small array has too few long
+    bits to rotate into."""
+    rows, inner = mat.shape[-2:]
+    slab = rows * inner
     flat = mat.reshape(-1, copy=False)
-    rows = mat.shape[0]
     k = rows.bit_length() - 1
-    inner = flat.size // rows
     short = 0
     while short < k and inner << short < _LONG_RUN:
         short += 1
     span = k - short
     if short < 3 or span < 2:
-        _butterflies(flat, inner)
+        _butterflies(flat, inner, slab)
         return mat
     count = -(-k // min(span, _MAX_ROUND))
-    src, dst = flat, np.empty_like(flat)
-    for i in range(count):
-        t = (k + i) // count    # widths as even as can be, summing to k
-        _butterflies(src, inner << (k - t))
-        np.copyto(_as_rows(dst, rows).reshape(rows >> t, 1 << t, -1),
-                  _as_rows(src, rows).reshape(1 << t, rows >> t, -1)
-                  .swapaxes(0, 1))
-        src, dst = dst, src
-    if count % 2:
-        np.copyto(flat, src)
+    scratch = np.empty(slab, flat.dtype)
+    for part in flat.reshape(-1, slab):
+        src, dst = part, scratch
+        for i in range(count):
+            t = (k + i) // count    # widths as even as can be, summing to k
+            _butterflies(src, inner << (k - t), slab)
+            np.copyto(_as_rows(dst, rows).reshape(rows >> t, 1 << t, -1),
+                      _as_rows(src, rows).reshape(1 << t, rows >> t, -1)
+                      .swapaxes(0, 1))
+            src, dst = dst, src
+        if count % 2:
+            np.copyto(part, src)
     return mat
 
 
@@ -373,7 +402,7 @@ def _root_powers(m: int, n: int):
     column k of zeta^v is lookup[k v mod m].  At m = 2 or 4, cols is [1]
     and the one test is None, with the int16 coordinates _UNIT_COORDS[m]
     in Z or Z[i], whose FWHT gives W(y) mod 2^16 (module docstring).
-    Otherwise cols holds the units k <= m/2 of Z_m, then their mirrors
+    Otherwise cols holds the units k < m/2 of Z_m, then their mirrors
     m - k, and each test is a prime q of _split_primes(m, n), with lookup
     pw[j] = omega^j mod q.  The cached arrays are read-only."""
     if m in _UNIT_COORDS:
@@ -393,7 +422,7 @@ def _root_powers(m: int, n: int):
                 k += step
             roots.append((q, pw))
         units = np.flatnonzero(np.gcd(np.arange(m // 2 + 1), m) == 1)
-        cols = np.concatenate([units, (m - units)[2 * units < m]])
+        cols = np.concatenate([units, m - units])
     for arr in (cols, *(lookup for _, lookup in roots)):
         arr.setflags(write=False)
     return cols, tuple(roots)
@@ -439,81 +468,120 @@ def _quotient(tables: np.ndarray, l: int) -> np.ndarray:
 def _terms(tables, m: int, n: int, l: int = 1):
     """(test, terms) for each exact test of _root_powers(m, n) on a
     (rows, batch) array of tables, one per column, whose values are l
-    times residues mod m, read as f(x) = v // l: terms[x, table, :] holds
-    the unit columns of zeta^f(x), the int16 coordinates at m = 2 or 4 and
-    omega^(k f(x)) mod q at each k of cols otherwise.
-    Each test's terms are one array, gathered over the blocks of _blocks
-    sized in terms, by a take that clips rather than buffering its output.
+    times residues mod m, read as f(x) = v // l.  terms is a contiguous
+    (slab, x, table, entry) array holding, for each x and table, the
+    image of zeta^f(x) at each unit column k of cols: omega^(k f(x)) mod
+    q at a split prime, the int16 coordinates at m = 2 or 4, where cols
+    is [1].  Each unit column is its own slab, with one entry, when the
+    batch holds several tables or the tables have at least 2^14 rows;
+    otherwise there is one slab, whose entries hold every unit column in
+    the order of cols (module docstring).
+    The terms are gathered a block at a time, by a take that clips rather
+    than buffering its output, so each block is contiguous: slabs of a
+    block or less each are taken whole, as many in one take as fill
+    about _CHUNK entries, and a longer slab a block of its rows at a
+    time, both by _blocks.
     When the tables have more entries than the m*l values, so that some
-    value recurs, and a lookup of the terms of the m*l values, row j
-    those of j // l, fills at most a block, each entry v indexes that
-    lookup, built once per test: a block is one take of the tables
-    themselves, with no exponent or quotient formed, about ten times
-    faster per term than the exponents.  Otherwise the exponents k f(x)
-    of a block, of the quotient by l, are reduced mod m in place (at m = 2
-    or 4, where cols is [1], they are the residues f(x) themselves),
-    gathered into its slice and dropped before the next block.  Either
+    value recurs, and a lookup of the terms of the m*l values at every
+    unit column, row j those of j // l, fills at most a block, each entry
+    v indexes that lookup, built once per test: a block is a take of the
+    tables themselves, as intp, with no exponent or quotient formed,
+    about ten times faster per term than the exponents.  Otherwise the
+    exponents k f(x) of a block, of the quotient by l, are reduced mod m
+    in place (at m = 2 or 4, where cols is [1], they are the residues
+    f(x) themselves), gathered and dropped before the next block.  Either
     way the terms never sit beside more than a block of lookup, exponents
     or quotients."""
     cols, roots = _root_powers(m, n)
+    slabs = tables.shape[1] > 1 or len(tables) >= 4 * _LONG_RUN
     for test, lookup in roots:
+        lookup = lookup.reshape(m, -1)
         by_value = m * l < tables.size and lookup.size * l * cols.size <= _CHUNK
-        terms = np.empty((*tables.shape, len(cols), *lookup.shape[1:]),
+        width = lookup.shape[1]         # the coordinates of one term
+        terms = np.empty((len(cols), *tables.shape, width) if slabs
+                         else (1, *tables.shape, len(cols) * width),
                          lookup.dtype)
-        if by_value:
-            lookup = np.repeat(lookup[np.arange(m)[:, None] * cols % m], l, 0)
-        for block in _blocks(len(tables), terms.size):
-            exps = (tables[block] if by_value
-                    else _quotient(tables[block], l)[..., None] * cols)
-            if not by_value and len(cols) > 1:  # k f(x) < m at k = 1
-                exps %= m
-            lookup.take(exps, axis=0, out=terms[block], mode="clip")
-            del exps
-        yield test, terms.reshape(*tables.shape, -1)
+        if by_value:            # (slab, value, its terms in the slab)
+            lookup = np.repeat(lookup[np.arange(m) * cols[:, None] % m], l, 1)
+            if not slabs:
+                lookup = lookup.swapaxes(0, 1).reshape(1, m * l, -1)
+        # a slab of a block or less is taken whole, with as many others as
+        # fill a block; a longer one, a block of its rows at a time
+        groups = _blocks(len(terms), terms.size)
+        for block in _blocks(len(tables), terms[0].size):
+            index = (tables[block].astype(np.intp, copy=False) if by_value
+                     else _quotient(tables[block], l))
+            for group in groups:
+                out = terms[group, block]
+                if by_value:
+                    source, exps = lookup[group], index
+                else:
+                    source = lookup
+                    exps = (np.multiply.outer(cols[group], index) if slabs
+                            else np.multiply.outer(index, cols)[None])
+                    if len(cols) > 1:       # k f(x) < m at k = 1
+                        exps %= m
+                    out = out.reshape(*exps.shape, -1)
+                source.take(exps, axis=-2, out=out, mode="clip")
+                del exps
+            del index
+        yield test, terms
         del terms       # so the next test's gather is not made beside it
 
 
 def _flat(test, spec: np.ndarray, n: int) -> np.ndarray:
     """The (2^n, batch) mask of |W(y)|^2 = 2^n for a test of _terms and its
-    spectrum spec, (unit column, y, table): re^2 + im^2 = 2^n in int64, of
-    the signed coordinates as given (mod 2^16 in int16), or W_k W_(m-k) =
-    2^n (mod q) at each unit k <= m/2, overwriting spec.  A row that fails
-    is not flat.  A row that passes is flat when every row of its table
-    passes, and in any case when it passes every test of _terms (module
-    docstring).  x mod q is x - x // q * q, several times faster in numpy;
-    products of residues stay below q^2 < 2^60.  A spec of more than _CHUNK
-    entries is taken over the blocks of _blocks, so the temporaries stay
-    that small."""
-    if spec.size > _CHUNK and spec.shape[1] > 1:
-        mask = np.empty(spec.shape[1:], dtype=bool)
-        for block in _blocks(spec.shape[1], spec.size):
-            mask[block] = _flat(test, spec[:, block], n)
+    spectrum spec, laid out as the terms, (slab, y, table, entry), and
+    read as it lies: re^2 + im^2 = 2^n in int64, of the signed coordinates
+    as given (mod 2^16 in int16), or W_k W_(m-k) = 2^n (mod q) at each unit
+    k < m/2, whose mirror m - k is the unit column half the columns on,
+    overwriting spec.  A row that fails is not flat.  A row that passes is flat when
+    every row of its table passes, and in any case when it passes every
+    test of _terms (module docstring).  x mod q is x - x // q * q, several
+    times faster in numpy; products of residues stay below q^2 < 2^60.  The
+    temporaries stay about _CHUNK entries, and each piece is contiguous in
+    every slab: the rows go in blocks, all of them at once when two slabs
+    hold a block or less, and the pairs of columns k, m - k in groups that
+    fill a block."""
+    blocks = _blocks(spec.shape[1], min(len(spec), 2) * spec[0].size)
+    if test is None:                    # the one slab of coordinates
+        mask = np.empty(spec.shape[1:3], dtype=bool)
+        for block in blocks:
+            norm = np.square(spec[0, block, ..., 0], dtype=np.int64)
+            if spec.shape[-1] == 2:
+                norm += np.square(spec[0, block, ..., 1], dtype=np.int64)
+            mask[block] = norm == 1 << n
         return mask
-    if test is None:
-        norm = np.square(spec[0], dtype=np.int64)
-        if len(spec) == 2:
-            norm += np.square(spec[1], dtype=np.int64)
-        return norm == 1 << n
-    spec -= spec // test * test
-    low = spec[:(len(spec) + 1) // 2]
-    low *= spec[-len(low):]
-    low -= low // test * test
-    return (low == (1 << n) % test).all(axis=0)
+    # the unit columns k < m/2, then their mirrors, whether slabs or the
+    # entries of one slab
+    cols = spec.transpose(0, 3, 1, 2).reshape(2, -1, *spec.shape[1:3])
+    groups = _blocks(cols.shape[1], cols[:, :, blocks[0]].size)
+    mask = np.ones(spec.shape[1:3], dtype=bool)
+    for block in blocks:
+        for group in groups:
+            part = cols[:, group, block]
+            part -= part // test * test
+            low = part[0]
+            low *= part[1]
+            low -= low // test * test
+            mask[block] &= (low == (1 << n) % test).all(axis=0)
+    return mask
 
 
 def _flat_mask(tables, m: int, n: int, l: int = 1) -> np.ndarray:
     """The (2^n, batch) mask of the rows of a (2^n, batch) array of tables,
     l times residues mod m as _terms takes them, that pass the first test
-    of _terms.  Its terms go through one FWHT, which is linear: at m = 2 or
-    4 it gives the coordinates of W(y) in Z or Z[i] mod 2^16, the
-    butterflies wrapping in int16; otherwise column k holds W_k(y) mod q,
-    residues below 2^30 summed over 2^26 rows staying below 2^56.  _flat
-    then tests the spectrum.  A row that fails is not flat, and when every
-    row of a table passes, the table is flat, at either test (module
-    docstring): the first split prime exceeds 2^n, or _split_primes
-    refuses."""
+    of _terms.  Its terms go through one FWHT along the rows of each slab,
+    which is linear: at m = 2 or 4 it gives the coordinates of W(y) in Z
+    or Z[i] mod 2^16, the butterflies wrapping in int16; otherwise unit
+    column k holds W_k(y) mod q, residues below 2^30 summed over 2^26 rows
+    staying below 2^56.  _flat then tests the spectrum as it lies.  A row
+    that fails is not flat, and when every row of a table passes, the
+    table is flat, at either test (module docstring): the first split
+    prime exceeds 2^n, or _split_primes refuses."""
     test, terms = next(_terms(tables, m, n, l))
-    return _flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
+    _fwht_inplace(terms.reshape(len(terms), len(tables), -1))
+    return _flat(test, terms, n)
 
 
 def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
@@ -528,23 +596,29 @@ def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
     weight for each row of a (rows, batch) array, W(0) is counts @ terms
     instead: one table's distinct values weighted by how often each
     occurs, O(rows phi(m)) however long the table.  numpy adds one row into
-    the next fastest when rows are long, so the sums go first over rows of
-    at least _LONG_RUN entries, a power-of-two multiple of the terms of the
-    x < 2^k whatever their width, then over the few rows left: at n = 24
-    and k = 1, 18 ms instead of 160 ms."""
+    the next fastest when rows are long, so the sums go first, in each
+    slab, over rows of at least _LONG_RUN entries, a power-of-two
+    multiple of the terms of the x < 2^k whatever their width, then over
+    the few rows left: at n = 24 and k = 1, 18 ms instead of 160 ms.  A
+    slab of one such row is summed in one pass, twice as fast on a census
+    batch."""
     ok = True
     for test, terms in _terms(tables, m, n, l):
+        slabs = len(terms)
         if counts is None:
-            row = terms[0].size << k        # the terms of the x < 2^k
-            run = row << min(n - k, ((_LONG_RUN - 1) // row).bit_length())
-            low = terms.reshape(-1, run).sum(axis=0, dtype=np.int64)
-            low = low.reshape(-1, row).sum(axis=0)
+            row = terms[0].size >> n - k    # a slab's terms of the x < 2^k
+            low = terms.reshape(slabs, -1, row << min(
+                n - k, ((_LONG_RUN - 1) // row).bit_length()))
+            if low.shape[1] > 1:        # a slab of two long rows or more
+                low = low.sum(axis=1, dtype=np.int64)
+            low = low.reshape(slabs, -1, row).sum(axis=1, dtype=np.int64)
         else:
-            low = counts @ terms.swapaxes(0, 1)
+            low = counts @ terms.reshape(slabs, len(tables), -1)
         del terms
-        spec = low.reshape(1 << k, tables.shape[1], -1)
-        spec = _fwht_inplace(spec) if k else spec
-        ok = ok & _flat(test, spec.transpose(2, 0, 1), n)
+        spec = low.reshape(slabs, 1 << k, tables.shape[1], -1)
+        if k:
+            _fwht_inplace(low.reshape(slabs, 1 << k, -1))
+        ok = ok & _flat(test, spec, n)
     return ok
 
 

@@ -20,10 +20,16 @@ from functools import lru_cache
 TRIAL_DIVISION_BOUND = 10**6
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# no strong pseudoprime to all three lies below the bound (Jaeschke, "On
+# strong pseudoprimes to several bases", Math. Comp. 61, 1993)
+_MR_SMALL_BASES, _MR_SMALL_BOUND = (2, 7, 61), 4_759_123_141
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a base set that is deterministic below 3.3e24."""
+    """Miller-Rabin, deterministic below 3.3e24: after trial division by
+    the first twelve primes, bases 2, 7 and 61 below 4,759,123,141, those
+    twelve primes as bases above.  A base that n divides is skipped: it
+    would call n = 61 composite."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -34,7 +40,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_SMALL_BASES if n < _MR_SMALL_BOUND else _MR_BASES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -36,9 +36,10 @@ fill one block of gbf._CHUNK entries, so memory stays that of one batch.
 
 Witnesses are the first hits of the full odometer order.  The hits with
 f(2^n - 1) = 0 are the images k*h of the tested hits h over the units k:
-each batch's images join those kept so far, and np.unique, over the
-tables read from f(2^n - 1) down, sorts them as odometer readings and rids
-them of repeats; the first max_witnesses are kept.  When the tables with
+each batch's images join those kept so far, one lexsort, over the tables
+read from f(2^n - 1) down, sorts them as odometer readings, a row equal
+to the one before it is dropped as a repeat, and the first max_witnesses
+are kept.  When the tables with
 f(2^n - 1) = 0 hold fewer hits than asked for, every one of them is in
 hand, and the hits with top value c = 1, 2, ... are those plus c: one
 sort of all those shifts as odometer readings gives the rest in order.
@@ -100,13 +101,18 @@ def _orderings(runs: tuple[int, ...]) -> np.ndarray:
 def _arrangements(rows: np.ndarray, size: int):
     """Every distinct ordering of each of a (count, width) array of sorted
     rows, in slices of at most size rows: the rows of each run shape
-    gather the _orderings of that shape."""
-    steps = rows[:, 1:] != rows[:, :-1]
-    shapes, shape_of = np.unique(steps, axis=0, return_inverse=True)
-    for s, step in enumerate(shapes):
+    gather the _orderings of that shape.  A shape is the row's run
+    boundaries, packed into bytes and read as one scalar, so that shapes
+    are grouped by np.unique of a 1-D array, several times faster than of
+    the rows of booleans."""
+    bounds = np.ones((len(rows), rows.shape[1] + 1), bool)
+    bounds[:, 1:-1] = rows[:, 1:] != rows[:, :-1]
+    packed = np.packbits(bounds, axis=1)
+    _, first, shape_of = np.unique(packed.view(f"V{packed.shape[1]}")[:, 0],
+                                   return_index=True, return_inverse=True)
+    for s, bound in enumerate(bounds[first]):
         same = rows[shape_of == s]
-        order = _orderings(tuple(np.diff(np.flatnonzero(
-            np.concatenate([[True], step, [True]]))).tolist()))
+        order = _orderings(tuple(np.diff(np.flatnonzero(bound)).tolist()))
         total = len(same) * len(order)
         for lo in range(0, total, size):
             i, j = np.divmod(np.arange(lo, min(lo + size, total)), len(order))
@@ -188,12 +194,14 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
         count += int(_orbits(np.sort(batch[ok], axis=1), units, m)[1].sum())
         if max_witnesses:
             # the hits with f(rows-1) = 0 are the images k*h of these, and
-            # the first ones are kept with no repeats.  Asked for an index,
-            # np.unique skips its masked-array test, whose first call
-            # imports numpy.ma: about 12 ms, a third of a cold census grid
+            # the first ones are kept with no repeats: sorted as odometer
+            # readings, a row is a repeat when it equals the one before
             found = units[:, None, None] * tables[::-1, ok].T % m
             hits = np.concatenate([hits, found.reshape(-1, rows)])
-            hits = np.unique(hits, axis=0, return_index=True)[0][:max_witnesses]
+            hits = hits[np.lexsort(hits.T[::-1])]
+            new = np.ones(len(hits), bool)
+            new[1:] = (hits[1:] != hits[:-1]).any(axis=1)
+            hits = hits[new][:max_witnesses]
 
     # fewer hits than max_witnesses with f(rows-1) = 0: all are in hand, and
     # the hits with f(rows-1) = c > 0 are them plus c, next in odometer order

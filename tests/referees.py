@@ -29,7 +29,7 @@ import numpy as np
 
 from gbflab import numtheory as nt
 from gbflab.cyclotomic import CycInt, zeta_pow
-from gbflab.gbf import (FunctionTable, GbfType, _flat, _fwht_inplace, _terms,
+from gbflab.gbf import (FunctionTable, GbfType, _low_rows_flat,
                         construct_even_even, is_gbf)
 from gbflab.oracle import (DEFAULT_BUDGET, OracleResult, _arrangements,
                            _tables)
@@ -264,7 +264,10 @@ def census(t: GbfType, budget: int = DEFAULT_BUDGET,
     over the multisets of the 2^n - 1 free values, then every arrangement
     of every multiset that passes tested at every row, in batches of about
     16 * 4096 terms, the first max_witnesses hits kept in odometer order
-    and the rest rebuilt by constant shifts."""
+    and the rest rebuilt by constant shifts.  Both tests go through
+    gbf._low_rows_flat, exact per row at every test of the kernel: row 0
+    from the fold onto rows 0 and 1, every row from the k = n fold, not the
+    census's k = 0 sum and _flat_mask."""
     budget = operator.index(budget)
     max_witnesses = operator.index(max_witnesses)
     if max_witnesses < 0:
@@ -276,27 +279,21 @@ def census(t: GbfType, budget: int = DEFAULT_BUDGET,
                          f"above the budget {budget}")
     rows = 1 << n
 
-    _, zero = next(_terms(np.zeros((rows, 1), np.int64), m, n))
-    per = max(1, 16 * 4096 // zero.size)
+    per = max(1, 16 * 4096 // (rows * nt.euler_phi(m)))
     free = rows - 1
     multisets = combinations_with_replacement(range(m), free)
     passed = []
     for _ in range(0, math.comb(m + free - 1, free), per):
         batch = np.fromiter(chain.from_iterable(islice(multisets, per)),
                             np.int64).reshape(-1, free)
-        tables = _tables(batch)
-        values, at = np.unique(tables, return_inverse=True)
-        ok = np.all([_flat(test, terms[0, at].sum(axis=0).T[:, None], n)
-                     for test, terms in _terms(values[None], m, n)],
-                    axis=(0, 1))
+        ok = _low_rows_flat(_tables(batch), m, n, k=1)[0]
         passed.append(batch[ok])
 
     count = 0
     hits = np.empty((0, rows), np.int64)
     for batch in _arrangements(np.concatenate(passed), per):
         tables = _tables(batch)
-        ok = np.all([_flat(test, _fwht_inplace(terms).transpose(2, 0, 1), n)
-                     for test, terms in _terms(tables, m, n)], axis=(0, 1))
+        ok = _low_rows_flat(tables, m, n, k=n).all(axis=0)
         count += int(ok.sum())
         hits = np.concatenate([hits, tables[:, ok].T])
         hits = hits[np.lexsort(hits.T)[:max_witnesses]]

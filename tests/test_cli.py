@@ -459,7 +459,7 @@ def test_verify_runs_the_full_kernel_on_a_written_witness(
     rows, fwht = [], gbf._fwht_inplace
 
     def recorded(mat):
-        rows.append(mat.shape[0])
+        rows.append(mat.shape[-2])
         return fwht(mat)
 
     monkeypatch.setattr(gbf, "_fwht_inplace", recorded)

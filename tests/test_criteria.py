@@ -840,7 +840,7 @@ def test_decide_runs_no_fwht_larger_than_a_piece(monkeypatch):
     rows, fwht = [], gbf._fwht_inplace
 
     def recorded(mat):
-        rows.append(mat.shape[0])
+        rows.append(mat.shape[-2])
         return fwht(mat)
 
     monkeypatch.setattr(gbf, "_fwht_inplace", recorded)

@@ -824,10 +824,13 @@ def _kernel_batch(rng, m, n):
     return tables
 
 
-def _spectrum(terms):
-    """The spectrum of a test's terms as _flat takes it: their FWHT, as
-    (unit column, y, table)."""
-    return gbf._fwht_inplace(terms).transpose(2, 0, 1)
+def _spectra(tables, m, n):
+    """(test, spectrum) for each test of _terms on a (2^n, batch) array of
+    tables: the FWHT of its terms along their rows, laid out as the terms
+    and as _flat takes it, (unit column, y, table, coordinate)."""
+    for test, terms in gbf._terms(tables, m, n):
+        gbf._fwht_inplace(terms.reshape(len(terms), 1 << n, -1))
+        yield test, terms
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 12, 60])
@@ -837,8 +840,8 @@ def test_batched_kernel_matches_per_table_checks(m):
     for n in range(1, 6):
         batch = _kernel_batch(rng, m, n)
         tables = np.stack([f.array for f in batch], axis=1)
-        ok = np.all([gbf._flat(test, _spectrum(terms), n)
-                     for test, terms in gbf._terms(tables, m, n)], axis=0)
+        # exact per row at every test: the fold onto all 2^n rows
+        ok = gbf._low_rows_flat(tables, m, n, k=n)
         assert ok.shape == (1 << n, len(batch))
         assert np.array_equal(gbf._flat_mask(tables, m, n), ok)
         for f, rows in zip(batch, ok.T):
@@ -848,6 +851,40 @@ def test_batched_kernel_matches_per_table_checks(m):
                 assert int(np.argmin(rows)) == bad[0]
             verdicts.add(bad is None)
     assert verdicts == ({False, True} if m % 2 == 0 else {False})
+
+
+@pytest.mark.parametrize("c", [3, 5, 6, 7, 9, 10, 12, 15])
+def test_slab_kernel_matches_walsh_matrix_per_column(c):
+    # batches of widths 1, 2 and 3, and one whose terms pass a block, so
+    # that the gather takes each unit column alone, of seeded tables at
+    # content modulus c: random ones, and flat and swapped flat ones where a
+    # construction covers {c, n}, each also lifted by 3.  The rows of
+    # _flat_mask, and those of _low_rows_flat at k = 0, 1 and n, are the
+    # exact flat rows of each column's walsh_matrix, by conjugates: up to
+    # n = 14 the first split prime alone is exact per row
+    rng = random.Random(4300 + c)
+    phi = euler_phi(c)
+    flat_rows = 0
+    for n in (1, 2, 3, 6):
+        pool = [_random_table(rng, c, n) for _ in range(3)]
+        flat = _flat_at(c, n, rng)
+        if flat is not None:
+            pool += [flat, _swapped(flat, rng)]
+        want = [_flat_by_conjugates(f, c)[1] for f in pool]
+        wide = gbf._CHUNK // ((1 << n) * phi) + 1
+        assert len(gbf._blocks(1 << n, (1 << n) * wide * phi)) > 1
+        for width in (1, 2, 3, wide):
+            pick = [rng.randrange(len(pool)) for _ in range(width)]
+            tables = np.stack([pool[i].array for i in pick], axis=1)
+            rows = np.stack([want[i] for i in pick], axis=1)
+            flat_rows += int(rows.sum())
+            for l in (1, 3):
+                lifted = l * tables         # in the tables' own dtype
+                assert np.array_equal(gbf._flat_mask(lifted, c, n, l), rows)
+                for k in sorted({0, 1, n}):
+                    got = gbf._low_rows_flat(lifted, c, n, l, k)
+                    assert np.array_equal(got, rows[:1 << k]), (n, width, k)
+    assert flat_rows or c % 2
 
 
 @pytest.mark.parametrize("chunk", [1 << 16, 64])
@@ -867,9 +904,27 @@ def test_terms_by_value_match_the_exponents(m, l, chunk, monkeypatch):
             got = list(gbf._terms(tables, m, n, l))
             assert [test for test, _ in got] == [q for q, _ in roots]
             for (_, terms), (_, lookup) in zip(got, roots):
-                want = lookup[(tables // l)[..., None] * cols % m]
-                assert np.array_equal(terms,
-                                      want.reshape(*tables.shape, -1))
+                # (unit column, x, table, coordinate), the unit columns
+                # interleaved in each entry for the single short table
+                want = lookup.reshape(m, -1)[cols[:, None, None]
+                                             * (tables // l) % m]
+                if tables.shape[1] == 1:
+                    want = np.moveaxis(want, 0, 2).reshape(1, *tables.shape,
+                                                           -1)
+                assert terms.flags.c_contiguous
+                assert np.array_equal(terms, want)
+
+
+def test_terms_take_a_slab_per_unit_column_but_for_a_short_table():
+    # at m = 6, two unit columns: a batch of tables, or one table of 2^14
+    # rows or more, has a slab for each; one shorter table has one slab,
+    # whose entries hold both columns
+    rng = np.random.default_rng(6)
+    for n, batch, shape in ((3, 2, (2, 8, 2, 1)), (13, 1, (1, 1 << 13, 1, 2)),
+                            (14, 1, (2, 1 << 14, 1, 1))):
+        _, terms = next(gbf._terms(rng.integers(6, size=(1 << n, batch)),
+                                   6, n))
+        assert terms.shape == shape and terms.flags.c_contiguous
 
 
 @pytest.mark.parametrize("m,l,n", [(4, 1 << 12, 20), (12, 1 << 10, 16),
@@ -902,9 +957,8 @@ def test_spectra_add_over_disjoint_supports(m):
         support = np.array([rng.random() < 0.5 for _ in range(rows)])
         a, b = np.where(support, values, 0), np.where(support, 0, values)
         zero = np.zeros(rows, dtype=np.int64)
-        for test, terms in gbf._terms(np.stack([a, b, zero, values], 1),
-                                      m, n):
-            sa, sb, s0, whole = np.moveaxis(_spectrum(terms), -1, 0)
+        for test, spec in _spectra(np.stack([a, b, zero, values], 1), m, n):
+            sa, sb, s0, whole = np.moveaxis(spec, 2, 0)
             assert np.array_equal(sa + sb - s0, whole), (n, test)
 
 
@@ -1243,7 +1297,7 @@ def test_is_gbf_runs_one_transform_at_the_first_split_prime(monkeypatch):
     rows, fwht = [], gbf._fwht_inplace
 
     def recorded(mat):
-        rows.append(mat.shape[0])
+        rows.append(mat.shape[-2])
         return fwht(mat)
 
     monkeypatch.setattr(gbf, "_fwht_inplace", recorded)
@@ -1298,11 +1352,13 @@ def test_fwht_matches_the_referee_loop(inner, dtype):
         assert np.array_equal(mat, want), k
 
 
-@pytest.mark.parametrize("shape,dtype", [((1 << 18, 1, 1), np.int32),
-                                         ((1 << 17, 1, 2), np.int32),
-                                         ((1 << 14, 1, 4), np.int64)])
+@pytest.mark.parametrize("shape,dtype", [((1 << 18, 1), np.int32),
+                                         ((1 << 17, 2), np.int32),
+                                         ((1 << 14, 4), np.int64),
+                                         ((3, 1 << 16, 1), np.int64)])
 def test_fwht_holds_at_most_one_scratch_array(shape, dtype):
-    # the rounds copy through one scratch array of the input's size
+    # the rounds copy through one scratch array of a slab's size, the
+    # whole input when it is one slab
     mat = np.ones(shape, dtype)
     tracemalloc.start()
     try:
@@ -1310,7 +1366,23 @@ def test_fwht_holds_at_most_one_scratch_array(shape, dtype):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * mat.nbytes
+    assert peak <= 1.1 * mat.nbytes // np.prod(shape[:-2], dtype=int)
+
+
+@pytest.mark.parametrize("slabs,inner", [(2, 1), (3, 1), (6, 1), (2, 5),
+                                         (4, 8)])
+def test_fwht_transforms_each_slab_on_its_own(slabs, inner):
+    # a (slabs, 2^k, inner) array is the referee's transform of each slab,
+    # through the butterflies over every slab at once (small k, or long
+    # rows) and through the rounds of each slab (k >= 14 at one entry a row)
+    rng = np.random.default_rng([slabs, inner])
+    for k in (0, 1, 3, 9, 12, 14, 16):
+        if slabs * inner << k > 1 << 20:
+            break
+        mat = rng.integers(-3, 4, size=(slabs, 1 << k, inner))
+        want = [ref.fwht(slab.copy()) for slab in mat]
+        assert gbf._fwht_inplace(mat) is mat
+        assert np.array_equal(mat, want), k
 
 
 # -- the split primes of the exact flatness check ------------------------------

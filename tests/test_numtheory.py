@@ -47,6 +47,34 @@ def test_factorize_bounds():
         nt.factorize((10**6 + 3) * (10**6 + 33))
 
 
+def test_is_probable_prime_matches_sympy(monkeypatch):
+    # every q = 1 (mod m) that the split primes of the census grid's moduli
+    # scan, a seeded sample below 2^32, all n below 5000, the bases and
+    # numbers near them, and strong pseudoprimes: 2047 to base 2, 25326001
+    # to 2, 3 and 5, 3215031751 to 2, 3, 5 and 7, 4759123141, the least
+    # to 2, 7 and 61, where the twelve bases take over, and the least to
+    # the first five, six and seven primes
+    sympy = pytest.importorskip("sympy")
+    from gbflab import gbf
+    scanned, probable_prime = [], nt.is_probable_prime
+    monkeypatch.setattr(gbf, "is_probable_prime",
+                        lambda q: scanned.append(q) or probable_prime(q))
+    grid = ([(m, 1) for m in range(2, 41)] + [(m, 2) for m in range(2, 18)]
+            + [(m, 3) for m in range(2, 8)])
+    for m, n in grid:
+        if m not in (2, 4):
+            gbf._split_primes(m, n)
+    rng = random.Random(61)
+    sample = [rng.randrange(1 << 32) for _ in range(20000)]
+    sample += [rng.randrange(1 << 16) | 1 for _ in range(2000)]
+    near = [b + d for b in (2, 7, 61, 4759123141) for d in range(-6, 7)]
+    pseudo = [2047, 25326001, 3215031751, 4759123141, 2152302898747,
+              3474749660383, 341550071728321]
+    assert len(scanned) > 700 and not any(map(sympy.isprime, pseudo))
+    for q in scanned + sample + list(range(5000)) + near + pseudo:
+        assert nt.is_probable_prime(q) == sympy.isprime(q), q
+
+
 def test_factorize_certifies_only_a_cofactor_past_the_bound(monkeypatch):
     # every prime below the last trial divisor is divided out, so a cofactor
     # below its square is prime: below 10^12 Miller-Rabin never runs

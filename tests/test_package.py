@@ -138,6 +138,22 @@ def test_criteria_paths_never_load_numpy(capsys):
     assert [run[:2] for run in out["runs"]] == _in_process(argvs, capsys)
 
 
+def test_census_never_loads_numpy_ma():
+    # np.unique of a table without an index asks numpy.ma whether it is
+    # masked, and the first such call imports numpy.ma, several ms in a
+    # fresh process; the census groups and dedupes without one, at every
+    # witness cap, on types with hits and without
+    code = """import sys
+from gbflab.gbf import GbfType
+from gbflab.oracle import enumerate_gbfs
+for m, n in ((4, 2), (2, 3), (7, 3), (8, 3), (12, 1)):
+    for cap in (0, 1, 4, 40):
+        enumerate_gbfs(GbfType(m, n), budget=10**10, max_witnesses=cap)
+print('numpy' in sys.modules, 'numpy.ma' in sys.modules)
+"""
+    assert _python(code).split() == [b"True", b"False"]
+
+
 def test_table_paths_load_numpy_and_rebind_it(tmp_path, capsys, monkeypatch):
     argvs = [["decide", "4", "6", "--out", "w.json"], ["verify", "w.json"],
              ["oracle", "4", "2"]]

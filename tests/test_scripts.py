@@ -98,3 +98,36 @@ def test_reports_the_branch_no_test_takes(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert out[-2:] == ["pytest exit code 0",
                         "__init__.py\t7 statements, never ran: 12"]
+
+
+_KT_PATH = _PATH.parent / "kernel_timings.py"
+_KT_SPEC = importlib.util.spec_from_file_location("kernel_timings", _KT_PATH)
+kernel_timings = importlib.util.module_from_spec(_KT_SPEC)
+_KT_SPEC.loader.exec_module(kernel_timings)
+
+
+def test_kernel_timings_grid_is_the_bench_census_without_its_heavy_types():
+    path = _PATH.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    light = tuple(t for t in workloads.CENSUS_GRID
+                  if t not in workloads.CENSUS_HEAVY)
+    assert kernel_timings.LIGHT_GRID == light and len(light) == 59
+
+
+def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
+    # the same measures on smaller inputs: each line is the measure, its
+    # least time and the number of calls
+    monkeypatch.setattr(kernel_timings, "WITNESSES", ((2, 4), (12, 3)))
+    monkeypatch.setattr(kernel_timings, "SIX_SUMS", (4, 6))
+    monkeypatch.setattr(kernel_timings, "LIGHT_GRID", ((3, 1), (5, 2)))
+    assert kernel_timings.main() == 0
+    lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _, _ in lines] == [
+        "is_gbf witness {2,4}", "is_gbf witness {12,3}",
+        "is_gbf content-6 sum {6,4}", "is_gbf content-6 sum {6,6}",
+        "census {7,3}, cold", "census light grid (2 types), cold"]
+    for _, ms, calls in lines:
+        assert ms.endswith(" ms") and float(ms[:-3]) > 0
+        assert calls in ("least of 20", "least of 10")
