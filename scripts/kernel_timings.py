@@ -12,7 +12,13 @@ The package is src/gbflab beside this script's directory.  The measures:
 - enumerate_gbfs of {7,3}, and of each type of the light census grid (n
   = 1 with m <= 40, n = 2 with m <= 17, n = 3 with m <= 5) in turn, each
   call with every cache of the package cleared first: the split-prime
-  route on small batches.
+  route on small batches;
+- gbf scan --m 2..600 --n 1..4 through cli.main, its output dropped, each
+  call with every cache of the package cleared first: the rules, the
+  criteria and the small tables of the scan-grid bench workload;
+- first_flat_violation, verify's report, of the seeded random {1000,11}
+  and {4000,13} tables (numpy default_rng(0)): row 0 refuted from the
+  histogram, then |W(0)|^2 over the table's distinct values.
 
 Each table is built and checked once before it is timed.  A line is the
 measure, the least time in ms, and the number of calls it is the least of.
@@ -20,15 +26,19 @@ measure, the least time in ms, and the number of calls it is the least of.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from gbflab import cyclotomic, gbf, numtheory, oracle  # noqa: E402
+from gbflab import cli, criteria, cyclotomic, gbf, numtheory, oracle  # noqa: E402
+from gbflab._lazy import np  # noqa: E402
 from gbflab.criteria import rule_exists  # noqa: E402
-from gbflab.gbf import GbfType, direct_sum, is_gbf, table  # noqa: E402
+from gbflab.gbf import (FunctionTable, GbfType, direct_sum,  # noqa: E402
+                        first_flat_violation, is_gbf, table)
 from gbflab.oracle import enumerate_gbfs  # noqa: E402
 
 WITNESSES = ((2, 16), (4, 18), (6, 18), (12, 17))
@@ -36,11 +46,13 @@ SIX_SUMS = (16, 18, 20)
 LIGHT_GRID = tuple([(m, 1) for m in range(2, 41)]
                    + [(m, 2) for m in range(2, 18)]
                    + [(m, 3) for m in range(2, 6)])
+SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..4")
+REPORTS = ((1000, 11), (4000, 13))
 
 
 def _clear_caches() -> None:
     """Empty every lru_cache of the package."""
-    for module in (cyclotomic, gbf, numtheory, oracle):
+    for module in (criteria, cyclotomic, gbf, numtheory, oracle):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -73,6 +85,11 @@ def _grid() -> None:
         enumerate_gbfs(GbfType(m, n))
 
 
+def _scan() -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(SCAN_ARGV)) == 0
+
+
 def main() -> int:
     rows = []
     for m, n in WITNESSES:
@@ -91,6 +108,15 @@ def main() -> int:
         lambda: enumerate_gbfs(GbfType(7, 3)), 20, cold=True), 20))
     rows.append((f"census light grid ({len(LIGHT_GRID)} types), cold",
                  _least_ms(_grid, 10), 10))
+    _scan()
+    rows.append((" ".join(("scan",) + SCAN_ARGV[1:]) + ", cold",
+                 _least_ms(_scan, 10, cold=True), 10))
+    for m, n in REPORTS:
+        f = FunctionTable(GbfType(m, n), np.random.default_rng(0).integers(
+            m, size=1 << n))
+        assert first_flat_violation(f)[0] == 0
+        rows.append((f"report random {{{m},{n}}}", _least_ms(
+            lambda: first_flat_violation(f), 10), 10))
     for name, ms, repeats in rows:
         print(f"{name}\t{ms:.3f} ms\tleast of {repeats}")
     return 0

@@ -29,7 +29,8 @@ import warnings
 from . import criteria, gbf, oracle as oracle_mod
 from ._lazy import np
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
-                       describe_rule, rule_exists, summarize_report)
+                       describe_rule, exists_rule, rule_exists,
+                       summarize_report)
 from .gbf import _MAX_N, FunctionTable, GbfType, first_flat_violation
 
 EXIT_EXISTS = 0
@@ -330,12 +331,19 @@ def _parse_span(text: str) -> range:
 
 
 def _scan_cells(m_span, n_span):
+    """(m, n, verdict, criterion, detail) for each cell, m outermost.  A
+    cell an existence rule covers is read from exists_rule alone, with no
+    witness built: it is what decide returns, since decide tries the rules
+    first.  decide runs on the other cells."""
     for m in m_span:
         for n in n_span:
-            v = decide(GbfType(m, n))
-            if v.kind == EXISTS:
-                ident, detail = v.rule, describe_rule(v.rule, m, n)
-            elif v.kind == NOT_EXISTS:
+            t = GbfType(m, n)
+            found = exists_rule(t)
+            if found is not None:
+                yield m, n, EXISTS, found[0], describe_rule(found[0], m, n)
+                continue
+            v = decide(t)
+            if v.kind == NOT_EXISTS:
                 ident, detail = v.report.criterion, summarize_report(v.report)
             else:
                 ident, detail = "", f"{len(v.attempts)} criteria inconclusive"

@@ -14,11 +14,12 @@ scripts stay stable:
     C5-P3xP5          primes (3, 5 mod 8): all odd n, or odd n below r/s
     DIV-Propagation   nonexistence transferred to a divisor type
 
-Each Exists witness is built once: its base at modulus 2 or 4 is the
-direct sum of 1- and 2-variable pieces.  The rule is chosen here and its
-pieces go through the exact kernel once per rule and process; gbf sums
-them in the witness's dtype and scales the sum in place by m/c, which
-keeps it flat.  This module holds no table code.
+The existence side is a rule on (m, n) alone, chosen by exists_rule with
+no table built; its pieces, the 1- and 2-variable tables at the base
+modulus 2 or 4, go through the exact kernel once per rule and process.
+rule_exists builds the witness from that choice when one is asked for:
+gbf sums the pieces in the witness's dtype and scales the sum in place
+by m/c, which keeps it flat.  This module holds no table code.
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
@@ -132,24 +133,19 @@ def _pieces(rule: str, c: int):
     return tuple(piece.array for piece in pieces)
 
 
-def rule_exists(t: GbfType):
-    """A flat witness for t when one of the rules applies, with the rule
-    id; None otherwise.
+def exists_rule(t: GbfType):
+    """(rule, c, split) when one of the existence rules covers t: the rule
+    id, the base modulus c of its witness and whether its pairs split the
+    index in halves; None otherwise.  No table is built, but the rule's
+    pieces have passed the exact kernel (_pieces), so the rule stands for
+    a flat witness that rule_exists would build.  Refuses n > MAX_N.
 
     E2: m = 2, even n, the quadratic form x1*x2 + x3*x4 + ...  E1: 4 | m,
     any n, built at modulus 4 and lifted by m/4: for even n the product
     construction, for odd n 2*Q'(x') + x_n, twice the form on the low n - 1
     variables plus x on the top one (x alone at n = 1).  E3: remaining
     even m with even n, the product construction at modulus 2 lifted by
-    m/2.  Refuses n > MAX_N.
-
-    Each base at its modulus c is the direct sum of P on each pair of
-    variables and, at odd n, x on the top variable x_n, with the pieces
-    the exact kernel checked (_pieces).  The pairs are adjacent bits, or,
-    for the product construction, bit i of the low half with bit i of the
-    high half.  gbf._pair_sum sums the pieces into the witness, scaled by
-    m/c, and it is flat because every piece is; no FWHT runs over its 2^n
-    rows.
+    m/2.
     """
     m, n = t.m, t.n
     if n > MAX_N:
@@ -162,6 +158,26 @@ def rule_exists(t: GbfType):
         rule, c, split = "E3", 2, True
     else:
         return None
+    _pieces(rule, c)
+    return rule, c, split
+
+
+def rule_exists(t: GbfType):
+    """A flat witness for t when exists_rule covers it, with the rule id;
+    None otherwise.  Refuses n > MAX_N.
+
+    Each base at its modulus c is the direct sum of P on each pair of
+    variables and, at odd n, x on the top variable x_n, with the pieces
+    the exact kernel checked (_pieces).  The pairs are adjacent bits, or,
+    for the product construction, bit i of the low half with bit i of the
+    high half.  gbf._pair_sum sums the pieces into the witness, scaled by
+    m/c, and it is flat because every piece is; no FWHT runs over its 2^n
+    rows.
+    """
+    found = exists_rule(t)
+    if found is None:
+        return None
+    rule, c, split = found
     return _pair_sum(t, c, *_pieces(rule, c), split), rule
 
 

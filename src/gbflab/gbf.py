@@ -523,7 +523,7 @@ def _terms(tables, m: int, n: int, l: int = 1):
                         exps %= m
                     out = out.reshape(*exps.shape, -1)
                 source.take(exps, axis=-2, out=out, mode="clip")
-                del exps
+                del exps, out   # out views terms: it would keep them alive
             del index
         yield test, terms
         del terms       # so the next test's gather is not made beside it
@@ -601,7 +601,9 @@ def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
     multiple of the terms of the x < 2^k whatever their width, then over
     the few rows left: at n = 24 and k = 1, 18 ms instead of 160 ms.  A
     slab of one such row is summed in one pass, twice as fast on a census
-    batch."""
+    batch; when a long row holds just the terms of the x < 2^k, the first
+    pass is the whole sum, with no copy of it.  Each test's terms and sums
+    are dropped before the next test's are gathered."""
     ok = True
     for test, terms in _terms(tables, m, n, l):
         slabs = len(terms)
@@ -611,7 +613,10 @@ def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
                 n - k, ((_LONG_RUN - 1) // row).bit_length()))
             if low.shape[1] > 1:        # a slab of two long rows or more
                 low = low.sum(axis=1, dtype=np.int64)
-            low = low.reshape(slabs, -1, row).sum(axis=1, dtype=np.int64)
+            if low.size > slabs * row:  # rows of the x < 2^k left to add
+                low = low.reshape(slabs, -1, row).sum(axis=1, dtype=np.int64)
+            else:
+                low = low.astype(np.int64, copy=False)
         else:
             low = counts @ terms.reshape(slabs, len(tables), -1)
         del terms
@@ -619,6 +624,7 @@ def _low_rows_flat(tables, m: int, n: int, l: int = 1, k: int = 0,
         if k:
             _fwht_inplace(low.reshape(slabs, 1 << k, -1))
         ok = ok & _flat(test, spec, n)
+        del low, spec   # so the next test's sum is not made beside them
     return ok
 
 
@@ -659,6 +665,32 @@ def _first_nonflat(f: FunctionTable):
     return (None if ok.all() else int(np.argmin(ok))), c, None
 
 
+def _autocorrelation(row: np.ndarray) -> np.ndarray:
+    """The cyclic autocorrelation of a length-m int64 row, out[d] = sum of
+    row[a]*row[b] over the a, b with a - b = d (mod m): the coefficients of
+    alpha * conj(alpha) for the alpha whose coefficients are the row.  It
+    runs over the row's support V alone, O(|V|^2) products in numpy, exact
+    in int64 for a row of a Walsh value, whose products and sums are at
+    most 4^n <= 2^52.  Each pair a > b adds its product at a - b, taken
+    by np.add.at in blocks of _blocks, about _CHUNK pairs each: the rows a
+    of a block against the b before it, then the pairs within it; a pair
+    a < b lands at m - (b - a), the mirror of its swap, and a = b at 0."""
+    support = np.flatnonzero(row)
+    h = row[support]
+    half = np.zeros(len(row), np.int64)     # the pairs a > b, at a - b
+    # a row of W(y) = 0 has no support, and no block
+    for block in _blocks(len(support), len(support) ** 2 or 1):
+        a, ha, lo = support[block], h[block], block.start
+        np.add.at(half, np.subtract.outer(a, support[:lo]),
+                  np.multiply.outer(ha, h[:lo]))
+        i, j = np.tril_indices(len(a), -1)
+        np.add.at(half, a[i] - a[j], ha[i] * ha[j])
+    out = np.empty_like(half)
+    out[0] = h @ h
+    np.add(half[1:], half[:0:-1], out=out[1:])
+    return out
+
+
 def first_flat_violation(f: FunctionTable):
     """None when every Walsh value satisfies |W(y)|^2 = 2^n exactly;
     otherwise (y, canonical coefficients of |W(y)|^2 in Z[zeta_m]) for the
@@ -673,7 +705,8 @@ def first_flat_violation(f: FunctionTable):
     transform in all.
     Only the reported row is built at m, and so is refused for m at or above
     2^30: when row 0 was refuted from the histogram it is that histogram,
-    otherwise one _histogram (signed when y > 0)."""
+    otherwise one _histogram (signed when y > 0).  |W(y)|^2 is that row's
+    _autocorrelation over its support, reduced by CycInt.canonical."""
     y, c, hist = _first_nonflat(f)
     if y is None:
         return None
@@ -688,8 +721,8 @@ def first_flat_violation(f: FunctionTable):
         raise ValueError(f"not flat at y={y}; its report needs m = {f.m} "
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
     row = _histogram(f.array, f.m, y) if hist is None else hist
-    return y, CycInt(f.m, row.astype(np.int64, copy=False).tolist()) \
-        .abs_square().coeffs[:euler_phi(f.m)]
+    square = _autocorrelation(row.astype(np.int64, copy=False))
+    return y, CycInt(f.m, square.tolist()).canonical().coeffs[:euler_phi(f.m)]
 
 
 def is_gbf(f: FunctionTable) -> bool:

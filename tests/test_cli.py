@@ -518,6 +518,57 @@ def test_scan_bad_range(capsys):
         assert capsys.readouterr().out == ""
 
 
+def _decided_row(m, n):
+    """The scan row of {m,n} as decide gives it, witness and all."""
+    v = decide(GbfType(m, n))
+    if v.kind == criteria.EXISTS:
+        ident, detail = v.rule, criteria.describe_rule(v.rule, m, n)
+    elif v.kind == criteria.NOT_EXISTS:
+        ident, detail = v.report.criterion, criteria.summarize_report(v.report)
+    else:
+        ident, detail = "", f"{len(v.attempts)} criteria inconclusive"
+    return [str(m), str(n), v.kind, ident, detail]
+
+
+def test_scan_rows_are_the_rows_decide_gives(capsys):
+    # an Exists cell is read from the rule alone, with no witness built, and
+    # reads as decide's verdict does, in both formats
+    want = [_decided_row(m, n) for m in range(2, 65) for n in range(1, 12)]
+    assert {row[2] for row in want} == {"exists", "not_exists", "unknown"}
+    code, out, _ = run(capsys, "scan", "--m", "2..64", "--n", "1..11")
+    assert code == 0 and list(csv.reader(io.StringIO(out)))[1:] == want
+    code, out, _ = run(capsys, "scan", "--m", "2..64", "--n", "1..11",
+                       "--format", "md")
+    assert code == 0 and out.splitlines()[2:] == [
+        "| " + " | ".join(row) + " |" for row in want]
+
+
+def test_scan_builds_no_witness(capsys):
+    # the one E1 cell {4,24}, whose witness is 16 MiB, pieces checked anew
+    criteria._pieces.cache_clear()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "scan", "--m", "4..4", "--n", "24..24")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.splitlines()[1].startswith("4,24,exists,E1,")
+    assert peak < 1 << 20
+
+
+def test_scan_checks_the_rule_pieces(monkeypatch, capsys):
+    # with the exact kernel broken, the piece check fails on scan's path as
+    # it does in rule_exists: no Exists row, and exit 3, not a verdict
+    monkeypatch.setattr(criteria, "is_gbf", lambda f: False)
+    criteria._pieces.cache_clear()
+    with pytest.raises(AssertionError, match="construction E1 failed"):
+        criteria.rule_exists(GbfType(8, 3))
+    code, out, err = run(capsys, "scan", "--m", "8..8", "--n", "3..3")
+    assert code == 3 and out.splitlines() == ["m,n,verdict,criterion,detail"]
+    assert err.splitlines()[-1].startswith(
+        "AssertionError: construction E1 failed exact verification")
+
+
 def test_table_outputs(capsys):
     code, out, _ = run(capsys, "table", "rp")
     assert code == 0

@@ -775,6 +775,50 @@ def test_row_0_failure_runs_no_kernel(monkeypatch):
     assert not is_gbf(zero) and calls == [(2, 3)]
 
 
+def test_report_is_the_abs_square_of_its_row():
+    # the report's |W(y)|^2, the row's autocorrelation over its support,
+    # against CycInt.abs_square of the same row up to m = 2000: seeded
+    # random tables, refuted at row 0 from the histogram, with their signed
+    # rows y > 0 as well, and seeded flat even-even tables swapped, whose
+    # first failing row y > 0 is reported from a signed row
+    rng = np.random.default_rng(15)
+    for m, n in ((3, 4), (12, 6), (97, 7), (360, 9), (1000, 10), (2000, 11)):
+        f = FunctionTable(GbfType(m, n), rng.integers(m, size=1 << n))
+        y, got = first_flat_violation(f)
+        row = gbf._histogram(f.array, m, y).tolist()
+        assert y == 0 and got == \
+            CycInt(m, row).abs_square().coeffs[:euler_phi(m)]
+        for y in map(int, rng.integers(1, 1 << n, size=3)):
+            row = gbf._histogram(f.array, m, y).astype(np.int64)
+            got = CycInt(m, gbf._autocorrelation(row).tolist()).canonical()
+            assert got.coeffs == CycInt(m, row.tolist()).abs_square().coeffs
+    for m, n in ((6, 8), (100, 10), (2000, 10)):
+        f = _swapped(ref.seeded_even_even(m, n, m), random.Random(m))
+        y, got = first_flat_violation(f)
+        row = gbf._histogram(f.array, m, y)
+        assert y > 0 and (row < 0).any()
+        assert got == CycInt(m, row.astype(np.int64).tolist()) \
+            .abs_square().coeffs[:euler_phi(m)]
+
+
+@pytest.mark.parametrize("m,size", [(8000, 5000), (1 << 20, 3000)])
+def test_report_product_holds_a_block_of_pairs(m, size):
+    # 25 and 9 million pairs of the support, taken a block at a time: beside
+    # the length-m sums, at most a block of differences and one of products
+    rng = np.random.default_rng(size)
+    row = np.zeros(m, np.int64)
+    row[rng.choice(m, size, replace=False)] = rng.integers(-9, 10, size)
+    want = gbf._autocorrelation(row)
+    tracemalloc.start()
+    try:
+        got = gbf._autocorrelation(row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 2 * row.nbytes + 3 * gbf._CHUNK * 8
+
+
 @pytest.mark.parametrize("l", [1, 3])
 def test_row0_flat_matches_walsh_matrix(l):
     # seeded tables at m = 2..40 and n = 1..4, of random counts in random
@@ -1225,6 +1269,25 @@ def _six_two_sum(pieces):
     for _ in range(pieces - 1):
         f = direct_sum(f, table(6, 2, [4, 1, 0, 0]))
     return f
+
+
+def test_report_fold_holds_one_test_at_a_time():
+    # the flat content-6 {6,20} table swapped to fail first at row 2^19,
+    # whose report folds the table at k = 19, at each of two split primes:
+    # the terms, their sums onto the rows below 2^19 and the FWHT's scratch
+    # (16, 8 and 4 MiB), with no copy of the sums and nothing of one test
+    # kept through the next (41 MiB when both were)
+    f = _swapped_at(_six_two_sum(10), 1 << 19)
+    assert len(gbf._split_primes(6, 20)) == 2
+    assert first_flat_violation(f)[0] == 1 << 19
+    tracemalloc.start()
+    try:
+        assert first_flat_violation(f)[0] == 1 << 19
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = 2 * 8 << 20                 # two unit columns of 2^20 int64
+    assert peak < 2 * terms
 
 
 def _flat_by_conjugates(f, c):

@@ -122,12 +122,16 @@ def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
     monkeypatch.setattr(kernel_timings, "WITNESSES", ((2, 4), (12, 3)))
     monkeypatch.setattr(kernel_timings, "SIX_SUMS", (4, 6))
     monkeypatch.setattr(kernel_timings, "LIGHT_GRID", ((3, 1), (5, 2)))
+    monkeypatch.setattr(kernel_timings, "SCAN_ARGV",
+                        ("scan", "--m", "2..9", "--n", "1..3"))
+    monkeypatch.setattr(kernel_timings, "REPORTS", ((100, 5),))
     assert kernel_timings.main() == 0
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     assert [name for name, _, _ in lines] == [
         "is_gbf witness {2,4}", "is_gbf witness {12,3}",
         "is_gbf content-6 sum {6,4}", "is_gbf content-6 sum {6,6}",
-        "census {7,3}, cold", "census light grid (2 types), cold"]
+        "census {7,3}, cold", "census light grid (2 types), cold",
+        "scan --m 2..9 --n 1..3, cold", "report random {100,5}"]
     for _, ms, calls in lines:
         assert ms.endswith(" ms") and float(ms[:-3]) > 0
         assert calls in ("least of 20", "least of 10")
