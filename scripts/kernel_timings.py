@@ -15,7 +15,8 @@ The package is src/gbflab beside this script's directory.  The measures:
   route on small batches;
 - gbf scan --m 2..600 --n 1..4 through cli.main, its output dropped, each
   call with every cache of the package cleared first: the rules, the
-  criteria and the small tables of the scan-grid bench workload;
+  criteria and the small tables of the scan-grid bench workload; and
+  likewise gbf scan --m 2..600 --n 1..11, the grid the README times cold;
 - first_flat_violation, verify's report, of the seeded random {1000,11}
   and {4000,13} tables (numpy default_rng(0)): row 0 refuted from the
   histogram, then |W(0)|^2 over the table's distinct values.
@@ -47,6 +48,7 @@ LIGHT_GRID = tuple([(m, 1) for m in range(2, 41)]
                    + [(m, 2) for m in range(2, 18)]
                    + [(m, 3) for m in range(2, 6)])
 SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..4")
+WIDE_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..11")
 REPORTS = ((1000, 11), (4000, 13))
 
 
@@ -85,9 +87,9 @@ def _grid() -> None:
         enumerate_gbfs(GbfType(m, n))
 
 
-def _scan() -> None:
+def _scan(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(list(SCAN_ARGV)) == 0
+        assert cli.main(list(argv)) == 0
 
 
 def main() -> int:
@@ -108,9 +110,10 @@ def main() -> int:
         lambda: enumerate_gbfs(GbfType(7, 3)), 20, cold=True), 20))
     rows.append((f"census light grid ({len(LIGHT_GRID)} types), cold",
                  _least_ms(_grid, 10), 10))
-    _scan()
-    rows.append((" ".join(("scan",) + SCAN_ARGV[1:]) + ", cold",
-                 _least_ms(_scan, 10, cold=True), 10))
+    for argv in (SCAN_ARGV, WIDE_SCAN_ARGV):
+        _scan(argv)
+        rows.append((" ".join(argv) + ", cold",
+                     _least_ms(lambda: _scan(argv), 10, cold=True), 10))
     for m, n in REPORTS:
         f = FunctionTable(GbfType(m, n), np.random.default_rng(0).integers(
             m, size=1 << n))

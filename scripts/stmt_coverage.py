@@ -1,5 +1,5 @@
-"""Run pytest in this process and list the statements of a package that
-never ran.
+"""Run pytest in this process, list the statements of a package that
+never ran, and fail when one outside the package's entry points did.
 
     python scripts/stmt_coverage.py [PYTEST ARGS]
 
@@ -12,10 +12,14 @@ a function's docstring and `global` do not count.  The report
 prints pytest's exit code, then each module's statements and the line
 numbers of those that never ran.  It is printed whatever pytest's outcome:
 a test that measures memory or time can fail under the tracer, which
-allocates and slows each line.  The exit code is pytest's.
+allocates and slows each line.
 
 Lines that run only in a subprocess, such as a `python -m` entry point,
-are never seen by the tracer.
+are never seen by the tracer.  So the entry points are exempt from the
+gate: every statement of a `__main__.py`, and the body of a module's
+top-level `if __name__ == "__main__":`.  Run as a script, the exit code
+is pytest's when that is not 0, else 1 when a statement outside the entry
+points never ran, else 0; the last line says which statements those are.
 """
 
 from __future__ import annotations
@@ -40,6 +44,23 @@ def statements(source: str, filename: str = "<module>") -> set[int]:
     firsts = {node.lineno for node in ast.walk(ast.parse(source))
               if isinstance(node, ast.stmt)}
     return firsts & _code_lines(compile(source, filename, "exec"))
+
+
+def entry_lines(source: str, name: str) -> set[int]:
+    """The lines of the statements of a module that only an entry point
+    runs: all of them in a __main__.py, else those in the body of a
+    top-level ``if __name__ == "__main__":``."""
+    tree = ast.parse(source)
+    if name == "__main__.py":
+        blocks = tree.body
+    else:
+        blocks = [stmt for node in tree.body if isinstance(node, ast.If)
+                  and ast.dump(node.test) == _MAIN_TEST for stmt in node.body]
+    return {node.lineno for block in blocks for node in ast.walk(block)
+            if isinstance(node, ast.stmt)}
+
+
+_MAIN_TEST = ast.dump(ast.parse('__name__ == "__main__"', mode="eval").body)
 
 
 def trace_run(package: Path, run):
@@ -73,7 +94,9 @@ def trace_run(package: Path, run):
     return result, ran
 
 
-def main(argv=None, package: Path | None = None) -> int:
+def report(argv=None, package: Path | None = None) -> tuple[int, list[str]]:
+    """Print the report; return pytest's exit code and the statements
+    outside the entry points that never ran, as "module:line"."""
     import pytest
 
     argv = sys.argv[1:] if argv is None else argv
@@ -81,15 +104,26 @@ def main(argv=None, package: Path | None = None) -> int:
                / "src" / "gbflab").resolve()
     code, ran = trace_run(package, lambda: pytest.main(list(argv)))
     print(f"pytest exit code {int(code)}")
+    ungated = []
     for path in sorted(package.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
         want = statements(source, str(path))
         missed = sorted(want - ran.get(str(path), set()))
-        print(f"{path.relative_to(package).as_posix()}\t{len(want)} "
-              f"statements, never ran: "
+        name = path.relative_to(package).as_posix()
+        print(f"{name}\t{len(want)} statements, never ran: "
               f"{', '.join(map(str, missed)) if missed else 'none'}")
-    return int(code)
+        exempt = entry_lines(source, path.name)
+        ungated += [f"{name}:{line}" for line in missed if line not in exempt]
+    return int(code), ungated
+
+
+def main(argv=None, package: Path | None = None) -> int:
+    """Print the report and return pytest's exit code."""
+    return report(argv, package)[0]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code, ungated = report()
+    print("outside the entry points, never ran: "
+          + (", ".join(ungated) if ungated else "none"))
+    sys.exit(code or int(bool(ungated)))

@@ -331,10 +331,12 @@ def _parse_span(text: str) -> range:
 
 
 def _scan_cells(m_span, n_span):
-    """(m, n, verdict, criterion, detail) for each cell, m outermost.  A
-    cell an existence rule covers is read from exists_rule alone, with no
-    witness built: it is what decide returns, since decide tries the rules
-    first.  decide runs on the other cells."""
+    """(m, n, verdict, criterion, detail) for each cell, m outermost, as
+    decide gives it.  A cell an existence rule covers is read from
+    exists_rule alone, with no witness built, since decide tries the rules
+    first.  The other cells take criteria.first_fired: the first report
+    that fires, re-validated, which is decide's verdict, with no criterion
+    after it run; or, where none fires, the count of applicable reports."""
     for m in m_span:
         for n in n_span:
             t = GbfType(m, n)
@@ -342,12 +344,11 @@ def _scan_cells(m_span, n_span):
             if found is not None:
                 yield m, n, EXISTS, found[0], describe_rule(found[0], m, n)
                 continue
-            v = decide(t)
-            if v.kind == NOT_EXISTS:
-                ident, detail = v.report.criterion, summarize_report(v.report)
+            rep = criteria.first_fired(t)
+            if isinstance(rep, int):
+                yield m, n, UNKNOWN, "", f"{rep} criteria inconclusive"
             else:
-                ident, detail = "", f"{len(v.attempts)} criteria inconclusive"
-            yield m, n, v.kind, ident, detail
+                yield m, n, NOT_EXISTS, rep.criterion, summarize_report(rep)
 
 
 def cmd_scan(args) -> int:

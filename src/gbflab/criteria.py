@@ -29,8 +29,11 @@ C3-C5 read every exponent r off the form class group of Q(sqrt(-d)),
 d = 7 (mod 8), where 2 splits into the prime forms P and its inverse: the
 least odd r is the order of [P] or half of it, C4's r2 is a discrete
 logarithm to the base [P], and each witness comes from one Cornacchia call.
-decide() re-validates every report before returning NotExists: the report is
-derived again from its m and n and must match the one returned exactly.
+applicable_reports gives the criteria's reports in their fixed order, one
+at a time: decide() reads them all, and first_fired, which gbf scan calls,
+stops at the first that fires.  Either re-validates that report before it
+stands as NotExists: the report is derived again from its m and n and must
+match exactly.
 """
 
 from __future__ import annotations
@@ -565,7 +568,7 @@ def _summary_p3_x_p5(rep: CriterionReport) -> str:
 
 # criterion id -> (evaluation, summary of its reports), in evaluation order.
 # Re-validation calls the evaluation from here, not through _CRITERIA_FUNCS,
-# so wrapping that tuple sees only the calls decide() makes.
+# so wrapping that tuple sees only the calls applicable_reports makes.
 _REPORT_PARTS = {
     C1: (crit_lam_leung, _summary_lam_leung),
     C2: (crit_semiprimitive, _summary_semiprimitive),
@@ -575,6 +578,17 @@ _REPORT_PARTS = {
 }
 
 _CRITERIA_FUNCS = tuple(crit for crit, _ in _REPORT_PARTS.values())
+
+
+def applicable_reports(t: GbfType):
+    """The report of each nonexistence criterion that applies to t, C1
+    through C5 in the order of _CRITERIA_FUNCS, read at each call; the
+    criteria that return None are skipped.  A generator: a caller that
+    stops at a report evaluates no criterion after it."""
+    for crit in _CRITERIA_FUNCS:
+        rep = crit(t)
+        if rep is not None:
+            yield rep
 
 
 # -- report re-validation ------------------------------------------------------
@@ -638,22 +652,37 @@ def revalidate_report(rep: CriterionReport) -> bool:
 # -- the engine ----------------------------------------------------------------
 
 
+def first_fired(t: GbfType) -> CriterionReport | int:
+    """The first report of applicable_reports(t) that fires, re-validated
+    as decide re-validates it, with no criterion after it evaluated; or,
+    when none fires, the number of reports that apply.  So on a type no
+    existence rule covers it is decide's verdict, without the reports
+    decide keeps beside it."""
+    tried = 0
+    for rep in applicable_reports(t):
+        if rep.fired:
+            revalidate_report(rep)
+            return rep
+        tried += 1
+    return tried
+
+
+
 def decide(t: GbfType) -> Verdict:
     """Decide existence of a flat-spectrum table of type t.
 
-    Existence rules run first; then each nonexistence criterion is evaluated
-    (C1 through C5, in that fixed order).  The first firing criterion gives
-    the verdict, with any other firing ones listed in its report as also
-    applicable; when nothing concludes, the verdict is Unknown and carries
-    every applicable report.  Deterministic: identical inputs give identical
-    verdicts and reports.
+    Existence rules run first; then every report of applicable_reports is
+    read (C1 through C5, in that fixed order).  The first firing criterion
+    gives the verdict, re-validated, with any other firing ones listed in
+    its report as also applicable; when nothing concludes, the verdict is
+    Unknown and carries every applicable report.  Deterministic: identical
+    inputs give identical verdicts and reports.
     """
     found = rule_exists(t)
     if found is not None:
         witness, rule = found
         return Verdict(EXISTS, witness=witness, rule=rule)
-    reports = [rep for rep in (fn(t) for fn in _CRITERIA_FUNCS)
-               if rep is not None]
+    reports = list(applicable_reports(t))
     fired = [rep for rep in reports if rep.fired]
     if fired:
         chosen = fired[0]

@@ -569,6 +569,53 @@ def test_scan_checks_the_rule_pieces(monkeypatch, capsys):
         "AssertionError: construction E1 failed exact verification")
 
 
+def test_scan_revalidates_the_report_that_fires(monkeypatch, capsys):
+    # with re-validation refusing every report, the C1 cell {21,3} gets no
+    # NotExists row and exits 3, as decide refuses it
+    def refuse(rep):
+        raise ValueError("report re-validation failed: refused")
+
+    monkeypatch.setattr(criteria, "revalidate_report", refuse)
+    with pytest.raises(ValueError, match="refused"):
+        decide(GbfType(21, 3))
+    code, out, err = run(capsys, "scan", "--m", "21..21", "--n", "3..3")
+    assert code == 3 and out.splitlines() == ["m,n,verdict,criterion,detail"]
+    assert err == "error: report re-validation failed: refused\n"
+
+
+def test_scan_stops_at_the_first_criterion_that_fires(monkeypatch, capsys):
+    # at {21,3} C1 fires, and C2 and C4 apply after it without firing: scan
+    # evaluates C1 alone, and again inside re-validation, while decide
+    # evaluates every criterion and keeps the three reports as attempts
+    calls = []
+
+    def counted(crit, via):
+        def wrapper(t):
+            calls.append((via, crit.__name__))
+            return crit(t)
+        return wrapper
+
+    monkeypatch.setattr(criteria, "_CRITERIA_FUNCS", tuple(
+        counted(crit, "report") for crit in criteria._CRITERIA_FUNCS))
+    c1, summary = criteria._REPORT_PARTS[criteria.C1]
+    monkeypatch.setitem(criteria._REPORT_PARTS, criteria.C1,
+                        (counted(c1, "revalidate"), summary))
+    code, out, _ = run(capsys, "scan", "--m", "21..21", "--n", "3..3")
+    assert calls == [("report", "crit_lam_leung"),
+                     ("revalidate", "crit_lam_leung")]
+    calls.clear()
+    v = decide(GbfType(21, 3))
+    assert calls == [("report", "crit_lam_leung"),
+                     ("report", "crit_semiprimitive"), ("report", "crit_p7"),
+                     ("report", "crit_p7_x_p35"), ("report", "crit_p3_x_p5"),
+                     ("revalidate", "crit_lam_leung")]
+    assert [rep.criterion for rep in v.attempts] == [
+        criteria.C1, criteria.C2, criteria.C4]
+    assert [rep.fired for rep in v.attempts] == [True, False, False]
+    assert code == 0 and list(csv.reader(io.StringIO(out)))[1:] == [
+        _decided_row(21, 3)]
+
+
 def test_table_outputs(capsys):
     code, out, _ = run(capsys, "table", "rp")
     assert code == 0

@@ -332,6 +332,25 @@ def test_first_fired_wins_and_others_recorded():
     assert C2 in v.report.also_applicable
 
 
+def test_first_fired_is_the_verdict_decide_gives():
+    # the report that fires, re-validated, or the number decide lists as
+    # attempts, on every type of a small grid no existence rule covers
+    seen = set()
+    for m in range(2, 120):
+        for n in range(1, 7):
+            t = GbfType(m, n)
+            if criteria.exists_rule(t) is not None:
+                continue
+            v, first = decide(t), criteria.first_fired(t)
+            seen.add(v.kind)
+            if v.kind == NOT_EXISTS:
+                assert first.to_dict() == dict(v.report.to_dict(),
+                                               also_applicable=[])
+            else:
+                assert first == len(v.attempts)
+    assert seen == {NOT_EXISTS, UNKNOWN}
+
+
 def test_reports_revalidate():
     cases = [(9, 3), (6, 1), (2 * 47, 3), (2 * 199 * 5, 3), (2 * 19 * 29, 5),
              (2 * 5 * 13, 1), (91, 6), (2 * 9 * 13, 1)]

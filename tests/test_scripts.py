@@ -100,6 +100,38 @@ def test_reports_the_branch_no_test_takes(tmp_path, monkeypatch, capsys):
                         "__init__.py\t7 statements, never ran: 12"]
 
 
+def test_lists_the_statements_outside_the_entry_points_that_never_ran(
+        tmp_path, monkeypatch, capsys):
+    # the sign package with an entry point of each kind, which no test in
+    # this process can run: they are reported, but only the branch no test
+    # takes is listed for the gate, and once a test takes it none is
+    package = tmp_path / "src" / "stmtcov_gate"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        SIGN + '\n\nif __name__ == "__main__":\n    print(sign(-1))\n')
+    (package / "__main__.py").write_text(
+        "from stmtcov_gate import sign\n\nprint(sign(1))\n")
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    tests = "from stmtcov_gate import sign\n\n\ndef test_positive():\n" \
+            "    assert sign(3) == 1\n"
+    for negative, missed, ungated in (
+            ("", "12, 17", ["__init__.py:12"]),
+            ("\n\ndef test_negative():\n    assert sign(-3) == -1\n",
+             "17", [])):
+        (tmp_path / "test_stmtcov_gate.py").write_text(tests + negative)
+        try:
+            assert stmt_coverage.report(
+                [str(tmp_path), "-q", "-p", "no:cacheprovider"],
+                package=package) == (0, ungated)
+        finally:
+            for name in ("stmtcov_gate", "test_stmtcov_gate"):
+                sys.modules.pop(name, None)
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            f"__init__.py\t9 statements, never ran: {missed}",
+            "__main__.py\t2 statements, never ran: 1, 3"]
+
+
 _KT_PATH = _PATH.parent / "kernel_timings.py"
 _KT_SPEC = importlib.util.spec_from_file_location("kernel_timings", _KT_PATH)
 kernel_timings = importlib.util.module_from_spec(_KT_SPEC)
@@ -124,6 +156,8 @@ def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
     monkeypatch.setattr(kernel_timings, "LIGHT_GRID", ((3, 1), (5, 2)))
     monkeypatch.setattr(kernel_timings, "SCAN_ARGV",
                         ("scan", "--m", "2..9", "--n", "1..3"))
+    monkeypatch.setattr(kernel_timings, "WIDE_SCAN_ARGV",
+                        ("scan", "--m", "2..9", "--n", "1..5"))
     monkeypatch.setattr(kernel_timings, "REPORTS", ((100, 5),))
     assert kernel_timings.main() == 0
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
@@ -131,7 +165,8 @@ def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
         "is_gbf witness {2,4}", "is_gbf witness {12,3}",
         "is_gbf content-6 sum {6,4}", "is_gbf content-6 sum {6,6}",
         "census {7,3}, cold", "census light grid (2 types), cold",
-        "scan --m 2..9 --n 1..3, cold", "report random {100,5}"]
+        "scan --m 2..9 --n 1..3, cold", "scan --m 2..9 --n 1..5, cold",
+        "report random {100,5}"]
     for _, ms, calls in lines:
         assert ms.endswith(" ms") and float(ms[:-3]) > 0
         assert calls in ("least of 20", "least of 10")
