@@ -29,8 +29,7 @@ import warnings
 from . import criteria, gbf, oracle as oracle_mod
 from ._lazy import np
 from .criteria import (EXISTS, NOT_EXISTS, UNKNOWN, Verdict, decide,
-                       describe_rule, exists_rule, rule_exists,
-                       summarize_report)
+                       describe_rule, rule_exists, summarize_report)
 from .gbf import _MAX_N, FunctionTable, GbfType, first_flat_violation
 
 EXIT_EXISTS = 0
@@ -330,30 +329,9 @@ def _parse_span(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _scan_cells(m_span, n_span):
-    """(m, n, verdict, criterion, detail) for each cell, m outermost, as
-    decide gives it.  A cell an existence rule covers is read from
-    exists_rule alone, with no witness built, since decide tries the rules
-    first.  The other cells take criteria.first_fired: the first report
-    that fires, re-validated, which is decide's verdict, with no criterion
-    after it run; or, where none fires, the count of applicable reports."""
-    for m in m_span:
-        for n in n_span:
-            t = GbfType(m, n)
-            found = exists_rule(t)
-            if found is not None:
-                yield m, n, EXISTS, found[0], describe_rule(found[0], m, n)
-                continue
-            rep = criteria.first_fired(t)
-            if isinstance(rep, int):
-                yield m, n, UNKNOWN, "", f"{rep} criteria inconclusive"
-            else:
-                yield m, n, NOT_EXISTS, rep.criterion, summarize_report(rep)
-
-
 def cmd_scan(args) -> int:
     header = ("m", "n", "verdict", "criterion", "detail")
-    rows = _scan_cells(args.m, args.n)
+    rows = criteria.scan_rows(args.m, args.n)
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)

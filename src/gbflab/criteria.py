@@ -30,7 +30,7 @@ d = 7 (mod 8), where 2 splits into the prime forms P and its inverse: the
 least odd r is the order of [P] or half of it, C4's r2 is a discrete
 logarithm to the base [P], and each witness comes from one Cornacchia call.
 applicable_reports gives the criteria's reports in their fixed order, one
-at a time: decide() reads them all, and first_fired, which gbf scan calls,
+at a time: decide() reads them all, and scan_rows, the rows of gbf scan,
 stops at the first that fires.  Either re-validates that report before it
 stands as NotExists: the report is derived again from its m and n and must
 match exactly.
@@ -514,13 +514,13 @@ def crit_p7_x_p35(t: GbfType):
         q["r2_witness"] = witness
     q["r2"] = r2                       # None encodes "no finite r2"
     q["r2_even_hits"] = even_hits
-    if even_hits and r2 is not None:
+    if even_hits:
         rep.notes.append(
             f"even exponent {even_hits[0][0]} solvable; consistent with "
             f"r2 = r1 - {even_hits[0][0]} = {r1 - even_hits[0][0]}")
     q["r"] = r1 if r2 is None else min(r1, r2)
     q["branch"] = "I" if jac == -1 else "II"
-    return _fire_below(rep, r1 if jac == -1 else q["r"], s)
+    return _fire_below(rep, q["r"], s)
 
 
 def _summary_p7_x_p35(rep: CriterionReport) -> str:
@@ -652,22 +652,6 @@ def revalidate_report(rep: CriterionReport) -> bool:
 # -- the engine ----------------------------------------------------------------
 
 
-def first_fired(t: GbfType) -> CriterionReport | int:
-    """The first report of applicable_reports(t) that fires, re-validated
-    as decide re-validates it, with no criterion after it evaluated; or,
-    when none fires, the number of reports that apply.  So on a type no
-    existence rule covers it is decide's verdict, without the reports
-    decide keeps beside it."""
-    tried = 0
-    for rep in applicable_reports(t):
-        if rep.fired:
-            revalidate_report(rep)
-            return rep
-        tried += 1
-    return tried
-
-
-
 def decide(t: GbfType) -> Verdict:
     """Decide existence of a flat-spectrum table of type t.
 
@@ -690,6 +674,33 @@ def decide(t: GbfType) -> Verdict:
         revalidate_report(chosen)
         return Verdict(NOT_EXISTS, report=chosen, attempts=tuple(reports))
     return Verdict(UNKNOWN, attempts=tuple(reports))
+
+
+def scan_rows(m_span, n_span):
+    """(m, n, verdict, criterion, detail) for each type, m outermost, as
+    decide gives it.  A type an existence rule covers is read from
+    exists_rule alone, with no witness built, since decide tries the rules
+    first.  Otherwise the first report of applicable_reports that fires,
+    re-validated as decide re-validates it, gives the row, with no
+    criterion after it evaluated; where none fires, the row counts the
+    reports that apply."""
+    for m in m_span:
+        for n in n_span:
+            t = GbfType(m, n)
+            found = exists_rule(t)
+            if found is not None:
+                yield m, n, EXISTS, found[0], describe_rule(found[0], m, n)
+                continue
+            tried = 0
+            for rep in applicable_reports(t):
+                if rep.fired:
+                    revalidate_report(rep)
+                    yield (m, n, NOT_EXISTS, rep.criterion,
+                           summarize_report(rep))
+                    break
+                tried += 1
+            else:
+                yield m, n, UNKNOWN, "", f"{tried} criteria inconclusive"
 
 
 def summarize_report(rep: CriterionReport) -> str:

@@ -4,7 +4,9 @@ An element is held as a length-m integer coefficient vector on the powers
 1, zeta, ..., zeta^(m-1); products are cyclic convolutions modulo x^m - 1 and
 reduction modulo the m-th cyclotomic polynomial Phi_m happens only at
 comparison points (``canonical``).  Coefficients are Python integers, so
-nothing overflows or rounds.
+nothing overflows or rounds.  reduce_phi is the one reduction: it takes m
+coefficients, a CycInt's or a numpy row's, to the phi(m) of the remainder,
+which ``canonical`` pads to length m.
 
 All reduction multiplies or exactly divides by binomials x^d - 1: with
 Psi_m = (x^m - 1)/Phi_m, the product over e > 1 dividing rad(m) of
@@ -73,6 +75,16 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     a = np.zeros(m + 1, dtype=object)
     a[0], a[m] = -1, 1
     return tuple(_binomials(a, down, up).tolist())
+
+
+def reduce_phi(m: int, coeffs) -> tuple[int, ...]:
+    """The phi(m) coefficients of the remainder r of a modulo Phi_m, for
+    the m coefficients of a on 1, x, ..., x^(m-1): a = q*Phi_m + r gives
+    a*Psi_m = q*(x^m - 1) + r*Psi_m with deg(r*Psi_m) < m."""
+    up, down = _psi_binomials(m)
+    a = _binomials(np.array(coeffs, dtype=object), up, down)
+    a[:len(a) - m] += a[m:]          # deg(a*Psi_m) < 2m - 1
+    return tuple(_binomials(a[:m], down, up).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -198,15 +210,11 @@ class CycInt:
 
     def canonical(self) -> "CycInt":
         """The unique representative supported on indices 0..phi(m)-1, the
-        remainder r of a modulo Phi_m: a = q*Phi_m + r gives a*Psi_m =
-        q*(x^m - 1) + r*Psi_m with deg(r*Psi_m) < m.  Idempotent; canonical
-        forms agree exactly when the ring elements do."""
-        m = self.modulus
-        up, down = _psi_binomials(m)
-        a = _binomials(np.array(self.coeffs, dtype=object), up, down)
-        a[:len(a) - m] += a[m:]          # deg(a*Psi_m) < 2m - 1
-        r = _binomials(a[:m], down, up).tolist()
-        return CycInt(m, r + [0] * (m - len(r)))
+        remainder modulo Phi_m (reduce_phi) padded to length m.
+        Idempotent; canonical forms agree exactly when the ring elements
+        do."""
+        r = reduce_phi(self.modulus, self.coeffs)
+        return CycInt(self.modulus, r + (0,) * (self.modulus - len(r)))
 
     def abs_square(self) -> "CycInt":
         """The squared complex absolute value alpha * conj(alpha), in

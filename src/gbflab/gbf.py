@@ -61,8 +61,8 @@ _CHUNK is the package's one block size, and _blocks its one rule: every
 chunked pass (histograms, the gathers of the terms, the norm test,
 direct_sum, the witness writer of the command line) takes the row blocks
 of _blocks, about _CHUNK entries each, each into its slice of one output,
-and the oracle sizes its census slices from _CHUNK; a table of one block
-or less takes one numpy call per step.
+and _per_block sizes the oracle's census slices to a block; a table of one
+block or less takes one numpy call per step.
 Every FWHT is one _fwht_inplace call, along the rows of each slab of its
 leading axes.  On a large slab with short rows it runs the butterflies in
 rounds over runs of at least 2^12 entries, a slab at a time, rotating the
@@ -128,8 +128,8 @@ from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from ._lazy import np
-from .cyclotomic import CycInt
-from .numtheory import euler_phi, factorize, is_probable_prime
+from .cyclotomic import CycInt, reduce_phi
+from .numtheory import factorize, is_probable_prime
 
 _MAX_N = 26              # walsh matrices have 2^n rows; guard memory
 _Q_LIMIT = 1 << 30       # split primes stay below it: FWHT sums fit int64
@@ -439,6 +439,15 @@ def _blocks(rows: int, size: int):
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def _per_block(m: int, n: int) -> int:
+    """How many tables of type {m,n} gather about one block of _CHUNK terms
+    at modulus m, read at each call: each entry has lookup.size // m terms
+    per unit column.  Refuses an unsupported m through _root_powers, before
+    anything of size m is built."""
+    cols, [(_, lookup), *_] = _root_powers(m, n)
+    return max(1, _CHUNK // ((1 << n) * len(cols) * (lookup.size // m)))
+
+
 def _histogram(arr: np.ndarray, m: int, y: int = 0) -> np.ndarray:
     """The length-m count of each value of a table, the value at x
     weighted by (-1)^(x.y): int64 counts at y = 0, else float64 sums,
@@ -706,7 +715,7 @@ def first_flat_violation(f: FunctionTable):
     Only the reported row is built at m, and so is refused for m at or above
     2^30: when row 0 was refuted from the histogram it is that histogram,
     otherwise one _histogram (signed when y > 0).  |W(y)|^2 is that row's
-    _autocorrelation over its support, reduced by CycInt.canonical."""
+    _autocorrelation over its support, reduced by cyclotomic.reduce_phi."""
     y, c, hist = _first_nonflat(f)
     if y is None:
         return None
@@ -722,7 +731,7 @@ def first_flat_violation(f: FunctionTable):
                          f"coefficients, not below 2^30 = {_Q_LIMIT}")
     row = _histogram(f.array, f.m, y) if hist is None else hist
     square = _autocorrelation(row.astype(np.int64, copy=False))
-    return y, CycInt(f.m, square.tolist()).canonical().coeffs[:euler_phi(f.m)]
+    return y, reduce_phi(f.m, square)
 
 
 def is_gbf(f: FunctionTable) -> bool:

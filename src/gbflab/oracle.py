@@ -31,8 +31,9 @@ tests the 1,716 multisets of the 7 free values in place of their 823,543
 tables; 8 pass, in two orbits of sizes 2 and 6, the 1,260 arrangements of
 the two least are tested at every row in place of the 5,040 of all 8, and
 none is flat.
-The multisets and the arrangements are each taken in slices whose terms
-fill one block of gbf._CHUNK entries, so memory stays that of one batch.
+The multisets and the arrangements are each taken in slices of
+gbf._per_block tables, whose terms fill about one block of the kernel, so
+memory stays that of one batch.
 
 Witnesses are the first hits of the full odometer order.  The hits with
 f(2^n - 1) = 0 are the images k*h of the tested hits h over the units k:
@@ -57,7 +58,7 @@ from math import comb
 from . import gbf
 from ._lazy import np
 from .gbf import (FunctionTable, GbfType, _flat_mask, _low_rows_flat,
-                  _root_powers, is_gbf)
+                  _per_block, is_gbf)
 
 DEFAULT_BUDGET = 10**7
 
@@ -165,10 +166,8 @@ def enumerate_gbfs(t: GbfType, budget: int = DEFAULT_BUDGET,
 
     # the kernel refuses an unsupported m here, before anything of size m
     # is built: combinations_with_replacement copies range(m) to a tuple.
-    # Multisets a slice and tables a batch: each gathers about gbf._CHUNK
-    # terms, read at each call, lookup.size // m of them per unit column
-    cols, [(_, lookup), *_] = _root_powers(m, n)
-    per = max(1, gbf._CHUNK // (rows * len(cols) * (lookup.size // m)))
+    # A slice of multisets and a batch of tables hold per tables each
+    per = _per_block(m, n)
     units = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
     free = rows - 1
     multisets = combinations_with_replacement(range(m), free)

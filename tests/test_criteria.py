@@ -332,23 +332,22 @@ def test_first_fired_wins_and_others_recorded():
     assert C2 in v.report.also_applicable
 
 
-def test_first_fired_is_the_verdict_decide_gives():
-    # the report that fires, re-validated, or the number decide lists as
-    # attempts, on every type of a small grid no existence rule covers
-    seen = set()
+def test_scan_rows_are_the_verdicts_decide_gives():
+    # the rule, the report that fires, re-validated, or the number decide
+    # lists as attempts, on every type of a small grid
+    want = []
     for m in range(2, 120):
         for n in range(1, 7):
-            t = GbfType(m, n)
-            if criteria.exists_rule(t) is not None:
-                continue
-            v, first = decide(t), criteria.first_fired(t)
-            seen.add(v.kind)
-            if v.kind == NOT_EXISTS:
-                assert first.to_dict() == dict(v.report.to_dict(),
-                                               also_applicable=[])
+            v = decide(GbfType(m, n))
+            if v.kind == EXISTS:
+                ident, detail = v.rule, criteria.describe_rule(v.rule, m, n)
+            elif v.kind == NOT_EXISTS:
+                ident, detail = v.report.criterion, summarize_report(v.report)
             else:
-                assert first == len(v.attempts)
-    assert seen == {NOT_EXISTS, UNKNOWN}
+                ident, detail = "", f"{len(v.attempts)} criteria inconclusive"
+            want.append((m, n, v.kind, ident, detail))
+    assert {row[2] for row in want} == {EXISTS, NOT_EXISTS, UNKNOWN}
+    assert list(criteria.scan_rows(range(2, 120), range(1, 7))) == want
 
 
 def test_reports_revalidate():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gbflab.cyclotomic import (CycInt, _binomials, cyclotomic_poly,
-                               reduction_rows, zeta_pow)
+                               reduce_phi, reduction_rows, zeta_pow)
 from gbflab.numtheory import euler_phi
 
 
@@ -260,6 +260,25 @@ def test_canonical_matches_reduction_rows():
             want = np.array(coeffs, dtype=object) @ rows
             assert CycInt(m, coeffs).canonical().coeffs == \
                 tuple(want.tolist()) + (0,) * (m - phi), m
+
+
+def test_reduce_phi_is_the_remainder_sympy_gives():
+    # seeded elements at moduli of 1 to 5 distinct primes, coefficients
+    # past 2^63, against sympy's remainder modulo Phi_m; zero maps to the
+    # phi(m) zeros
+    sympy = pytest.importorskip("sympy")
+    ring, _ = sympy.polys.rings.ring("x", sympy.ZZ)
+    rng = random.Random(31)
+    for m in (7, 27, 45, 100, 105, 180, 210, 1155, 2310):
+        phi = euler_phi(m)
+        cyc = ring.from_dense(sympy.cyclotomic_poly(m, polys=True).all_coeffs())
+        assert reduce_phi(m, [0] * m) == (0,) * phi
+        for _ in range(2):
+            coeffs = [rng.randrange(-2 ** 70, 2 ** 70) for _ in range(m)]
+            want = (ring.from_dense(coeffs[::-1]) % cyc).to_dense()[::-1]
+            got = reduce_phi(m, coeffs)
+            assert len(got) == phi
+            assert got == tuple(int(c) for c in want) + (0,) * (phi - len(want))
 
 
 def test_reduction_rows_shape():
