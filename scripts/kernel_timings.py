@@ -16,7 +16,9 @@ The package is src/gbflab beside this script's directory.  The measures:
 - gbf scan --m 2..600 --n 1..4 through cli.main, its output dropped, each
   call with every cache of the package cleared first: the rules, the
   criteria and the small tables of the scan-grid bench workload; and
-  likewise gbf scan --m 2..600 --n 1..11, the grid the README times cold;
+  likewise gbf scan --m 2..600 --n 1..11, the grid the README times cold,
+  and gbf scan --m 2..600 --n 1..24, where C1's targets reach 2^24, in
+  fewer calls;
 - first_flat_violation, verify's report, of the seeded random {1000,11},
   {4000,13} and {30030,6} tables (numpy default_rng(0)): row 0 refuted
   from the histogram, then |W(0)|^2 over the table's distinct values,
@@ -51,6 +53,7 @@ LIGHT_GRID = tuple([(m, 1) for m in range(2, 41)]
                    + [(m, 3) for m in range(2, 6)])
 SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..4")
 WIDE_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..11")
+DEEP_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..24")
 REPORTS = ((1000, 11), (4000, 13), (30030, 6))
 
 
@@ -112,10 +115,12 @@ def main() -> int:
         lambda: enumerate_gbfs(GbfType(7, 3)), 20, cold=True), 20))
     rows.append((f"census light grid ({len(LIGHT_GRID)} types), cold",
                  _least_ms(_grid, 10), 10))
-    for argv in (SCAN_ARGV, WIDE_SCAN_ARGV):
+    for argv, repeats in ((SCAN_ARGV, 10), (WIDE_SCAN_ARGV, 10),
+                          (DEEP_SCAN_ARGV, 3)):
         _scan(argv)
         rows.append((" ".join(argv) + ", cold",
-                     _least_ms(lambda: _scan(argv), 10, cold=True), 10))
+                     _least_ms(lambda: _scan(argv), repeats, cold=True),
+                     repeats))
     for m, n in REPORTS:
         f = FunctionTable(GbfType(m, n), np.random.default_rng(0).integers(
             m, size=1 << n))

@@ -7,14 +7,17 @@ group of an imaginary quadratic field: reduced forms, composition, powers,
 orders, discrete logarithms and the exact class number.  Both orders, of 2
 from phi(mod) and of a form class from the class number, come from one
 routine, _order, which strips prime factors from a known multiple.
-Everything works over plain Python integers, without numpy: the
-semigroup's reachable sums are the bits of one int.
+Everything works over plain Python integers, without numpy; semigroup
+membership searches residue classes modulo the generators, so its cost
+does not grow with the target.
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from functools import lru_cache
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -63,8 +66,10 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     p is divided out, so a cofactor below p^2 is prime; only a cofactor
     left when division stops at the bound is certified by Miller-Rabin.
     Inputs whose cofactor is composite are out of the supported range and
-    rejected.
+    rejected.  m goes through operator.index, so a float raises TypeError
+    and a numpy integer gives Python ints.
     """
+    m = operator.index(m)
     if not 2 <= m <= 2**63 - 1:
         raise ValueError("m must satisfy 2 <= m <= 2**63 - 1")
     out = []
@@ -168,48 +173,43 @@ def jacobi(a: int, n: int) -> int:
 
 def semigroup_member(target: int, gens):
     """Nonnegative coefficients (n1, ..., ns) with sum(ni * pi) == target over
-    the given odd generators, or None when target is not representable.
+    the given odd generators p1 < ... < ps, or None when target is not
+    representable: the lexicographically largest representation.
 
-    The sums reachable in 0..target are the bits of one int.  Each generator
-    g closes them under +g by doubling shifts: after the shifts by g, 2g,
-    ..., g*2^J <= target, the set is closed under +k*g for every
-    k < 2^(J+1), which covers every k <= target/g.
-
-    The witness is the greedy walk back from target through the reachable
-    set, trying the smallest generator first.  Closure under each +g makes
-    that walk take each generator in turn, in ascending order, as often as
-    it can: i - k*g stays reachable up to some k and never after it.  So
-    each run is found by bisection, and the vector is the lexicographically
-    largest representation.
+    Its n1 is as large as it can be, so target - n1*p1 is the least sum x
+    <= target of p2..ps with x = target (mod p1), and n2..ns represent x
+    in turn.  Each such x comes from a Dijkstra search over the residues
+    modulo the generator whose coefficient it fixes, adding one larger
+    generator at a time and never passing target (Böcker and Lipták,
+    Algorithmica 48, 2007): the work is bounded by that generator's
+    classes and by the sums up to target, not by target itself.  No class is
+    assumed reachable, so generators need not be prime or coprime.  The
+    target and each generator go through operator.index: a float raises
+    TypeError, and a numpy integer gives Python ints.
     """
-    gens = tuple(sorted(set(int(g) for g in gens)))
+    gens = sorted({operator.index(g) for g in gens})
     if not gens or any(g < 3 or g % 2 == 0 for g in gens):
         raise ValueError("generators must be a nonempty set of odd integers >= 3")
+    target = operator.index(target)
     if target < 1:
         raise ValueError("target must be >= 1")
-    mask = (1 << (target + 1)) - 1
-    reach = 1
-    for g in gens:
-        step = g
-        while step <= target:
-            reach |= (reach << step) & mask
-            step <<= 1
-    if not reach >> target & 1:
-        return None
-    reach = reach.to_bytes(target // 8 + 1, "little")
     counts = []
-    i = target
-    for g in gens:
-        lo, hi = 0, i // g           # i - lo*g is reachable
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            j = i - mid * g
-            if reach[j >> 3] >> (j & 7) & 1:
-                lo = mid
-            else:
-                hi = mid - 1
-        counts.append(lo)
-        i -= lo * g
+    for i, p in enumerate(gens):
+        goal, least, heap = target % p, {0: 0}, [(0, 0)]
+        while heap:
+            x, r = heapq.heappop(heap)
+            if r == goal:
+                break
+            # a stale x > least[r] offers nothing: least[r] went first
+            for g in gens[i + 1:]:
+                y = x + g
+                if y <= target and y < least.get(s := y % p, y + 1):
+                    least[s] = y
+                    heapq.heappush(heap, (y, s))
+        else:
+            return None
+        counts.append((target - x) // p)
+        target = x
     return tuple(counts)
 
 

@@ -912,6 +912,15 @@ def test_parse_witness_reads_into_the_table_dtype():
     assert peak <= 1.05 * w.array.nbytes
 
 
+def test_scan_to_n24_is_unchanged(capsys):
+    # the stdout of scan --m 2..600 --n 1..24, recorded from the bitset
+    # semigroup test this search replaced: 14,376 cells, C1 rows to n = 24
+    code, out, _ = run(capsys, "scan", "--m", "2..600", "--n", "1..24")
+    assert code == 0 and len(out.splitlines()) == 14_377
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3df94fbe03321094f3218cfab8a8278c2ce22db16a53656e91bdf49b56af8f90"
+
+
 def test_scan_matches_bench_golden(capsys):
     # every C3-C5 summary the scan-grid workload prints: 23 C3, 8 C4 and
     # 23 C5 rows among its 2396 cells

@@ -77,6 +77,17 @@ def test_c1_examples():
     assert rep.fired and rep.quantities["semigroup"]["solution"] is None
 
 
+def test_c1_records_the_closed_form_at_n24():
+    # over {3, 5}: the largest multiple of 3 leaves x = 5*(t*5^-1 mod 3)
+    t = 1 << 24
+    x = 5 * (t * pow(5, -1, 3) % 3)
+    rep = crit_lam_leung(GbfType(15, 24))
+    assert not rep.fired
+    assert rep.quantities["semigroup"] == {
+        "target": t, "generators": [3, 5],
+        "solution": [(t - x) // 3, x // 5]}
+
+
 def test_c1_boundary_at_n7():
     rep = crit_lam_leung(GbfType(7 * 13, 7))
     assert not rep.fired
@@ -536,7 +547,7 @@ def test_report_from_dict_rejects_malformed(data):
 
 @pytest.mark.parametrize("n", [0, -1, MAX_N + 1])
 def test_revalidation_refuses_n_out_of_range_first(n, monkeypatch):
-    # refused before the semigroup sweep over 0..2^n would start
+    # refused before the semigroup search for the target 2^n would start
     rep = crit_lam_leung(GbfType(9, 3))
     rep.n = n
     rep.quantities["semigroup"]["target"] = 1 << max(n, 0)

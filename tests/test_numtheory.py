@@ -283,6 +283,62 @@ def test_semigroup_member_against_brute_force():
                 assert sum(c * g for c, g in zip(got, gens)) == target
 
 
+def test_semigroup_member_is_the_greedy_walk_at_wide_residue_searches():
+    # 2-4 distinct odd generators up to 5000, so the residue search runs
+    # over up to thousands of classes: primes, odd composites, and sets
+    # that share a factor, against the DP referee at targets up to 2^15
+    rng = random.Random(47)
+    limit = 1 << 15
+    outcomes = set()
+    for case in range(96):
+        k = rng.randrange(2, 5)
+        if case % 3 == 0:
+            gens = {nt.factorize(rng.randrange(3, 5000, 2))[-1][0]
+                    for _ in range(k)}
+        elif case % 3 == 1:
+            gens = {rng.randrange(3, 5000, 2) for _ in range(k)}
+        else:
+            common = rng.choice((3, 5, 7))
+            gens = {common * rng.randrange(1, 5000 // common, 2)
+                    for _ in range(k)}
+        gens = sorted(gens)
+        reach = _reach_table(limit, gens)
+        for target in [limit] + [rng.randrange(1, limit) for _ in range(4)]:
+            got = nt.semigroup_member(target, gens)
+            assert got == _greedy_walk(reach, target, gens), (target, gens)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_semigroup_member_closed_forms_past_any_bitset():
+    # over {3, 5} the largest multiple of 3 leaves the least x = 0 (mod 5)
+    # with x = t (mod 3); one generator never divides a power of 2
+    t = 2**200
+    x = 5 * (t * pow(5, -1, 3) % 3)
+    assert nt.semigroup_member(t, [3, 5]) == ((t - x) // 3, x // 5)
+    assert nt.semigroup_member(t, [7]) is None
+
+
+def test_semigroup_member_takes_integers_through_index():
+    import numpy as np
+    with pytest.raises(TypeError):
+        nt.semigroup_member(8, [3.5, 5.9])
+    got = nt.semigroup_member(np.int64(8), [3, 5])
+    assert got == (1, 1) and all(type(c) is int for c in got)
+    got = nt.semigroup_member(128, [np.int64(7), np.int32(13)])
+    assert got == (9, 5) and all(type(c) is int for c in got)
+
+
+def test_factorize_takes_integers_through_index():
+    import numpy as np
+    for _ in range(2):                         # the cache keeps no refusal
+        with pytest.raises(TypeError):
+            nt.factorize(12.0)
+    got = nt.factorize(np.int64(12))
+    assert got == ((2, 2), (3, 1))
+    assert all(type(x) is int for pair in got for x in pair)
+
+
 def test_solvers_examples():
     assert ref.solve_ax2_by2(1, 7, 8) == (1, 1)
     assert ref.solve_ax2_by2(1, 23, 32) == (3, 1)
