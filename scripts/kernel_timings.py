@@ -19,6 +19,11 @@ The package is src/gbflab beside this script's directory.  The measures:
   likewise gbf scan --m 2..600 --n 1..11, the grid the README times cold,
   and gbf scan --m 2..600 --n 1..24, where C1's targets reach 2^24, in
   fewer calls;
+- decide, verdict_to_dict and json.dumps of one seeded certificates-shaped
+  type per odd m0 < 10^4 (random.Random(0): m0 or 2*m0, odd n <= 11, so
+  no existence rule applies and C1-C5 with re-validation do the work),
+  4,999 types a call, warm and with every cache of the package cleared
+  before each call;
 - first_flat_violation, verify's report, of the seeded random {1000,11},
   {4000,13} and {30030,6} tables (numpy default_rng(0)): row 0 refuted
   from the histogram, then |W(0)|^2 over the table's distinct values,
@@ -33,6 +38,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -41,7 +48,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gbflab import cli, criteria, cyclotomic, gbf, numtheory, oracle  # noqa: E402
 from gbflab._lazy import np  # noqa: E402
-from gbflab.criteria import rule_exists  # noqa: E402
+from gbflab.cli import verdict_to_dict  # noqa: E402
+from gbflab.criteria import decide, rule_exists  # noqa: E402
 from gbflab.gbf import (FunctionTable, GbfType, direct_sum,  # noqa: E402
                         first_flat_violation, is_gbf, table)
 from gbflab.oracle import enumerate_gbfs  # noqa: E402
@@ -54,6 +62,9 @@ LIGHT_GRID = tuple([(m, 1) for m in range(2, 41)]
 SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..4")
 WIDE_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..11")
 DEEP_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..24")
+_RNG = random.Random(0)
+CERTIFICATE_TYPES = tuple((m0 * _RNG.choice((1, 2)), _RNG.randrange(1, 12, 2))
+                          for m0 in range(3, 10**4, 2))
 REPORTS = ((1000, 11), (4000, 13), (30030, 6))
 
 
@@ -97,6 +108,11 @@ def _scan(argv) -> None:
         assert cli.main(list(argv)) == 0
 
 
+def _certificates() -> None:
+    for m, n in CERTIFICATE_TYPES:
+        json.dumps(verdict_to_dict(m, n, decide(GbfType(m, n))))
+
+
 def main() -> int:
     rows = []
     for m, n in WITNESSES:
@@ -121,6 +137,10 @@ def main() -> int:
         rows.append((" ".join(argv) + ", cold",
                      _least_ms(lambda: _scan(argv), repeats, cold=True),
                      repeats))
+    label = f"decide certificates draw ({len(CERTIFICATE_TYPES)} types)"
+    _certificates()
+    rows.append((label + ", warm", _least_ms(_certificates, 5), 5))
+    rows.append((label + ", cold", _least_ms(_certificates, 3, cold=True), 3))
     for m, n in REPORTS:
         f = FunctionTable(GbfType(m, n), np.random.default_rng(0).integers(
             m, size=1 << n))

@@ -23,8 +23,14 @@ by m/c, which keeps it flat.  This module holds no table code.
 
 Nonexistence conclusions transfer downward to divisors (a flat table mod a
 divisor lifts to one mod the multiple), which is how criteria stated at
-{2*m0, n} cover odd inputs m0.  A criterion abstains rather than conclude
-whenever any internal sanity check fails, a witness equation included.
+{2*m0, n} cover odd inputs m0.  C2-C5 are stated on the odd part m0 through
+the classes modulo 8 of its primes, and each starts from one report head,
+_odd_part_report: the gate (odd n, m = m0 or 2*m0, m0 >= 3, and for C3-C5
+one prime of m0 in each class the criterion names) and the unfired report
+covering {m0, n} and {2*m0, n}; C3 alone narrows that to {2*m0, n}.  A
+criterion abstains rather than conclude whenever any internal sanity check
+fails, a witness equation included, and summarize_report reads every C3-C5
+report with no excluded range as "abstained".
 C3-C5 read every exponent r off the form class group of Q(sqrt(-d)),
 d = 7 (mod 8), where 2 splits into the prime forms P and its inverse: the
 least odd r is the order of [P] or half of it, C4's r2 is a discrete
@@ -199,25 +205,31 @@ def describe_rule(rule: str, m: int, n: int) -> str:
 
 # -- steps shared by the odd-part criteria C2-C5 -------------------------------
 #
-# Each step records its quantities in the report and returns the step's
-# value, or None after an abstain note, in which case the criterion must not
-# fire.
+# _odd_part_report gates C2-C5 and gives each its report head.  Each later
+# step records its quantities in that report and returns the step's value,
+# or None after an abstain note, in which case the criterion must not fire.
 
 
-def _odd_part_gate(t: GbfType, classes=None):
-    """(m0, prime powers of m0) when n is odd and m is its odd part m0 >= 3
-    or 2*m0, and m0 has, if ``classes`` is given, one prime p with p mod 8 in
-    each classes[i] and no other (the powers then in that order); else None."""
+def _odd_part_report(t: GbfType, criterion: str, classes=None):
+    """(report, prime powers of m0) when n is odd and m is its odd part
+    m0 >= 3 or 2*m0, and m0 has, if ``classes`` is given, one prime p with
+    p mod 8 in each classes[i] and no other (the powers then in that
+    order); else None.  The report is the criterion's unfired head: it
+    covers {m0, n} and {2*m0, n} and records m0 and its factorization."""
     m_odd = nt.odd_part(t.m)
     if t.n % 2 == 0 or t.m not in (m_odd, 2 * m_odd) or m_odd < 3:
         return None
-    factors = nt.factorize(m_odd)
-    if classes is None:
-        return m_odd, factors
-    by_class = [[fa for fa in factors if fa[0] % 8 in c] for c in classes]
-    if len(factors) != len(classes) or any(len(fs) != 1 for fs in by_class):
-        return None
-    return m_odd, [fs[0] for fs in by_class]
+    shape = factors = nt.factorize(m_odd)
+    if classes is not None:
+        if len(factors) != len(classes):
+            return None
+        by_class = [[fa for fa in factors if fa[0] % 8 in c] for c in classes]
+        if any(len(fs) != 1 for fs in by_class):
+            return None
+        shape = [fs[0] for fs in by_class]
+    return CriterionReport(criterion=criterion, m=t.m, n=t.n, fired=False,
+                           covers=[[m_odd, t.n], [2 * m_odd, t.n]],
+                           quantities=_base_quantities(m_odd, factors)), shape
 
 
 def _two_prime_report(t: GbfType, criterion: str, classes):
@@ -225,20 +237,16 @@ def _two_prime_report(t: GbfType, criterion: str, classes):
     and the g/s step recorded; (None, None) when t is off shape.  Orders are
     taken modulo the full prime powers, and g = phi(m0)/lcm(f1, f2), which
     is g1*g2*gcd(f1, f2)."""
-    gate = _odd_part_gate(t, classes)
-    if gate is None:
+    head = _odd_part_report(t, criterion, classes)
+    if head is None:
         return None, None
-    m_odd, shape = gate
-    (p1, a1), (p2, a2) = shape
+    rep, ((p1, a1), (p2, a2)) = head
     mod1, mod2 = p1 ** a1, p2 ** a2
     f1, f2 = nt.mult_order_2(mod1), nt.mult_order_2(mod2)
-    rep = CriterionReport(criterion=criterion, m=t.m, n=t.n, fired=False,
-                          covers=[[m_odd, t.n], [2 * m_odd, t.n]],
-                          quantities=_base_quantities(m_odd, sorted(shape)))
     rep.quantities.update(
         p1=p1, a1=a1, p2=p2, a2=a2, order_moduli=[mod1, mod2], f1=f1, f2=f2,
         g1=nt.euler_phi(mod1) // f1, g2=nt.euler_phi(mod2) // f2)
-    return rep, _split_g(rep, nt.euler_phi(m_odd) // lcm(f1, f2))
+    return rep, _split_g(rep, nt.euler_phi(mod1 * mod2) // lcm(f1, f2))
 
 
 def _split_g(rep: CriterionReport, g: int):
@@ -369,7 +377,8 @@ def _range_text(excluded: dict) -> str:
 # -- nonexistence criteria ----------------------------------------------------
 #
 # Each criterion is two functions side by side: crit_* evaluates it and
-# _summary_* states its report in one line.
+# _summary_* states its report in one line; summarize_report answers for a
+# C3-C5 report with no excluded range before any _summary_* runs.
 
 
 def crit_lam_leung(t: GbfType):
@@ -408,27 +417,21 @@ def crit_semiprimitive(t: GbfType):
     """C2: fires when some power of 2 is -1 modulo the odd part m0 >= 3,
     excluding every odd n for both {m0, n} and {2*m0, n}.  The report carries
     the per-prime order table behind the equivalent same-valuation test."""
-    gate = _odd_part_gate(t)
-    if gate is None:
+    head = _odd_part_report(t, C2)
+    if head is None:
         return None
-    m_odd, factors = gate
-    prime_table = [[p, d, nt.v2(d)]
-                   for p, _ in factors for d in [nt.mult_order_2(p)]]
-    l = nt.semiprimitive(m_odd)
-    fired = l is not None
-    quantities = {**_base_quantities(m_odd, factors),
-                  "prime_table": prime_table,
-                  "l": l}
-    if fired:
-        shared = prime_table[0][2]
-        quantities.update(order_modulus=m_odd, order=2 * l,
-                          shared_valuation=shared,
-                          case={1: "I", 2: "II"}.get(shared, "III"))
-    return CriterionReport(
-        criterion=C2, m=t.m, n=t.n, fired=fired,
-        covers=[[m_odd, t.n], [2 * m_odd, t.n]],
-        quantities=quantities,
-        excluded=dict(_ALL_ODD) if fired else None)
+    rep, factors = head
+    q = rep.quantities
+    q["prime_table"] = [[p, d, nt.v2(d)]
+                        for p, _ in factors for d in [nt.mult_order_2(p)]]
+    q["l"] = l = nt.semiprimitive(q["m_odd"])
+    if l is not None:
+        shared = q["prime_table"][0][2]
+        q.update(order_modulus=q["m_odd"], order=2 * l,
+                 shared_valuation=shared,
+                 case={1: "I", 2: "II"}.get(shared, "III"))
+        rep.fired, rep.excluded = True, dict(_ALL_ODD)
+    return rep
 
 
 def _summary_semiprimitive(rep: CriterionReport) -> str:
@@ -445,26 +448,19 @@ def crit_p7(t: GbfType):
     x^2 + p*y^2 = 2^(r+2) solvable (bounded by the class number of
     Q(sqrt(-p))), every odd n < r/s is excluded for {2*p^l, n}, hence for
     the divisor {p^l, n}."""
-    m, n = t.m, t.n
-    gate = _odd_part_gate(t, ((7,),))
-    if gate is None:
+    head = _odd_part_report(t, C3, ((7,),))
+    if head is None:
         return None
-    m_odd, factors = gate
-    p, l = factors[0]
-    rep = CriterionReport(criterion=C3, m=m, n=n, fired=False,
-                          covers=[[2 * m_odd, n]],
-                          propagated=(m == m_odd),
-                          quantities=_base_quantities(m_odd, factors))
-    if m == m_odd:
+    rep, [(p, l)] = head
+    q = rep.quantities
+    m_odd, n = q["m_odd"], t.n
+    rep.covers, rep.propagated = [[2 * m_odd, n]], t.m == m_odd
+    if rep.propagated:
         rep.notes.append(
             f"{DIV}: statement at {{{2 * m_odd},{n}}} transfers to the "
-            f"divisor type {{{m},{n}}}")
-    q = rep.quantities
-    q["p"] = p
-    q["exponent"] = l
+            f"divisor type {{{m_odd},{n}}}")
     f = nt.mult_order_2(m_odd)
-    q["f"] = f
-    q["order_modulus"] = m_odd
+    q.update(p=p, exponent=l, f=f, order_modulus=m_odd)
     phi = nt.euler_phi(m_odd)
     if f % 2 == 0 or phi % f:
         rep.notes.append(f"abstain: order f={f} fails the parity/divisibility "
@@ -477,8 +473,6 @@ def crit_p7(t: GbfType):
 
 def _summary_p7(rep: CriterionReport) -> str:
     q = rep.quantities
-    if rep.excluded is None:
-        return "abstained"
     return f"p={q['p']}, s={q['s']}, r={q['r']}; " + _range_text(rep.excluded)
 
 
@@ -525,8 +519,6 @@ def crit_p7_x_p35(t: GbfType):
 
 def _summary_p7_x_p35(rep: CriterionReport) -> str:
     q = rep.quantities
-    if rep.excluded is None:
-        return "abstained"
     return (f"branch {q['branch']}, s={q['s']}, r1={q['r1']}, "
             f"r2={'inf' if q['r2'] is None else q['r2']}; "
             + _range_text(rep.excluded))
@@ -559,8 +551,6 @@ def crit_p3_x_p5(t: GbfType):
 
 def _summary_p3_x_p5(rep: CriterionReport) -> str:
     q = rep.quantities
-    if rep.excluded is None:
-        return "abstained"
     head = (f"branch I: ({q['p2']}/{q['p1']}) = 1" if q["branch"] == "I"
             else f"branch II, s={q['s']}, r={q['r']}")
     return f"{head}; " + _range_text(rep.excluded)
@@ -704,7 +694,11 @@ def scan_rows(m_span, n_span):
 
 
 def summarize_report(rep: CriterionReport) -> str:
-    """One-line human summary of why a criterion fired (or did not); like an
-    abstain, a C3-C5 report with ``excluded`` stripped reads "abstained"."""
+    """One-line human summary of why a criterion fired (or did not).  A
+    C3-C5 report with no excluded range, an abstain or a report stripped of
+    its range, reads "abstained"; any other report goes to its criterion's
+    _summary_*, and one of an unknown criterion reads ""."""
+    if rep.excluded is None and rep.criterion in (C3, C4, C5):
+        return "abstained"
     parts = _REPORT_PARTS.get(rep.criterion)
     return parts[1](rep) if parts else ""

@@ -10,6 +10,10 @@ routine, _order, which strips prime factors from a known multiple.
 Everything works over plain Python integers, without numpy; semigroup
 membership searches residue classes modulo the generators, so its cost
 does not grow with the target.
+Every function ahead of the binary quadratic forms takes its integers
+through operator.index: a float raises TypeError, and a numpy integer
+gives the Python-int result.  Every cache is typed, so an entry that a
+numpy integer made is never served to a float that compares equal to it.
 All functions are pure and safe for concurrent use.
 """
 
@@ -33,6 +37,7 @@ def is_probable_prime(n: int) -> bool:
     the first twelve primes, bases 2, 7 and 61 below 4,759,123,141, those
     twelve primes as bases above.  A base that n divides is skipped: it
     would call n = 61 composite."""
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -58,7 +63,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization as ((p1, a1), ...) with ascending primes.
 
@@ -66,8 +71,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     p is divided out, so a cofactor below p^2 is prime; only a cofactor
     left when division stops at the bound is certified by Miller-Rabin.
     Inputs whose cofactor is composite are out of the supported range and
-    rejected.  m goes through operator.index, so a float raises TypeError
-    and a numpy integer gives Python ints.
+    rejected.
     """
     m = operator.index(m)
     if not 2 <= m <= 2**63 - 1:
@@ -93,7 +97,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
 
 def euler_phi(m: int) -> int:
-    if m == 1:
+    if operator.index(m) == 1:
         return 1
     phi = 1
     for p, a in factorize(m):
@@ -102,6 +106,7 @@ def euler_phi(m: int) -> int:
 
 
 def odd_part(m: int) -> int:
+    m = operator.index(m)
     return m >> v2(m)
 
 
@@ -118,10 +123,11 @@ def _order(is_one, e: int) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mult_order_2(mod: int) -> int:
     """Least f >= 1 with 2^f = 1 (mod mod), for odd mod >= 3: the _order
     of 2 in the units modulo mod, from the multiple phi(mod)."""
+    mod = operator.index(mod)
     if mod < 3 or mod % 2 == 0:
         raise ValueError("modulus must be odd and >= 3")
     return _order(lambda e: pow(2, e, mod) == 1, euler_phi(mod))
@@ -129,6 +135,7 @@ def mult_order_2(mod: int) -> int:
 
 def v2(d: int) -> int:
     """2-adic valuation: the largest r with 2^r dividing d (d >= 1)."""
+    d = operator.index(d)
     if d < 1:
         raise ValueError("d must be >= 1")
     return (d & -d).bit_length() - 1
@@ -142,6 +149,7 @@ def semiprimitive(m_odd: int):
     valuations of the orders of 2 modulo the prime divisors all equal the
     same r >= 1; the tests sweep that equivalence.)
     """
+    m_odd = operator.index(m_odd)
     if m_odd < 1 or m_odd % 2 == 0:
         raise ValueError("m_odd must be odd and >= 1")
     if m_odd == 1:
@@ -155,6 +163,7 @@ def semiprimitive(m_odd: int):
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n >= 1; the Legendre symbol when n is an
     odd prime.  Negative a is reduced mod n first."""
+    a, n = operator.index(a), operator.index(n)
     if n < 1 or n % 2 == 0:
         raise ValueError("n must be odd and >= 1")
     a %= n
@@ -183,9 +192,7 @@ def semigroup_member(target: int, gens):
     generator at a time and never passing target (Böcker and Lipták,
     Algorithmica 48, 2007): the work is bounded by that generator's
     classes and by the sums up to target, not by target itself.  No class is
-    assumed reachable, so generators need not be prime or coprime.  The
-    target and each generator go through operator.index: a float raises
-    TypeError, and a numpy integer gives Python ints.
+    assumed reachable, so generators need not be prime or coprime.
     """
     gens = sorted({operator.index(g) for g in gens})
     if not gens or any(g < 3 or g % 2 == 0 for g in gens):
@@ -280,6 +287,7 @@ def sqrt_mod(a: int, p: int, k: int = 1) -> list[int]:
     modulo 8 when p = 2) and Hensel lifting; when p^v, v < k, is the exact
     power of p in a, v must be even and the roots are p^(v/2) times the
     roots of a/p^v modulo p^(k-v), taken modulo p^(k-v/2)."""
+    a, p, k = operator.index(a), operator.index(p), operator.index(k)
     if k < 1:
         raise ValueError("k must be >= 1")
     mod = p ** k
@@ -328,10 +336,11 @@ def cornacchia(d: int, factors) -> list[tuple[int, int]]:
     t >= M/2 runs.  For d = 1 the unit i maps (x, y) to (y, x), which
     shares its t, so both are returned.
     """
-    return list(_cornacchia(d, tuple(factors)))
+    return list(_cornacchia(operator.index(d), tuple(
+        (operator.index(p), operator.index(k)) for p, k in factors)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _cornacchia(d: int, factors) -> tuple[tuple[int, int], ...]:
     M = 1
     for p, k in factors:
@@ -401,7 +410,7 @@ def compose_forms(f, g) -> tuple[int, int, int]:
     return reduce_form(a3, b3, (b3 * b3 - disc) // (4 * a3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def form_pow(f, e: int) -> tuple[int, int, int]:
     """The reduced form of the class of f to the power e >= 0."""
     a, b, c = f
@@ -415,7 +424,7 @@ def form_pow(f, e: int) -> tuple[int, int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def form_order(f, h: int) -> int:
     """The order of the class of the reduced form f, given a multiple h >= 1
     of it such as the class number: the _order of f from h.  ValueError
@@ -428,7 +437,7 @@ def form_order(f, h: int) -> int:
     return _order(lambda e: form_pow(f, e) == one, h)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def form_log(g, f, order: int):
     """The least k >= 0 with f^k = g, for a class f of the given order, or
     None when g is not a power of f: baby-step giant-step, O(sqrt(order))
@@ -459,7 +468,7 @@ def _smallest_prime_factors(n: int) -> list[int]:
     return spf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def class_number(d: int) -> int:
     """Class number of the imaginary quadratic field Q(sqrt(-d)) for
     squarefree d >= 1.
@@ -474,6 +483,7 @@ def class_number(d: int) -> int:
     smallest prime factor of o from a sieve.  The count is exact and
     unconditional, in about sqrt(|D|) steps.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError("d must be >= 1")
     if d > 1 and any(e > 1 for _, e in factorize(d)):

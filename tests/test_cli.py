@@ -734,10 +734,11 @@ def _json_digests(m):
 
 
 def test_decide_json_matches_certificates_golden():
-    # every 23rd m keeps this near a second and a half
+    # every key: all 55140 certificates, byte for byte, in about 5 s
     with gzip.open(CERTIFICATES_GOLDEN) as fh:
         golden = json.load(fh)
-    for key in sorted(golden, key=int)[::23]:
+    assert len(golden) == 9190
+    for key in sorted(golden, key=int):
         assert _json_digests(int(key)) == golden[key], key
 
 

@@ -201,6 +201,38 @@ def _recorded_r(q, key="r"):
     return (q[key], *q[key + "_witness"]) if key in q else None
 
 
+def test_odd_part_criteria_apply_on_a_partition_of_the_classes():
+    # m in {m0, 2*m0} for seeded odd m0 < 10^4 and every n <= 11: C2 applies
+    # at every odd n, and C3-C5 by the classes modulo 8 of m0's primes, at
+    # most one of them; C3 alone states {2*m0, n}, propagated to m = m0
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(48)
+    for m0 in [1, 3, 7, 15, 21, 35, 49] + rng.sample(range(3, 10**4, 2), 300):
+        classes = sorted(p % 8 for p in sympy.factorint(m0))
+        shape = {C3: len(classes) == 1 and classes[0] == 7,
+                 C4: len(classes) == 2 and classes[1] == 7
+                 and classes[0] in (3, 5),
+                 C5: classes == [3, 5]}
+        assert sum(shape.values()) <= 1
+        for m in (m0, 2 * m0) if m0 > 1 else (2,):
+            for n in range(1, 12):
+                t = GbfType(m, n)
+                c2 = crit_semiprimitive(t)
+                assert (c2 is not None) == (n % 2 == 1 and m0 > 1)
+                for criterion, crit in ((C3, crit_p7), (C4, crit_p7_x_p35),
+                                        (C5, crit_p3_x_p5)):
+                    rep = crit(t)
+                    assert (rep is not None) == (n % 2 == 1
+                                                 and shape[criterion])
+                    if rep is not None:
+                        assert (rep.covers, rep.propagated) == (
+                            ([[2 * m0, n]], m == m0) if criterion == C3
+                            else ([[m0, n], [2 * m0, n]], False))
+                if c2 is not None:
+                    assert c2.covers == [[m0, n], [2 * m0, n]]
+                    assert not c2.propagated
+
+
 def test_c3_r_matches_exponent_referee():
     # every p = 7 (mod 8) below 3000 with h <= 60: the scanner up to h = 45
     # (its cost doubles every two steps of r), odd exponents by Cornacchia

@@ -339,6 +339,38 @@ def test_factorize_takes_integers_through_index():
     assert all(type(x) is int for pair in got for x in pair)
 
 
+def _cast(value, kind):
+    if isinstance(value, (tuple, list)):
+        return type(value)(_cast(v, kind) for v in value)
+    return kind(value)
+
+
+def _leaves(value):
+    if isinstance(value, (tuple, list)):
+        return [leaf for v in value for leaf in _leaves(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("name,args", [
+    ("factorize", (12,)), ("euler_phi", (12,)), ("odd_part", (12,)),
+    ("v2", (12,)), ("mult_order_2", (7,)), ("semiprimitive", (5,)),
+    ("jacobi", (2, 7)), ("semigroup_member", (8, (3, 5))),
+    ("sqrt_mod", (2, 7)), ("cornacchia", (7, ((2, 5),))),
+    ("is_probable_prime", (97,)), ("class_number", (71,))])
+def test_integers_go_through_index(name, args):
+    # a numpy integer gives the Python-int result, with Python types; a
+    # float raises TypeError, also straight after the numpy call has filled
+    # a cache entry that compares equal to it
+    import numpy as np
+    fn = getattr(nt, name)
+    want = fn(*args)
+    got = fn(*_cast(args, np.int64))
+    assert got == want
+    assert [type(x) for x in _leaves(got)] == [type(x) for x in _leaves(want)]
+    with pytest.raises(TypeError):
+        fn(*_cast(args, float))
+
+
 def test_solvers_examples():
     assert ref.solve_ax2_by2(1, 7, 8) == (1, 1)
     assert ref.solve_ax2_by2(1, 23, 32) == (3, 1)

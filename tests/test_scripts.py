@@ -160,6 +160,8 @@ def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
                         ("scan", "--m", "2..9", "--n", "1..5"))
     monkeypatch.setattr(kernel_timings, "DEEP_SCAN_ARGV",
                         ("scan", "--m", "2..9", "--n", "1..7"))
+    monkeypatch.setattr(kernel_timings, "CERTIFICATE_TYPES",
+                        ((21, 3), (94, 3)))
     monkeypatch.setattr(kernel_timings, "REPORTS", ((100, 5),))
     assert kernel_timings.main() == 0
     lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
@@ -168,7 +170,10 @@ def test_kernel_timings_prints_one_line_per_measure(monkeypatch, capsys):
         "is_gbf content-6 sum {6,4}", "is_gbf content-6 sum {6,6}",
         "census {7,3}, cold", "census light grid (2 types), cold",
         "scan --m 2..9 --n 1..3, cold", "scan --m 2..9 --n 1..5, cold",
-        "scan --m 2..9 --n 1..7, cold", "report random {100,5}"]
+        "scan --m 2..9 --n 1..7, cold",
+        "decide certificates draw (2 types), warm",
+        "decide certificates draw (2 types), cold", "report random {100,5}"]
     for _, ms, calls in lines:
         assert ms.endswith(" ms") and float(ms[:-3]) > 0
-        assert calls in ("least of 20", "least of 10", "least of 3")
+        assert calls in ("least of 20", "least of 10", "least of 5",
+                         "least of 3")
