@@ -24,6 +24,11 @@ The package is src/gbflab beside this script's directory.  The measures:
   no existence rule applies and C1-C5 with re-validation do the work),
   4,999 types a call, warm and with every cache of the package cleared
   before each call;
+- the class-group layer: sqrt_mod of -100000000063 modulo 2^145983, the
+  2-adic root behind C3's witness at {200000000126,1}, which no cache
+  holds; and decide of {2000000014,1}, C3 with its class number and
+  Cornacchia's witness, each call with every cache of the package cleared
+  first;
 - first_flat_violation, verify's report, of the seeded random {1000,11},
   {4000,13} and {30030,6} tables (numpy default_rng(0)): row 0 refuted
   from the histogram, then |W(0)|^2 over the table's distinct values,
@@ -65,6 +70,8 @@ DEEP_SCAN_ARGV = ("scan", "--m", "2..600", "--n", "1..24")
 _RNG = random.Random(0)
 CERTIFICATE_TYPES = tuple((m0 * _RNG.choice((1, 2)), _RNG.randrange(1, 12, 2))
                           for m0 in range(3, 10**4, 2))
+ROOT_ARGS = (-100000000063, 2, 145983)
+CLASS_GROUP_TYPE = (2000000014, 1)
 REPORTS = ((1000, 11), (4000, 13), (30030, 6))
 
 
@@ -141,6 +148,13 @@ def main() -> int:
     _certificates()
     rows.append((label + ", warm", _least_ms(_certificates, 5), 5))
     rows.append((label + ", cold", _least_ms(_certificates, 3, cold=True), 3))
+    a, p, k = ROOT_ARGS
+    assert len(numtheory.sqrt_mod(a, p, k)) == 4
+    rows.append((f"sqrt_mod {a} modulo {p}^{k}", _least_ms(
+        lambda: numtheory.sqrt_mod(a, p, k), 3), 3))
+    t = GbfType(*CLASS_GROUP_TYPE)
+    rows.append((f"decide {{{t.m},{t.n}}}, cold", _least_ms(
+        lambda: decide(t), 3, cold=True), 3))
     for m, n in REPORTS:
         f = FunctionTable(GbfType(m, n), np.random.default_rng(0).integers(
             m, size=1 << n))

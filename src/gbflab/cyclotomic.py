@@ -122,12 +122,13 @@ class CycInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        m = self.modulus
+        m = operator.index(self.modulus)
         if m < 1:
             raise ValueError("modulus must be >= 1")
         cs = tuple(map(operator.index, self.coeffs))
         if len(cs) != m:
             raise ValueError(f"need exactly {m} coefficients, got {len(cs)}")
+        object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "coeffs", cs)
 
     # -- construction helpers ------------------------------------------------

@@ -7,12 +7,16 @@ group of an imaginary quadratic field: reduced forms, composition, powers,
 orders, discrete logarithms and the exact class number.  Both orders, of 2
 from phi(mod) and of a form class from the class number, come from one
 routine, _order, which strips prime factors from a known multiple.
+Every square root of a unit modulo a prime power comes from one rule,
+Newton's iteration on the inverse square root, y -> y*(3 - u*y^2)/2: it
+takes multiplications alone, with no inverse inside its loop.
 Everything works over plain Python integers, without numpy; semigroup
 membership searches residue classes modulo the generators, so its cost
 does not grow with the target.
-Every function ahead of the binary quadratic forms takes its integers
-through operator.index: a float raises TypeError, and a numpy integer
-gives the Python-int result.  Every cache is typed, so an entry that a
+Every function ahead of the binary quadratic forms, and the forms' powers,
+orders and logarithms inside their caches, take their integers through
+operator.index: a float raises TypeError, and a numpy integer gives the
+Python-int result.  Every cache is typed, so an entry that a
 numpy integer made is never served to a float that compares equal to it.
 All functions are pure and safe for concurrent use.
 """
@@ -256,35 +260,39 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _unit_sqrt_mod(u: int, p: int, k: int) -> list[int]:
-    """Every root of x^2 = u (mod p^k) for u prime to p, ascending.  Newton
-    steps double the precision: from x^2 = u (mod p^j), x - (x^2 - u)/(2x)
-    is a root modulo p^(2j), or modulo 2^(2j-2) when p = 2."""
+    """Every root of x^2 = u (mod p^k) for u prime to p, ascending.
+
+    One rule: Newton's iteration on the inverse square root,
+    y -> y*(3 - u*y^2)/2, keeps u*y^2 = 1 and doubles its precision, from
+    j to 2j digits modulo an odd p and from j to 2j - 2 bits at p = 2, by
+    multiplications alone; then x = u*y.  At 2 it starts from y = 1 modulo
+    8, at an odd p from the inverse of the Tonelli-Shanks root modulo p."""
     mod = p ** k
     if p == 2:
-        if k <= 2:
-            return [x for x in range(1, mod, 2) if (x * x - u) % mod == 0]
-        if u % 8 != 1:
+        if u % min(mod, 8) != 1:
             return []
-        x, j = 1, 3
+        y, j = 1, 3
         while j < k:
             j = min(2 * j - 2, k)
-            x = (x - (x * x - u) // 2 * pow(x, -1, 1 << j)) % (1 << j)
-        half = mod >> 1
+            y = y * ((3 - (u * y * y & (2 << j) - 1)) >> 1) & (1 << j) - 1
+        # x + 2^(k-1) squares to u (mod 2^k) only when 2k - 2 >= k
+        x, half = u * y % mod, mod >> 1 if k > 1 else 0
         return sorted({x, mod - x, (x + half) % mod, (half - x) % mod})
     if pow(u, (p - 1) // 2, p) != 1:               # Euler's criterion
         return []
-    x, j = _sqrt_mod_prime(u % p, p), 1
+    y, j = pow(_sqrt_mod_prime(u % p, p), -1, p), 1
     while j < k:
         j = min(2 * j, k)
         pj = p ** j
-        x = (x - (x * x - u) * pow(2 * x, -1, pj)) % pj
+        y = y * (3 - u * y * y % pj) * (pj + 1 >> 1) % pj   # (pj+1)/2 = 1/2
+    x = u * y % mod
     return sorted({x, mod - x})
 
 
 def sqrt_mod(a: int, p: int, k: int = 1) -> list[int]:
     """Every root x in [0, p^k) of x^2 = a (mod p^k), ascending, for a prime
-    p and k >= 1.  Roots of a unit come from Tonelli-Shanks (or the residues
-    modulo 8 when p = 2) and Hensel lifting; when p^v, v < k, is the exact
+    p and k >= 1.  Roots of a unit come from Newton's iteration on the
+    inverse square root (_unit_sqrt_mod); when p^v, v < k, is the exact
     power of p in a, v must be even and the roots are p^(v/2) times the
     roots of a/p^v modulo p^(k-v), taken modulo p^(k-v/2)."""
     a, p, k = operator.index(a), operator.index(p), operator.index(k)
@@ -314,16 +322,6 @@ def _crt_join(roots, mod: int, local, pk: int) -> list[int]:
     return [r + mod * ((s - r) * inv % pk) for r in roots for s in local]
 
 
-def _sqrt_mod_factored(a: int, factors):
-    """Every root of x^2 = a modulo M = prod(p^k) over ``factors``, joined
-    by the Chinese remainder theorem (unsorted)."""
-    roots, mod = [0], 1
-    for p, k in factors:
-        roots = _crt_join(roots, mod, sqrt_mod(a, p, k), p ** k)
-        mod *= p ** k
-    return roots
-
-
 def cornacchia(d: int, factors) -> list[tuple[int, int]]:
     """Every primitive solution (x, y), x, y >= 0, of x^2 + d*y^2 = M for
     d >= 1, where ``factors`` is the prime factorization ((p, k), ...) of
@@ -342,14 +340,15 @@ def cornacchia(d: int, factors) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None, typed=True)
 def _cornacchia(d: int, factors) -> tuple[tuple[int, int], ...]:
-    M = 1
+    roots, M = [0], 1
     for p, k in factors:
+        roots = _crt_join(roots, M, sqrt_mod(-d, p, k), p ** k)
         M *= p ** k
     if d < 1 or M < 2:
         raise ValueError("need d >= 1 and M >= 2")
     bound = math.isqrt(M)
     out = set()
-    for t in _sqrt_mod_factored(-d, factors):
+    for t in roots:
         if 0 < t < M - t:
             continue
         a, b = M, t
@@ -413,7 +412,8 @@ def compose_forms(f, g) -> tuple[int, int, int]:
 @lru_cache(maxsize=None, typed=True)
 def form_pow(f, e: int) -> tuple[int, int, int]:
     """The reduced form of the class of f to the power e >= 0."""
-    a, b, c = f
+    a, b, c = f = tuple(map(operator.index, f))
+    e = operator.index(e)
     out = principal_form(b * b - 4 * a * c)
     while e:
         if e & 1:
@@ -430,7 +430,8 @@ def form_order(f, h: int) -> int:
     of it such as the class number: the _order of f from h.  ValueError
     when f^h is not the identity, that is when the order does not divide
     h."""
-    a, b, c = f
+    a, b, c = f = tuple(map(operator.index, f))
+    h = operator.index(h)
     one = principal_form(b * b - 4 * a * c)
     if form_pow(f, h) != one:
         raise ValueError(f"the class of {f} has no order dividing {h}")
@@ -442,8 +443,9 @@ def form_log(g, f, order: int):
     """The least k >= 0 with f^k = g, for a class f of the given order, or
     None when g is not a power of f: baby-step giant-step, O(sqrt(order))
     compositions."""
+    g, order = tuple(map(operator.index, g)), operator.index(order)
+    a, b, c = f = tuple(map(operator.index, f))
     step = math.isqrt(order - 1) + 1           # step^2 >= order
-    a, b, c = f
     x = principal_form(b * b - 4 * a * c)
     baby = {}
     for j in range(step):

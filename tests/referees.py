@@ -3,10 +3,12 @@ closed formulas for the Exists rules' base tables.
 
 Most are the package's earlier algorithms, kept to check the fast ones at
 small sizes: a scanner for a*x^2 + b*y^2 = N, a search over exponents on
-top of it, and a class number that visits every (a, b) with
-|b| <= a <= sqrt(|D|/3).  The C3-C5 section checks that the exponents
-are least at any class number: it tries every exponent in turn with
-Cornacchia's algorithm and uses nothing of the class group.  The last
+top of it, a class number that visits every (a, b) with
+|b| <= a <= sqrt(|D|/3), and the Hensel lift of a unit's square roots
+modulo a prime power that inverts at each Newton step.  The C3-C5
+section checks that the exponents are least at any class number: it
+tries every exponent in turn with Cornacchia's algorithm and uses nothing
+of the class group.  The last
 section builds each rule's base from index bits, with no direct sum, and
 draws seeded random product constructions, builds tables whose Walsh
 coordinates wrap mod 2^16 into a flat-looking row, and states the dtype a
@@ -106,6 +108,33 @@ def c4_r2_scan(p1: int, p2: int, r1: int):
             return e, [x, y], even
         even.append([e, x, y])
     return None, None, even
+
+
+def unit_sqrt_mod_hensel(u: int, p: int, k: int) -> list[int]:
+    """Every root of x^2 = u (mod p^k) for u prime to p, ascending: the
+    residues modulo 2^k when k <= 2, else Newton steps on x itself, from
+    x^2 = u (mod p^j) to x - (x^2 - u)/(2x) modulo p^(2j), or modulo
+    2^(2j-2) when p = 2, each with an inverse modulo the new power."""
+    mod = p ** k
+    if p == 2:
+        if k <= 2:
+            return [x for x in range(1, mod, 2) if (x * x - u) % mod == 0]
+        if u % 8 != 1:
+            return []
+        x, j = 1, 3
+        while j < k:
+            j = min(2 * j - 2, k)
+            x = (x - (x * x - u) // 2 * pow(x, -1, 1 << j)) % (1 << j)
+        half = mod >> 1
+        return sorted({x, mod - x, (x + half) % mod, (half - x) % mod})
+    if pow(u, (p - 1) // 2, p) != 1:
+        return []
+    x, j = nt._sqrt_mod_prime(u % p, p), 1
+    while j < k:
+        j = min(2 * j, k)
+        pj = p ** j
+        x = (x - (x * x - u) * pow(2 * x, -1, pj)) % pj
+    return sorted({x, mod - x})
 
 
 # -- C3-C5 exponents by Cornacchia at every exponent ---------------------------

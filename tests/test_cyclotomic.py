@@ -157,6 +157,11 @@ def test_foreign_operands_and_bad_shapes_are_refused():
         CycInt(0, ())
     with pytest.raises(ValueError, match="need exactly 3 coefficients"):
         CycInt(3, (1, 2))
+    with pytest.raises(TypeError):
+        CycInt(5.0, (1, 0, 0, 0, 0))
+    a = CycInt(np.int64(5), (1, 0, 0, 0, 0))
+    assert type(a.modulus) is int
+    assert a.canonical() == CycInt(5, (1, 0, 0, 0, 0))
 
 
 def test_product_hand_convolution():

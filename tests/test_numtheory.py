@@ -356,7 +356,9 @@ def _leaves(value):
     ("v2", (12,)), ("mult_order_2", (7,)), ("semiprimitive", (5,)),
     ("jacobi", (2, 7)), ("semigroup_member", (8, (3, 5))),
     ("sqrt_mod", (2, 7)), ("cornacchia", (7, ((2, 5),))),
-    ("is_probable_prime", (97,)), ("class_number", (71,))])
+    ("is_probable_prime", (97,)), ("class_number", (71,)),
+    ("form_pow", ((2, 1, 4), 5)), ("form_order", ((2, 1, 4), 3)),
+    ("form_log", ((2, -1, 4), (2, 1, 4), 3))])
 def test_integers_go_through_index(name, args):
     # a numpy integer gives the Python-int result, with Python types; a
     # float raises TypeError, also straight after the numpy call has filled
@@ -495,6 +497,46 @@ def test_sqrt_mod_matches_sympy():
         a = rng.randrange(p ** k)
         want = sorted(ntheory.sqrt_mod(a, p ** k, all_roots=True) or [])
         assert nt.sqrt_mod(a, p, k) == want, (a, p, k)
+
+
+def _units_and_squares(rng, p, k, count):
+    # random units modulo p^k, every other one a square so that roots exist
+    mod = p ** k
+    for i in range(count):
+        x = rng.randrange(1, mod, 2) if p == 2 else rng.randrange(1, mod)
+        if x % p:
+            yield x * x % mod if i % 2 else x
+
+
+def test_unit_sqrt_mod_matches_the_hensel_referee():
+    # Newton on the inverse square root against the lift that inverts at
+    # each step, at p = 2 up to 30,000 bits and at odd primes up to k = 40
+    rng = random.Random(11)
+    cases = [(2, k, 12) for k in range(1, 65)]
+    cases += [(2, k, 2) for k in (1000, 4097, 30000)]
+    cases += [(p, k, 6) for p in (3, 5, 7, 31, 10007) for k in range(1, 41)]
+    for p, k, count in cases:
+        for u in _units_and_squares(rng, p, k, count):
+            assert nt._unit_sqrt_mod(u, p, k) == \
+                ref.unit_sqrt_mod_hensel(u, p, k), (u, p, k)
+
+
+def test_unit_sqrt_mod_inverts_at_most_once(monkeypatch):
+    # no inverse at 2 and one, of the root modulo p, at an odd prime,
+    # however many Newton steps the lift takes
+    inverses = []
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1:
+            inverses.append(mod)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(nt, "pow", counting_pow, raising=False)
+    roots = nt._unit_sqrt_mod(-(10**9 + 7) % (1 << 20_000), 2, 20_000)
+    assert len(roots) == 4 and inverses == []
+    u = pow(12345, 2, 10007 ** 40)
+    roots = nt._unit_sqrt_mod(u, 10007, 40)
+    assert len(roots) == 2 and inverses == [10007]
 
 
 def _brute_primitive(d, M):
